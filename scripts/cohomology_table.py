@@ -7,9 +7,10 @@ import sys
 from dataclasses import dataclass, field
 
 from psalib import fixtures
-from psalib.exactclass import FlatConnection, truncated_restricted_dims
+from psalib.exactclass import FlatConnection, truncated_restricted_matrices
 from psalib.exprcore import ChartContext
-from psalib.lsa import FiniteAlgebra, restricted_cohomology_dims
+from psalib.lsa import FiniteAlgebra, elimination_ranker, \
+    restricted_complex_matrices, restricted_dims
 
 
 @dataclass
@@ -25,7 +26,8 @@ def point_rows(cfg: Config):
                 ("abelian-2", FiniteAlgebra(2, {}))]
     for label, alg in algebras:
         for degree in cfg.degrees:
-            dims = [restricted_cohomology_dims(alg, degree, route)
+            mats = restricted_complex_matrices(alg, degree)
+            dims = [restricted_dims(mats, elimination_ranker(route))
                     for route in cfg.eliminations]
             agree = all(d == dims[0] for d in dims)
             yield label, degree, dims[0], agree
@@ -36,8 +38,9 @@ def chart_rows(cfg: Config):
         ctx = ChartContext(coords=tuple(f"x{i+1}" for i in range(n)))
         conn = FlatConnection(ctx)
         for degree in cfg.degrees:
-            dims = [truncated_restricted_dims(conn, degree,
-                                              cfg.max_poly_degree, route)
+            mats = truncated_restricted_matrices(conn, degree,
+                                                 cfg.max_poly_degree)
+            dims = [restricted_dims(mats, elimination_ranker(route))
                     for route in cfg.eliminations]
             agree = all(d == dims[0] for d in dims)
             yield f"flat-R{n} (<= deg {cfg.max_poly_degree})", degree, \

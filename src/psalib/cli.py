@@ -16,9 +16,10 @@ import sys
 from .algebroid import ChartAlgebroid, check_2cocycle, check_lie_algebroid, \
     check_left_symmetric_algebroid
 from .exactclass import canonical_splitting, check_exact, twisted_product, \
-    truncated_restricted_dims
+    truncated_restricted_matrices
 from .exprcore import ChartContext
-from .lsa import check_left_symmetric, restricted_cohomology_dims
+from .lsa import check_left_symmetric, elimination_ranker, \
+    restricted_complex_matrices, restricted_dims
 from .parakahler import check_parakahler
 from .presym import check_presymplectic, presym_from_symplectic, \
     pseudo_semidirect, symplectic_from_presym
@@ -201,23 +202,18 @@ def cmd_cohomology(args) -> int:
         print("error: --degree must be 1, 2, or 3 (pass --full to "
               "evaluate other degrees)", file=sys.stderr)
         return 2
+    if args.truncate < 0:
+        print("error: --truncate must be >= 0", file=sys.stderr)
+        return 2
     try:
         if b.algebra is not None:
             where = f"point algebra, dim {b.algebra.dim}"
-            dims = {
-                m: restricted_cohomology_dims(b.algebra, args.degree,
-                                              elimination=m)
-                for m in ("bareiss", "gauss")
-            }
+            mats = restricted_complex_matrices(b.algebra, args.degree)
         elif b.connection is not None:
             where = (f"chart, {b.connection.dim} flat coordinates, "
                      f"polynomial degree <= {args.truncate}")
-            dims = {
-                m: truncated_restricted_dims(b.connection, args.degree,
-                                             max_poly_degree=args.truncate,
-                                             elimination=m)
-                for m in ("bareiss", "gauss")
-            }
+            mats = truncated_restricted_matrices(
+                b.connection, args.degree, max_poly_degree=args.truncate)
         else:
             print("error: cohomology needs an [algebra] or a "
                   "[connection] section", file=sys.stderr)
@@ -225,6 +221,8 @@ def cmd_cohomology(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    dims = {m: restricted_dims(mats, elimination_ranker(m))
+            for m in ("bareiss", "gauss")}
     print(f"complex: {where}")
     ker, im, h = dims["bareiss"]
     print(f"degree {args.degree}: ker = {ker}  im = {im}  h = {h}")

@@ -18,6 +18,7 @@ from .algebroid import ChartAlgebroid
 from .exactlinalg import (ExprMatrix, QMatrix, expr_rank, expr_solve,
                           kernel_basis, rank, rank_second_opinion)
 from .exprcore import ChartContext, DiffExpr, differentiate
+from .lsa import restricted_dims
 from .presym import PreSymStructure, pseudo_semidirect
 from .report import CheckReport, Recorder
 
@@ -25,7 +26,8 @@ __all__ = [
     "FlatConnection", "Splitting", "PhiTensor", "ChartCochain",
     "chart_coboundary", "rho_star_matrix", "check_exact", "extract_phi",
     "canonical_splitting", "twisted_product", "twist_residual",
-    "splitting_equivalence", "truncated_restricted_dims",
+    "splitting_equivalence", "truncated_restricted_matrices",
+    "truncated_restricted_dims",
 ]
 
 
@@ -894,10 +896,10 @@ class TruncatedComplex:
         return QMatrix(cols).transpose()
 
 
-def truncated_restricted_dims(conn: FlatConnection, degree: int,
-                              max_poly_degree: int = 2,
-                              elimination: str = "bareiss"):
-    """(dim ker, dim im from below, quotient dim) for the restricted
+def truncated_restricted_matrices(conn: FlatConnection, degree: int,
+                                  max_poly_degree: int = 2):
+    """(basis size, leaving, entering) coboundary matrices, as
+    `lsa.restricted_complex_matrices` gives them, for the restricted
     complex with polynomial coefficients of bounded degree."""
     if not conn.is_zero():
         raise ValueError(
@@ -905,22 +907,28 @@ def truncated_restricted_dims(conn: FlatConnection, degree: int,
             "coefficients): products would not preserve the truncation")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    ranker = rank if elimination == "bareiss" else rank_second_opinion
-    if elimination not in ("bareiss", "gauss"):
-        raise ValueError("elimination must be 'bareiss' or 'gauss'")
+    if max_poly_degree < 0:
+        raise ValueError("polynomial degree bound must be >= 0")
     cx = TruncatedComplex(conn.ctx, max_poly_degree)
     basis = cx.restricted_basis(degree)
     if not basis:
-        return (0, 0, 0)
-    dmat = cx.coboundary_matrix(degree, basis)
-    rk = ranker(dmat)
-    kernel = len(basis) - rk
-    if degree == 1:
-        image = 0
-    else:
+        return 0, None, None
+    leaving = cx.coboundary_matrix(degree, basis)
+    entering = None
+    if degree > 1:
         below = cx.restricted_basis(degree - 1)
-        if not below:
-            image = 0
-        else:
-            image = ranker(cx.coboundary_matrix(degree - 1, below))
-    return (kernel, image, kernel - image)
+        if below:
+            entering = cx.coboundary_matrix(degree - 1, below)
+    return len(basis), leaving, entering
+
+
+def truncated_restricted_dims(conn: FlatConnection, degree: int,
+                              max_poly_degree: int = 2,
+                              elimination: str = "bareiss"):
+    """(dim ker, dim im from below, quotient dim) for the restricted
+    complex with polynomial coefficients of bounded degree."""
+    if elimination not in ("bareiss", "gauss"):
+        raise ValueError("elimination must be 'bareiss' or 'gauss'")
+    ranker = rank if elimination == "bareiss" else rank_second_opinion
+    return restricted_dims(
+        truncated_restricted_matrices(conn, degree, max_poly_degree), ranker)

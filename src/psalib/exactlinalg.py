@@ -1,17 +1,19 @@
 """Exact linear algebra over Q and over the symbolic scalar field.
 
-QMatrix holds Fraction entries; rank comes from fraction-free Bareiss
-elimination with deterministic first-nonzero pivoting, and a second,
-independently coded elimination (plain Gauss-Jordan, largest-pivot
-strategy) is exposed so results can be cross-checked without sharing
-code paths.  ExprMatrix holds DiffExpr entries; inversion is cofactor-based
-with subset-memoized Laplace determinants, sized for the small matrices
-that occur here.
+QMatrix holds Fraction entries.  rank clears each row's denominators and
+runs integer-preserving Bareiss elimination on Python ints with
+deterministic first-nonzero pivoting; a second, independently coded
+elimination (Gauss-Jordan over Fraction, largest-pivot strategy) is
+exposed so results can be cross-checked without sharing code paths.
+ExprMatrix holds DiffExpr entries; inversion is cofactor-based with
+subset-memoized Laplace determinants, sized for the small matrices that
+occur here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .exprcore import ChartContext, DiffExpr
 
@@ -43,7 +45,8 @@ class QMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                           for x in r) for r in rows)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -86,30 +89,41 @@ class QMatrix:
 
 
 def rank(m: QMatrix) -> int:
-    """Rank by fraction-free Bareiss elimination, first-nonzero pivots.
+    """Rank by integer-preserving Bareiss elimination, first-nonzero pivots.
 
-    Entries stay integral multiples of leading minors, so no rational
-    blowup beyond what the minors themselves carry.
+    Each row is first scaled by the lcm of its denominators, which keeps
+    the rank, so the elimination runs on Python ints.  Every row below
+    the pivot gets the update (a * p - f * pivot_row) // prev, also when
+    its pivot-column entry f is 0: that keeps every entry an integer
+    minor of the cleared matrix (Bareiss 1968), so each division is exact.
     """
-    a = [list(r) for r in m.rows]
+    a = []
+    for row in m.rows:
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
     n, w = m.nrows, m.ncols
-    prev = Fraction(1)
+    prev = 1
     r = 0
     for col in range(w):
         piv = None
         for i in range(r, n):
-            if a[i][col] != 0:
+            if a[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
+        prow = a[r][col:]
+        p = prow[0]
         for i in range(r + 1, n):
-            for j in range(col + 1, w):
-                a[i][j] = (a[i][j] * p - a[i][col] * a[r][j]) / prev
-            a[i][col] = Fraction(0)
+            row = a[i]
+            f = row[col]
+            if f:
+                row[col:] = [(x * p - f * y) // prev
+                             for x, y in zip(row[col:], prow)]
+            else:
+                row[col:] = [x * p // prev for x in row[col:]]
         prev = p
         r += 1
         if r == n:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .exactlinalg import (
     QMatrix,
@@ -37,6 +38,9 @@ __all__ = [
     "membership_matrix",
     "restricted_basis",
     "coboundary_matrix",
+    "restricted_dims",
+    "elimination_ranker",
+    "restricted_complex_matrices",
     "restricted_cohomology_dims",
     "cochain_space_dim",
 ]
@@ -516,6 +520,50 @@ def coboundary_matrix(alg: FiniteAlgebra, degree: int) -> QMatrix:
     return QMatrix(list(zip(*out_cols)))
 
 
+def elimination_ranker(elimination: str):
+    """The rank routine an elimination name selects: "bareiss" for
+    `rank`, "gauss" for the independently coded `rank_second_opinion`."""
+    if elimination == "bareiss":
+        return rank
+    if elimination == "gauss":
+        return rank_second_opinion
+    raise ValueError("elimination must be 'bareiss' or 'gauss'")
+
+
+def restricted_complex_matrices(alg: FiniteAlgebra, degree: int):
+    """(basis size, leaving, entering) for one degree of the restricted
+    complex.  `leaving` has a column per restricted basis cochain at the
+    degree and holds its coboundary (None when that basis is empty);
+    `entering` is the same for the degree below (None at degree 1 or when
+    that basis is empty).  Building them is the expensive part, so they
+    are built once and may be ranked by several eliminations with
+    `restricted_dims`."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+
+    def restricted_coboundary(n):
+        basis = restricted_basis(alg, n)
+        if not basis:
+            return 0, None
+        delta = coboundary_matrix(alg, n)
+        image_cols = [delta.mulvec(v) for v in basis]
+        return len(basis), QMatrix(list(zip(*image_cols)))
+
+    size, leaving = restricted_coboundary(degree)
+    entering = None if degree == 1 else restricted_coboundary(degree - 1)[1]
+    return size, leaving, entering
+
+
+def restricted_dims(matrices, ranker: Callable[[QMatrix], int]):
+    """(dim ker, dim im, dim quotient) of one degree of a restricted
+    complex, ranking its (basis size, leaving, entering) matrices with
+    the given rank routine."""
+    basis_size, leaving, entering = matrices
+    ker = basis_size - (ranker(leaving) if leaving is not None else 0)
+    im = ranker(entering) if entering is not None else 0
+    return ker, im, ker - im
+
+
 def restricted_cohomology_dims(alg: FiniteAlgebra, degree: int,
                                elimination: str = "bareiss"):
     """(dim ker, dim im, dim quotient) of the restricted complex at one
@@ -524,25 +572,8 @@ def restricted_cohomology_dims(alg: FiniteAlgebra, degree: int,
     degree lower.
 
     `elimination` selects the rank routine ("bareiss" or "gauss"), so two
-    independently coded eliminations can be compared.
+    independently coded eliminations can be compared; any other name
+    raises ValueError.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    rk = rank if elimination == "bareiss" else rank_second_opinion
-
-    def restricted_rank_and_nullity(n):
-        basis = restricted_basis(alg, n)
-        if not basis:
-            return 0, 0
-        delta = coboundary_matrix(alg, n)
-        image_cols = [delta.mulvec(v) for v in basis]
-        m = QMatrix(list(zip(*image_cols)))
-        r = rk(m)
-        return r, len(basis) - r
-
-    rank_n, ker_n = restricted_rank_and_nullity(degree)
-    if degree == 1:
-        im = 0
-    else:
-        im = restricted_rank_and_nullity(degree - 1)[0]
-    return ker_n, im, ker_n - im
+    ranker = elimination_ranker(elimination)
+    return restricted_dims(restricted_complex_matrices(alg, degree), ranker)

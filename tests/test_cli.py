@@ -205,6 +205,14 @@ def test_cohomology_degree_gate(capsys, fixture_file):
     assert "degree 4" in out
 
 
+def test_cohomology_rejects_negative_truncation(capsys, fixture_file):
+    code, out, err = run(capsys, "cohomology", fixture_file("twist-r2"),
+                         "--degree", "2", "--truncate", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --truncate must be >= 0\n"
+
+
 def test_cohomology_needs_algebra_or_connection(capsys, fixture_file):
     code, _, err = run(capsys, "cohomology", fixture_file("sphere"),
                        "--degree", "2")

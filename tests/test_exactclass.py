@@ -12,10 +12,12 @@ from psalib.exactclass import (ChartCochain, FlatConnection, PhiTensor,
                                canonical_splitting, chart_coboundary,
                                check_exact, cochain_keys, extract_phi,
                                rho_star_matrix, splitting_equivalence,
-                               truncated_restricted_dims, twist_residual,
+                               truncated_restricted_dims,
+                               truncated_restricted_matrices, twist_residual,
                                twisted_product)
 from psalib.exprcore import ChartContext
-from psalib.lsa import FiniteAlgebra, restricted_cohomology_dims
+from psalib.lsa import (FiniteAlgebra, elimination_ranker,
+                        restricted_cohomology_dims, restricted_dims)
 from psalib.presym import PreSymStructure, check_presymplectic, \
     pseudo_semidirect
 
@@ -320,6 +322,25 @@ def test_truncated_dims_elimination_routes_agree():
         b = truncated_restricted_dims(conn, degree, 2, "gauss")
         assert a == b
         assert a[0] - a[1] == a[2]
+
+
+@pytest.mark.parametrize("truncate, degree, dims", [
+    (2, 1, (3, 0, 3)), (2, 2, (31, 16, 15)), (2, 3, (68, 29, 39)),
+    (3, 1, (3, 0, 3)), (3, 2, (52, 31, 21)), (3, 3, (130, 68, 62)),
+])
+def test_truncated_flat_r3_dims_both_eliminations(truncate, degree, dims):
+    conn = FlatConnection(ChartContext(coords=("x1", "x2", "x3")))
+    mats = truncated_restricted_matrices(conn, degree, truncate)
+    for route in ("bareiss", "gauss"):
+        assert restricted_dims(mats, elimination_ranker(route)) == dims
+
+
+def test_truncated_rejects_unknown_elimination_and_negative_bound():
+    conn = FlatConnection(ChartContext(coords=("x",)))
+    with pytest.raises(ValueError, match="elimination"):
+        truncated_restricted_dims(conn, 2, 2, "bogus")
+    with pytest.raises(ValueError, match=">= 0"):
+        truncated_restricted_matrices(conn, 2, -1)
 
 
 def test_truncated_rejects_nonflat_coordinates():

@@ -54,20 +54,44 @@ def test_qinvert():
         qinvert(QMatrix([[1, 2], [2, 4]]))
 
 
-qmatrices = st.integers(1, 4).flatmap(
-    lambda n: st.integers(1, 4).flatmap(
-        lambda m: st.lists(
-            st.lists(st.integers(-6, 6), min_size=m, max_size=m),
-            min_size=n, max_size=n).map(QMatrix)))
+# mostly zeros, with denominators that make row lcms non-trivial
+rationals = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9),
+              st.sampled_from([1, 2, 3, 5, 7, 12])))
+
+
+def rational_rows(n, m):
+    return st.lists(st.lists(rationals, min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def qmatrices(draw):
+    """Up to 8 x 8, square, tall or wide, with some whole rows and
+    columns zeroed."""
+    n, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = draw(rational_rows(n, w))
+    zero_rows = draw(st.sets(st.integers(0, n - 1)))
+    zero_cols = draw(st.sets(st.integers(0, w - 1)))
+    return QMatrix([[0 if i in zero_rows or j in zero_cols else x
+                     for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)])
+
+
+def assert_ranks_agree(m):
+    """Bareiss, Gauss and the transpose all give one rank; returns it."""
+    r = rank(m)
+    assert rank_second_opinion(m) == r
+    assert rank(m.transpose()) == r
+    assert rank_second_opinion(m.transpose()) == r
+    return r
 
 
 @settings(max_examples=150, deadline=None)
-@given(qmatrices)
+@given(qmatrices())
 def test_rank_properties(m):
-    r1 = rank(m)
-    r2 = rank_second_opinion(m)
-    assert r1 == r2
-    assert rank(m.transpose()) == r1
+    r1 = assert_ranks_agree(m)
     basis = kernel_basis(m)
     assert r1 + len(basis) == m.ncols
     for v in basis:
@@ -78,8 +102,42 @@ def test_rank_properties(m):
         assert rank(km) == len(basis)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 8), st.integers(1, 7), st.integers(1, 8))
+       .flatmap(lambda s: st.tuples(rational_rows(s[0], s[1]),
+                                    rational_rows(s[1], s[2]))))
+def test_rank_routes_agree_on_products(ab):
+    # the inner dimension bounds the rank, often below both outer ones
+    a, b = QMatrix(ab[0]), QMatrix(ab[1])
+    r = assert_ranks_agree(a.matmul(b))
+    assert r <= min(assert_ranks_agree(a), assert_ranks_agree(b))
+
+
+@pytest.mark.parametrize("n, w", [(8, 2), (2, 8), (8, 8), (8, 1), (1, 8)])
+def test_rank_tall_wide_and_full(n, w):
+    # Hilbert-like entries 1/(i+j+1): every square minor is nonzero
+    m = QMatrix([[Fraction(1, i + j + 1) for j in range(w)]
+                 for i in range(n)])
+    assert assert_ranks_agree(m) == min(n, w)
+    # a zero row and a zero column, and a repeated row
+    rows = [list(r) for r in m.rows]
+    rows[0] = [Fraction(0)] * w
+    for row in rows:
+        row[-1] = Fraction(0)
+    rows.append(rows[-1])
+    assert assert_ranks_agree(QMatrix(rows)) == min(n - 1, w - 1)
+
+
+def test_rank_updates_rows_with_zero_pivot_entry():
+    # determinant 1; the middle row is 0 in the first pivot column, and
+    # leaving it un-updated makes the last division inexact: the floor
+    # of 1/2 would report rank 2
+    m = QMatrix([[2, -2, -1], [0, -1, -2], [1, 0, 1]])
+    assert assert_ranks_agree(m) == 3
+
+
 @settings(max_examples=80, deadline=None)
-@given(qmatrices)
+@given(qmatrices())
 def test_solve_property(m):
     red, pivots = rref(m)
     x = tuple(Fraction(k + 1) for k in range(m.ncols))

@@ -259,6 +259,11 @@ def test_two_elimination_routes_agree():
                 restricted_cohomology_dims(alg, n, "gauss")
 
 
+def test_unknown_elimination_is_rejected():
+    with pytest.raises(ValueError, match="elimination"):
+        restricted_cohomology_dims(abelian(2), 2, "bogus")
+
+
 def test_dim3_across_degrees_consistency():
     """On a dim-3 algebra the machinery still squares to zero and the
     restricted dims are internally consistent (ker >= im >= 0)."""
