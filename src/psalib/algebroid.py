@@ -53,6 +53,10 @@ class ChartAlgebroid:
         if len(self.anchor) != self.rank or any(
                 len(r) != n for r in self.anchor):
             raise ValueError("anchor shape must be rank x #coords")
+        # (coordinate position, entry) for each nonzero anchor entry, by row
+        self._anchor_nz = tuple(
+            tuple((i, x) for i, x in enumerate(row) if not x.is_zero())
+            for row in self.anchor)
         self.table = tuple(
             tuple(tuple(self._expr(x) for x in cell) for cell in row)
             for row in table)
@@ -87,17 +91,26 @@ class ChartAlgebroid:
         return tuple(out)
 
     def anchor_apply(self, u, f: DiffExpr) -> DiffExpr:
-        """Derivation action of the anchor of u on a scalar."""
+        """Derivation action of the anchor of u on a scalar.
+
+        f is differentiated only by the coordinates that some nonzero u_a
+        reaches through a nonzero anchor entry, each at most once per call;
+        a frame section of a flat chart needs one partial, not all of them.
+        """
         out = self.ctx.zero()
-        if not self.ctx.coords:
+        if f.is_constant():
             return out
-        partials = [differentiate(f, c) for c in self.ctx.coords]
+        coords = self.ctx.coords
+        partials = {}
         for a, ua in enumerate(u):
             if ua.is_zero():
                 continue
-            for i, df in enumerate(partials):
-                if not df.is_zero() and not self.anchor[a][i].is_zero():
-                    out = out + ua * self.anchor[a][i] * df
+            for i, rho in self._anchor_nz[a]:
+                df = partials.get(i)
+                if df is None:
+                    df = partials[i] = differentiate(f, coords[i])
+                if not df.is_zero():
+                    out = out + ua * rho * df
         return out
 
     def frame_table(self, a: int, b: int):

@@ -810,6 +810,11 @@ class TruncatedComplex:
     def _degree1_rows(self):
         n = self.dim
         m = len(self.monomials)
+        # partials[i][mpos]: coordinates of d_i of monomial mpos
+        exprs = [self._mono_expr(mono) for mono in self.monomials]
+        partials = [[_poly_to_coords(differentiate(e, c), self.ctx,
+                                     self.mono_index) for e in exprs]
+                    for c in self.ctx.coords]
         rows = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -817,14 +822,9 @@ class TruncatedComplex:
                     # match coefficients of mono_out in d_i phi_j - d_j phi_i
                     row = [Fraction(0)] * self.space_dim(1)
                     hit = False
-                    for mpos, mono in enumerate(self.monomials):
-                        e = self._mono_expr(mono)
-                        di = _poly_to_coords(
-                            differentiate(e, self.ctx.coords[i]),
-                            self.ctx, self.mono_index)
-                        dj = _poly_to_coords(
-                            differentiate(e, self.ctx.coords[j]),
-                            self.ctx, self.mono_index)
+                    for mpos in range(m):
+                        di = partials[i][mpos]
+                        dj = partials[j][mpos]
                         out_pos = self.mono_index[mono_out]
                         if out_pos in di:
                             row[j * m + mpos] += di[out_pos]

@@ -104,6 +104,12 @@ class ChartContext:
         self.max_deriv_order = max_deriv_order
         self._coord_pos = {name: i for i, name in enumerate(coords)}
         self._vars: dict[tuple, Var] = {}
+        # zero() and one() hand out these two objects; nothing may mutate
+        # them, and their hashes are computed once here
+        self._zero = DiffExpr(self, {}, _P_ONE)
+        self._one = DiffExpr(self, _P_ONE, _P_ONE)
+        hash(self._zero)
+        hash(self._one)
 
     # -- symbol table -----------------------------------------------------
 
@@ -165,8 +171,11 @@ class ChartContext:
 
     def number(self, value) -> "DiffExpr":
         q = Fraction(value)
-        num = {} if q == 0 else {(): q}
-        return DiffExpr(self, num, _P_ONE)
+        if not q:
+            return self._zero
+        if q == 1:
+            return self._one
+        return DiffExpr(self, {(): q}, _P_ONE)
 
     def coordinate(self, name: str) -> "DiffExpr":
         return DiffExpr(self, {((self.coord_var(name), 1),): Fraction(1)},
@@ -177,10 +186,12 @@ class ChartContext:
                         _P_ONE)
 
     def zero(self) -> "DiffExpr":
-        return self.number(0)
+        """The context's shared zero constant."""
+        return self._zero
 
     def one(self) -> "DiffExpr":
-        return self.number(1)
+        """The context's shared unit constant."""
+        return self._one
 
     def expr(self, text: str) -> "DiffExpr":
         return parse_expr(text, self)
@@ -601,6 +612,10 @@ class DiffExpr:
         if o is None:
             return NotImplemented
         ctx = self._join_ctx(o)
+        if not o.num and ctx is self.ctx:
+            return self
+        if not self.num and ctx is o.ctx:
+            return o
         if self.den == o.den:
             return DiffExpr(ctx, _padd(self.num, o.num), self.den,
                             reduced=False)
@@ -610,6 +625,8 @@ class DiffExpr:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.num:
+            return self
         return DiffExpr(self.ctx, _pneg(self.num), self.den)
 
     def __sub__(self, other):
@@ -631,6 +648,10 @@ class DiffExpr:
         ctx = self._join_ctx(o)
         if not self.num or not o.num:
             return ctx.zero()
+        if o is o.ctx._one and ctx is self.ctx:
+            return self
+        if self is self.ctx._one and ctx is o.ctx:
+            return o
         return DiffExpr(ctx, _pmul(self.num, o.num),
                         _pmul(self.den, o.den), reduced=False)
 
@@ -817,6 +838,12 @@ def _tokenize(text: str):
     return tokens
 
 
+# Parentheses and unary minus may nest this deep.  Each level costs the
+# recursive descent a few Python frames, so the cap keeps a hostile input
+# a syntax error instead of a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over: expr := term (('+'|'-') term)*;
     term := factor (('*'|'/') factor)*; factor := atom ('^' natural)?;
@@ -828,6 +855,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -879,18 +907,24 @@ class _Parser:
 
     def factor(self) -> DiffExpr:
         kind, val, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
+                                  self.text, pos)
         if kind == "op" and val == "-":
             self.next()
-            return -self.factor()
-        e = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            k, v, p2 = self.next()
-            if k != "int":
-                raise ExprSyntaxError("exponent must be a natural number",
-                                      self.text, p2)
-            e = e ** v
+            e = -self.factor()
+        else:
+            e = self.atom()
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "^":
+                self.next()
+                k, v, p2 = self.next()
+                if k != "int":
+                    raise ExprSyntaxError("exponent must be a natural number",
+                                          self.text, p2)
+                e = e ** v
+        self.depth -= 1
         return e
 
     def atom(self) -> DiffExpr:

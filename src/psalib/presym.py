@@ -13,6 +13,16 @@ Both correspondence directions live here as well: commutator plus
 pairing yields a bracket structure with a closed 2-form, and a bracket
 structure with a closed nondegenerate 2-form determines the product
 table uniquely through the pairing's inverse.
+
+Products of basis sections are memoised.  Every structure's frame
+sections are built once and form the start of its basis;
+check_presymplectic appends the formal-function slots f e_a of its
+extended structure.  star keeps e * e' for basis sections e, e' keyed by
+their basis positions, so the memo holds at most (2r)^2 entries for a
+frame of rank r, and each product the def-i, def-ii and cyclic-T loops
+share is computed once.  Intermediate sections such as star(u, star(v,
+w)) are recomputed on every call: memoising them would make the memo as
+large as the loops themselves.
 """
 
 from fractions import Fraction
@@ -28,6 +38,12 @@ __all__ = [
     "check_presymplectic", "symplectic_from_presym", "presym_from_symplectic",
     "pseudo_semidirect", "check_dirac",
 ]
+
+
+class _BasisSection(tuple):
+    """A section tuple that knows its position in a structure's basis."""
+
+    pos = -1
 
 
 class PreSymStructure:
@@ -46,10 +62,18 @@ class PreSymStructure:
         if pairing.nrows != self.rank or pairing.ncols != self.rank:
             raise ValueError("pairing must be rank x rank")
         self.pairing = pairing
+        # (b, w) for each nonzero pairing entry w = (e_a, e_b), by row a
+        self._pairing_nz = tuple(
+            tuple((b, w) for b, w in enumerate(row) if not w.is_zero())
+            for row in pairing.rows)
         self._half = ctx.number(Fraction(1, 2))
         self._inv_pairing = None
         self._comm = None
         self._d_cache: dict[DiffExpr, tuple] = {}
+        self._basis: tuple = ()
+        self._basis_products: dict[tuple[int, int], tuple] = {}
+        self._frames = self.add_basis(
+            self._prod.frame_section(a) for a in range(self.rank))
 
     def _expr(self, x) -> DiffExpr:
         return x if isinstance(x, DiffExpr) else self.ctx.number(x)
@@ -72,26 +96,57 @@ class PreSymStructure:
         return self._prod.zero_section()
 
     def frame_section(self, a: int):
+        if 0 <= a < self.rank:
+            return self._frames[a]
         return self._prod.frame_section(a)
 
+    def add_basis(self, sections) -> tuple:
+        """Append sections to the basis whose pairwise products star
+        memoises, and return them as the basis sections to pass in.
+
+        Only the returned objects hit the memo; an equal section built
+        elsewhere is multiplied afresh.
+        """
+        start = len(self._basis)
+        added = []
+        for pos, x in enumerate(sections, start):
+            sec = _BasisSection(self._section(x))
+            sec.pos = pos
+            added.append(sec)
+        self._basis = self._basis + tuple(added)
+        return tuple(added)
+
+    def _basis_pos(self, x):
+        if type(x) is _BasisSection:
+            pos = x.pos
+            if pos < len(self._basis) and self._basis[pos] is x:
+                return pos
+        return None
+
     def _section(self, x):
+        if type(x) is _BasisSection:
+            return x
         if isinstance(x, int):
             return self.frame_section(x)
+        if isinstance(x, tuple) and all(isinstance(c, DiffExpr) for c in x):
+            return x
         return tuple(self._expr(c) for c in x)
 
     def anchor_apply(self, u, f: DiffExpr) -> DiffExpr:
+        """rho(u)(f); f is differentiated only along the chart directions
+        that the anchor of u reaches (see ChartAlgebroid.anchor_apply)."""
         return self._prod.anchor_apply(self._section(u), f)
 
     def pairing_value(self, u, v) -> DiffExpr:
         u, v = self._section(u), self._section(v)
         acc = self.ctx.zero()
-        rows = self.pairing.rows
-        for a in range(self.rank):
-            if u[a].is_zero():
+        for a, row in enumerate(self._pairing_nz):
+            ua = u[a]
+            if ua.is_zero():
                 continue
-            for b in range(self.rank):
-                if not v[b].is_zero() and not rows[a][b].is_zero():
-                    acc = acc + u[a] * v[b] * rows[a][b]
+            for b, w in row:
+                if not v[b].is_zero():
+                    acc = acc + ua * v[b] * w
         return acc
 
     def D(self, f: DiffExpr):
@@ -99,8 +154,7 @@ class PreSymStructure:
         cached = self._d_cache.get(f)
         if cached is not None:
             return cached
-        rhs = [self.anchor_apply(self.frame_section(b), f)
-               for b in range(self.rank)]
+        rhs = [self._prod.anchor_apply(frame, f) for frame in self._frames]
         col = self.inverse_pairing.mulvec(rhs)
         out = tuple(-x for x in col)
         self._d_cache[f] = out
@@ -109,7 +163,22 @@ class PreSymStructure:
     # -- products on sections ------------------------------------------------
 
     def star(self, u, v):
-        u, v = self._section(u), self._section(v)
+        """The section product u * v.
+
+        When both arguments are basis sections of this structure (see
+        add_basis) the product is memoised under their basis positions;
+        the basis is fixed and small, so the memo is bounded by its
+        square.  Any other pair is computed afresh.
+        """
+        i, j = self._basis_pos(u), self._basis_pos(v)
+        if i is None or j is None:
+            return self._star(self._section(u), self._section(v))
+        out = self._basis_products.get((i, j))
+        if out is None:
+            out = self._basis_products[(i, j)] = self._star(u, v)
+        return out
+
+    def _star(self, u, v):
         out = [self.ctx.zero()] * self.rank
         for a in range(self.rank):
             ua = u[a]
@@ -122,10 +191,9 @@ class PreSymStructure:
             if not ua.is_constant():
                 # (f e_a) * v picks up -1/2 (e_a, v) D f
                 pav = self.ctx.zero()
-                for b in range(self.rank):
-                    if not v[b].is_zero() and \
-                            not self.pairing.rows[a][b].is_zero():
-                        pav = pav + v[b] * self.pairing.rows[a][b]
+                for b, w in self._pairing_nz[a]:
+                    if not v[b].is_zero():
+                        pav = pav + v[b] * w
                 if not pav.is_zero():
                     du = self.D(ua)
                     for k in range(self.rank):
@@ -136,7 +204,7 @@ class PreSymStructure:
     def _frame_star(self, a: int, v):
         """e_a * v with the transport and D corrections."""
         out = [self.ctx.zero()] * self.rank
-        frame_a = self.frame_section(a)
+        frame_a = self._frames[a]
         for b in range(self.rank):
             vb = v[b]
             if vb.is_zero():
@@ -275,11 +343,13 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
             rec.skip(cid, "not evaluated: pairing is degenerate")
         return rec.report
 
+    # the frames and the formal slots f e_a are the extended structure's
+    # basis, so star memoises every product of two of them
     ext, f = E.extended()
     frames = [ext.frame_section(a) for a in range(r)]
-
-    def f_slot(a):
-        return tuple(f if k == a else ext.ctx.zero() for k in range(r))
+    f_slots = ext.add_basis(
+        tuple(f if k == a else ext.ctx.zero() for k in range(r))
+        for a in range(r))
 
     def run_guarded(check_id, fn):
         ok = rec.run(check_id, fn)
@@ -315,8 +385,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
                 for v in range(r):
                     for w in range(r):
                         args = [frames[u], frames[v], frames[w]]
-                        args[slot] = tuple(
-                            f * c for c in args[slot])
+                        args[slot] = f_slots[(u, v, w)[slot]]
                         res = _def_ii_residual(ext, *args)
                         if not res.is_zero():
                             return False, (f"(e{u+1},e{v+1},e{w+1}), formal "
@@ -340,7 +409,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
         for u in range(r):
             for v in range(r):
                 for w in range(r):
-                    res = _def_i_residual(ext, f_slot(u), frames[v],
+                    res = _def_i_residual(ext, f_slots[u], frames[v],
                                           frames[w])
                     bad = _first_nonzero(res)
                     if bad:
@@ -350,7 +419,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
             for v in range(u + 1, r):
                 for w in range(r):
                     res = _def_i_residual(ext, frames[u], frames[v],
-                                          f_slot(w))
+                                          f_slots[w])
                     bad = _first_nonzero(res)
                     if bad:
                         return False, (f"(e{u+1},e{v+1},f e{w+1}): component "
@@ -364,7 +433,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
         for a in range(r):
             da = ext.anchor_apply(frames[a], f)
             for b in range(r):
-                lhs = ext.star(frames[a], f_slot(b))
+                lhs = ext.star(frames[a], f_slots[b])
                 w_ab = ext.pairing.rows[a][b]
                 df = ext.D(f) if not w_ab.is_zero() else None
                 for k in range(r):
@@ -384,7 +453,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
     def scalar_right():
         for a in range(r):
             for b in range(r):
-                lhs = ext.star(f_slot(a), frames[b])
+                lhs = ext.star(f_slots[a], frames[b])
                 w_ab = ext.pairing.rows[a][b]
                 df = ext.D(f) if not w_ab.is_zero() else None
                 for k in range(r):
@@ -404,7 +473,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
         for a in range(r):
             da = ext.anchor_apply(frames[a], f)
             for b in range(r):
-                lhs = ext.bracket(frames[a], f_slot(b))
+                lhs = ext.bracket(frames[a], f_slots[b])
                 for k in range(r):
                     rhs = f * comm.table[a][b][k]
                     if k == b:
@@ -443,7 +512,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
         for u in range(r):
             for v in range(r):
                 for w in range(r):
-                    res = _cyclic_T(ext, f_slot(u), frames[v], frames[w])
+                    res = _cyclic_T(ext, f_slots[u], frames[v], frames[w])
                     if not res.is_zero():
                         return False, (f"(f e{u+1},e{v+1},e{w+1}): {res}")
         return True, None

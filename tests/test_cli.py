@@ -2,10 +2,15 @@
 exit codes, and report determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psalib
 from psalib import fixtures
 from psalib.cli import main
 from psalib.psafile import emit
@@ -65,6 +70,23 @@ def test_check_malformed_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(p))
     assert code == 2
     assert "unknown section" in err
+
+
+def test_check_deeply_nested_entry_exits_two(tmp_path):
+    # run as a process: a RecursionError would print a traceback, exit 1
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    p = tmp_path / "deep.psa"
+    p.write_text("[chart]\ncoords = x1, x2\n[frame]\nnames = d1, d2\n"
+                 f"[anchor]\nd1 = {deep}, 0\nd2 = 0, 1\n[star]\n"
+                 "[pairing]\nd1 d2 = 1\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "psalib.cli", "check",
+                           str(p)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "nesting deeper than" in proc.stderr
 
 
 def test_exact_suite_runs_on_twist_file(capsys, fixture_file):

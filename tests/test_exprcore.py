@@ -16,6 +16,7 @@ from psalib.exprcore import (
     DiffExpr,
     ExprError,
     ExprSyntaxError,
+    MAX_NESTING,
     differentiate,
     evaluate,
     is_zero,
@@ -71,6 +72,26 @@ def test_parse_errors_are_positioned():
         parse_expr("d(x,f)", c)
     with pytest.raises(ExprSyntaxError):
         parse_expr("1/0", c)
+
+
+def test_parse_nesting_is_capped():
+    ctx = ctx2()
+    deep = MAX_NESTING - 1
+    assert ctx.expr("(" * deep + "x" + ")" * deep) == ctx.expr("x")
+    assert ctx.expr("-" * deep + "x") == ctx.expr("-x")
+    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"):
+        with pytest.raises(ExprSyntaxError, match="nesting deeper"):
+            ctx.expr(text)
+
+
+def test_constants_are_interned():
+    ctx = ctx2()
+    x = ctx.expr("x")
+    assert ctx.zero() is ctx.zero() is ctx.number(0)
+    assert ctx.one() is ctx.one() is ctx.number(Fraction(3, 3))
+    assert ctx.zero() == x - x and hash(ctx.zero()) == hash(x - x)
+    assert ctx.one() == x / x and hash(ctx.one()) == hash(x / x)
+    assert (x * ctx.one()) == x and (x + ctx.zero()) == x
 
 
 def test_division_by_zero_expression():

@@ -1,16 +1,20 @@
 """Skew-paired product structures: axioms, D and T, correspondences,
 pseudo-semidirect products, closed isotropic subbundles."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from psalib import fixtures
 from psalib.algebroid import (
     ChartAlgebroid,
     FormField,
     check_2cocycle,
     check_lie_algebroid,
 )
+from psalib.cli import applicable_suites, run_suite
 from psalib.exprcore import ChartContext
 from psalib.presym import (
     PreSymStructure,
@@ -420,3 +424,83 @@ def test_dirac_closure_failure_reported():
     F = Subbundle([(one, z, z, one), (z, one, z, z)])
     rep, induced = check_dirac(E, F)
     assert not rep.passed()
+
+
+# ---------------------------------------------------------------------------
+# memoised basis products and interned constants
+
+
+_ENTRIES = ("0", "1", "-2", "x", "y^2 - z", "1/2*x*y", "f", "x*f",
+            "f^2 + y", "d(f,y)")
+
+
+@functools.lru_cache(maxsize=None)
+def _warm_sphere():
+    """The extended sphere structure with the frames and formal slots as
+    its basis, every basis product already memoised."""
+    ext, f = sphere_presym().extended()
+    r = ext.rank
+    slots = ext.add_basis(
+        tuple(f if k == a else ext.ctx.zero() for k in range(r))
+        for a in range(r))
+    basis = [ext.frame_section(a) for a in range(r)] + list(slots)
+    for u in basis:
+        for v in basis:
+            ext.star(u, v)
+    return ext, basis
+
+
+_sections = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.sampled_from(_ENTRIES), min_size=2, max_size=2))
+
+
+def _realize(ext, basis, spec):
+    """A basis section of ext, or a plain section parsed in its context."""
+    if isinstance(spec, int):
+        return basis[spec]
+    return tuple(ext.ctx.expr(t) for t in spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=_sections, v=_sections, g=st.sampled_from(_ENTRIES))
+def test_warm_memo_matches_fresh_structure(u, v, g):
+    warm, basis = _warm_sphere()
+    fresh = PreSymStructure(warm.ctx, warm.names, warm.anchor, warm.table,
+                            warm.pairing)
+    su, sv = _realize(warm, basis, u), _realize(warm, basis, v)
+    # plain tuples never hit a memo
+    pu, pv = tuple(su), tuple(sv)
+    scalar = warm.ctx.expr(g)
+    assert warm.star(su, sv) == fresh.star(pu, pv)
+    assert warm.star(su, sv) == warm.star(pu, pv)
+    assert warm.pairing_value(su, sv) == fresh.pairing_value(pu, pv)
+    assert warm.anchor_apply(su, scalar) == fresh.anchor_apply(pu, scalar)
+    assert len(warm._basis_products) <= len(warm._basis) ** 2
+
+
+def test_memo_ignores_other_structures_basis_sections():
+    warm, basis = _warm_sphere()
+    other, _ = sphere_presym().extended()
+    assert other.star(basis[1], basis[0]) == warm.star(basis[1], basis[0])
+    assert not other._basis_products
+
+
+def test_interned_constants_survive_every_suite(monkeypatch):
+    made = []
+    init = ChartContext.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ChartContext, "__init__", recording_init)
+    for name in fixtures.REGISTRY_NAMES:
+        b = fixtures.build(name)
+        for suite in applicable_suites(b):
+            run_suite(b, suite, name)
+    assert len(made) > len(fixtures.REGISTRY_NAMES)
+    for ctx in made:
+        assert ctx.zero() is ctx.number(0)
+        assert ctx.zero().num == {} and ctx.zero().den == {(): 1}
+        assert ctx.one().num == {(): 1} and ctx.one().den == {(): 1}
