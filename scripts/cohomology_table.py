@@ -4,7 +4,6 @@ the truncated chart complexes, under both elimination routes."""
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from psalib import fixtures
 from psalib.exactclass import FlatConnection, truncated_restricted_matrices
@@ -12,39 +11,36 @@ from psalib.exprcore import ChartContext
 from psalib.lsa import FiniteAlgebra, elimination_ranker, \
     restricted_complex_matrices, restricted_dims
 
-
-@dataclass
-class Config:
-    degrees: tuple = (1, 2, 3)
-    eliminations: tuple = ("bareiss", "gauss")
-    max_poly_degree: int = 2
-    chart_dims: tuple = (1, 2)
+DEGREES = (1, 2, 3)
+ELIMINATIONS = ("bareiss", "gauss")
+CHART_DIMS = (1, 2)
 
 
-def point_rows(cfg: Config):
+def ranked(mats):
+    """(dims under the first route, whether every route agrees)."""
+    dims = [restricted_dims(mats, elimination_ranker(route))
+            for route in ELIMINATIONS]
+    return dims[0], all(d == dims[0] for d in dims)
+
+
+def point_rows():
     algebras = [("lsa2", fixtures.lsa2_algebra()),
                 ("abelian-2", FiniteAlgebra(2, {}))]
     for label, alg in algebras:
-        for degree in cfg.degrees:
-            mats = restricted_complex_matrices(alg, degree)
-            dims = [restricted_dims(mats, elimination_ranker(route))
-                    for route in cfg.eliminations]
-            agree = all(d == dims[0] for d in dims)
-            yield label, degree, dims[0], agree
+        for degree in DEGREES:
+            yield (label, degree,
+                   *ranked(restricted_complex_matrices(alg, degree)))
 
 
-def chart_rows(cfg: Config):
-    for n in cfg.chart_dims:
+def chart_rows(max_poly_degree: int):
+    for n in CHART_DIMS:
         ctx = ChartContext(coords=tuple(f"x{i+1}" for i in range(n)))
         conn = FlatConnection(ctx)
-        for degree in cfg.degrees:
+        for degree in DEGREES:
             mats = truncated_restricted_matrices(conn, degree,
-                                                 cfg.max_poly_degree)
-            dims = [restricted_dims(mats, elimination_ranker(route))
-                    for route in cfg.eliminations]
-            agree = all(d == dims[0] for d in dims)
-            yield f"flat-R{n} (<= deg {cfg.max_poly_degree})", degree, \
-                dims[0], agree
+                                                 max_poly_degree)
+            yield (f"flat-R{n} (<= deg {max_poly_degree})", degree,
+                   *ranked(mats))
 
 
 def main() -> int:
@@ -52,11 +48,10 @@ def main() -> int:
     ap.add_argument("--truncate", type=int, default=2,
                     help="polynomial degree cap for the chart complexes")
     args = ap.parse_args()
-    cfg = Config(max_poly_degree=args.truncate)
     print(f"{'complex':<22} {'n':>2}  {'ker':>4} {'im':>4} {'h':>4}  routes")
     disagreements = 0
     for label, degree, (ker, im, h), agree in \
-            list(point_rows(cfg)) + list(chart_rows(cfg)):
+            list(point_rows()) + list(chart_rows(args.truncate)):
         note = "agree" if agree else "DISAGREE"
         disagreements += 0 if agree else 1
         print(f"{label:<22} {degree:>2}  {ker:>4} {im:>4} {h:>4}  {note}")

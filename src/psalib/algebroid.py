@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .exprcore import ChartContext, DiffExpr, differentiate
+from .lsa import sorted_sign
 from .report import CheckReport, Recorder
 
 __all__ = [
@@ -375,16 +376,9 @@ class FormField:
     def value_frame(self, idx) -> DiffExpr:
         if len(idx) != self.degree:
             raise ValueError("wrong slot count")
-        if len(set(idx)) < len(idx):
+        key, sign = sorted_sign(idx)
+        if not sign:
             return self.ctx.zero()
-        order = sorted(range(len(idx)), key=lambda i: idx[i])
-        sign = 1
-        # permutation sign by explicit inversion count (degrees are tiny)
-        for i in range(len(order)):
-            for j in range(i + 1, len(order)):
-                if order[i] > order[j]:
-                    sign = -sign
-        key = tuple(idx[i] for i in order)
         got = self.components.get(key)
         if got is None:
             return self.ctx.zero()

@@ -17,7 +17,7 @@ from .algebroid import ChartAlgebroid, check_2cocycle, check_lie_algebroid, \
     check_left_symmetric_algebroid
 from .exactclass import canonical_splitting, check_exact, twisted_product, \
     truncated_restricted_matrices
-from .exprcore import ChartContext
+from .exprcore import ChartContext, ExprError
 from .lsa import check_left_symmetric, elimination_ranker, \
     restricted_complex_matrices, restricted_dims
 from .parakahler import check_parakahler
@@ -128,7 +128,7 @@ def cmd_check(args) -> int:
     try:
         for suite in selected:
             combined.extend(run_suite(b, suite, args.file))
-    except ValueError as exc:
+    except (ValueError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in combined.text_lines():
@@ -180,7 +180,7 @@ def cmd_derive(args) -> int:
     try:
         b = load_path(args.file)
         out = derive_bundle(b, args.direction)
-    except (PsaError, OSError, ValueError) as exc:
+    except (PsaError, OSError, ValueError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = emit(out)

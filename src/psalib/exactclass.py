@@ -18,7 +18,8 @@ from .algebroid import ChartAlgebroid
 from .exactlinalg import (ExprMatrix, QMatrix, expr_rank, expr_solve,
                           kernel_basis, rank, rank_second_opinion)
 from .exprcore import ChartContext, DiffExpr, differentiate
-from .lsa import restricted_dims
+from .lsa import (RestrictedComplex, cochain_keys, complex_matrices,
+                  restricted_dims, sorted_sign)
 from .presym import PreSymStructure, pseudo_semidirect
 from .report import CheckReport, Recorder
 
@@ -448,30 +449,6 @@ class PhiTensor:
 # chart-level scalar cochains
 
 
-def _sorted_sign(seq):
-    """(sorted tuple, permutation sign); None for repeated entries."""
-    seq = list(seq)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(seq)):
-        if seq[i - 1] == seq[i]:
-            return None, 0
-    return tuple(seq), sign
-
-
-def cochain_keys(dim: int, degree: int):
-    """Canonical component keys: strictly increasing first block plus a
-    free last index."""
-    return [(subset, k)
-            for subset in itertools.combinations(range(dim), degree - 1)
-            for k in range(dim)]
-
-
 class ChartCochain:
     """Scalar multilinear data, antisymmetric in all arguments but the
     last; components are chart expressions on canonical keys."""
@@ -502,7 +479,7 @@ class ChartCochain:
         idx = tuple(idx)
         if len(idx) != self.degree:
             raise ValueError("wrong number of arguments")
-        subset, sign = _sorted_sign(idx[:-1])
+        subset, sign = sorted_sign(idx[:-1])
         if sign == 0:
             return self.ctx.zero()
         val = self.components.get((subset, idx[-1]))
@@ -570,7 +547,7 @@ def chart_coboundary(alg: ChartAlgebroid, phi: ChartCochain) -> ChartCochain:
                     for m in range(dim):
                         if cell[m].is_zero():
                             continue
-                        sub_key, sgn = _sorted_sign((m,) + rest)
+                        sub_key, sgn = sorted_sign((m,) + rest)
                         if sgn == 0:
                             continue
                         base = phi.components.get((sub_key, last))
@@ -735,7 +712,10 @@ class TruncatedComplex:
 
     Flat coordinates make the frame products and brackets vanish, so the
     coboundary is pure anchor transport and lowers coefficient degree;
-    truncation therefore yields an honest subcomplex.
+    truncation therefore yields an honest subcomplex.  The matrices come
+    from an `lsa.RestrictedComplex` whose coefficient basis is the
+    truncated monomials; this class converts its coordinates to and from
+    chart cochains.
     """
 
     def __init__(self, ctx: ChartContext, max_poly_degree: int = 2):
@@ -745,6 +725,23 @@ class TruncatedComplex:
         self.monomials = _monomials_upto(self.dim, max_poly_degree)
         self.mono_index = {m: i for i, m in enumerate(self.monomials)}
         self._alg = FlatConnection(ctx).tangent_algebroid()
+        self.complex = RestrictedComplex(self.dim, None, len(self.monomials),
+                                         self._frame_action())
+
+    def _frame_action(self):
+        """The anchor of each frame element on the coefficient monomials,
+        as `RestrictedComplex` takes it: one partial derivative per
+        monomial, which lowers its degree and so stays in the span."""
+        exprs = [self._mono_expr(mono) for mono in self.monomials]
+        action = []
+        for a in range(self.dim):
+            frame = self._alg.frame_section(a)
+            action.append([
+                (col, row, v) for col, e in enumerate(exprs)
+                for row, v in _poly_to_coords(
+                    self._alg.anchor_apply(frame, e), self.ctx,
+                    self.mono_index).items()])
+        return action
 
     def basis(self, degree: int):
         """(key, monomial DiffExpr) pairs indexing the full cochain space."""
@@ -755,7 +752,7 @@ class TruncatedComplex:
         return out
 
     def space_dim(self, degree: int) -> int:
-        return len(cochain_keys(self.dim, degree)) * len(self.monomials)
+        return self.complex.space_dim(degree)
 
     def _mono_expr(self, mono) -> DiffExpr:
         e = self.ctx.one()
@@ -794,106 +791,14 @@ class TruncatedComplex:
         degree 2 symmetry, degree 3 zero cyclic sum; higher degrees are
         unrestricted.
         """
-        full = self.basis(degree)
-        if degree == 1:
-            rows = self._degree1_rows()
-        elif degree == 2:
-            rows = self._degree2_rows()
-        elif degree == 3:
-            rows = self._degree3_rows()
-        else:
-            rows = []
-        if not rows:
-            return QMatrix([[Fraction(0)] * len(full)])
-        return QMatrix(rows)
-
-    def _degree1_rows(self):
-        n = self.dim
-        m = len(self.monomials)
-        # partials[i][mpos]: coordinates of d_i of monomial mpos
-        exprs = [self._mono_expr(mono) for mono in self.monomials]
-        partials = [[_poly_to_coords(differentiate(e, c), self.ctx,
-                                     self.mono_index) for e in exprs]
-                    for c in self.ctx.coords]
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for mono_out in self.monomials:
-                    # match coefficients of mono_out in d_i phi_j - d_j phi_i
-                    row = [Fraction(0)] * self.space_dim(1)
-                    hit = False
-                    for mpos in range(m):
-                        di = partials[i][mpos]
-                        dj = partials[j][mpos]
-                        out_pos = self.mono_index[mono_out]
-                        if out_pos in di:
-                            row[j * m + mpos] += di[out_pos]
-                            hit = True
-                        if out_pos in dj:
-                            row[i * m + mpos] -= dj[out_pos]
-                            hit = True
-                    if hit:
-                        rows.append(row)
-        return rows
-
-    def _degree2_rows(self):
-        keys = cochain_keys(self.dim, 2)
-        kindex = {k: i for i, k in enumerate(keys)}
-        m = len(self.monomials)
-        rows = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                a = kindex[((i,), j)]
-                b = kindex[((j,), i)]
-                for mpos in range(m):
-                    row = [Fraction(0)] * self.space_dim(2)
-                    row[a * m + mpos] = Fraction(1)
-                    row[b * m + mpos] = Fraction(-1)
-                    rows.append(row)
-        return rows
-
-    def _degree3_rows(self):
-        keys = cochain_keys(self.dim, 3)
-        kindex = {k: i for i, k in enumerate(keys)}
-        m = len(self.monomials)
-        rows = []
-        seen = set()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    trip = tuple(sorted((i, j, k)))
-                    if (i, j, k) in seen:
-                        continue
-                    # cyclic sum phi(i,j,k)+phi(j,k,i)+phi(k,i,j) = 0
-                    for mpos in range(m):
-                        row = [Fraction(0)] * self.space_dim(3)
-                        hit = False
-                        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                            subset, sgn = _sorted_sign((a, b))
-                            if sgn == 0:
-                                continue
-                            pos = kindex[(subset, c)]
-                            row[pos * m + mpos] += sgn
-                            hit = True
-                        if hit and any(row):
-                            rows.append(row)
-                    seen.update({(i, j, k), (j, k, i), (k, i, j)})
-        return rows
+        return self.complex.membership_matrix(degree)
 
     def restricted_basis(self, degree: int):
-        mem = self.membership_matrix(degree)
-        return kernel_basis(mem)
+        return kernel_basis(self.membership_matrix(degree))
 
     def coboundary_matrix(self, degree: int, basis_vectors) -> QMatrix:
         """Columns: coordinates of the coboundary of each basis cochain."""
-        cols = []
-        for vec in basis_vectors:
-            phi = self.cochain_from_vector(degree, vec)
-            d = chart_coboundary(self._alg, phi)
-            cols.append(self.vector_from_cochain(d))
-        if not cols:
-            return QMatrix([[Fraction(0)]])
-        return QMatrix(cols).transpose()
+        return self.complex.coboundary_matrix(degree, basis_vectors)
 
 
 def truncated_restricted_matrices(conn: FlatConnection, degree: int,
@@ -905,21 +810,10 @@ def truncated_restricted_matrices(conn: FlatConnection, degree: int,
         raise ValueError(
             "degree truncation needs flat coordinates (zero connection "
             "coefficients): products would not preserve the truncation")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     if max_poly_degree < 0:
         raise ValueError("polynomial degree bound must be >= 0")
-    cx = TruncatedComplex(conn.ctx, max_poly_degree)
-    basis = cx.restricted_basis(degree)
-    if not basis:
-        return 0, None, None
-    leaving = cx.coboundary_matrix(degree, basis)
-    entering = None
-    if degree > 1:
-        below = cx.restricted_basis(degree - 1)
-        if below:
-            entering = cx.coboundary_matrix(degree - 1, below)
-    return len(basis), leaving, entering
+    return complex_matrices(TruncatedComplex(conn.ctx, max_poly_degree),
+                            degree)
 
 
 def truncated_restricted_dims(conn: FlatConnection, degree: int,

@@ -7,7 +7,8 @@ elimination (Gauss-Jordan over Fraction, largest-pivot strategy) is
 exposed so results can be cross-checked without sharing code paths.
 ExprMatrix holds DiffExpr entries; inversion is cofactor-based with
 subset-memoized Laplace determinants, sized for the small matrices that
-occur here.
+occur here.  Reduced echelon forms, kernels and solutions over both
+fields come from one first-nonzero-pivot Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -157,16 +158,18 @@ def rank_second_opinion(m: QMatrix) -> int:
     return r
 
 
-def rref(m: QMatrix):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    a = [list(r) for r in m.rows]
-    n, w = m.nrows, m.ncols
+def _gauss_jordan(rows, ncols: int):
+    """Reduced row echelon form by Gauss-Jordan with first-nonzero pivots,
+    over any field whose only falsy element is zero (Fraction, DiffExpr).
+    Returns (rows, pivot column list)."""
+    a = [list(r) for r in rows]
+    n = len(a)
     pivots = []
     r = 0
-    for col in range(w):
+    for col in range(ncols):
         piv = None
         for i in range(r, n):
-            if a[i][col] != 0:
+            if a[i][col]:
                 piv = i
                 break
         if piv is None:
@@ -175,43 +178,59 @@ def rref(m: QMatrix):
         p = a[r][col]
         a[r] = [x / p for x in a[r]]
         for i in range(n):
-            if i != r and a[i][col] != 0:
+            if i != r and a[i][col]:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
         r += 1
         if r == n:
             break
+    return a, pivots
+
+
+def _kernel(m, zero, one):
+    """Right kernel basis, one vector per free column, unit in it."""
+    red, pivots = _gauss_jordan(m.rows, m.ncols)
+    pivset = set(pivots)
+    basis = []
+    for free in range(m.ncols):
+        if free in pivset:
+            continue
+        v = [zero] * m.ncols
+        v[free] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _solve_augmented(aug, ncols: int, zero):
+    """One solution from the augmented matrix [m | rhs], or None."""
+    red, pivots = _gauss_jordan(aug.rows, aug.ncols)
+    if ncols in pivots:
+        return None
+    x = [zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return tuple(x)
+
+
+def rref(m: QMatrix):
+    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    a, pivots = _gauss_jordan(m.rows, m.ncols)
     return QMatrix(a), pivots
 
 
 def kernel_basis(m: QMatrix):
     """Basis of the right kernel, deterministic (one vector per free column,
     unit in that column)."""
-    red, pivots = rref(m)
-    pivset = set(pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * m.ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.rows[r][free]
-        basis.append(tuple(v))
-    return basis
+    return _kernel(m, Fraction(0), Fraction(1))
 
 
 def solve(m: QMatrix, rhs):
     """One solution of m x = rhs, or None if inconsistent."""
     aug = QMatrix([list(r) + [rhs[i]] for i, r in enumerate(m.rows)])
-    red, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [Fraction(0)] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][m.ncols]
-    return tuple(x)
+    return _solve_augmented(aug, m.ncols, Fraction(0))
 
 
 def qinvert(m: QMatrix) -> QMatrix:
@@ -363,64 +382,18 @@ def invert(m: ExprMatrix) -> ExprMatrix:
     return ExprMatrix(m.ctx, out)
 
 
-def _expr_echelon(m: ExprMatrix):
-    """Gauss-Jordan over the symbolic field, first symbolically nonzero
-    pivot.  Returns (rows, pivot columns)."""
-    a = [list(r) for r in m.rows]
-    n, w = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for col in range(w):
-        piv = None
-        for i in range(r, n):
-            if not a[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
-        for i in range(n):
-            if i != r and not a[i][col].is_zero():
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    return a, pivots
-
-
 def expr_rank(m: ExprMatrix) -> int:
     """Generic rank over the symbolic scalar field (valid off the vanishing
     loci of the pivots' denominators)."""
-    return len(_expr_echelon(m)[1])
+    return len(_gauss_jordan(m.rows, m.ncols)[1])
 
 
 def expr_kernel_basis(m: ExprMatrix):
-    red, pivots = _expr_echelon(m)
-    pivset = set(pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivset:
-            continue
-        v = [m.ctx.zero()] * m.ncols
-        v[free] = m.ctx.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(tuple(v))
-    return basis
+    return _kernel(m, m.ctx.zero(), m.ctx.one())
 
 
 def expr_solve(m: ExprMatrix, rhs):
     """One solution of m x = rhs over the symbolic field, or None."""
     aug = ExprMatrix(m.ctx, [list(r) + [rhs[i]]
                              for i, r in enumerate(m.rows)])
-    red, pivots = _expr_echelon(aug)
-    if m.ncols in pivots:
-        return None
-    x = [m.ctx.zero()] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][m.ncols]
-    return tuple(x)
+    return _solve_augmented(aug, m.ncols, m.ctx.zero())

@@ -30,9 +30,19 @@ class ExprError(Exception):
     """Base error for expression construction and manipulation."""
 
 
+QUOTE_LIMIT = 60
+
+
+def quote_prefix(text: str) -> str:
+    """repr of text, cut to its first QUOTE_LIMIT characters plus '...'."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return repr(text[:QUOTE_LIMIT]) + "..."
+
+
 class ExprSyntaxError(ExprError):
     def __init__(self, message: str, text: str, pos: int):
-        super().__init__(f"{message} at position {pos}: {text!r}")
+        super().__init__(f"{message} at position {pos}: {quote_prefix(text)}")
         self.text = text
         self.pos = pos
 

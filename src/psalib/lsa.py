@@ -29,12 +29,16 @@ __all__ = [
     "SkewForm",
     "RepresentationData",
     "Cochain",
+    "RestrictedComplex",
     "check_left_symmetric",
     "subadjacent_lie",
     "check_invariant_form",
     "lsa_from_symplectic_lie",
     "check_representation",
     "coboundary",
+    "sorted_sign",
+    "cochain_keys",
+    "complex_matrices",
     "membership_matrix",
     "restricted_basis",
     "coboundary_matrix",
@@ -342,7 +346,32 @@ def check_representation(alg: FiniteAlgebra, rep: RepresentationData,
 
 
 # ---------------------------------------------------------------------------
-# scalar cochains at a point
+# scalar cochains
+
+
+def sorted_sign(seq):
+    """(sorted tuple, permutation sign) of a sequence of distinct entries;
+    (None, 0) when an entry repeats."""
+    seq = list(seq)
+    sign = 1
+    for i in range(1, len(seq)):
+        j = i
+        while j > 0 and seq[j - 1] > seq[j]:
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(1, len(seq)):
+        if seq[i - 1] == seq[i]:
+            return None, 0
+    return tuple(seq), sign
+
+
+def cochain_keys(dim: int, degree: int):
+    """Canonical component keys: strictly increasing first block plus a
+    free last index."""
+    return [(subset, k)
+            for subset in itertools.combinations(range(dim), degree - 1)
+            for k in range(dim)]
 
 
 class Cochain:
@@ -372,19 +401,12 @@ class Cochain:
     def value(self, args) -> Fraction:
         if len(args) != self.degree:
             raise ValueError("wrong argument count")
-        first, last = tuple(args[:-1]), args[-1]
-        if len(set(first)) < len(first):
+        first, sign = sorted_sign(args[:-1])
+        if not sign:
             return Fraction(0)
-        order = sorted(range(len(first)), key=lambda i: first[i])
-        sign = _perm_sign(order)
-        key = (tuple(first[i] for i in order), last)
-        return sign * self.components.get(key, Fraction(0))
+        return sign * self.components.get((first, args[-1]), Fraction(0))
 
-    @staticmethod
-    def keys(dim: int, degree: int):
-        for first in itertools.combinations(range(dim), degree - 1):
-            for last in range(dim):
-                yield (first, last)
+    keys = staticmethod(cochain_keys)
 
     def to_vector(self) -> tuple:
         return tuple(self.components.get(k, Fraction(0))
@@ -396,23 +418,6 @@ class Cochain:
         for k, v in zip(Cochain.keys(dim, degree), vec):
             comp[k] = v
         return Cochain(dim, degree, comp)
-
-
-def _perm_sign(order) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def cochain_space_dim(dim: int, degree: int) -> int:
@@ -455,69 +460,202 @@ def coboundary(alg: FiniteAlgebra, phi: Cochain) -> Cochain:
     return Cochain(d, n + 1, comp)
 
 
+class RestrictedComplex:
+    """The restricted scalar cochain complex of a left-symmetric product
+    with constant structure constants, with coefficients in a finite
+    space that the frame acts on.
+
+    A full-space coordinate is a canonical key and a coefficient basis
+    element, at position key index * ncoeffs + element index.  At a point
+    the coefficients are the constants (ncoeffs 1) and the frame acts by
+    0.  On a chart, `action[a]` lists (column, row, value): the anchor of
+    e_a sends basis element `column` to the sum of value * element `row`.
+    On a q-cochain the coboundary is
+
+      d phi(x_0..x_{q-1}, y) = sum_t (-1)^t (rho(x_t) phi(..^x_t.., y)
+                                             - phi(..^x_t.., x_t * y))
+                             + sum_{t<u} (-1)^(t+u) phi([x_t,x_u], .., y)
+
+    (the last sum's middle slots are the x's other than x_t and x_u),
+    and the restricted subspaces are cut out by: degree 1,
+    rho(a) phi(b) - rho(b) phi(a) - phi([a,b]) = 0; degree 2, symmetry;
+    degree 3, zero cyclic sum; degree >= 4, nothing.
+
+    Both operators are first written on keys, as terms (row key, column
+    key, scalar, direction) where the direction is None for a scalar
+    multiple and a frame index for a scalar times that frame's action,
+    and then spread over the coefficient basis.
+    """
+
+    def __init__(self, rank: int, constants=None, ncoeffs: int = 1,
+                 action=None):
+        self.rank = rank
+        self.ncoeffs = ncoeffs
+        self._action = {None: [(i, i, 1) for i in range(ncoeffs)]}
+        for a in range(rank):
+            self._action[a] = list(action[a]) if action else []
+        # (a, b) -> nonzero (k, value) of e_a * e_b and of [e_a, e_b]
+        self._product = {}
+        bracket = {}
+        for (a, b, k), v in (constants or {}).items():
+            self._product.setdefault((a, b), []).append((k, v))
+            bracket[(a, b, k)] = bracket.get((a, b, k), 0) + v
+            bracket[(b, a, k)] = bracket.get((b, a, k), 0) - v
+        self._bracket = {}
+        for (a, b, k), v in bracket.items():
+            if v:
+                self._bracket.setdefault((a, b), []).append((k, v))
+
+    @classmethod
+    def point(cls, alg: FiniteAlgebra) -> "RestrictedComplex":
+        return cls(alg.dim, alg.constants)
+
+    def space_dim(self, degree: int) -> int:
+        return len(cochain_keys(self.rank, degree)) * self.ncoeffs
+
+    def _key_positions(self, degree: int):
+        return {key: i for i, key in
+                enumerate(cochain_keys(self.rank, degree))}
+
+    def _spread(self, terms):
+        """{(row position, column position): value} of key-level terms."""
+        m = self.ncoeffs
+        out = {}
+        for row_key, col_key, value, direction in terms:
+            for col, row, scale in self._action[direction]:
+                pos = (row_key * m + row, col_key * m + col)
+                out[pos] = out.get(pos, 0) + value * scale
+        return out
+
+    def _membership_terms(self, degree: int):
+        r, kpos = self.rank, self._key_positions(degree)
+        terms = []
+        if degree == 1:
+            for row, (a, b) in enumerate(itertools.combinations(range(r), 2)):
+                terms.append((row, kpos[((), b)], 1, a))
+                terms.append((row, kpos[((), a)], -1, b))
+                for k, v in self._bracket.get((a, b), ()):
+                    terms.append((row, kpos[((), k)], -v, None))
+        elif degree == 2:
+            for row, (a, b) in enumerate(itertools.combinations(range(r), 2)):
+                terms.append((row, kpos[((a,), b)], 1, None))
+                terms.append((row, kpos[((b,), a)], -1, None))
+        elif degree == 3:
+            for row, (a, b, c) in enumerate(
+                    itertools.combinations(range(r), 3)):
+                terms.append((row, kpos[((a, b), c)], 1, None))
+                terms.append((row, kpos[((b, c), a)], 1, None))
+                terms.append((row, kpos[((a, c), b)], -1, None))
+        return terms
+
+    def _coboundary_terms(self, degree: int):
+        kpos = self._key_positions(degree)
+        terms = []
+        for row, (subset, last) in enumerate(
+                cochain_keys(self.rank, degree + 1)):
+            for t, i in enumerate(subset):
+                rest = subset[:t] + subset[t + 1:]
+                sign = 1 if t % 2 == 0 else -1
+                terms.append((row, kpos[(rest, last)], sign, i))
+                for k, v in self._product.get((i, last), ()):
+                    terms.append((row, kpos[(rest, k)], -sign * v, None))
+            for t, u in itertools.combinations(range(len(subset)), 2):
+                i, j = subset[t], subset[u]
+                rest = subset[:t] + subset[t + 1:u] + subset[u + 1:]
+                for k, v in self._bracket.get((i, j), ()):
+                    key, sign = sorted_sign((k,) + rest)
+                    if (t + u) % 2:
+                        sign = -sign
+                    if sign:
+                        terms.append((row, kpos[(key, last)], sign * v, None))
+        return terms
+
+    def membership_matrix(self, degree: int) -> QMatrix:
+        """Constraint rows whose kernel is the restricted subspace."""
+        ncols = self.space_dim(degree)
+        rows = {}
+        for (row, col), v in self._spread(
+                self._membership_terms(degree)).items():
+            if v:
+                rows.setdefault(row, [Fraction(0)] * ncols)[col] = v
+        if not rows:
+            return QMatrix.zeros(1, ncols)
+        return QMatrix([rows[i] for i in sorted(rows)])
+
+    def restricted_basis(self, degree: int):
+        """Basis vectors (full-space coordinates) of the restricted
+        subspace."""
+        return kernel_basis(self.membership_matrix(degree))
+
+    def coboundary_columns(self, degree: int):
+        """The coboundary on the full space, one sparse column
+        {row position: value} per full-space coordinate."""
+        cols = [{} for _ in range(self.space_dim(degree))]
+        for (row, col), v in self._spread(
+                self._coboundary_terms(degree)).items():
+            if v:
+                cols[col][row] = v
+        return cols
+
+    def coboundary_matrix(self, degree: int, vectors) -> QMatrix:
+        """Columns: full-space coordinates of the coboundary of each
+        given full-space vector."""
+        delta = self.coboundary_columns(degree)
+        nrows = self.space_dim(degree + 1)
+        cols = []
+        for vec in vectors:
+            col = [Fraction(0)] * nrows
+            for j, c in enumerate(vec):
+                if c:
+                    for row, v in delta[j].items():
+                        col[row] += c * v
+            cols.append(col)
+        if not cols:
+            return QMatrix.zeros(1, 1)
+        return QMatrix(list(zip(*cols)))
+
+
+def complex_matrices(cx, degree: int):
+    """(basis size, leaving, entering) for one degree of a restricted
+    complex `cx` (a `RestrictedComplex` or a view with the same
+    `restricted_basis` and `coboundary_matrix`).  `leaving` has a column
+    per restricted basis cochain at the degree and holds its coboundary
+    (None when that basis is empty); `entering` is the same for the
+    degree below (None at degree 1 or when either basis is empty).
+    Building them is the expensive part, so they are built once and may
+    be ranked by several eliminations with `restricted_dims`."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    basis = cx.restricted_basis(degree)
+    if not basis:
+        return 0, None, None
+    leaving = cx.coboundary_matrix(degree, basis)
+    entering = None
+    if degree > 1:
+        below = cx.restricted_basis(degree - 1)
+        if below:
+            entering = cx.coboundary_matrix(degree - 1, below)
+    return len(basis), leaving, entering
+
+
 def membership_matrix(alg: FiniteAlgebra, degree: int) -> QMatrix:
     """Constraint rows whose kernel is the restricted subspace:
     degree 1: vanishing on commutators; degree 2: symmetry; degree 3:
     vanishing cyclic sum; degree >= 4: no constraint."""
-    d = alg.dim
-    cols = list(Cochain.keys(d, degree))
-    colpos = {k: i for i, k in enumerate(cols)}
-    rows = []
-
-    def row_from_values(entries):
-        row = [Fraction(0)] * len(cols)
-        for key, sign in entries:
-            first, last = key
-            order = sorted(range(len(first)), key=lambda i: first[i])
-            if len(set(first)) < len(first):
-                continue
-            canon = (tuple(first[i] for i in order), last)
-            row[colpos[canon]] += sign * _perm_sign(order)
-        return row
-
-    if degree == 1:
-        for a in range(d):
-            for b in range(a + 1, d):
-                comm = alg.commutator(alg.basis_vector(a),
-                                      alg.basis_vector(b))
-                row = [Fraction(0)] * len(cols)
-                for k, v in enumerate(comm):
-                    if v:
-                        row[colpos[((), k)]] += v
-                if any(row):
-                    rows.append(row)
-    elif degree == 2:
-        for a in range(d):
-            for b in range(a + 1, d):
-                rows.append(row_from_values(
-                    [(((a,), b), 1), (((b,), a), -1)]))
-    elif degree == 3:
-        for a, b, c in itertools.product(range(d), repeat=3):
-            row = row_from_values([
-                (((a, b), c), 1), (((b, c), a), 1), (((c, a), b), 1)])
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return QMatrix.zeros(1, len(cols))
-    return QMatrix(rows)
+    return RestrictedComplex.point(alg).membership_matrix(degree)
 
 
 def restricted_basis(alg: FiniteAlgebra, degree: int):
     """Basis vectors (full-space coordinates) of the restricted subspace."""
-    return kernel_basis(membership_matrix(alg, degree))
+    return RestrictedComplex.point(alg).restricted_basis(degree)
 
 
 def coboundary_matrix(alg: FiniteAlgebra, degree: int) -> QMatrix:
     """Matrix of the coboundary on the full cochain space."""
-    d = alg.dim
-    cols = list(Cochain.keys(d, degree))
-    out_cols = []
-    for key in cols:
-        phi = Cochain(d, degree, {key: Fraction(1)})
-        out_cols.append(coboundary(alg, phi).to_vector())
-    if not out_cols:
-        return QMatrix.zeros(1, 1)
-    return QMatrix(list(zip(*out_cols)))
+    cx = RestrictedComplex.point(alg)
+    n = cx.space_dim(degree)
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    return cx.coboundary_matrix(degree, units)
 
 
 def elimination_ranker(elimination: str):
@@ -532,26 +670,8 @@ def elimination_ranker(elimination: str):
 
 def restricted_complex_matrices(alg: FiniteAlgebra, degree: int):
     """(basis size, leaving, entering) for one degree of the restricted
-    complex.  `leaving` has a column per restricted basis cochain at the
-    degree and holds its coboundary (None when that basis is empty);
-    `entering` is the same for the degree below (None at degree 1 or when
-    that basis is empty).  Building them is the expensive part, so they
-    are built once and may be ranked by several eliminations with
-    `restricted_dims`."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-
-    def restricted_coboundary(n):
-        basis = restricted_basis(alg, n)
-        if not basis:
-            return 0, None
-        delta = coboundary_matrix(alg, n)
-        image_cols = [delta.mulvec(v) for v in basis]
-        return len(basis), QMatrix(list(zip(*image_cols)))
-
-    size, leaving = restricted_coboundary(degree)
-    entering = None if degree == 1 else restricted_coboundary(degree - 1)[1]
-    return size, leaving, entering
+    complex of a point algebra; see `complex_matrices`."""
+    return complex_matrices(RestrictedComplex.point(alg), degree)
 
 
 def restricted_dims(matrices, ranker: Callable[[QMatrix], int]):

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .algebroid import ChartAlgebroid, FormField
 from .exactclass import FlatConnection, PhiTensor, Splitting
-from .exprcore import ChartContext, DiffExpr, ExprError
+from .exprcore import (ChartContext, DiffExpr, ExprError, ExprSyntaxError,
+                       quote_prefix)
 from .lsa import FiniteAlgebra
 from .parakahler import ParaComplexOp
 from .presym import PreSymStructure
@@ -128,8 +129,11 @@ def _parse_exprs(ctx: ChartContext, value: str, want: int, where: str):
     for p in parts:
         try:
             out.append(ctx.expr(p))
+        except ExprSyntaxError as exc:
+            raise PsaError(f"{where}: bad expression: {exc}") from exc
         except ExprError as exc:
-            raise PsaError(f"{where}: bad expression '{p}': {exc}") from exc
+            raise PsaError(f"{where}: bad expression {quote_prefix(p)}: "
+                           f"{exc}") from exc
     return out
 
 

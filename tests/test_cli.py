@@ -89,6 +89,43 @@ def test_check_deeply_nested_entry_exits_two(tmp_path):
     assert "nesting deeper than" in proc.stderr
 
 
+def _check_process(path):
+    env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "psalib.cli", "check",
+                           str(path)], capture_output=True, text=True,
+                          env=env)
+
+
+def test_check_deeply_nested_entry_error_is_one_bounded_line(tmp_path):
+    # the entry is quoted once, cut to a prefix
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    p = tmp_path / "deep.psa"
+    p.write_text("[chart]\ncoords = x1, x2\n[frame]\nnames = d1, d2\n"
+                 f"[anchor]\nd1 = {deep}, 0\nd2 = 0, 1\n[star]\n"
+                 "[pairing]\nd1 d2 = 1\n", encoding="utf-8")
+    proc = _check_process(p)
+    assert proc.returncode == 2
+    line = proc.stderr
+    assert line.count("\n") == 1 and len(line.encode()) < 300
+    assert line.startswith("error: [anchor] d1: ")
+    assert "at position 100" in line
+    assert line.count("'(((") == 1 and line.endswith("'...\n")
+
+
+def test_check_third_derivative_exits_two(tmp_path):
+    # the twisted product differentiates d2(f,y,y) once more, past the
+    # formal-derivative cap
+    p = tmp_path / "d3.psa"
+    p.write_text("[chart]\ncoords = x, y\nfuncs = f\n[connection]\n"
+                 "[phi]\nx x = 0, -d2(f,y,y)\ny x = d2(f,y,y), 0\n",
+                 encoding="utf-8")
+    proc = _check_process(p)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: third derivative of f exceeds the cap\n"
+    assert proc.stdout == ""
+
+
 def test_exact_suite_runs_on_twist_file(capsys, fixture_file):
     code, out, _ = run(capsys, "check", fixture_file("twist-r2"),
                        "--suite", "exact")
