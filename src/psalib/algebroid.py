@@ -25,16 +25,7 @@ __all__ = [
     "de_rham_d",
     "check_2cocycle",
     "lie_derivative",
-    "section_str",
 ]
-
-
-def section_str(coeffs, names) -> str:
-    parts = []
-    for c, n in zip(coeffs, names):
-        if not c.is_zero():
-            parts.append(f"({c})*{n}")
-    return " + ".join(parts) if parts else "0"
 
 
 class ChartAlgebroid:
@@ -210,71 +201,45 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
     rec = Recorder(artifact)
     if alg.kind != "lie":
         raise ValueError("check_lie_algebroid needs a bracket structure")
-    r = alg.rank
+    r, names = alg.rank, alg.names
     ext, f = _with_fresh_func(alg.ctx)
     lifted = _lift(alg, ext)
-
-    def skew():
-        for a in range(r):
-            for b in range(a, r):
-                resid = tuple(alg.table[a][b][k] + alg.table[b][a][k]
-                              for k in range(r))
-                if any(not x.is_zero() for x in resid):
-                    return False, (f"[{alg.names[a]},{alg.names[b]}] + "
-                                   f"[{alg.names[b]},{alg.names[a]}] = "
-                                   f"{section_str(resid, alg.names)}")
-        return True, None
+    frames = [lifted.frame_section(a) for a in range(r)]
 
     def jacobi():
-        frames = [lifted.frame_section(a) for a in range(r)]
         for a, b, c in itertools.combinations(range(r), 3):
-            resid = _jacobi_residual(lifted, frames[a], frames[b], frames[c])
-            if any(not x.is_zero() for x in resid):
-                return False, (f"({alg.names[a]},{alg.names[b]},"
-                               f"{alg.names[c]}): residual = "
-                               f"{section_str(resid, alg.names)}")
+            yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
+                   _jacobi_residual(lifted, frames[a], frames[b], frames[c]))
         # one formal scalar slot; covers the anchor-derivation interplay
         for a, b, c in itertools.product(range(r), repeat=3):
             scaled = tuple(f * x for x in frames[c])
-            resid = _jacobi_residual(lifted, frames[a], frames[b], scaled)
-            if any(not x.is_zero() for x in resid):
-                return False, (f"({alg.names[a]},{alg.names[b]},"
-                               f"f*{alg.names[c]}): residual = "
-                               f"{section_str(resid, alg.names)}")
-        return True, None
+            yield (f"({names[a]},{names[b]},f*{names[c]}): residual = ",
+                   _jacobi_residual(lifted, frames[a], frames[b], scaled))
 
     def leibniz():
-        for a in range(r):
-            for b in range(r):
-                ea = lifted.frame_section(a)
-                eb = lifted.frame_section(b)
-                lhs = lifted.bracket(ea, tuple(f * x for x in eb))
-                want = list(f * x for x in lifted.table[a][b])
-                want[b] = want[b] + lifted.anchor_apply(ea, f)
-                resid = tuple(x - y for x, y in zip(lhs, want))
-                if any(not x.is_zero() for x in resid):
-                    return False, (f"[{alg.names[a]}, f*{alg.names[b]}]: "
-                                   f"residual = "
-                                   f"{section_str(resid, alg.names)}")
-        return True, None
+        for a, b in itertools.product(range(r), repeat=2):
+            lhs = lifted.bracket(frames[a], tuple(f * x for x in frames[b]))
+            want = list(f * x for x in lifted.table[a][b])
+            want[b] = want[b] + lifted.anchor_apply(frames[a], f)
+            yield (f"[{names[a]}, f*{names[b]}]: residual = ",
+                   tuple(x - y for x, y in zip(lhs, want)))
 
     def anchor_morphism():
-        for a in range(r):
-            for b in range(r):
-                lhs = alg.anchor_of(alg.table[a][b])
-                rhs = _vector_field_bracket(alg.ctx, alg.anchor[a],
-                                            alg.anchor[b])
-                resid = tuple(x - y for x, y in zip(lhs, rhs))
-                if any(not x.is_zero() for x in resid):
-                    return False, (f"rho[{alg.names[a]},{alg.names[b]}] - "
-                                   f"[rho {alg.names[a]}, rho {alg.names[b]}]"
-                                   f" = {section_str(resid, alg.ctx.coords)}")
-        return True, None
+        for a, b in itertools.product(range(r), repeat=2):
+            lhs = alg.anchor_of(alg.table[a][b])
+            rhs = _vector_field_bracket(alg.ctx, alg.anchor[a],
+                                        alg.anchor[b])
+            yield (f"rho[{names[a]},{names[b]}] - "
+                   f"[rho {names[a]}, rho {names[b]}] = ",
+                   tuple(x - y for x, y in zip(lhs, rhs)))
 
-    rec.run("algebroid.bracket-skew", skew)
-    rec.run("algebroid.jacobi", jacobi)
-    rec.run("algebroid.leibniz", leibniz)
-    rec.run("algebroid.anchor-morphism", anchor_morphism)
+    rec.scan("algebroid.bracket-skew", (
+        (f"[{names[a]},{names[b]}] + [{names[b]},{names[a]}] = ",
+         tuple(x + y for x, y in zip(alg.table[a][b], alg.table[b][a])))
+        for a in range(r) for b in range(a, r)), names)
+    rec.scan("algebroid.jacobi", jacobi(), names)
+    rec.scan("algebroid.leibniz", leibniz(), names)
+    rec.scan("algebroid.anchor-morphism", anchor_morphism(), alg.ctx.coords)
     return rec.report
 
 
@@ -293,64 +258,45 @@ def check_left_symmetric_algebroid(alg: ChartAlgebroid,
     rec = Recorder(artifact)
     if alg.kind != "lsa":
         raise ValueError("needs a product structure")
-    r = alg.rank
+    r, names = alg.rank, alg.names
     ext, f = _with_fresh_func(alg.ctx)
     lifted = _lift(alg, ext)
     frames = [lifted.frame_section(a) for a in range(r)]
 
     def scalar_left():
-        for a in range(r):
-            for b in range(r):
-                lhs = lifted.product(frames[a], tuple(f * x
-                                                      for x in frames[b]))
-                want = list(f * x for x in lifted.table[a][b])
-                want[b] = want[b] + lifted.anchor_apply(frames[a], f)
-                resid = tuple(x - y for x, y in zip(lhs, want))
-                if any(not x.is_zero() for x in resid):
-                    return False, (f"{alg.names[a]} * f*{alg.names[b]}: "
-                                   f"residual = "
-                                   f"{section_str(resid, alg.names)}")
-        return True, None
+        for a, b in itertools.product(range(r), repeat=2):
+            lhs = lifted.product(frames[a], tuple(f * x for x in frames[b]))
+            want = list(f * x for x in lifted.table[a][b])
+            want[b] = want[b] + lifted.anchor_apply(frames[a], f)
+            yield (f"{names[a]} * f*{names[b]}: residual = ",
+                   tuple(x - y for x, y in zip(lhs, want)))
 
     def scalar_right():
-        for a in range(r):
-            for b in range(r):
-                lhs = lifted.product(tuple(f * x for x in frames[a]),
-                                     frames[b])
-                want = tuple(f * x for x in lifted.table[a][b])
-                resid = tuple(x - y for x, y in zip(lhs, want))
-                if any(not x.is_zero() for x in resid):
-                    return False, (f"f*{alg.names[a]} * {alg.names[b]}: "
-                                   f"residual = "
-                                   f"{section_str(resid, alg.names)}")
-        return True, None
+        for a, b in itertools.product(range(r), repeat=2):
+            lhs = lifted.product(tuple(f * x for x in frames[a]), frames[b])
+            want = tuple(f * x for x in lifted.table[a][b])
+            yield (f"f*{names[a]} * {names[b]}: residual = ",
+                   tuple(x - y for x, y in zip(lhs, want)))
+
+    def assoc(x, y, z):
+        return tuple(p - q for p, q in zip(
+            lifted.product(x, lifted.product(y, z)),
+            lifted.product(lifted.product(x, y), z)))
 
     def left_symmetric():
-        def assoc(x, y, z):
-            return tuple(
-                p - q for p, q in zip(
-                    lifted.product(x, lifted.product(y, z)),
-                    lifted.product(lifted.product(x, y), z)))
-
         for a, b, c in itertools.product(range(r), repeat=3):
-            variants = [
-                (frames[a], frames[b], frames[c], ""),
-                (frames[a], frames[b], tuple(f * x for x in frames[c]),
-                 " (formal scalar on the third slot)"),
-            ]
-            for x, y, z, tag in variants:
-                l = assoc(x, y, z)
-                rgt = assoc(y, x, z)
-                resid = tuple(p - q for p, q in zip(l, rgt))
-                if any(not t.is_zero() for t in resid):
-                    return False, (f"({alg.names[a]},{alg.names[b]},"
-                                   f"{alg.names[c]}){tag}: residual = "
-                                   f"{section_str(resid, alg.names)}")
-        return True, None
+            for z, tag in ((frames[c], ""),
+                           (tuple(f * x for x in frames[c]),
+                            " (formal scalar on the third slot)")):
+                x, y = frames[a], frames[b]
+                yield (f"({names[a]},{names[b]},{names[c]}){tag}: "
+                       f"residual = ",
+                       tuple(p - q for p, q in zip(assoc(x, y, z),
+                                                   assoc(y, x, z))))
 
-    rec.run("algebroid.lsa.scalar-left", scalar_left)
-    rec.run("algebroid.lsa.scalar-right", scalar_right)
-    rec.run("algebroid.lsa.left-symmetric", left_symmetric)
+    rec.scan("algebroid.lsa.scalar-left", scalar_left(), names)
+    rec.scan("algebroid.lsa.scalar-right", scalar_right(), names)
+    rec.scan("algebroid.lsa.left-symmetric", left_symmetric(), names)
     return rec.report
 
 
@@ -442,19 +388,17 @@ def check_2cocycle(alg: ChartAlgebroid, form: FormField,
     rec = Recorder(artifact)
     r = alg.rank
 
-    rec.run("form.skew", lambda: (
-        all(form.value_frame((a, b)) + form.value_frame((b, a)) ==
-            alg.ctx.zero() for a in range(r) for b in range(r)), None))
+    rec.scan("form.skew", (
+        (f"w({alg.names[a]},{alg.names[b]}) + w({alg.names[b]},"
+         f"{alg.names[a]}) = ",
+         form.value_frame((a, b)) + form.value_frame((b, a)))
+        for a in range(r) for b in range(a, r)))
 
     def closed():
-        d = de_rham_d(alg, form)
-        for key, v in d.components.items():
-            if not v.is_zero():
-                names = ",".join(alg.names[i] for i in key)
-                return False, f"({names}): residual = {v}"
-        return True, None
+        for key, v in de_rham_d(alg, form).components.items():
+            yield f"({','.join(alg.names[i] for i in key)}): residual = ", v
 
-    rec.run("form.closed", closed)
+    rec.scan("form.closed", closed())
     return rec.report
 
 

@@ -20,7 +20,7 @@ from .exactclass import canonical_splitting, check_exact, twisted_product, \
 from .exprcore import ChartContext, ExprError
 from .lsa import check_left_symmetric, elimination_ranker, \
     restricted_complex_matrices, restricted_dims
-from .parakahler import check_parakahler
+from .parakahler import check_star_equals_nabla
 from .presym import check_presymplectic, presym_from_symplectic, \
     pseudo_semidirect, symplectic_from_presym
 from .psafile import Bundle, PsaError, emit, load_path
@@ -103,8 +103,8 @@ def run_suite(b: Bundle, suite: str, artifact: str) -> CheckReport:
                 sigma = None
         return check_exact(E, b.connection, sigma, artifact=artifact)
     if suite == "parakahler":
-        return check_parakahler(_presym_of(b), b.paracomplex,
-                                artifact=artifact)
+        return check_star_equals_nabla(_presym_of(b), b.paracomplex,
+                                       artifact=artifact)
     raise ValueError(f"unknown suite '{suite}'")
 
 

@@ -21,7 +21,7 @@ from .exprcore import ChartContext, DiffExpr, differentiate
 from .lsa import (RestrictedComplex, cochain_keys, complex_matrices,
                   restricted_dims, sorted_sign)
 from .presym import PreSymStructure, pseudo_semidirect
-from .report import CheckReport, Recorder
+from .report import CheckReport, Recorder, components
 
 __all__ = [
     "FlatConnection", "Splitting", "PhiTensor", "ChartCochain",
@@ -100,35 +100,6 @@ class FlatConnection:
         return tuple(out)
 
 
-def _record_connection_checks(conn: FlatConnection, rec: Recorder) -> bool:
-    n = conn.dim
-
-    def torsion_free():
-        for i in range(n):
-            for j in range(i + 1, n):
-                res = conn.torsion_residual(i, j)
-                for k, x in enumerate(res):
-                    if not x.is_zero():
-                        return False, (f"gamma({i+1},{j+1}) - "
-                                       f"gamma({j+1},{i+1}), component "
-                                       f"{k+1}: {x}")
-        return True, None
-
-    def flat():
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    res = conn.curvature_residual(i, j, k)
-                    for ell, x in enumerate(res):
-                        if not x.is_zero():
-                            return False, (f"curvature(d{i+1},d{j+1})d{k+1}, "
-                                           f"component {ell+1}: {x}")
-        return True, None
-
-    ok = rec.run("exact.connection-torsion-free", torsion_free)
-    return rec.run("exact.connection-flat", flat) and ok
-
-
 class Splitting:
     """Right inverse of the anchor: sigma[i] = frame coefficients of the
     lift of the i-th chart direction."""
@@ -198,7 +169,22 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
             any(len(row) != E.rank for row in sigma.sigma)):
         raise ValueError("splitting block rank mismatch: need n x rank")
     rec = Recorder(artifact)
-    _record_connection_checks(conn, rec)
+    numbers = range(1, n + 1)
+
+    def torsion_free():
+        for i, j in itertools.combinations(range(n), 2):
+            yield from components(f"gamma({i+1},{j+1}) - gamma({j+1},{i+1}), ",
+                                  conn.torsion_residual(i, j), numbers)
+
+    def flat():
+        for i, j in itertools.combinations(range(n), 2):
+            for k in range(n):
+                yield from components(f"curvature(d{i+1},d{j+1})d{k+1}, ",
+                                      conn.curvature_residual(i, j, k),
+                                      numbers)
+
+    rec.scan("exact.connection-torsion-free", torsion_free())
+    rec.scan("exact.connection-flat", flat())
     anchor_m = ExprMatrix(E.ctx, [list(row) for row in E.anchor])
 
     def surjective():
@@ -212,86 +198,67 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
 
     def sequence():
         comp = rs.transpose().matmul(anchor_m)
-        for i in range(comp.nrows):
-            for j in range(comp.ncols):
-                if not comp.rows[i][j].is_zero():
-                    return False, (f"the conormal image misses the anchor "
-                                   f"kernel: rho(rho'(dx{i+1})) component "
-                                   f"{j+1} is {comp.rows[i][j]}")
+        for i, j in itertools.product(range(comp.nrows), range(comp.ncols)):
+            yield (f"the conormal image misses the anchor kernel: "
+                   f"rho(rho'(dx{i+1})) component {j+1} is ",
+                   comp.rows[i][j])
         got = expr_rank(rs)
-        if got != n:
-            return False, f"dual-anchor rank {got}, need {n}"
-        if E.rank != 2 * n:
-            return False, (f"rank {E.rank} is not twice the chart "
-                           f"dimension {n}; the anchor kernel cannot "
-                           f"match the conormal image")
-        return True, None
-
-    rec.run("exact.sequence", sequence)
+        yield f"dual-anchor rank {got}, need {n}", got != n
+        yield (f"rank {E.rank} is not twice the chart dimension {n}; the "
+               f"anchor kernel cannot match the conormal image",
+               E.rank != 2 * n)
 
     def anchor_compatible():
         ext, f = E.extended()
         frames = [ext.frame_section(a) for a in range(E.rank)]
-        for a in range(E.rank):
-            for b in range(E.rank):
-                rho_b = [ext.anchor[b][i] for i in range(n)]
-                for fslot in (False, True):
-                    if fslot:
-                        v = tuple(f * c for c in frames[b])
-                        rho_v = tuple(f * x for x in rho_b)
-                    else:
-                        v, rho_v = frames[b], tuple(rho_b)
-                    s = ext.star(frames[a], v)
-                    rho_a = tuple(ext.anchor[a][i] for i in range(n))
-                    want = conn.nabla_field(rho_a, rho_v)
-                    for i in range(n):
-                        got = ext.ctx.zero()
-                        for k in range(E.rank):
-                            if not s[k].is_zero() and \
-                                    not ext.anchor[k][i].is_zero():
-                                got = got + s[k] * ext.anchor[k][i]
-                        if not (got - want[i]).is_zero():
-                            tag = "f " if fslot else ""
-                            return False, (
-                                f"rho(e{a+1} * {tag}e{b+1}) component "
-                                f"{i+1}: {got - want[i]}")
-        return True, None
+        for a, b in itertools.product(range(E.rank), repeat=2):
+            rho_b = ext.anchor[b]
+            for tag, v, rho_v in (
+                    ("", frames[b], rho_b),
+                    ("f ", tuple(f * c for c in frames[b]),
+                     tuple(f * x for x in rho_b))):
+                s = ext.star(frames[a], v)
+                want = conn.nabla_field(ext.anchor[a], rho_v)
+                res = []
+                for i in range(n):
+                    got = ext.ctx.zero()
+                    for k in range(E.rank):
+                        if not s[k].is_zero() and \
+                                not ext.anchor[k][i].is_zero():
+                            got = got + s[k] * ext.anchor[k][i]
+                    res.append(got - want[i])
+                yield from components(f"rho(e{a+1} * {tag}e{b+1}) ", res,
+                                      numbers)
 
-    rec.run("exact.anchor-compatible", anchor_compatible)
+    rec.scan("exact.sequence", sequence())
+    rec.scan("exact.anchor-compatible", anchor_compatible())
     if sigma is None:
         return rec.report
 
     secs = _sigma_sections(E, sigma)
 
     def splitting_section():
-        for i in range(n):
-            for j in range(n):
-                got = E.ctx.zero()
-                for a in range(E.rank):
-                    if not secs[i][a].is_zero():
-                        got = got + secs[i][a] * E.anchor[a][j]
-                want = E.ctx.one() if i == j else E.ctx.zero()
-                if not (got - want).is_zero():
-                    return False, f"rho(sigma(d{i+1})) component {j+1}: {got}"
-        return True, None
+        for i, j in itertools.product(range(n), repeat=2):
+            got = E.ctx.zero()
+            for a in range(E.rank):
+                if not secs[i][a].is_zero():
+                    got = got + secs[i][a] * E.anchor[a][j]
+            want = E.ctx.one() if i == j else E.ctx.zero()
+            yield (f"rho(sigma(d{i+1})) component {j+1}: {got}",
+                   not (got - want).is_zero())
 
-    def splitting_isotropic():
-        for i in range(n):
-            for j in range(i, n):
-                p = E.pairing_value(secs[i], secs[j])
-                if not p.is_zero():
-                    return False, f"(sigma(d{i+1}), sigma(d{j+1})) = {p}"
-        return True, None
-
-    ok = rec.run("exact.splitting-section", splitting_section)
-    ok = rec.run("exact.splitting-isotropic", splitting_isotropic) and ok
+    ok = rec.scan("exact.splitting-section", splitting_section())
+    ok = rec.scan("exact.splitting-isotropic", (
+        (f"(sigma(d{i+1}), sigma(d{j+1})) = ",
+         E.pairing_value(secs[i], secs[j]))
+        for i in range(n) for j in range(i, n))) and ok
     if not ok:
-        for cid in ("exact.phi-in-image", "exact.phi-13-antisymmetry",
-                    "exact.phi-pair-symmetry", "exact.phi-closed"):
-            rec.skip(cid, "not evaluated: splitting is invalid")
+        rec.skip("not evaluated: splitting is invalid", "exact.phi-in-image",
+                 "exact.phi-13-antisymmetry", "exact.phi-pair-symmetry",
+                 "exact.phi-closed")
         return rec.report
 
-    residuals, missing = _phi_residuals(E, conn, secs)
+    comps, missing = _phi_residuals(E, conn, secs)
 
     def phi_in_image():
         if missing is not None:
@@ -300,49 +267,29 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
                            f"sigma(nabla) is outside the dual-anchor image")
         return True, None
 
-    ok = rec.run("exact.phi-in-image", phi_in_image)
-    if not ok:
-        for cid in ("exact.phi-13-antisymmetry", "exact.phi-pair-symmetry",
-                    "exact.phi-closed"):
-            rec.skip(cid, "not evaluated: no obstruction tensor")
+    if not rec.run("exact.phi-in-image", phi_in_image):
+        rec.skip("not evaluated: no obstruction tensor",
+                 "exact.phi-13-antisymmetry", "exact.phi-pair-symmetry",
+                 "exact.phi-closed")
         return rec.report
 
-    comps = residuals
-
-    def phi_13():
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = comps[i][j][k] + comps[k][j][i]
-                    if not res.is_zero():
-                        return False, (f"phi({i+1},{j+1},{k+1}) + "
-                                       f"phi({k+1},{j+1},{i+1}) = {res}")
-        return True, None
-
-    def phi_pair():
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = comps[i][j][k] - comps[i][k][j] + comps[k][i][j]
-                    if not res.is_zero():
-                        return False, (f"phi({i+1},{j+1},{k+1}) - "
-                                       f"phi({i+1},{k+1},{j+1}) + "
-                                       f"phi({k+1},{i+1},{j+1}) = {res}")
-        return True, None
-
-    rec.run("exact.phi-13-antisymmetry", phi_13)
-    rec.run("exact.phi-pair-symmetry", phi_pair)
+    triples = list(itertools.product(range(n), repeat=3))
 
     def phi_closed():
-        phi = PhiTensor(E.ctx, comps, validate=False)
-        res = twist_residual(conn, phi)
-        if res.components:
-            key = min(res.components)
-            return False, (f"coboundary of the reshuffle, component {key}: "
-                           f"{res.components[key]}")
-        return True, None
+        res = twist_residual(conn, PhiTensor(E.ctx, comps, validate=False))
+        for key in sorted(res.components):
+            yield (f"coboundary of the reshuffle, component {key}: ",
+                   res.components[key])
 
-    rec.run("exact.phi-closed", phi_closed)
+    rec.scan("exact.phi-13-antisymmetry", (
+        (f"phi({i+1},{j+1},{k+1}) + phi({k+1},{j+1},{i+1}) = ",
+         comps[i][j][k] + comps[k][j][i]) for i, j, k in triples))
+    rec.scan("exact.phi-pair-symmetry", (
+        (f"phi({i+1},{j+1},{k+1}) - phi({i+1},{k+1},{j+1}) + "
+         f"phi({k+1},{i+1},{j+1}) = ",
+         comps[i][j][k] - comps[i][k][j] + comps[k][i][j])
+        for i, j, k in triples))
+    rec.scan("exact.phi-closed", phi_closed())
     return rec.report
 
 
@@ -629,43 +576,31 @@ def splitting_equivalence(E1: PreSymStructure, E2: PreSymStructure, theta,
 
     def anchor_ok():
         for a in range(2 * n):
+            res = []
             for i in range(n):
                 got = ctx.zero()
                 for k in range(2 * n):
                     if not mapped[a][k].is_zero() and \
                             not E2.anchor[k][i].is_zero():
                         got = got + mapped[a][k] * E2.anchor[k][i]
-                if not (got - E1.anchor[a][i]).is_zero():
-                    return False, (f"anchor of image of e{a+1}, component "
-                                   f"{i+1}: {got - E1.anchor[a][i]}")
-        return True, None
-
-    def pairing_ok():
-        for a in range(2 * n):
-            for b in range(a + 1, 2 * n):
-                got = E2.pairing_value(mapped[a], mapped[b])
-                want = E1.pairing.rows[a][b]
-                if not (got - want).is_zero():
-                    return False, (f"(image e{a+1}, image e{b+1}) - "
-                                   f"(e{a+1},e{b+1}) = {got - want}")
-        return True, None
+                res.append(got - E1.anchor[a][i])
+            yield from components(f"anchor of image of e{a+1}, ", res,
+                                  range(1, n + 1))
 
     def star_ok():
-        for a in range(2 * n):
-            for b in range(2 * n):
-                want = image(E1.table[a][b])
-                got = E2.star(mapped[a], mapped[b])
-                for k in range(2 * n):
-                    res = got[k] - want[k]
-                    if not res.is_zero():
-                        return False, (f"image(e{a+1} * e{b+1}) vs "
-                                       f"image(e{a+1}) * image(e{b+1}), "
-                                       f"component {E2.names[k]}: {res}")
-        return True, None
+        for a, b in itertools.product(range(2 * n), repeat=2):
+            want = image(E1.table[a][b])
+            got = E2.star(mapped[a], mapped[b])
+            yield from components(
+                f"image(e{a+1} * e{b+1}) vs image(e{a+1}) * image(e{b+1}), ",
+                (x - y for x, y in zip(got, want)), E2.names)
 
-    rec.run("equiv.anchor", anchor_ok)
-    rec.run("equiv.pairing", pairing_ok)
-    rec.run("equiv.star", star_ok)
+    rec.scan("equiv.anchor", anchor_ok())
+    rec.scan("equiv.pairing", (
+        (f"(image e{a+1}, image e{b+1}) - (e{a+1},e{b+1}) = ",
+         E2.pairing_value(mapped[a], mapped[b]) - E1.pairing.rows[a][b])
+        for a, b in itertools.combinations(range(2 * n), 2)))
+    rec.scan("equiv.star", star_ok())
     return rec.report
 
 

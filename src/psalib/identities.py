@@ -19,18 +19,10 @@ ANCHORS: dict[str, str] = {
     "lsa.form-skew": "(x,y) = -(y,x)",
     "lsa.form-nondegenerate": "the pairing matrix is invertible",
     "lsa.form-invariance": "(x*y, z) + (y, [x,z]) = 0",
-    "lsa.form-cocycle":
-        "([x,y],z) - ([x,z],y) + ([y,z],x) = 0 (point case of closedness)",
-    "lsa.from-symplectic-left-symmetric":
-        "the product defined by w(x*y, z) = -w(y, [x,z]) is left-symmetric",
-    "lsa.from-symplectic-commutator":
-        "x*y - y*x reproduces the bracket the product was built from",
     "lsa.rep-lie":
         "rho([x,y]) = rho(x)rho(y) - rho(y)rho(x)",
     "lsa.rep-product":
         "rho(x)mu(y) - mu(y)rho(x) = mu(x*y) - mu(y)mu(x)",
-    "lsa.cochain-antisym":
-        "cochains are antisymmetric in all arguments before the last",
 
     # anchored bundles over a chart
     "algebroid.bracket-skew": "[x,y] = -[y,x]",
@@ -45,7 +37,6 @@ ANCHORS: dict[str, str] = {
     "algebroid.lsa.left-symmetric":
         "(x,y,z) = (y,x,z) on frame triples and with one scalar-function slot",
     "form.skew": "w(x,y) = -w(y,x)",
-    "form.nondegenerate": "the form matrix is invertible",
     "form.closed":
         "rho(x)w(y,z) - rho(y)w(x,z) + rho(z)w(x,y) - w([x,y],z) + "
         "w([x,z],y) - w([y,z],x) = 0",
@@ -65,12 +56,6 @@ ANCHORS: dict[str, str] = {
     "presym.cyclic-T": "T(e1,e2,e3) + T(e2,e3,e1) + T(e3,e1,e2) = 0",
     "presym.D-reproducing": "(D f, e) = rho(e)(f)",
     "presym.star-with-D": "e * D f = 1/2 D (D f, e)",
-
-    # derived-structure round trips
-    "derived.bracket-skew": "derived bracket [x,y] = x*y - y*x is skew",
-    "derived.form-closed": "the pairing is closed for the derived bracket",
-    "derived.round-trip": "bracket-to-star and star-to-bracket compose to "
-        "the identity on the given data",
 
     # closed subbundles
     "dirac.half-rank": "the subbundle has rank exactly half the total rank",

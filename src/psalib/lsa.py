@@ -154,46 +154,32 @@ class RepresentationData:
         return self.rho[0].nrows
 
 
-def _fmt_vec(vec, names) -> str:
-    parts = [f"{v}*{names[k]}" for k, v in enumerate(vec) if v]
-    return " + ".join(parts) if parts else "0"
-
-
 def check_left_symmetric(alg: FiniteAlgebra, artifact: str = "algebra"
                          ) -> CheckReport:
     """Associator symmetry in the first two slots, plus the Jacobi identity
     of the commutator (which left-symmetry implies; checked independently)."""
     rec = Recorder(artifact)
-    d = alg.dim
+    d, names = alg.dim, alg.names
+    e = [alg.basis_vector(i) for i in range(d)]
 
     def assoc_sym():
         for a, b, c in itertools.product(range(d), repeat=3):
-            ea, eb, ec = (alg.basis_vector(i) for i in (a, b, c))
-            left = alg.associator(ea, eb, ec)
-            right = alg.associator(eb, ea, ec)
-            resid = tuple(x - y for x, y in zip(left, right))
-            if any(resid):
-                return False, (f"({alg.names[a]},{alg.names[b]},"
-                               f"{alg.names[c]}): residual = "
-                               f"{_fmt_vec(resid, alg.names)}")
-        return True, None
+            left = alg.associator(e[a], e[b], e[c])
+            right = alg.associator(e[b], e[a], e[c])
+            yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
+                   tuple(x - y for x, y in zip(left, right)))
 
     def jacobi():
         for a, b, c in itertools.combinations(range(d), 3):
-            ea, eb, ec = (alg.basis_vector(i) for i in (a, b, c))
-            s = alg.commutator(alg.commutator(ea, eb), ec)
+            s = alg.commutator(alg.commutator(e[a], e[b]), e[c])
             s = tuple(x + y for x, y in zip(
-                s, alg.commutator(alg.commutator(eb, ec), ea)))
+                s, alg.commutator(alg.commutator(e[b], e[c]), e[a])))
             s = tuple(x + y for x, y in zip(
-                s, alg.commutator(alg.commutator(ec, ea), eb)))
-            if any(s):
-                return False, (f"({alg.names[a]},{alg.names[b]},"
-                               f"{alg.names[c]}): residual = "
-                               f"{_fmt_vec(s, alg.names)}")
-        return True, None
+                s, alg.commutator(alg.commutator(e[c], e[a]), e[b])))
+            yield f"({names[a]},{names[b]},{names[c]}): residual = ", s
 
-    rec.run("lsa.left-symmetric", assoc_sym)
-    rec.run("lsa.subadjacent-jacobi", jacobi)
+    rec.scan("lsa.left-symmetric", assoc_sym(), names)
+    rec.scan("lsa.subadjacent-jacobi", jacobi(), names)
     return rec.report
 
 
@@ -213,13 +199,13 @@ def check_invariant_form(alg: FiniteAlgebra, form: SkewForm,
                          artifact: str = "algebra") -> CheckReport:
     """Skewness, nondegeneracy, and (x*y, z) + (y, [x,z]) = 0."""
     rec = Recorder(artifact)
-    d = alg.dim
+    d, names = alg.dim, alg.names
     m = form.matrix
 
-    rec.run("lsa.form-skew", lambda: (
-        all(m.rows[a][b] == -m.rows[b][a]
-            for a in range(d) for b in range(d)),
-        None))
+    rec.scan("lsa.form-skew", (
+        (f"({names[a]},{names[b]}) + ({names[b]},{names[a]}) = ",
+         m.rows[a][b] + m.rows[b][a])
+        for a in range(d) for b in range(a, d)))
 
     def nondeg():
         try:
@@ -229,31 +215,13 @@ def check_invariant_form(alg: FiniteAlgebra, form: SkewForm,
             return False, "pairing matrix is singular"
 
     rec.run("lsa.form-nondegenerate", nondeg)
-
-    def invariance():
-        for a, b, c in itertools.product(range(d), repeat=3):
-            ea, eb, ec = (alg.basis_vector(i) for i in (a, b, c))
-            r = form.value(alg.product(ea, eb), ec) + \
-                form.value(eb, alg.commutator(ea, ec))
-            if r:
-                return False, (f"({alg.names[a]},{alg.names[b]},"
-                               f"{alg.names[c]}): residual = {r}")
-        return True, None
-
-    rec.run("lsa.form-invariance", invariance)
+    e = [alg.basis_vector(i) for i in range(d)]
+    rec.scan("lsa.form-invariance", (
+        (f"({names[a]},{names[b]},{names[c]}): residual = ",
+         form.value(alg.product(e[a], e[b]), e[c])
+         + form.value(e[b], alg.commutator(e[a], e[c])))
+        for a, b, c in itertools.product(range(d), repeat=3)))
     return rec.report
-
-
-def _check_form_cocycle(lie: FiniteAlgebra, form: SkewForm):
-    for a, b, c in itertools.combinations(range(lie.dim), 3):
-        ea, eb, ec = (lie.basis_vector(i) for i in (a, b, c))
-        r = form.value(lie.product(ea, eb), ec) \
-            - form.value(lie.product(ea, ec), eb) \
-            + form.value(lie.product(eb, ec), ea)
-        if r:
-            return False, (f"({lie.names[a]},{lie.names[b]},{lie.names[c]}):"
-                           f" residual = {r}")
-    return True, None
 
 
 def lsa_from_symplectic_lie(lie: FiniteAlgebra, form: SkewForm
@@ -279,9 +247,15 @@ def lsa_from_symplectic_lie(lie: FiniteAlgebra, form: SkewForm
         for b in range(d):
             if m.rows[a][b] != -m.rows[b][a]:
                 raise ValueError("form is not skew")
-    ok, witness = _check_form_cocycle(lie, form)
-    if not ok:
-        raise ValueError(f"form is not closed: {witness}")
+    e = [lie.basis_vector(i) for i in range(d)]
+    for a, b, c in itertools.combinations(range(d), 3):
+        r = form.value(lie.product(e[a], e[b]), e[c]) \
+            - form.value(lie.product(e[a], e[c]), e[b]) \
+            + form.value(lie.product(e[b], e[c]), e[a])
+        if r:
+            raise ValueError(
+                f"form is not closed: ({lie.names[a]},{lie.names[b]},"
+                f"{lie.names[c]}): residual = {r}")
     try:
         minv = qinvert(m)
     except SingularMatrixError:
@@ -304,44 +278,34 @@ def lsa_from_symplectic_lie(lie: FiniteAlgebra, form: SkewForm
 def check_representation(alg: FiniteAlgebra, rep: RepresentationData,
                          artifact: str = "representation") -> CheckReport:
     rec = Recorder(artifact)
-    d = alg.dim
+    d, m, names = alg.dim, rep.module_dim, alg.names
+    pairs = list(itertools.product(range(d), repeat=2))
+    entries = list(itertools.product(range(m), repeat=2))
 
     def lie_condition():
-        for a in range(d):
-            for b in range(d):
-                lhs = rep.rho[a].matmul(rep.rho[b]).rows
-                rhs = rep.rho[b].matmul(rep.rho[a]).rows
-                comm = alg.commutator(alg.basis_vector(a),
-                                      alg.basis_vector(b))
-                m = rep.module_dim
-                for i in range(m):
-                    for j in range(m):
-                        want = sum(comm[k] * rep.rho[k].rows[i][j]
-                                   for k in range(d))
-                        if lhs[i][j] - rhs[i][j] != want:
-                            return False, (f"({alg.names[a]},{alg.names[b]})"
-                                           f" entry ({i},{j})")
-        return True, None
+        for a, b in pairs:
+            lhs = rep.rho[a].matmul(rep.rho[b]).rows
+            rhs = rep.rho[b].matmul(rep.rho[a]).rows
+            comm = alg.commutator(alg.basis_vector(a), alg.basis_vector(b))
+            for i, j in entries:
+                want = sum(comm[k] * rep.rho[k].rows[i][j] for k in range(d))
+                yield (f"({names[a]},{names[b]}) entry ({i},{j})",
+                       lhs[i][j] - rhs[i][j] != want)
 
     def product_condition():
-        m = rep.module_dim
-        for a in range(d):
-            for b in range(d):
-                lhs = rep.rho[a].matmul(rep.mu[b]).rows
-                l2 = rep.mu[b].matmul(rep.rho[a]).rows
-                prod = alg.basis_product(a, b)
-                r2 = rep.mu[b].matmul(rep.mu[a]).rows
-                for i in range(m):
-                    for j in range(m):
-                        want = sum(prod[k] * rep.mu[k].rows[i][j]
-                                   for k in range(d)) - r2[i][j]
-                        if lhs[i][j] - l2[i][j] != want:
-                            return False, (f"({alg.names[a]},{alg.names[b]})"
-                                           f" entry ({i},{j})")
-        return True, None
+        for a, b in pairs:
+            lhs = rep.rho[a].matmul(rep.mu[b]).rows
+            l2 = rep.mu[b].matmul(rep.rho[a]).rows
+            prod = alg.basis_product(a, b)
+            r2 = rep.mu[b].matmul(rep.mu[a]).rows
+            for i, j in entries:
+                want = sum(prod[k] * rep.mu[k].rows[i][j]
+                           for k in range(d)) - r2[i][j]
+                yield (f"({names[a]},{names[b]}) entry ({i},{j})",
+                       lhs[i][j] - l2[i][j] != want)
 
-    rec.run("lsa.rep-lie", lie_condition)
-    rec.run("lsa.rep-product", product_condition)
+    rec.scan("lsa.rep-lie", lie_condition())
+    rec.scan("lsa.rep-product", product_condition())
     return rec.report
 
 

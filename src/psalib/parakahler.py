@@ -3,6 +3,7 @@ induce, Levi-Civita connections on the commutator structure, and the
 identity between the metric connection and the product on both
 eigenbundles."""
 
+import itertools
 from fractions import Fraction
 
 from .algebroid import ChartAlgebroid
@@ -10,12 +11,12 @@ from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_kernel_basis,
                           expr_rank, expr_solve, invert)
 from .exprcore import ChartContext, DiffExpr
 from .presym import PreSymStructure, Subbundle, check_dirac
-from .report import CheckReport, Recorder
+from .report import CheckReport, Recorder, components
 
 __all__ = [
     "ParaComplexOp", "MetricField", "EConnection", "check_paracomplex",
     "metric_from", "check_metric", "levi_civita", "check_levi_civita",
-    "check_star_equals_nabla", "check_parakahler",
+    "check_star_equals_nabla",
 ]
 
 
@@ -109,11 +110,12 @@ class EConnection:
         return tuple(out)
 
 
-def _first_residual(vals, names):
-    for k, x in enumerate(vals):
-        if not x.is_zero():
-            return f"component {names[k]}: {x}"
-    return None
+def _entry_cases(template: str, matrix: ExprMatrix):
+    """(template with the 1-based row a and column b filled in, entry)
+    over the entries of a residual matrix, row by row."""
+    for a, row in enumerate(matrix.rows):
+        for b, x in enumerate(row):
+            yield template.format(a=a + 1, b=b + 1), x
 
 
 def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
@@ -127,64 +129,40 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
     ctx = E.ctx
     eye = ExprMatrix.identity(ctx, r)
 
-    def squares():
-        sq = P.matrix.matmul(P.matrix)
-        for a in range(r):
-            for b in range(r):
-                want = ctx.one() if a == b else ctx.zero()
-                res = sq.rows[a][b] - want
-                if not res.is_zero():
-                    return False, f"(P o P - id)[{a+1}][{b+1}] = {res}"
-        return True, None
-
-    if not rec.run("para.squares-to-identity", squares):
-        for cid in ("para.pairing-anti-invariance", "para.integrable",
-                    "para.eigen-split", "para.eigen-dirac-plus",
-                    "para.eigen-dirac-minus"):
-            rec.skip(cid, "not evaluated: P does not square to the identity")
+    if not rec.scan("para.squares-to-identity", _entry_cases(
+            "(P o P - id)[{a}][{b}] = ", P.matrix.matmul(P.matrix).sub(eye))):
+        rec.skip("not evaluated: P does not square to the identity",
+                 "para.pairing-anti-invariance", "para.integrable",
+                 "para.eigen-split", "para.eigen-dirac-plus",
+                 "para.eigen-dirac-minus")
         return rec.report, None, None
-
-    def anti_invariance():
-        lhs = P.matrix.transpose().matmul(E.pairing).matmul(P.matrix)
-        res_m = lhs.add(E.pairing)
-        for a in range(r):
-            for b in range(r):
-                if not res_m.rows[a][b].is_zero():
-                    return False, (f"(P e{a+1}, P e{b+1}) + (e{a+1}, e{b+1})"
-                                   f" = {res_m.rows[a][b]}")
-        return True, None
-
-    rec.run("para.pairing-anti-invariance", anti_invariance)
 
     def integrable():
         ext, f = E.extended()
         Pext = ParaComplexOp(ext.ctx, [[x for x in row]
                                        for row in P.matrix.rows])
         frames = [ext.frame_section(a) for a in range(r)]
-        for a in range(r):
-            for b in range(r):
-                for fslot in (None, 0, 1):
-                    u = frames[a]
-                    v = frames[b]
-                    if fslot == 0:
-                        u = tuple(f * x for x in u)
-                    elif fslot == 1:
-                        v = tuple(f * x for x in v)
-                    lhs = Pext.apply(ext.star(u, v))
-                    rhs1 = ext.star(Pext.apply(u), v)
-                    rhs2 = ext.star(u, Pext.apply(v))
-                    rhs3 = Pext.apply(ext.star(Pext.apply(u),
-                                               Pext.apply(v)))
-                    res = tuple(lhs[k] - rhs1[k] - rhs2[k] + rhs3[k]
-                                for k in range(r))
-                    w = _first_residual(res, ext.names)
-                    if w is not None:
-                        tag = {None: "", 0: "f on slot 1, ",
-                               1: "f on slot 2, "}[fslot]
-                        return False, f"({tag}e{a+1}, e{b+1}) {w}"
-        return True, None
+        for a, b in itertools.product(range(r), repeat=2):
+            for tag, u, v in (
+                    ("", frames[a], frames[b]),
+                    ("f on slot 1, ", tuple(f * x for x in frames[a]),
+                     frames[b]),
+                    ("f on slot 2, ", frames[a],
+                     tuple(f * x for x in frames[b]))):
+                lhs = Pext.apply(ext.star(u, v))
+                rhs1 = ext.star(Pext.apply(u), v)
+                rhs2 = ext.star(u, Pext.apply(v))
+                rhs3 = Pext.apply(ext.star(Pext.apply(u), Pext.apply(v)))
+                yield from components(
+                    f"({tag}e{a+1}, e{b+1}) ",
+                    (lhs[k] - rhs1[k] - rhs2[k] + rhs3[k] for k in range(r)),
+                    ext.names)
 
-    rec.run("para.integrable", integrable)
+    rec.scan("para.pairing-anti-invariance", _entry_cases(
+        "(P e{a}, P e{b}) + (e{a}, e{b}) = ",
+        P.matrix.transpose().matmul(E.pairing).matmul(P.matrix)
+        .add(E.pairing)))
+    rec.scan("para.integrable", integrable())
 
     plus_vecs = expr_kernel_basis(P.matrix.sub(eye))
     minus_vecs = expr_kernel_basis(P.matrix.add(eye))
@@ -200,28 +178,21 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
             return False, f"eigenbundles together span rank {got}, need {r}"
         return True, None
 
-    ok = rec.run("para.eigen-split", eigen_split)
-    if not ok:
-        rec.skip("para.eigen-dirac-plus", "not evaluated: eigenbundles "
-                 "do not split the structure")
-        rec.skip("para.eigen-dirac-minus", "not evaluated: eigenbundles "
-                 "do not split the structure")
+    if not rec.run("para.eigen-split", eigen_split):
+        rec.skip("not evaluated: eigenbundles do not split the structure",
+                 "para.eigen-dirac-plus", "para.eigen-dirac-minus")
         return rec.report, None, None
 
     half = r // 2
     plus = Subbundle(plus_vecs, names=[f"p{i+1}" for i in range(half)])
     minus = Subbundle(minus_vecs, names=[f"m{i+1}" for i in range(half)])
-    for cid, bundle in (("para.eigen-dirac-plus", plus),
-                        ("para.eigen-dirac-minus", minus)):
-        sub_report, _ = check_dirac(E, bundle)
-        bad = [c for c in sub_report.checks if c.status == "fail"]
 
-        def dirac_ok(bad=bad):
-            if bad:
-                return False, f"{bad[0].check_id}: {bad[0].witness}"
-            return True, None
+    def dirac(bundle):
+        for c in check_dirac(E, bundle)[0].failures():
+            yield f"{c.check_id}: {c.witness}", True
 
-        rec.run(cid, dirac_ok)
+    rec.scan("para.eigen-dirac-plus", dirac(plus))
+    rec.scan("para.eigen-dirac-minus", dirac(minus))
     return rec.report, plus, minus
 
 
@@ -247,16 +218,6 @@ def check_metric(E: PreSymStructure, P: ParaComplexOp,
     pairing; returns the metric when it exists."""
     rec = Recorder(artifact)
     g = E.pairing.matmul(P.matrix)
-    r = E.rank
-
-    def symmetric():
-        for a in range(r):
-            for b in range(a + 1, r):
-                res = g.rows[a][b] - g.rows[b][a]
-                if not res.is_zero():
-                    return False, f"g[{a+1}][{b+1}] - g[{b+1}][{a+1}] = {res}"
-        return True, None
-
     metric_holder = []
 
     def nondegenerate():
@@ -268,30 +229,17 @@ def check_metric(E: PreSymStructure, P: ParaComplexOp,
         metric_holder.append(m)
         return True, None
 
-    def p_anti():
-        lhs = P.matrix.transpose().matmul(g).matmul(P.matrix)
-        res_m = lhs.add(g)
-        for a in range(r):
-            for b in range(r):
-                if not res_m.rows[a][b].is_zero():
-                    return False, (f"g(P e{a+1}, P e{b+1}) + g(e{a+1}, "
-                                   f"e{b+1}) = {res_m.rows[a][b]}")
-        return True, None
-
-    def recovers_pairing():
-        back = g.matmul(P.matrix)
-        res_m = back.sub(E.pairing)
-        for a in range(r):
-            for b in range(r):
-                if not res_m.rows[a][b].is_zero():
-                    return False, (f"g(e{a+1}, P e{b+1}) - (e{a+1}, e{b+1}) "
-                                   f"= {res_m.rows[a][b]}")
-        return True, None
-
-    ok = rec.run("para.metric-symmetric", symmetric)
+    # g - g^T is antisymmetric, so its first nonzero entry lies above
+    # the diagonal
+    ok = rec.scan("para.metric-symmetric", _entry_cases(
+        "g[{a}][{b}] - g[{b}][{a}] = ", g.sub(g.transpose())))
     ok = rec.run("para.metric-nondegenerate", nondegenerate) and ok
-    rec.run("para.metric-P-anti", p_anti)
-    rec.run("para.form-from-metric", recovers_pairing)
+    rec.scan("para.metric-P-anti", _entry_cases(
+        "g(P e{a}, P e{b}) + g(e{a}, e{b}) = ",
+        P.matrix.transpose().matmul(g).matmul(P.matrix).add(g)))
+    rec.scan("para.form-from-metric", _entry_cases(
+        "g(e{a}, P e{b}) - (e{a}, e{b}) = ",
+        g.matmul(P.matrix).sub(E.pairing)))
     metric = metric_holder[0] if (ok and metric_holder) else None
     return rec.report, metric
 
@@ -394,53 +342,37 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
     try:
         nabla = levi_civita(L, g, method="koszul")
     except (SingularMatrixError, ValueError) as exc:
-        def failed():
-            return False, str(exc)
-        rec.run("para.levi-civita-agreement", failed)
+        rec.run("para.levi-civita-agreement", lambda: (False, str(exc)))
         return rec.report, None
     r = L.rank
     frames = [L.frame_section(a) for a in range(r)]
 
     def agreement():
         other = levi_civita(L, g, method="linear-system")
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    res = nabla.gamma[a][b][c] - other.gamma[a][b][c]
-                    if not res.is_zero():
-                        return False, (f"coefficient ({a+1},{b+1},{c+1}) "
-                                       f"differs between solves: {res}")
-        return True, None
+        for a, b, c in itertools.product(range(r), repeat=3):
+            yield (f"coefficient ({a+1},{b+1},{c+1}) differs between "
+                   f"solves: ", nabla.gamma[a][b][c] - other.gamma[a][b][c])
 
     def torsion_free():
-        for a in range(r):
-            for b in range(a + 1, r):
-                lhs = L.bracket(frames[a], frames[b])
-                fwd = nabla.apply(frames[a], frames[b])
-                bwd = nabla.apply(frames[b], frames[a])
-                res = tuple(lhs[k] - fwd[k] + bwd[k] for k in range(r))
-                w = _first_residual(res, L.names)
-                if w is not None:
-                    return False, f"([e{a+1},e{b+1}] - nabla asym) {w}"
-        return True, None
+        for a, b in itertools.combinations(range(r), 2):
+            lhs = L.bracket(frames[a], frames[b])
+            fwd = nabla.apply(frames[a], frames[b])
+            bwd = nabla.apply(frames[b], frames[a])
+            yield from components(
+                f"([e{a+1},e{b+1}] - nabla asym) ",
+                (lhs[k] - fwd[k] + bwd[k] for k in range(r)), L.names)
 
     def metric_compat():
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    lhs = L.anchor_apply(frames[a], g.matrix.rows[b][c])
-                    gb = nabla.apply(frames[a], frames[b])
-                    gc = nabla.apply(frames[a], frames[c])
-                    res = lhs - g.value(gb, frames[c]) \
-                        - g.value(frames[b], gc)
-                    if not res.is_zero():
-                        return False, (f"rho(e{a+1}) g(e{b+1},e{c+1}) "
-                                       f"defect: {res}")
-        return True, None
+        for a, b, c in itertools.product(range(r), repeat=3):
+            lhs = L.anchor_apply(frames[a], g.matrix.rows[b][c])
+            gb = nabla.apply(frames[a], frames[b])
+            gc = nabla.apply(frames[a], frames[c])
+            yield (f"rho(e{a+1}) g(e{b+1},e{c+1}) defect: ",
+                   lhs - g.value(gb, frames[c]) - g.value(frames[b], gc))
 
-    rec.run("para.levi-civita-agreement", agreement)
-    rec.run("para.torsion-free", torsion_free)
-    rec.run("para.metric-compatible", metric_compat)
+    rec.scan("para.levi-civita-agreement", agreement())
+    rec.scan("para.torsion-free", torsion_free())
+    rec.scan("para.metric-compatible", metric_compat())
     return rec.report, nabla
 
 
@@ -448,85 +380,51 @@ def check_star_equals_nabla(E: PreSymStructure, P: ParaComplexOp,
                             artifact: str = "para") -> CheckReport:
     """Metric connection of the commutator structure restricted to each
     eigenbundle agrees with the product; includes the commutation of the
-    connection with P and g-isotropy of the eigenbundles."""
-    para_report, plus, minus = check_paracomplex(E, P, artifact=artifact)
+    connection with P and g-isotropy of the eigenbundles.  The full
+    product-structure suite of the CLI."""
+    rest = ("para.eigen-g-isotropic", "para.nabla-P-commute",
+            "para.star-equals-nabla-plus", "para.star-equals-nabla-minus")
     rec = Recorder(artifact)
-    for c in para_report.checks:
-        rec.add(c.check_id, c.status, c.witness, c.wall_ms)
+    para_report, plus, minus = check_paracomplex(E, P, artifact=artifact)
+    rec.report.extend(para_report)
     if plus is None or minus is None or not para_report.passed():
-        for cid in ("para.eigen-g-isotropic", "para.nabla-P-commute",
-                    "para.star-equals-nabla-plus",
-                    "para.star-equals-nabla-minus"):
-            rec.skip(cid, "not evaluated: product structure checks failed")
+        rec.skip("not evaluated: product structure checks failed", *rest)
         return rec.report
     metric_report, g = check_metric(E, P, artifact=artifact)
-    for c in metric_report.checks:
-        rec.add(c.check_id, c.status, c.witness, c.wall_ms)
+    rec.report.extend(metric_report)
     if g is None:
-        for cid in ("para.eigen-g-isotropic", "para.nabla-P-commute",
-                    "para.star-equals-nabla-plus",
-                    "para.star-equals-nabla-minus"):
-            rec.skip(cid, "not evaluated: no induced metric")
+        rec.skip("not evaluated: no induced metric", *rest)
         return rec.report
-    L = E.commutator_algebroid()
-    lc_report, nabla = check_levi_civita(L, g, artifact=artifact)
-    for c in lc_report.checks:
-        rec.add(c.check_id, c.status, c.witness, c.wall_ms)
+    lc_report, nabla = check_levi_civita(E.commutator_algebroid(), g,
+                                         artifact=artifact)
+    rec.report.extend(lc_report)
     if nabla is None:
-        for cid in ("para.eigen-g-isotropic", "para.nabla-P-commute",
-                    "para.star-equals-nabla-plus",
-                    "para.star-equals-nabla-minus"):
-            rec.skip(cid, "not evaluated: no metric connection")
+        rec.skip("not evaluated: no metric connection", *rest)
         return rec.report
     r = E.rank
     frames = [E.frame_section(a) for a in range(r)]
 
-    def g_isotropic():
-        for tag, bundle in (("+1", plus), ("-1", minus)):
-            secs = bundle.sections
-            for i in range(len(secs)):
-                for j in range(i, len(secs)):
-                    res = g.value(secs[i], secs[j])
-                    if not res.is_zero():
-                        return False, (f"{tag} eigenbundle sections "
-                                       f"{i+1},{j+1}: g = {res}")
-        return True, None
-
     def nabla_P():
-        for a in range(r):
-            for b in range(r):
-                lhs = nabla.apply(frames[a], P.apply(frames[b]))
-                rhs = P.apply(nabla.apply(frames[a], frames[b]))
-                res = tuple(lhs[k] - rhs[k] for k in range(r))
-                w = _first_residual(res, E.names)
-                if w is not None:
-                    return False, f"(e{a+1}, e{b+1}) {w}"
-        return True, None
+        for a, b in itertools.product(range(r), repeat=2):
+            lhs = nabla.apply(frames[a], P.apply(frames[b]))
+            rhs = P.apply(nabla.apply(frames[a], frames[b]))
+            yield from components(f"(e{a+1}, e{b+1}) ",
+                                  (x - y for x, y in zip(lhs, rhs)), E.names)
 
-    rec.run("para.eigen-g-isotropic", g_isotropic)
-    rec.run("para.nabla-P-commute", nabla_P)
+    def star_match(secs):
+        for i, j in itertools.product(range(len(secs)), repeat=2):
+            star = E.star(secs[i], secs[j])
+            nab = nabla.apply(secs[i], secs[j])
+            yield from components(f"sections {i+1},{j+1}: ",
+                                  (x - y for x, y in zip(star, nab)),
+                                  E.names)
 
-    def star_match(bundle):
-        def inner():
-            secs = bundle.sections
-            for i in range(len(secs)):
-                for j in range(len(secs)):
-                    star = E.star(secs[i], secs[j])
-                    nab = nabla.apply(secs[i], secs[j])
-                    res = tuple(star[k] - nab[k] for k in range(r))
-                    w = _first_residual(res, E.names)
-                    if w is not None:
-                        return False, f"sections {i+1},{j+1}: {w}"
-            return True, None
-        return inner
-
-    rec.run("para.star-equals-nabla-plus", star_match(plus))
-    rec.run("para.star-equals-nabla-minus", star_match(minus))
+    rec.scan("para.eigen-g-isotropic", (
+        (f"{tag} eigenbundle sections {i+1},{j+1}: g = ",
+         g.value(secs[i], secs[j]))
+        for tag, secs in (("+1", plus.sections), ("-1", minus.sections))
+        for i in range(len(secs)) for j in range(i, len(secs))))
+    rec.scan("para.nabla-P-commute", nabla_P())
+    rec.scan("para.star-equals-nabla-plus", star_match(plus.sections))
+    rec.scan("para.star-equals-nabla-minus", star_match(minus.sections))
     return rec.report
-
-
-def check_parakahler(E: PreSymStructure, P: ParaComplexOp,
-                     artifact: str = "para") -> CheckReport:
-    """The full product-structure suite; equivalent to
-    check_star_equals_nabla, named for the CLI."""
-    return check_star_equals_nabla(E, P, artifact=artifact)

@@ -25,16 +25,17 @@ w)) are recomputed on every call: memoising them would make the memo as
 large as the loops themselves.
 """
 
+import itertools
 from fractions import Fraction
 
-from .algebroid import ChartAlgebroid, FormField, de_rham_d, section_str
+from .algebroid import ChartAlgebroid, FormField, de_rham_d
 from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_rank,
                           expr_solve, invert)
 from .exprcore import ChartContext, DiffExpr
-from .report import CheckReport, Recorder
+from .report import CheckReport, Recorder, components, section_str
 
 __all__ = [
-    "PreSymStructure", "Subbundle", "operator_D", "tensor_T",
+    "PreSymStructure", "Subbundle", "tensor_T",
     "check_presymplectic", "symplectic_from_presym", "presym_from_symplectic",
     "pseudo_semidirect", "check_dirac",
 ]
@@ -249,10 +250,6 @@ class PreSymStructure:
         return ps, ext.function(name)
 
 
-def operator_D(E: PreSymStructure, f: DiffExpr):
-    return E.D(f)
-
-
 def tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
     """(u*v, w) + (u, v*w) - (v*u, w) - (v, u*w)."""
     u, v, w = E._section(u), E._section(v), E._section(w)
@@ -262,16 +259,12 @@ def tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
             - E.pairing_value(v, E.star(u, w)))
 
 
-def _cyclic_T(E: PreSymStructure, u, v, w) -> DiffExpr:
-    return tensor_T(E, u, v, w) + tensor_T(E, v, w, u) + tensor_T(E, w, u, v)
-
-
-def _def_i_residual(E: PreSymStructure, u, v, w):
-    """(u,v,w) - (v,u,w) - 1/6 D T(u,v,w), componentwise."""
+def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
+    """(u,v,w) - (v,u,w) - 1/6 D T(u,v,w), componentwise, given
+    t = T(u,v,w)."""
     sixth = E.ctx.number(Fraction(1, 6))
     a1 = E.associator(u, v, w)
     a2 = E.associator(v, u, w)
-    t = tensor_T(E, u, v, w)
     if t.is_zero():
         return tuple(x - y for x, y in zip(a1, a2))
     dt = E.D(t)
@@ -291,42 +284,23 @@ def _def_ii_residual(E: PreSymStructure, u, v, w) -> DiffExpr:
     return lhs - rhs
 
 
-def _first_nonzero(res):
-    for k, x in enumerate(res):
-        if not x.is_zero():
-            return k, x
-    return None
-
-
-def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
-                        fast_fail: bool = False) -> CheckReport:
+def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
+                        ) -> CheckReport:
     """The defining identities on frame triples with formal-function slots.
 
     Both sides of identity (i) are antisymmetric in the first two slots,
     so its pure-frame triples run over a < b and the formal slot-0
     variant (which covers slot 1 by that antisymmetry) over all ordered
-    pairs; identity (ii) has no slot symmetry and runs in full.
+    pairs; identity (ii) has no slot symmetry and runs in full.  T is
+    evaluated once per triple of basis sections and shared by (i) and
+    the cyclic identity.
     """
     rec = Recorder(artifact)
     r = E.rank
-
-    def skew():
-        for a in range(r):
-            for b in range(a, r):
-                res = E.pairing.rows[a][b] + E.pairing.rows[b][a]
-                if not res.is_zero():
-                    return False, f"(e{a+1},e{b+1}) + (e{b+1},e{a+1}) = {res}"
-        return True, None
-
-    ok = rec.run("presym.pairing-skew", skew)
-    remaining = ["presym.pairing-nondegenerate", "presym.def-i",
-                 "presym.def-ii", "presym.scalar-left", "presym.scalar-right",
-                 "presym.bracket-leibniz", "presym.star-with-D",
-                 "presym.cyclic-T", "presym.D-reproducing"]
-    if not ok and fast_fail:
-        for cid in remaining:
-            rec.skip(cid, "not evaluated: earlier check failed")
-        return rec.report
+    rec.scan("presym.pairing-skew", (
+        (f"(e{a+1},e{b+1}) + (e{b+1},e{a+1}) = ",
+         E.pairing.rows[a][b] + E.pairing.rows[b][a])
+        for a in range(r) for b in range(a, r)))
 
     def nondegenerate():
         try:
@@ -335,12 +309,12 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
             return False, f"pairing determinant vanishes: {exc.determinant}"
         return True, None
 
-    ok = rec.run("presym.pairing-nondegenerate", nondegenerate)
-    remaining.pop(0)
-    if not ok:
+    if not rec.run("presym.pairing-nondegenerate", nondegenerate):
         # D and the section product are undefined without the inverse
-        for cid in remaining:
-            rec.skip(cid, "not evaluated: pairing is degenerate")
+        rec.skip("not evaluated: pairing is degenerate", "presym.def-i",
+                 "presym.def-ii", "presym.scalar-left", "presym.scalar-right",
+                 "presym.bracket-leibniz", "presym.star-with-D",
+                 "presym.cyclic-T", "presym.D-reproducing")
         return rec.report
 
     # the frames and the formal slots f e_a are the extended structure's
@@ -350,84 +324,49 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
     f_slots = ext.add_basis(
         tuple(f if k == a else ext.ctx.zero() for k in range(r))
         for a in range(r))
+    # T on basis sections, by basis positions (frames, then formal slots)
+    nb = 2 * r
+    t_memo = [None] * nb ** 3
 
-    def run_guarded(check_id, fn):
-        ok = rec.run(check_id, fn)
-        remaining.remove(check_id)
-        if not ok and fast_fail:
-            for cid in remaining:
-                rec.skip(cid, "not evaluated: earlier check failed")
-        return not ok and fast_fail
+    def T(u, v, w):
+        i = (u.pos * nb + v.pos) * nb + w.pos
+        t = t_memo[i]
+        if t is None:
+            t = t_memo[i] = tensor_T(ext, u, v, w)
+        return t
 
     def d_reproducing():
         df = ext.D(f)
         for b in range(r):
-            res = ext.pairing_value(df, frames[b]) \
-                - ext.anchor_apply(frames[b], f)
-            if not res.is_zero():
-                return False, f"(Df,e{b+1}) - rho(e{b+1})(f) = {res}"
-        return True, None
-
-    if run_guarded("presym.D-reproducing", d_reproducing):
-        return rec.report
+            yield (f"(Df,e{b+1}) - rho(e{b+1})(f) = ",
+                   ext.pairing_value(df, frames[b])
+                   - ext.anchor_apply(frames[b], f))
 
     def def_ii():
-        for u in range(r):
-            for v in range(r):
-                for w in range(r):
-                    res = _def_ii_residual(ext, frames[u], frames[v],
-                                           frames[w])
-                    if not res.is_zero():
-                        return False, (f"(e{u+1},e{v+1},e{w+1}): "
-                                       f"residual {res}")
+        for u, v, w in itertools.product(range(r), repeat=3):
+            yield (f"(e{u+1},e{v+1},e{w+1}): residual ",
+                   _def_ii_residual(ext, frames[u], frames[v], frames[w]))
         for slot in range(3):
-            for u in range(r):
-                for v in range(r):
-                    for w in range(r):
-                        args = [frames[u], frames[v], frames[w]]
-                        args[slot] = f_slots[(u, v, w)[slot]]
-                        res = _def_ii_residual(ext, *args)
-                        if not res.is_zero():
-                            return False, (f"(e{u+1},e{v+1},e{w+1}), formal "
-                                           f"f in slot {slot+1}: "
-                                           f"residual {res}")
-        return True, None
-
-    if run_guarded("presym.def-ii", def_ii):
-        return rec.report
+            for idx in itertools.product(range(r), repeat=3):
+                args = [frames[a] for a in idx]
+                args[slot] = f_slots[idx[slot]]
+                u, v, w = idx
+                yield (f"(e{u+1},e{v+1},e{w+1}), formal f in slot "
+                       f"{slot+1}: residual ", _def_ii_residual(ext, *args))
 
     def def_i():
-        for u in range(r):
-            for v in range(u + 1, r):
+        for tag_u, tag_w, us, ws, pairs in (
+                ("", "", frames, frames, itertools.combinations(range(r), 2)),
+                ("f ", "", f_slots, frames,
+                 itertools.product(range(r), repeat=2)),
+                ("", "f ", frames, f_slots,
+                 itertools.combinations(range(r), 2))):
+            for u, v in pairs:
                 for w in range(r):
-                    res = _def_i_residual(ext, frames[u], frames[v],
-                                          frames[w])
-                    bad = _first_nonzero(res)
-                    if bad:
-                        return False, (f"(e{u+1},e{v+1},e{w+1}): component "
-                                       f"{E.names[bad[0]]}: {bad[1]}")
-        for u in range(r):
-            for v in range(r):
-                for w in range(r):
-                    res = _def_i_residual(ext, f_slots[u], frames[v],
-                                          frames[w])
-                    bad = _first_nonzero(res)
-                    if bad:
-                        return False, (f"(f e{u+1},e{v+1},e{w+1}): component "
-                                       f"{E.names[bad[0]]}: {bad[1]}")
-        for u in range(r):
-            for v in range(u + 1, r):
-                for w in range(r):
-                    res = _def_i_residual(ext, frames[u], frames[v],
-                                          f_slots[w])
-                    bad = _first_nonzero(res)
-                    if bad:
-                        return False, (f"(e{u+1},e{v+1},f e{w+1}): component "
-                                       f"{E.names[bad[0]]}: {bad[1]}")
-        return True, None
-
-    if run_guarded("presym.def-i", def_i):
-        return rec.report
+                    x, y, z = us[u], frames[v], ws[w]
+                    yield from components(
+                        f"({tag_u}e{u+1},e{v+1},{tag_w}e{w+1}): ",
+                        _def_i_residual(ext, x, y, z, T(x, y, z)), E.names)
 
     def scalar_left():
         for a in range(r):
@@ -436,19 +375,15 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
                 lhs = ext.star(frames[a], f_slots[b])
                 w_ab = ext.pairing.rows[a][b]
                 df = ext.D(f) if not w_ab.is_zero() else None
+                res = []
                 for k in range(r):
                     rhs = f * ext.table[a][b][k]
                     if k == b:
                         rhs = rhs + da
                     if df is not None:
                         rhs = rhs + ext._half * w_ab * df[k]
-                    if not (lhs[k] - rhs).is_zero():
-                        return False, (f"e{a+1} * (f e{b+1}), component "
-                                       f"{E.names[k]}: {lhs[k] - rhs}")
-        return True, None
-
-    if run_guarded("presym.scalar-left", scalar_left):
-        return rec.report
+                    res.append(lhs[k] - rhs)
+                yield from components(f"e{a+1} * (f e{b+1}), ", res, E.names)
 
     def scalar_right():
         for a in range(r):
@@ -456,17 +391,13 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
                 lhs = ext.star(f_slots[a], frames[b])
                 w_ab = ext.pairing.rows[a][b]
                 df = ext.D(f) if not w_ab.is_zero() else None
+                res = []
                 for k in range(r):
                     rhs = f * ext.table[a][b][k]
                     if df is not None:
                         rhs = rhs - ext._half * w_ab * df[k]
-                    if not (lhs[k] - rhs).is_zero():
-                        return False, (f"(f e{a+1}) * e{b+1}, component "
-                                       f"{E.names[k]}: {lhs[k] - rhs}")
-        return True, None
-
-    if run_guarded("presym.scalar-right", scalar_right):
-        return rec.report
+                    res.append(lhs[k] - rhs)
+                yield from components(f"(f e{a+1}) * e{b+1}, ", res, E.names)
 
     def bracket_leibniz():
         comm = ext.commutator_algebroid()
@@ -474,17 +405,13 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
             da = ext.anchor_apply(frames[a], f)
             for b in range(r):
                 lhs = ext.bracket(frames[a], f_slots[b])
+                res = []
                 for k in range(r):
                     rhs = f * comm.table[a][b][k]
                     if k == b:
                         rhs = rhs + da
-                    if not (lhs[k] - rhs).is_zero():
-                        return False, (f"[e{a+1}, f e{b+1}], component "
-                                       f"{E.names[k]}: {lhs[k] - rhs}")
-        return True, None
-
-    if run_guarded("presym.bracket-leibniz", bracket_leibniz):
-        return rec.report
+                    res.append(lhs[k] - rhs)
+                yield from components(f"[e{a+1}, f e{b+1}], ", res, E.names)
 
     def star_with_d():
         df = ext.D(f)
@@ -492,32 +419,28 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym",
             lhs = ext.star(frames[a], df)
             p = ext.pairing_value(df, frames[a])
             rhs = ext.D(p) if not p.is_zero() else (ext.ctx.zero(),) * r
-            for k in range(r):
-                res = lhs[k] - ext._half * rhs[k]
-                if not res.is_zero():
-                    return False, (f"e{a+1} * Df - 1/2 D(Df,e{a+1}), "
-                                   f"component {E.names[k]}: {res}")
-        return True, None
-
-    if run_guarded("presym.star-with-D", star_with_d):
-        return rec.report
+            yield from components(
+                f"e{a+1} * Df - 1/2 D(Df,e{a+1}), ",
+                (lhs[k] - ext._half * rhs[k] for k in range(r)), E.names)
 
     def cyclic_t():
-        for u in range(r):
-            for v in range(u + 1, r):
-                for w in range(v + 1, r):
-                    res = _cyclic_T(ext, frames[u], frames[v], frames[w])
-                    if not res.is_zero():
-                        return False, f"(e{u+1},e{v+1},e{w+1}): {res}"
-        for u in range(r):
-            for v in range(r):
-                for w in range(r):
-                    res = _cyclic_T(ext, f_slots[u], frames[v], frames[w])
-                    if not res.is_zero():
-                        return False, (f"(f e{u+1},e{v+1},e{w+1}): {res}")
-        return True, None
+        for u, v, w in itertools.combinations(range(r), 3):
+            x, y, z = frames[u], frames[v], frames[w]
+            yield (f"(e{u+1},e{v+1},e{w+1}): ",
+                   T(x, y, z) + T(y, z, x) + T(z, x, y))
+        for u, v, w in itertools.product(range(r), repeat=3):
+            x, y, z = f_slots[u], frames[v], frames[w]
+            yield (f"(f e{u+1},e{v+1},e{w+1}): ",
+                   T(x, y, z) + T(y, z, x) + T(z, x, y))
 
-    run_guarded("presym.cyclic-T", cyclic_t)
+    rec.scan("presym.D-reproducing", d_reproducing())
+    rec.scan("presym.def-ii", def_ii())
+    rec.scan("presym.def-i", def_i())
+    rec.scan("presym.scalar-left", scalar_left())
+    rec.scan("presym.scalar-right", scalar_right())
+    rec.scan("presym.bracket-leibniz", bracket_leibniz())
+    rec.scan("presym.star-with-D", star_with_d())
+    rec.scan("presym.cyclic-T", cyclic_t())
     return rec.report
 
 
@@ -668,16 +591,11 @@ def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
             return False, f"spanning sections have rank {got}, need {k}"
         return True, None
 
-    def isotropic():
-        for i in range(k):
-            for j in range(i, k):
-                p = E.pairing_value(secs[i], secs[j])
-                if not p.is_zero():
-                    return False, f"({F.names[i]},{F.names[j]}) = {p}"
-        return True, None
-
     ok = rec.run("dirac.half-rank", half_rank)
-    ok = rec.run("dirac.isotropic", isotropic) and ok
+    ok = rec.scan("dirac.isotropic", (
+        (f"({F.names[i]},{F.names[j]}) = ",
+         E.pairing_value(secs[i], secs[j]))
+        for i in range(k) for j in range(i, k))) and ok
 
     span_t = mat.transpose()
     induced_table = [[None] * k for _ in range(k)]
@@ -687,16 +605,15 @@ def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
             for j in range(k):
                 prod = E.star(secs[i], secs[j])
                 coeffs = expr_solve(span_t, list(prod))
-                if coeffs is None:
-                    return False, (f"{F.names[i]} * {F.names[j]} = "
-                                   f"{E.section_str(prod)} leaves the span")
-                induced_table[i][j] = tuple(coeffs)
-        return True, None
+                if coeffs is not None:
+                    induced_table[i][j] = tuple(coeffs)
+                yield (f"{F.names[i]} * {F.names[j]} = "
+                       f"{E.section_str(prod)} leaves the span",
+                       coeffs is None)
 
-    ok = rec.run("dirac.closed", closed) and ok
-    if not ok or any(c is None for row in induced_table for c in row):
-        rec.skip("dirac.induced-left-symmetric",
-                 "not evaluated: no induced product")
+    if not (rec.scan("dirac.closed", closed()) and ok):
+        rec.skip("not evaluated: no induced product",
+                 "dirac.induced-left-symmetric")
         return rec.report, None
 
     n = len(ctx.coords)
@@ -716,10 +633,8 @@ def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
     def induced_ok():
         from .algebroid import check_left_symmetric_algebroid
         sub = check_left_symmetric_algebroid(induced, artifact=artifact)
-        if sub.passed():
-            return True, None
-        bad = sub.failures()[0]
-        return False, f"{bad.check_id}: {bad.witness}"
+        for c in sub.failures():
+            yield f"{c.check_id}: {c.witness}", True
 
-    rec.run("dirac.induced-left-symmetric", induced_ok)
+    rec.scan("dirac.induced-left-symmetric", induced_ok())
     return rec.report, induced

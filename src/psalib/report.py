@@ -4,7 +4,9 @@ Every verification suite produces a CheckReport: a flat list of named
 checks, each pass/fail/skipped with an optional witness (the indices and
 residual expression that broke an identity).  Serialization is
 deterministic: checks sort by id, keys are emitted in a fixed order, and
-only the wall_ms fields vary between runs.
+only the wall_ms fields vary between runs.  Suites record their checks
+through a Recorder, whose scan method turns a stream of residuals into a
+verdict and a witness.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .identities import anchor_for
 
-__all__ = ["Check", "CheckReport", "Recorder"]
+__all__ = ["Check", "CheckReport", "Recorder", "components", "section_str"]
 
 
 @dataclass(frozen=True)
@@ -77,11 +80,59 @@ class CheckReport:
         return lines
 
 
+def section_str(coeffs, names) -> str:
+    """The nonzero coefficients as c*name terms; chart expressions are
+    parenthesised, exact numbers are not."""
+    parts = [f"{c}*{n}" if isinstance(c, Fraction) else f"({c})*{n}"
+             for c, n in zip(coeffs, names) if c]
+    return " + ".join(parts) if parts else "0"
+
+
+def components(label: str, vec, names):
+    """One scan case per component of a section residual, so that the
+    witness names the first nonzero one:
+    label + "component {name}: {value}".  vec may be a generator, and
+    then no component after the first nonzero one is computed."""
+    return ((f"{label}component {name}: ", x) for name, x in zip(names, vec))
+
+
 class Recorder:
-    """Collects checks for one artifact, timing each one."""
+    """Collects checks for one artifact, timing each one.
+
+    A check that verifies an identity instance by instance goes through
+    scan; run is for verdicts that are not residual scans (a singular
+    matrix, a rank count, a failed solve), skip for checks that cannot be
+    evaluated.
+    """
 
     def __init__(self, artifact: str):
         self.report = CheckReport(artifact)
+
+    def scan(self, check_id: str, cases, names=()) -> bool:
+        """Record check_id from the first nonzero residual in cases.
+
+        cases yields (label, residual) pairs, one per instance of the
+        identity, in a fixed enumeration order; the scan stops at the
+        first nonzero residual and its witness is:
+          a scalar (chart expression or exact number): label + residual;
+          a tuple of coefficients over names: label + section_str;
+          a bool (True: the instance fails): the label alone.
+        The time spent producing the cases is the check's wall time.
+        """
+        t0 = time.perf_counter()
+        witness = None
+        for label, res in cases:
+            if isinstance(res, tuple):
+                if any(res):
+                    witness = label + section_str(res, names)
+                    break
+            elif res:
+                witness = label if isinstance(res, bool) else f"{label}{res}"
+                break
+        ms = (time.perf_counter() - t0) * 1000.0
+        self.add(check_id, "pass" if witness is None else "fail", witness,
+                 ms)
+        return witness is None
 
     def run(self, check_id: str, fn) -> bool:
         """fn() -> (ok, witness_or_None); records pass/fail with timing."""
@@ -96,5 +147,7 @@ class Recorder:
         self.report.checks.append(
             Check(check_id, anchor_for(check_id), status, witness, wall_ms))
 
-    def skip(self, check_id: str, reason: str) -> None:
-        self.add(check_id, "skipped", reason)
+    def skip(self, reason: str, *check_ids: str) -> None:
+        """Record each of check_ids as skipped, with the same reason."""
+        for check_id in check_ids:
+            self.add(check_id, "skipped", reason)

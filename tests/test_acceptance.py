@@ -42,7 +42,7 @@ from psalib.exactclass import (ChartCochain, FlatConnection, PhiTensor,
 from psalib.exactlinalg import ExprMatrix, invert
 from psalib.exprcore import ChartContext, differentiate
 from psalib.lsa import FiniteAlgebra, restricted_cohomology_dims
-from psalib.parakahler import ParaComplexOp, check_parakahler
+from psalib.parakahler import ParaComplexOp, check_star_equals_nabla
 from psalib.presym import (PreSymStructure, Subbundle, check_dirac,
                            check_presymplectic, presym_from_symplectic,
                            pseudo_semidirect, symplectic_from_presym,
@@ -468,7 +468,7 @@ def test_single_entry_perturbation_representatives_other_fixtures():
     rows = [[x for x in row] for row in P.matrix.rows]
     rows[0][0] = rows[0][0] + PE.ctx.one()
     assert "para.squares-to-identity" in failing_ids(
-        check_parakahler(PE, ParaComplexOp(PE.ctx, rows)))
+        check_star_equals_nabla(PE, ParaComplexOp(PE.ctx, rows)))
 
     # connection coefficient on the twist fixture
     conn, phi = fixtures.twist_r2_data()
@@ -680,7 +680,7 @@ def test_para_kahler_verification_chain():
         for b in range(4):
             want = (one if a < 2 else -one) if a == b else E.ctx.zero()
             assert (P.matrix.rows[a][b] - want).is_zero()
-    rep = check_parakahler(E, P)
+    rep = check_star_equals_nabla(E, P)
     assert rep.passed(), [c.check_id for c in rep.failures()]
     status = {c.check_id: c.status for c in rep.checks}
     for cid in PARA_IDS:

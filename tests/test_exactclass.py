@@ -163,7 +163,7 @@ def test_twist_validity_iff_reshuffle_closed():
     assert set(res.components) == {((0, 1, 2), 1)}
     assert (res.components[((0, 1, 2), 1)] - ctx3.one()).is_zero()
     Ebad = twisted_product(conn3, phi_bad)
-    rep = check_presymplectic(Ebad, fast_fail=True)
+    rep = check_presymplectic(Ebad)
     assert not rep.passed()
     rep2 = check_exact(Ebad, conn3, sigma=canonical_splitting(Ebad))
     failed = [c.check_id for c in rep2.checks if c.status == "fail"]

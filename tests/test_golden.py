@@ -13,7 +13,7 @@ import pytest
 from psalib.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOADS = ("fixtures", "flat-sweep")
+WORKLOADS = ("fixtures", "flat-sweep", "perturbed")
 
 
 def _check_inputs():

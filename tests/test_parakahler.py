@@ -10,9 +10,8 @@ from psalib.exactlinalg import ExprMatrix
 from psalib.exprcore import ChartContext
 from psalib.parakahler import (EConnection, MetricField, ParaComplexOp,
                                check_levi_civita, check_metric,
-                               check_paracomplex, check_parakahler,
-                               check_star_equals_nabla, levi_civita,
-                               metric_from)
+                               check_paracomplex, check_star_equals_nabla,
+                               levi_civita, metric_from)
 from psalib.presym import pseudo_semidirect
 
 
@@ -207,7 +206,7 @@ def test_levi_civita_rejects_degenerate_metric():
 def test_lsa2_full_parakahler_suite():
     E = point_lsa2_semidirect()
     P = block_reflection(E)
-    report = check_parakahler(E, P)
+    report = check_star_equals_nabla(E, P)
     assert report.passed()
     ids = {c.check_id for c in report.checks}
     assert "para.star-equals-nabla-plus" in ids
@@ -219,7 +218,7 @@ def test_lsa2_full_parakahler_suite():
 def test_abelian_point_star_and_nabla_both_vanish():
     E = abelian_point_semidirect()
     P = block_reflection(E)
-    report = check_parakahler(E, P)
+    report = check_star_equals_nabla(E, P)
     assert report.passed()
     g = metric_from(E, P)
     nabla = levi_civita(E.commutator_algebroid(), g)
@@ -230,7 +229,7 @@ def test_abelian_point_star_and_nabla_both_vanish():
 def test_r1_weighted_nabla_restricts_to_the_chart_connection():
     E = r1_semidirect_with_weight()
     P = block_reflection(E)
-    report = check_parakahler(E, P)
+    report = check_star_equals_nabla(E, P)
     assert report.passed()
     g = metric_from(E, P)
     nabla = levi_civita(E.commutator_algebroid(), g)

@@ -1,0 +1,47 @@
+"""Recorder.scan, the residual scan every check suite records through."""
+
+from fractions import Fraction
+
+from psalib.exprcore import ChartContext
+from psalib.report import Recorder, components
+
+
+def test_scan_stops_at_first_nonzero_and_writes_each_witness_shape():
+    ctx = ChartContext(coords=("x",))
+    x, z = ctx.expr("x"), ctx.zero()
+    rec = Recorder("t")
+    consumed = []
+
+    def cases():
+        for label, res in (("zero ", z), ("first = ", x), ("never ", x)):
+            consumed.append(label)
+            yield label, res
+
+    assert not rec.scan("presym.def-i", cases())
+    assert consumed == ["zero ", "first = "]
+    assert rec.scan("presym.def-ii", [("a", z), ("b", Fraction(0))])
+    assert not rec.scan("lsa.left-symmetric", [
+        ("(e1): residual = ", (Fraction(0), Fraction(0))),
+        ("(e2): residual = ", (Fraction(-1), Fraction(1, 2)))], ("e1", "e2"))
+    assert not rec.scan("algebroid.jacobi", [
+        ("(e1): residual = ", (z, x))], ("e1", "e2"))
+    assert not rec.scan("exact.sequence", [("ok", False), ("broken", True)])
+    assert not rec.scan("para.torsion-free", components(
+        "(e1, e2) ", (z, -x), ("e1", "e2")))
+    got = [(c.check_id, c.status, c.witness) for c in rec.report.checks]
+    assert got == [
+        ("presym.def-i", "fail", "first = x"),
+        ("presym.def-ii", "pass", None),
+        ("lsa.left-symmetric", "fail", "(e2): residual = -1*e1 + 1/2*e2"),
+        ("algebroid.jacobi", "fail", "(e1): residual = (x)*e2"),
+        ("exact.sequence", "fail", "broken"),
+        ("para.torsion-free", "fail", "(e1, e2) component e2: -x"),
+    ]
+
+
+def test_skip_records_every_id_with_one_reason():
+    rec = Recorder("t")
+    rec.skip("not evaluated: r", "presym.def-i", "presym.def-ii")
+    assert [(c.check_id, c.status, c.witness) for c in rec.report.checks] \
+        == [("presym.def-i", "skipped", "not evaluated: r"),
+            ("presym.def-ii", "skipped", "not evaluated: r")]
