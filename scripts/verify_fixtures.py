@@ -24,11 +24,16 @@ def verify(name: str, verbose: bool) -> CheckReport:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("names", nargs="*", default=None,
+    ap.add_argument("names", nargs="*",
                     help="fixture names (default: the whole registry)")
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="print every check id")
     args = ap.parse_args()
+    # checked here: argparse `choices` rejects an empty `nargs="*"` list
+    unknown = [n for n in args.names if n not in fixtures.REGISTRY_NAMES]
+    if unknown:
+        ap.error(f"unknown fixture '{unknown[0]}'; known: "
+                 f"{', '.join(fixtures.REGISTRY_NAMES)}")
     names = args.names or list(fixtures.REGISTRY_NAMES)
     bad = 0
     for name in names:

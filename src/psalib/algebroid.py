@@ -59,6 +59,15 @@ class ChartAlgebroid:
             raise ValueError("table shape must be rank x rank x rank")
         self.kind = kind
 
+    @staticmethod
+    def point(alg) -> "ChartAlgebroid":
+        """The product structure of a finite algebra on a point chart."""
+        d = alg.dim
+        table = [[[alg.constants.get((a, b, k), 0) for k in range(d)]
+                  for b in range(d)] for a in range(d)]
+        return ChartAlgebroid(ChartContext(coords=()), alg.names, [[]] * d,
+                              table, kind="lsa")
+
     def _expr(self, x) -> DiffExpr:
         return x if isinstance(x, DiffExpr) else self.ctx.number(x)
 

@@ -17,7 +17,7 @@ from .algebroid import ChartAlgebroid, check_2cocycle, check_lie_algebroid, \
     check_left_symmetric_algebroid
 from .exactclass import canonical_splitting, check_exact, twisted_product, \
     truncated_restricted_matrices
-from .exprcore import ChartContext, ExprError
+from .exprcore import ExprError
 from .lsa import check_left_symmetric, elimination_ranker, \
     restricted_complex_matrices, restricted_dims
 from .parakahler import check_star_equals_nabla
@@ -29,16 +29,6 @@ from . import fixtures
 
 SUITES = ("lsa", "algebroid", "presym", "exact", "parakahler")
 DIRECTIONS = ("to-star", "to-bracket", "pseudo-semidirect", "twist")
-
-
-def _algebra_to_chart(alg) -> ChartAlgebroid:
-    """Point-chart product structure with the algebra's table."""
-    ctx = ChartContext(coords=())
-    table = [[tuple(ctx.number(alg.constants.get((a, b, k), 0))
-                    for k in range(alg.dim))
-              for b in range(alg.dim)] for a in range(alg.dim)]
-    return ChartAlgebroid(ctx, alg.names, [[] for _ in range(alg.dim)],
-                          table, kind="lsa")
 
 
 def _presym_of(b: Bundle):
@@ -161,7 +151,7 @@ def derive_bundle(b: Bundle, direction: str) -> Bundle:
         return Bundle(algebroid=lie, form=form)
     if direction == "pseudo-semidirect":
         if b.algebra is not None:
-            A = _algebra_to_chart(b.algebra)
+            A = ChartAlgebroid.point(b.algebra)
         elif b.algebroid is not None and b.algebroid.kind == "lsa":
             A = b.algebroid
         else:
@@ -210,7 +200,7 @@ def cmd_cohomology(args) -> int:
             where = f"point algebra, dim {b.algebra.dim}"
             mats = restricted_complex_matrices(b.algebra, args.degree)
         elif b.connection is not None:
-            where = (f"chart, {b.connection.dim} flat coordinates, "
+            where = (f"chart, {b.connection.rank} flat coordinates, "
                      f"polynomial degree <= {args.truncate}")
             mats = truncated_restricted_matrices(
                 b.connection, args.degree, max_poly_degree=args.truncate)
@@ -218,7 +208,7 @@ def cmd_cohomology(args) -> int:
             print("error: cohomology needs an [algebra] or a "
                   "[connection] section", file=sys.stderr)
             return 2
-    except ValueError as exc:
+    except (ValueError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     dims = {m: restricted_dims(mats, elimination_ranker(m))

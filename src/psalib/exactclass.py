@@ -1,5 +1,10 @@
 """Exact structures over a flat chart connection.
 
+A chart connection is a left-symmetric product on the tangent frame:
+FlatConnection is the ChartAlgebroid of kind "lsa" with frame d1..dn, the
+identity anchor and the connection coefficients as its table, so its
+product is the covariant derivative.
+
 A rank-2n structure is exact over the chart when its anchor is onto the
 chart directions, the dual of the anchor fills out the anchor's kernel,
 and frame products cover the connection.  An isotropic splitting then
@@ -32,70 +37,40 @@ __all__ = [
 ]
 
 
-class FlatConnection:
-    """Chart connection coefficients gamma[i][j][k] (the d_k component of
-    the derivative of d_j along d_i); zero when omitted."""
+class FlatConnection(ChartAlgebroid):
+    """A chart connection as the tangent product structure: frame d1..dn
+    over the coordinate directions, the identity anchor, and table
+    gamma[i][j][k], the d_k component of the derivative of d_j along d_i
+    (zero when omitted)."""
 
     def __init__(self, ctx: ChartContext, gamma=None):
-        self.ctx = ctx
         n = len(ctx.coords)
-        self.dim = n
         if gamma is None:
-            z = ctx.zero()
-            gamma = [[[z] * n for _ in range(n)] for _ in range(n)]
-        self.gamma = tuple(
-            tuple(tuple(x if isinstance(x, DiffExpr) else ctx.number(x)
-                        for x in cell) for cell in row) for row in gamma)
-        if len(self.gamma) != n or any(
-                len(row) != n or any(len(c) != n for c in row)
-                for row in self.gamma):
-            raise ValueError("connection coefficients must be n x n x n")
+            gamma = [[[0] * n] * n] * n
+        super().__init__(ctx, [f"d{i + 1}" for i in range(n)],
+                         [[int(i == j) for j in range(n)] for i in range(n)],
+                         gamma, kind="lsa")
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.gamma for cell in row
+        return all(x.is_zero() for row in self.table for cell in row
                    for x in cell)
 
     def torsion_residual(self, i: int, j: int):
-        return tuple(self.gamma[i][j][k] - self.gamma[j][i][k]
-                     for k in range(self.dim))
+        return tuple(self.table[i][j][k] - self.table[j][i][k]
+                     for k in range(self.rank))
 
     def curvature_residual(self, i: int, j: int, k: int):
         """Component list of the curvature applied to (d_i, d_j, d_k)."""
-        n, coords = self.dim, self.ctx.coords
+        g, coords = self.table, self.ctx.coords
         out = []
-        for ell in range(n):
-            acc = differentiate(self.gamma[j][k][ell], coords[i]) \
-                - differentiate(self.gamma[i][k][ell], coords[j])
-            for m in range(n):
-                if not self.gamma[j][k][m].is_zero():
-                    acc = acc + self.gamma[j][k][m] * self.gamma[i][m][ell]
-                if not self.gamma[i][k][m].is_zero():
-                    acc = acc - self.gamma[i][k][m] * self.gamma[j][m][ell]
-            out.append(acc)
-        return tuple(out)
-
-    def tangent_algebroid(self, names=None) -> ChartAlgebroid:
-        n = self.ctx.coords
-        if names is None:
-            names = tuple(f"d{i + 1}" for i in range(self.dim))
-        eye = [[1 if i == j else 0 for j in range(self.dim)]
-               for i in range(self.dim)]
-        return ChartAlgebroid(self.ctx, names, eye, self.gamma, kind="lsa")
-
-    def nabla_field(self, x, y):
-        """Covariant derivative of chart field y along x, componentwise."""
-        n, coords = self.dim, self.ctx.coords
-        out = []
-        for ell in range(n):
-            acc = self.ctx.zero()
-            for j in range(n):
-                if x[j].is_zero():
-                    continue
-                acc = acc + x[j] * differentiate(y[ell], coords[j])
-                for k in range(n):
-                    if not y[k].is_zero() and \
-                            not self.gamma[j][k][ell].is_zero():
-                        acc = acc + x[j] * y[k] * self.gamma[j][k][ell]
+        for ell in range(self.rank):
+            acc = differentiate(g[j][k][ell], coords[i]) \
+                - differentiate(g[i][k][ell], coords[j])
+            for m in range(self.rank):
+                if not g[j][k][m].is_zero():
+                    acc = acc + g[j][k][m] * g[i][m][ell]
+                if not g[i][k][m].is_zero():
+                    acc = acc - g[i][k][m] * g[j][m][ell]
             out.append(acc)
         return tuple(out)
 
@@ -212,22 +187,12 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
         ext, f = E.extended()
         frames = [ext.frame_section(a) for a in range(E.rank)]
         for a, b in itertools.product(range(E.rank), repeat=2):
-            rho_b = ext.anchor[b]
-            for tag, v, rho_v in (
-                    ("", frames[b], rho_b),
-                    ("f ", tuple(f * c for c in frames[b]),
-                     tuple(f * x for x in rho_b))):
-                s = ext.star(frames[a], v)
-                want = conn.nabla_field(ext.anchor[a], rho_v)
-                res = []
-                for i in range(n):
-                    got = ext.ctx.zero()
-                    for k in range(E.rank):
-                        if not s[k].is_zero() and \
-                                not ext.anchor[k][i].is_zero():
-                            got = got + s[k] * ext.anchor[k][i]
-                    res.append(got - want[i])
-                yield from components(f"rho(e{a+1} * {tag}e{b+1}) ", res,
+            for tag, v in (("", frames[b]),
+                           ("f ", tuple(f * c for c in frames[b]))):
+                got = ext.anchor_of(ext.star(frames[a], v))
+                want = conn.product(ext.anchor[a], ext.anchor_of(v))
+                yield from components(f"rho(e{a+1} * {tag}e{b+1}) ",
+                                      (x - y for x, y in zip(got, want)),
                                       numbers)
 
     rec.scan("exact.sequence", sequence())
@@ -238,14 +203,10 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
     secs = _sigma_sections(E, sigma)
 
     def splitting_section():
-        for i, j in itertools.product(range(n), repeat=2):
-            got = E.ctx.zero()
-            for a in range(E.rank):
-                if not secs[i][a].is_zero():
-                    got = got + secs[i][a] * E.anchor[a][j]
-            want = E.ctx.one() if i == j else E.ctx.zero()
-            yield (f"rho(sigma(d{i+1})) component {j+1}: {got}",
-                   not (got - want).is_zero())
+        for i in range(n):
+            for j, got in enumerate(E.anchor_of(secs[i])):
+                yield (f"rho(sigma(d{i+1})) component {j+1}: {got}",
+                       not (got - int(i == j)).is_zero())
 
     ok = rec.scan("exact.splitting-section", splitting_section())
     ok = rec.scan("exact.splitting-isotropic", (
@@ -296,14 +257,14 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
 def _phi_residuals(E: PreSymStructure, conn: FlatConnection, secs):
     """phi(d_i,d_j) solved from the dual-anchor image of the splitting
     defect; returns (components, first (i,j) outside the image or None)."""
-    n = conn.dim
+    n = conn.rank
     rs = rho_star_matrix(E)
     comps = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             w = list(E.star(secs[i], secs[j]))
             for k in range(n):
-                g = conn.gamma[i][j][k]
+                g = conn.table[i][j][k]
                 if not g.is_zero():
                     for a in range(E.rank):
                         if not secs[k][a].is_zero():
@@ -318,15 +279,10 @@ def _phi_residuals(E: PreSymStructure, conn: FlatConnection, secs):
 def extract_phi(E: PreSymStructure, conn: FlatConnection, sigma: Splitting
                 ) -> "PhiTensor":
     secs = _sigma_sections(E, sigma)
-    n = conn.dim
+    n = conn.rank
     for i in range(n):
-        for j in range(n):
-            got = E.ctx.zero()
-            for a in range(E.rank):
-                if not secs[i][a].is_zero():
-                    got = got + secs[i][a] * E.anchor[a][j]
-            want = E.ctx.one() if i == j else E.ctx.zero()
-            if not (got - want).is_zero():
+        for j, got in enumerate(E.anchor_of(secs[i])):
+            if not (got - int(i == j)).is_zero():
                 raise ValueError("sigma is not a right inverse of the anchor")
     for i in range(n):
         for j in range(i, n):
@@ -514,17 +470,19 @@ def chart_coboundary(alg: ChartAlgebroid, phi: ChartCochain) -> ChartCochain:
 def twist_residual(conn: FlatConnection, phi: PhiTensor) -> ChartCochain:
     """Coboundary of the reshuffled tensor over the connection's tangent
     structure; empty exactly when the twist is a valid structure."""
-    return chart_coboundary(conn.tangent_algebroid(), phi.tilde())
+    return chart_coboundary(conn, phi.tilde())
 
 
 def twisted_product(conn: FlatConnection, phi: PhiTensor, names=None,
                     dual_names=None) -> PreSymStructure:
     """Pseudo-semidirect product of the connection's tangent structure
-    with the obstruction components added to the conormal block."""
-    n = conn.dim
+    (its frame renamed to names when given) with the obstruction
+    components added to the conormal block."""
+    n = conn.rank
     if phi.dim != n:
         raise ValueError("tensor dimension mismatch")
-    alg = conn.tangent_algebroid(names)
+    alg = conn if names is None else ChartAlgebroid(
+        conn.ctx, names, conn.anchor, conn.table, kind="lsa")
     if dual_names is None:
         dual_names = tuple(f"c{i + 1}" for i in range(n))
     base = pseudo_semidirect(alg, dual_names=dual_names)
@@ -576,16 +534,10 @@ def splitting_equivalence(E1: PreSymStructure, E2: PreSymStructure, theta,
 
     def anchor_ok():
         for a in range(2 * n):
-            res = []
-            for i in range(n):
-                got = ctx.zero()
-                for k in range(2 * n):
-                    if not mapped[a][k].is_zero() and \
-                            not E2.anchor[k][i].is_zero():
-                        got = got + mapped[a][k] * E2.anchor[k][i]
-                res.append(got - E1.anchor[a][i])
-            yield from components(f"anchor of image of e{a+1}, ", res,
-                                  range(1, n + 1))
+            yield from components(
+                f"anchor of image of e{a+1}, ",
+                (x - y for x, y in zip(E2.anchor_of(mapped[a]),
+                                       E1.anchor[a])), range(1, n + 1))
 
     def star_ok():
         for a, b in itertools.product(range(2 * n), repeat=2):
@@ -659,7 +611,7 @@ class TruncatedComplex:
         self.dmax = max_poly_degree
         self.monomials = _monomials_upto(self.dim, max_poly_degree)
         self.mono_index = {m: i for i, m in enumerate(self.monomials)}
-        self._alg = FlatConnection(ctx).tangent_algebroid()
+        self._alg = FlatConnection(ctx)
         self.complex = RestrictedComplex(self.dim, None, len(self.monomials),
                                          self._frame_action())
 

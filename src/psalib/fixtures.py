@@ -96,10 +96,7 @@ def lsa2_algebra() -> FiniteAlgebra:
 
 
 def lsa2_chart_algebroid() -> ChartAlgebroid:
-    ctx = ChartContext(coords=())
-    z, one = ctx.zero(), ctx.one()
-    table = [[(z, z), (z, one)], [(z, z), (z, z)]]
-    return ChartAlgebroid(ctx, ("e1", "e2"), [[], []], table, kind="lsa")
+    return ChartAlgebroid.point(lsa2_algebra())
 
 
 def lsa2_semidirect() -> PreSymStructure:

@@ -1,7 +1,10 @@
 """Product structures compatible with the pairing, the pseudo-metric they
 induce, Levi-Civita connections on the commutator structure, and the
 identity between the metric connection and the product on both
-eigenbundles."""
+eigenbundles.
+
+A connection is a ChartAlgebroid of kind "lsa" on the commutator frame:
+its table holds nabla_{e_a} e_b and its product is nabla_u v."""
 
 import itertools
 from fractions import Fraction
@@ -14,7 +17,7 @@ from .presym import PreSymStructure, Subbundle, check_dirac
 from .report import CheckReport, Recorder, components
 
 __all__ = [
-    "ParaComplexOp", "MetricField", "EConnection", "check_paracomplex",
+    "ParaComplexOp", "MetricField", "check_paracomplex",
     "metric_from", "check_metric", "levi_civita", "check_levi_civita",
     "check_star_equals_nabla",
 ]
@@ -73,43 +76,6 @@ class MetricField:
         return out
 
 
-class EConnection:
-    """Frame connection on an algebroid: nabla_{e_a} e_b = sum_c g[a][b][c] e_c,
-    extended to sections by anchor-Leibniz in the second slot."""
-
-    def __init__(self, alg: ChartAlgebroid, gamma):
-        self.alg = alg
-        self.ctx = alg.ctx
-        r = alg.rank
-        self.gamma = tuple(
-            tuple(tuple(x if isinstance(x, DiffExpr) else alg.ctx.number(x)
-                        for x in cell) for cell in row) for row in gamma)
-        if len(self.gamma) != r or any(
-                len(row) != r or any(len(c) != r for c in row)
-                for row in self.gamma):
-            raise ValueError("connection coefficients must be rank^3")
-
-    def frame(self, a: int, b: int):
-        return self.gamma[a][b]
-
-    def apply(self, u, v):
-        r = self.alg.rank
-        out = [self.ctx.zero()] * r
-        for c in range(r):
-            out[c] = self.alg.anchor_apply(u, v[c])
-        for a in range(r):
-            if u[a].is_zero():
-                continue
-            for b in range(r):
-                if v[b].is_zero():
-                    continue
-                cell = self.gamma[a][b]
-                for c in range(r):
-                    if not cell[c].is_zero():
-                        out[c] = out[c] + u[a] * v[b] * cell[c]
-        return tuple(out)
-
-
 def _entry_cases(template: str, matrix: ExprMatrix):
     """(template with the 1-based row a and column b filled in, entry)
     over the entries of a residual matrix, row by row."""
@@ -139,8 +105,6 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
 
     def integrable():
         ext, f = E.extended()
-        Pext = ParaComplexOp(ext.ctx, [[x for x in row]
-                                       for row in P.matrix.rows])
         frames = [ext.frame_section(a) for a in range(r)]
         for a, b in itertools.product(range(r), repeat=2):
             for tag, u, v in (
@@ -149,10 +113,10 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
                      frames[b]),
                     ("f on slot 2, ", frames[a],
                      tuple(f * x for x in frames[b]))):
-                lhs = Pext.apply(ext.star(u, v))
-                rhs1 = ext.star(Pext.apply(u), v)
-                rhs2 = ext.star(u, Pext.apply(v))
-                rhs3 = Pext.apply(ext.star(Pext.apply(u), Pext.apply(v)))
+                lhs = P.apply(ext.star(u, v))
+                rhs1 = ext.star(P.apply(u), v)
+                rhs2 = ext.star(u, P.apply(v))
+                rhs3 = P.apply(ext.star(P.apply(u), P.apply(v)))
                 yield from components(
                     f"({tag}e{a+1}, e{b+1}) ",
                     (lhs[k] - rhs1[k] - rhs2[k] + rhs3[k] for k in range(r)),
@@ -162,7 +126,15 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
         "(P e{a}, P e{b}) + (e{a}, e{b}) = ",
         P.matrix.transpose().matmul(E.pairing).matmul(P.matrix)
         .add(E.pairing)))
-    rec.scan("para.integrable", integrable())
+    try:
+        E.inverse_pairing
+    except SingularMatrixError:
+        # the section product needs D, which inverts the pairing
+        degenerate = "not evaluated: pairing is degenerate"
+        rec.skip(degenerate, "para.integrable")
+    else:
+        degenerate = None
+        rec.scan("para.integrable", integrable())
 
     plus_vecs = expr_kernel_basis(P.matrix.sub(eye))
     minus_vecs = expr_kernel_basis(P.matrix.add(eye))
@@ -191,8 +163,11 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
         for c in check_dirac(E, bundle)[0].failures():
             yield f"{c.check_id}: {c.witness}", True
 
-    rec.scan("para.eigen-dirac-plus", dirac(plus))
-    rec.scan("para.eigen-dirac-minus", dirac(minus))
+    if degenerate:
+        rec.skip(degenerate, "para.eigen-dirac-plus", "para.eigen-dirac-minus")
+    else:
+        rec.scan("para.eigen-dirac-plus", dirac(plus))
+        rec.scan("para.eigen-dirac-minus", dirac(minus))
     return rec.report, plus, minus
 
 
@@ -245,10 +220,11 @@ def check_metric(E: PreSymStructure, P: ParaComplexOp,
 
 
 def levi_civita(L: ChartAlgebroid, g: MetricField,
-                method: str = "koszul") -> EConnection:
+                method: str = "koszul") -> ChartAlgebroid:
     """The unique torsion-free metric frame connection on a bracket
-    structure, solved either from the doubled-product expansion or as one
-    linear system in all coefficients."""
+    structure, as the product table nabla_{e_a} e_b on its frame, solved
+    either from the doubled-product expansion or as one linear system in
+    all coefficients."""
     if L.kind != "lie":
         raise ValueError("expects a bracket (kind 'lie') structure")
     if g.rank != L.rank:
@@ -260,7 +236,7 @@ def levi_civita(L: ChartAlgebroid, g: MetricField,
     raise ValueError("method must be 'koszul' or 'linear-system'")
 
 
-def _levi_civita_koszul(L: ChartAlgebroid, g: MetricField) -> EConnection:
+def _levi_civita_koszul(L: ChartAlgebroid, g: MetricField):
     r = L.rank
     ctx = L.ctx
     half = ctx.number(Fraction(1, 2))
@@ -288,10 +264,10 @@ def _levi_civita_koszul(L: ChartAlgebroid, g: MetricField) -> EConnection:
                 rhs.append(half * acc)
             row.append(tuple(ginv.mulvec(rhs)))
         gamma.append(tuple(row))
-    return EConnection(L, gamma)
+    return ChartAlgebroid(L.ctx, L.names, L.anchor, gamma, kind="lsa")
 
 
-def _levi_civita_linear(L: ChartAlgebroid, g: MetricField) -> EConnection:
+def _levi_civita_linear(L: ChartAlgebroid, g: MetricField):
     """Metric compatibility plus zero torsion as one sparse linear system
     over all rank^3 coefficients."""
     r = L.rank
@@ -331,7 +307,7 @@ def _levi_civita_linear(L: ChartAlgebroid, g: MetricField) -> EConnection:
         raise ValueError("connection conditions are inconsistent")
     gamma = [[[sol[var(a, b, c)] for c in range(r)] for b in range(r)]
              for a in range(r)]
-    return EConnection(L, gamma)
+    return ChartAlgebroid(L.ctx, L.names, L.anchor, gamma, kind="lsa")
 
 
 def check_levi_civita(L: ChartAlgebroid, g: MetricField,
@@ -351,13 +327,13 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
         other = levi_civita(L, g, method="linear-system")
         for a, b, c in itertools.product(range(r), repeat=3):
             yield (f"coefficient ({a+1},{b+1},{c+1}) differs between "
-                   f"solves: ", nabla.gamma[a][b][c] - other.gamma[a][b][c])
+                   f"solves: ", nabla.table[a][b][c] - other.table[a][b][c])
 
     def torsion_free():
         for a, b in itertools.combinations(range(r), 2):
             lhs = L.bracket(frames[a], frames[b])
-            fwd = nabla.apply(frames[a], frames[b])
-            bwd = nabla.apply(frames[b], frames[a])
+            fwd = nabla.product(frames[a], frames[b])
+            bwd = nabla.product(frames[b], frames[a])
             yield from components(
                 f"([e{a+1},e{b+1}] - nabla asym) ",
                 (lhs[k] - fwd[k] + bwd[k] for k in range(r)), L.names)
@@ -365,8 +341,8 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
     def metric_compat():
         for a, b, c in itertools.product(range(r), repeat=3):
             lhs = L.anchor_apply(frames[a], g.matrix.rows[b][c])
-            gb = nabla.apply(frames[a], frames[b])
-            gc = nabla.apply(frames[a], frames[c])
+            gb = nabla.product(frames[a], frames[b])
+            gc = nabla.product(frames[a], frames[c])
             yield (f"rho(e{a+1}) g(e{b+1},e{c+1}) defect: ",
                    lhs - g.value(gb, frames[c]) - g.value(frames[b], gc))
 
@@ -406,15 +382,15 @@ def check_star_equals_nabla(E: PreSymStructure, P: ParaComplexOp,
 
     def nabla_P():
         for a, b in itertools.product(range(r), repeat=2):
-            lhs = nabla.apply(frames[a], P.apply(frames[b]))
-            rhs = P.apply(nabla.apply(frames[a], frames[b]))
+            lhs = nabla.product(frames[a], P.apply(frames[b]))
+            rhs = P.apply(nabla.product(frames[a], frames[b]))
             yield from components(f"(e{a+1}, e{b+1}) ",
                                   (x - y for x, y in zip(lhs, rhs)), E.names)
 
     def star_match(secs):
         for i, j in itertools.product(range(len(secs)), repeat=2):
             star = E.star(secs[i], secs[j])
-            nab = nabla.apply(secs[i], secs[j])
+            nab = nabla.product(secs[i], secs[j])
             yield from components(f"sections {i+1},{j+1}: ",
                                   (x - y for x, y in zip(star, nab)),
                                   E.names)

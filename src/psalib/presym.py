@@ -133,6 +133,9 @@ class PreSymStructure:
             return x
         return tuple(self._expr(c) for c in x)
 
+    def anchor_of(self, u):
+        return self._prod.anchor_of(self._section(u))
+
     def anchor_apply(self, u, f: DiffExpr) -> DiffExpr:
         """rho(u)(f); f is differentiated only along the chart directions
         that the anchor of u reaches (see ChartAlgebroid.anchor_apply)."""
@@ -616,19 +619,8 @@ def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
                  "dirac.induced-left-symmetric")
         return rec.report, None
 
-    n = len(ctx.coords)
-    ind_anchor = []
-    for i in range(k):
-        row = []
-        for c in range(n):
-            acc = ctx.zero()
-            for a in range(r):
-                if not secs[i][a].is_zero() and not E.anchor[a][c].is_zero():
-                    acc = acc + secs[i][a] * E.anchor[a][c]
-            row.append(acc)
-        ind_anchor.append(row)
-    induced = ChartAlgebroid(ctx, F.names, ind_anchor, induced_table,
-                             kind="lsa")
+    induced = ChartAlgebroid(ctx, F.names, [E.anchor_of(s) for s in secs],
+                             induced_table, kind="lsa")
 
     def induced_ok():
         from .algebroid import check_left_symmetric_algebroid

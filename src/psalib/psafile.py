@@ -154,7 +154,10 @@ def realize(df: DefinitionFile, name: str = "",
     chart = df.get("chart")
     coords = tuple(_names_list(chart["coords"])) if "coords" in chart else ()
     funcs = tuple(_names_list(chart["funcs"])) if "funcs" in chart else ()
-    ctx = ChartContext(coords=coords, funcs=funcs)
+    try:
+        ctx = ChartContext(coords=coords, funcs=funcs)
+    except ExprError as exc:
+        raise PsaError(f"[chart]: {exc}") from exc
 
     if df.has("algebra"):
         sec = dict(df.get("algebra"))
@@ -415,10 +418,10 @@ def emit(b: Bundle) -> str:
     if b.connection is not None:
         out.append("[connection]")
         coords = b.connection.ctx.coords
-        n = b.connection.dim
+        n = b.connection.rank
         for i in range(n):
             for j in range(n):
-                cell = b.connection.gamma[i][j]
+                cell = b.connection.table[i][j]
                 if any(not x.is_zero() for x in cell):
                     out.append(f"{coords[i]} {coords[j]} = "
                                f"{_fmt_list(cell)}")

@@ -579,7 +579,7 @@ def test_splitting_shift_adds_exact_term_and_equivalence():
     shifted = Splitting([[one, z, f, z], [z, one, z, z]])
     phi2 = extract_phi(E, conn, shifted)
     theta = ChartCochain(ctx, 2, 2, {((0,), 0): f})
-    dtheta = chart_coboundary(conn.tangent_algebroid(), theta)
+    dtheta = chart_coboundary(conn, theta)
     assert phi2.tilde().sub(phi.tilde().add(dtheta)).is_zero()
     E2 = twisted_product(conn, phi2, names=("t1", "t2"),
                          dual_names=("c1", "c2"))
@@ -592,7 +592,7 @@ def test_splitting_shift_adds_exact_term_and_equivalence():
 def test_coboundary_squares_to_zero_and_stays_restricted():
     ctx = ChartContext(coords=("x", "y"))
     tc = TruncatedComplex(ctx, 2)
-    alg = FlatConnection(ctx).tangent_algebroid()
+    alg = FlatConnection(ctx)
     rng = random.Random(20260825)
     for degree in (1, 2):
         basis = tc.restricted_basis(degree)

@@ -126,6 +126,40 @@ def test_check_third_derivative_exits_two(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", [["check"],
+                                     ["cohomology", "--degree", "1"]])
+@pytest.mark.parametrize("coords", ["x, x", "x, d"])
+def test_bad_chart_names_exit_two(tmp_path, command, coords):
+    # a duplicate or reserved coordinate name is an input error, named
+    # after its section, not a traceback
+    p = tmp_path / "chart.psa"
+    p.write_text(f"[chart]\ncoords = {coords}\n[connection]\n",
+                 encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "psalib.cli", *command,
+                           str(p)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: [chart]: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_parakahler_degenerate_pairing_is_a_failed_check(tmp_path):
+    # (e1,f1) = 0 makes the pairing singular: the suites that need the
+    # section product are skipped, the nondegeneracy checks fail
+    text = emit(fixtures.build("parakahler-lsa2"))
+    assert "e1 f1 = -1\n" in text
+    p = tmp_path / "degenerate.psa"
+    p.write_text(text.replace("e1 f1 = -1\n", "e1 f1 = 0\n"),
+                 encoding="utf-8")
+    proc = _check_process(p)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == \
+        "24 checks: 7 pass, 2 fail, 15 skipped"
+
+
 def test_exact_suite_runs_on_twist_file(capsys, fixture_file):
     code, out, _ = run(capsys, "check", fixture_file("twist-r2"),
                        "--suite", "exact")

@@ -143,7 +143,7 @@ def test_twisted_product_zero_phi_is_pseudo_semidirect():
     conn = FlatConnection(ctx)
     zero_phi = PhiTensor(ctx, [[[z, z]] * 2, [[z, z]] * 2])
     E = twisted_product(conn, zero_phi)
-    base = pseudo_semidirect(conn.tangent_algebroid(),
+    base = pseudo_semidirect(conn,
                              dual_names=("c1", "c2"))
     for a in range(4):
         for b in range(4):
@@ -197,7 +197,7 @@ def test_splitting_shift_adds_coboundary_of_theta():
     shifted = Splitting([[one, z, f, z], [z, one, z, z]])
     phi2 = extract_phi(E, conn, shifted)
     theta = ChartCochain(ctx, 2, 2, {((0,), 0): f})
-    dtheta = chart_coboundary(conn.tangent_algebroid(), theta)
+    dtheta = chart_coboundary(conn, theta)
     want = phi.tilde().add(dtheta)
     assert phi2.tilde().sub(want).is_zero()
 
@@ -245,7 +245,7 @@ def test_flat_tangent_fails_sequence_check():
 def test_pseudo_semidirect_of_flat_chart_is_exact():
     ctx = ChartContext(coords=("x", "y"))
     conn = FlatConnection(ctx)
-    E = pseudo_semidirect(conn.tangent_algebroid())
+    E = pseudo_semidirect(conn)
     rep = check_exact(E, conn, sigma=canonical_splitting(E))
     assert rep.passed()
     phi = extract_phi(E, conn, canonical_splitting(E))
@@ -254,7 +254,7 @@ def test_pseudo_semidirect_of_flat_chart_is_exact():
 
 def test_chart_coboundary_squares_to_zero():
     ctx = ChartContext(coords=("x", "y"))
-    alg = FlatConnection(ctx).tangent_algebroid()
+    alg = FlatConnection(ctx)
     phi1 = ChartCochain(ctx, 2, 1, {((), 0): ctx.expr("x*y"),
                                     ((), 1): ctx.expr("x^2 - 3*y")})
     assert chart_coboundary(alg, chart_coboundary(alg, phi1)).is_zero()
@@ -268,7 +268,7 @@ def test_chart_coboundary_with_nonflat_coordinates_squares_to_zero():
     ctx = ChartContext(coords=("x",))
     one, z = ctx.one(), ctx.zero()
     conn = FlatConnection(ctx, [[[ctx.expr("x")]]])
-    alg = conn.tangent_algebroid()
+    alg = conn
     phi = ChartCochain(ctx, 1, 1, {((), 0): ctx.expr("x^2")})
     d1 = chart_coboundary(alg, phi)
     # delta phi(d1,d1) = a(d1)(x^2) - phi(x d1) = 2x - x^3

@@ -1,5 +1,6 @@
 """Pins the stdout of `scripts/cohomology_table.py`, byte for byte, at
-polynomial truncation 2 and 3."""
+polynomial truncation 2 and 3, and the exit codes of
+`scripts/verify_fixtures.py`."""
 
 import os
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 
 import psalib
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
-    "cohomology_table.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "cohomology_table.py"
 
 TABLE_T2 = (
     "complex                 n   ker   im    h  routes\n"
@@ -54,3 +55,25 @@ def test_cohomology_table_output_is_pinned(truncate, want):
     assert proc.returncode == 0
     assert proc.stdout == want.encode()
     assert proc.stderr == b""
+
+
+def _verify_fixtures(*names):
+    env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
+    return subprocess.run([sys.executable,
+                           str(SCRIPTS / "verify_fixtures.py"), *names],
+                          capture_output=True, text=True, env=env)
+
+
+def test_verify_fixtures_unknown_name_exits_two():
+    proc = _verify_fixtures("lsa2", "nosuch")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: unknown fixture 'nosuch'" in proc.stderr
+
+
+def test_verify_fixtures_named_fixture_passes():
+    proc = _verify_fixtures("lsa2")
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["lsa2", "ok", "2", "pass", "0", "fail",
+                                   "0", "skipped"]

@@ -88,6 +88,14 @@ def para_with_E(part, idx):
     return check_star_equals_nabla(bumped(E, part, idx), P)
 
 
+def para_degenerate_pairing():
+    """(e1,f1) = 0 on both sides: the pairing stays skew but is singular,
+    so the section product and D are undefined."""
+    E, P = fixtures.parakahler_lsa2_data()
+    E = bumped(bumped(E, "pairing", (0, 2)), "pairing", (2, 0), -1)
+    return check_star_equals_nabla(E, P)
+
+
 def lsa2_bumped(a, b, k):
     alg = fixtures.lsa2_algebra()
     constants = dict(alg.constants)
@@ -160,7 +168,7 @@ def exact_bumped_E(part, idx, delta=1):
 
 def exact_bumped_connection(i, j, k):
     conn, E = twist_r2()
-    gamma = [[list(cell) for cell in row] for row in conn.gamma]
+    gamma = [[list(cell) for cell in row] for row in conn.table]
     gamma[i][j][k] = gamma[i][j][k] + conn.ctx.expr("x")
     return exact_case(E, FlatConnection(conn.ctx, gamma))
 
@@ -239,6 +247,7 @@ INPUTS = {
         *bumped_P(1, 2, 2))[0],
     "para Levi-Civita with g[2][4] += 1": levi_civita_bumped_metric,
     "para no metric connection": no_metric_connection,
+    "para pairing (e1,f1) = 0": para_degenerate_pairing,
 }
 
 EXPECTED = {
@@ -535,6 +544,22 @@ EXPECTED = {
          "not evaluated: no metric connection"),
         ("para.star-equals-nabla-minus", "skipped",
          "not evaluated: no metric connection"),
+    ],
+    "para pairing (e1,f1) = 0": [
+        ("para.integrable", "skipped", "not evaluated: pairing is degenerate"),
+        ("para.eigen-dirac-plus", "skipped",
+         "not evaluated: pairing is degenerate"),
+        ("para.eigen-dirac-minus", "skipped",
+         "not evaluated: pairing is degenerate"),
+        ("para.metric-nondegenerate", "fail", "determinant 0"),
+        ("para.eigen-g-isotropic", "skipped",
+         "not evaluated: no induced metric"),
+        ("para.nabla-P-commute", "skipped",
+         "not evaluated: no induced metric"),
+        ("para.star-equals-nabla-plus", "skipped",
+         "not evaluated: no induced metric"),
+        ("para.star-equals-nabla-minus", "skipped",
+         "not evaluated: no induced metric"),
     ],
 }
 
