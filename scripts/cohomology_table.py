@@ -6,41 +6,33 @@ import argparse
 import sys
 
 from psalib import fixtures
-from psalib.exactclass import FlatConnection, truncated_restricted_matrices
+from psalib.exactclass import FlatConnection, TruncatedComplex
 from psalib.exprcore import ChartContext
-from psalib.lsa import FiniteAlgebra, elimination_ranker, \
-    restricted_complex_matrices, restricted_dims
+from psalib.lsa import FiniteAlgebra, RestrictedComplex, restricted_dims
 
 DEGREES = (1, 2, 3)
-ELIMINATIONS = ("bareiss", "gauss")
 CHART_DIMS = (1, 2)
 
 
-def ranked(mats):
-    """(dims under the first route, whether every route agrees)."""
-    dims = [restricted_dims(mats, elimination_ranker(route))
-            for route in ELIMINATIONS]
-    return dims[0], all(d == dims[0] for d in dims)
+def rows(label, cx):
+    """(label, degree, Bareiss dims, whether Gauss agrees) per degree."""
+    for degree in DEGREES:
+        dims = restricted_dims(cx, degree)
+        yield label, degree, dims["bareiss"], \
+            dims["bareiss"] == dims["gauss"]
 
 
 def point_rows():
-    algebras = [("lsa2", fixtures.lsa2_algebra()),
-                ("abelian-2", FiniteAlgebra(2, {}))]
-    for label, alg in algebras:
-        for degree in DEGREES:
-            yield (label, degree,
-                   *ranked(restricted_complex_matrices(alg, degree)))
+    for label, alg in (("lsa2", fixtures.lsa2_algebra()),
+                       ("abelian-2", FiniteAlgebra(2, {}))):
+        yield from rows(label, RestrictedComplex.point(alg))
 
 
 def chart_rows(max_poly_degree: int):
     for n in CHART_DIMS:
         ctx = ChartContext(coords=tuple(f"x{i+1}" for i in range(n)))
-        conn = FlatConnection(ctx)
-        for degree in DEGREES:
-            mats = truncated_restricted_matrices(conn, degree,
-                                                 max_poly_degree)
-            yield (f"flat-R{n} (<= deg {max_poly_degree})", degree,
-                   *ranked(mats))
+        cx = TruncatedComplex(FlatConnection(ctx), max_poly_degree)
+        yield from rows(f"flat-R{n} (<= deg {max_poly_degree})", cx)
 
 
 def main() -> int:

@@ -114,9 +114,6 @@ class ChartAlgebroid:
                     out = out + ua * rho * df
         return out
 
-    def frame_table(self, a: int, b: int):
-        return self.table[a][b]
-
     def bracket(self, u, v):
         """Section bracket: frame table + Leibniz terms on both slots."""
         if self.kind != "lie":
@@ -160,10 +157,6 @@ class ChartAlgebroid:
             if not vb.is_constant():
                 out[b] = out[b] + self.anchor_apply(u, vb)
         return tuple(out)
-
-    def compose(self, u, v):
-        return self.bracket(u, v) if self.kind == "lie" else \
-            self.product(u, v)
 
     def commutator_algebroid(self) -> "ChartAlgebroid":
         """The bracket structure x*y - y*x of a product structure."""

@@ -15,11 +15,10 @@ import sys
 
 from .algebroid import ChartAlgebroid, check_2cocycle, check_lie_algebroid, \
     check_left_symmetric_algebroid
-from .exactclass import canonical_splitting, check_exact, twisted_product, \
-    truncated_restricted_matrices
+from .exactclass import TruncatedComplex, canonical_splitting, \
+    check_exact, twisted_product
 from .exprcore import ExprError
-from .lsa import check_left_symmetric, elimination_ranker, \
-    restricted_complex_matrices, restricted_dims
+from .lsa import RestrictedComplex, check_left_symmetric, restricted_dims
 from .parakahler import check_star_equals_nabla
 from .presym import check_presymplectic, presym_from_symplectic, \
     pseudo_semidirect, symplectic_from_presym
@@ -198,21 +197,19 @@ def cmd_cohomology(args) -> int:
     try:
         if b.algebra is not None:
             where = f"point algebra, dim {b.algebra.dim}"
-            mats = restricted_complex_matrices(b.algebra, args.degree)
+            cx = RestrictedComplex.point(b.algebra)
         elif b.connection is not None:
             where = (f"chart, {b.connection.rank} flat coordinates, "
                      f"polynomial degree <= {args.truncate}")
-            mats = truncated_restricted_matrices(
-                b.connection, args.degree, max_poly_degree=args.truncate)
+            cx = TruncatedComplex(b.connection, args.truncate)
         else:
             print("error: cohomology needs an [algebra] or a "
                   "[connection] section", file=sys.stderr)
             return 2
+        dims = restricted_dims(cx, args.degree)
     except (ValueError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dims = {m: restricted_dims(mats, elimination_ranker(m))
-            for m in ("bareiss", "gauss")}
     print(f"complex: {where}")
     ker, im, h = dims["bareiss"]
     print(f"degree {args.degree}: ker = {ker}  im = {im}  h = {h}")

@@ -12,8 +12,9 @@ produces a cubic obstruction tensor; the structure is a twist of the
 pseudo-semidirect product by that tensor, twists are valid exactly when
 the reshuffled tensor is coboundary-closed, and changing the splitting
 shifts the reshuffle by the coboundary of a symmetric 2-tensor.  The
-degree-truncated restricted cochain complex at the end makes the
-classifying dimensions finitely computable.
+degree-truncated restricted cochain complex at the end (`TruncatedComplex`,
+ranked by `lsa.restricted_dims`) makes the classifying dimensions
+finitely computable.
 """
 
 import itertools
@@ -21,10 +22,11 @@ from fractions import Fraction
 
 from .algebroid import ChartAlgebroid
 from .exactlinalg import (ExprMatrix, QMatrix, expr_rank, expr_solve,
-                          kernel_basis, rank, rank_second_opinion)
+                          kernel_basis)
+# unused here; perfbench's test_tracer_wraps_every_binding_and_restores_them
+from .exactlinalg import rank  # noqa: F401
 from .exprcore import ChartContext, DiffExpr, differentiate
-from .lsa import (RestrictedComplex, cochain_keys, complex_matrices,
-                  restricted_dims, sorted_sign)
+from .lsa import RestrictedComplex, cochain_keys, sorted_sign
 from .presym import PreSymStructure, pseudo_semidirect
 from .report import CheckReport, Recorder, components
 
@@ -32,8 +34,7 @@ __all__ = [
     "FlatConnection", "Splitting", "PhiTensor", "ChartCochain",
     "chart_coboundary", "rho_star_matrix", "check_exact", "extract_phi",
     "canonical_splitting", "twisted_product", "twist_residual",
-    "splitting_equivalence", "truncated_restricted_matrices",
-    "truncated_restricted_dims",
+    "splitting_equivalence", "TruncatedComplex",
 ]
 
 
@@ -602,16 +603,21 @@ class TruncatedComplex:
     truncation therefore yields an honest subcomplex.  The matrices come
     from an `lsa.RestrictedComplex` whose coefficient basis is the
     truncated monomials; this class converts its coordinates to and from
-    chart cochains.
+    chart cochains.  `lsa.restricted_dims` ranks it.
     """
 
-    def __init__(self, ctx: ChartContext, max_poly_degree: int = 2):
-        self.ctx = ctx
-        self.dim = len(ctx.coords)
-        self.dmax = max_poly_degree
+    def __init__(self, conn: FlatConnection, max_poly_degree: int = 2):
+        if not conn.is_zero():
+            raise ValueError(
+                "degree truncation needs flat coordinates (zero connection "
+                "coefficients): products would not preserve the truncation")
+        if max_poly_degree < 0:
+            raise ValueError("polynomial degree bound must be >= 0")
+        self.conn = conn
+        self.ctx = conn.ctx
+        self.dim = conn.rank
         self.monomials = _monomials_upto(self.dim, max_poly_degree)
         self.mono_index = {m: i for i, m in enumerate(self.monomials)}
-        self._alg = FlatConnection(ctx)
         self.complex = RestrictedComplex(self.dim, None, len(self.monomials),
                                          self._frame_action())
 
@@ -622,21 +628,13 @@ class TruncatedComplex:
         exprs = [self._mono_expr(mono) for mono in self.monomials]
         action = []
         for a in range(self.dim):
-            frame = self._alg.frame_section(a)
+            frame = self.conn.frame_section(a)
             action.append([
                 (col, row, v) for col, e in enumerate(exprs)
                 for row, v in _poly_to_coords(
-                    self._alg.anchor_apply(frame, e), self.ctx,
+                    self.conn.anchor_apply(frame, e), self.ctx,
                     self.mono_index).items()])
         return action
-
-    def basis(self, degree: int):
-        """(key, monomial DiffExpr) pairs indexing the full cochain space."""
-        out = []
-        for key in cochain_keys(self.dim, degree):
-            for mono in self.monomials:
-                out.append((key, mono))
-        return out
 
     def space_dim(self, degree: int) -> int:
         return self.complex.space_dim(degree)
@@ -649,9 +647,12 @@ class TruncatedComplex:
         return e
 
     def cochain_from_vector(self, degree: int, vec) -> ChartCochain:
+        """The chart cochain at full-space coordinates `vec`: position
+        key index * number of monomials + monomial index."""
         comps = {}
-        for pos, (key, mono) in enumerate(self.basis(degree)):
-            c = vec[pos]
+        basis = itertools.product(cochain_keys(self.dim, degree),
+                                  self.monomials)
+        for (key, mono), c in zip(basis, vec):
             if c:
                 add = self._mono_expr(mono) * self.ctx.number(c)
                 comps[key] = comps.get(key, self.ctx.zero()) + add
@@ -686,30 +687,3 @@ class TruncatedComplex:
     def coboundary_matrix(self, degree: int, basis_vectors) -> QMatrix:
         """Columns: coordinates of the coboundary of each basis cochain."""
         return self.complex.coboundary_matrix(degree, basis_vectors)
-
-
-def truncated_restricted_matrices(conn: FlatConnection, degree: int,
-                                  max_poly_degree: int = 2):
-    """(basis size, leaving, entering) coboundary matrices, as
-    `lsa.restricted_complex_matrices` gives them, for the restricted
-    complex with polynomial coefficients of bounded degree."""
-    if not conn.is_zero():
-        raise ValueError(
-            "degree truncation needs flat coordinates (zero connection "
-            "coefficients): products would not preserve the truncation")
-    if max_poly_degree < 0:
-        raise ValueError("polynomial degree bound must be >= 0")
-    return complex_matrices(TruncatedComplex(conn.ctx, max_poly_degree),
-                            degree)
-
-
-def truncated_restricted_dims(conn: FlatConnection, degree: int,
-                              max_poly_degree: int = 2,
-                              elimination: str = "bareiss"):
-    """(dim ker, dim im from below, quotient dim) for the restricted
-    complex with polynomial coefficients of bounded degree."""
-    if elimination not in ("bareiss", "gauss"):
-        raise ValueError("elimination must be 'bareiss' or 'gauss'")
-    ranker = rank if elimination == "bareiss" else rank_second_opinion
-    return restricted_dims(
-        truncated_restricted_matrices(conn, degree, max_poly_degree), ranker)

@@ -90,12 +90,12 @@ class ChartContext:
     context may have no coordinates at all (point case): differentiation
     then has no valid direction and every anchor action is zero.
 
-    max_deriv_order caps the order of formal partial derivatives (2 by
-    default); differentiating past the cap raises DerivativeOrderError
-    rather than silently inventing higher-order symbols.
+    Formal partial derivatives stop at order 2; differentiating past
+    that raises DerivativeOrderError rather than silently inventing
+    higher-order symbols.
     """
 
-    def __init__(self, coords=(), funcs=(), max_deriv_order: int = 2):
+    def __init__(self, coords=(), funcs=()):
         coords = tuple(coords)
         funcs = tuple(funcs)
         seen = set()
@@ -107,11 +107,8 @@ class ChartContext:
             if name in seen:
                 raise ExprError(f"duplicate symbol: {name!r}")
             seen.add(name)
-        if max_deriv_order not in (1, 2):
-            raise ExprError("max_deriv_order must be 1 or 2")
         self.coords = coords
         self.funcs = funcs
-        self.max_deriv_order = max_deriv_order
         self._coord_pos = {name: i for i, name in enumerate(coords)}
         self._vars: dict[tuple, Var] = {}
         # zero() and one() hand out these two objects; nothing may mutate
@@ -153,9 +150,6 @@ class ChartContext:
     def d2_var(self, fname: str, cname1: str, cname2: str) -> Var:
         if fname not in self.funcs:
             raise ExprError(f"unknown function symbol: {fname!r}")
-        if self.max_deriv_order < 2:
-            raise DerivativeOrderError(
-                f"second derivative of {fname} exceeds the cap")
         i, j = self.coord_pos(cname1), self.coord_pos(cname2)
         if i > j:
             i, j = j, i
@@ -164,8 +158,7 @@ class ChartContext:
 
     def extended(self, extra_funcs) -> "ChartContext":
         """A context with the same chart plus additional function symbols."""
-        return ChartContext(self.coords, self.funcs + tuple(extra_funcs),
-                            self.max_deriv_order)
+        return ChartContext(self.coords, self.funcs + tuple(extra_funcs))
 
     def fresh_func_name(self, stem: str = "f") -> str:
         if stem not in self.coords and stem not in self.funcs:

@@ -4,7 +4,9 @@ Products are stored as structure constants over a fixed basis.  The
 left-symmetry check, the commutator construction, invariant pairings, the
 product built from a nondegenerate closed skew form, representations, and
 the scalar cochain complex with its restricted subspaces all live here.
-Everything is exact Fraction arithmetic.
+`restricted_dims` is the one way from a restricted complex to its
+dimensions, ranked by both eliminations.  Everything is exact Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .exactlinalg import (
     QMatrix,
@@ -38,15 +39,7 @@ __all__ = [
     "coboundary",
     "sorted_sign",
     "cochain_keys",
-    "complex_matrices",
-    "membership_matrix",
-    "restricted_basis",
-    "coboundary_matrix",
     "restricted_dims",
-    "elimination_ranker",
-    "restricted_complex_matrices",
-    "restricted_cohomology_dims",
-    "cochain_space_dim",
 ]
 
 
@@ -370,23 +363,16 @@ class Cochain:
             return Fraction(0)
         return sign * self.components.get((first, args[-1]), Fraction(0))
 
-    keys = staticmethod(cochain_keys)
-
     def to_vector(self) -> tuple:
         return tuple(self.components.get(k, Fraction(0))
-                     for k in Cochain.keys(self.dim, self.degree))
+                     for k in cochain_keys(self.dim, self.degree))
 
     @staticmethod
     def from_vector(dim: int, degree: int, vec) -> "Cochain":
         comp = {}
-        for k, v in zip(Cochain.keys(dim, degree), vec):
+        for k, v in zip(cochain_keys(dim, degree), vec):
             comp[k] = v
         return Cochain(dim, degree, comp)
-
-
-def cochain_space_dim(dim: int, degree: int) -> int:
-    from math import comb
-    return comb(dim, degree - 1) * dim
 
 
 def coboundary(alg: FiniteAlgebra, phi: Cochain) -> Cochain:
@@ -397,7 +383,7 @@ def coboundary(alg: FiniteAlgebra, phi: Cochain) -> Cochain:
     n = phi.degree
     d = alg.dim
     comp = {}
-    for first, last in Cochain.keys(d, n + 1):
+    for first, last in cochain_keys(d, n + 1):
         args = list(first) + [last]
         total = Fraction(0)
         # product term: - sum_i (-1)^(i+1) phi(..omit i.., args[i] * last)
@@ -579,85 +565,26 @@ class RestrictedComplex:
         return QMatrix(list(zip(*cols)))
 
 
-def complex_matrices(cx, degree: int):
-    """(basis size, leaving, entering) for one degree of a restricted
-    complex `cx` (a `RestrictedComplex` or a view with the same
-    `restricted_basis` and `coboundary_matrix`).  `leaving` has a column
-    per restricted basis cochain at the degree and holds its coboundary
-    (None when that basis is empty); `entering` is the same for the
-    degree below (None at degree 1 or when either basis is empty).
-    Building them is the expensive part, so they are built once and may
-    be ranked by several eliminations with `restricted_dims`."""
+def restricted_dims(cx, degree: int) -> dict:
+    """(dim ker, dim im, dim quotient) of the restricted complex `cx` at
+    one degree, under both eliminations: {"bareiss": ..., "gauss": ...}.
+
+    `cx` is a `RestrictedComplex` or an `exactclass.TruncatedComplex`.
+    The kernel is that of the coboundary leaving the restricted subspace,
+    the image that of the coboundary entering it from the restricted
+    subspace one degree lower.  Each matrix is built once and ranked by
+    `rank` (Bareiss) and by the independently coded
+    `rank_second_opinion` (Gauss).
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     basis = cx.restricted_basis(degree)
-    if not basis:
-        return 0, None, None
-    leaving = cx.coboundary_matrix(degree, basis)
-    entering = None
-    if degree > 1:
-        below = cx.restricted_basis(degree - 1)
-        if below:
-            entering = cx.coboundary_matrix(degree - 1, below)
-    return len(basis), leaving, entering
-
-
-def membership_matrix(alg: FiniteAlgebra, degree: int) -> QMatrix:
-    """Constraint rows whose kernel is the restricted subspace:
-    degree 1: vanishing on commutators; degree 2: symmetry; degree 3:
-    vanishing cyclic sum; degree >= 4: no constraint."""
-    return RestrictedComplex.point(alg).membership_matrix(degree)
-
-
-def restricted_basis(alg: FiniteAlgebra, degree: int):
-    """Basis vectors (full-space coordinates) of the restricted subspace."""
-    return RestrictedComplex.point(alg).restricted_basis(degree)
-
-
-def coboundary_matrix(alg: FiniteAlgebra, degree: int) -> QMatrix:
-    """Matrix of the coboundary on the full cochain space."""
-    cx = RestrictedComplex.point(alg)
-    n = cx.space_dim(degree)
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
-    return cx.coboundary_matrix(degree, units)
-
-
-def elimination_ranker(elimination: str):
-    """The rank routine an elimination name selects: "bareiss" for
-    `rank`, "gauss" for the independently coded `rank_second_opinion`."""
-    if elimination == "bareiss":
-        return rank
-    if elimination == "gauss":
-        return rank_second_opinion
-    raise ValueError("elimination must be 'bareiss' or 'gauss'")
-
-
-def restricted_complex_matrices(alg: FiniteAlgebra, degree: int):
-    """(basis size, leaving, entering) for one degree of the restricted
-    complex of a point algebra; see `complex_matrices`."""
-    return complex_matrices(RestrictedComplex.point(alg), degree)
-
-
-def restricted_dims(matrices, ranker: Callable[[QMatrix], int]):
-    """(dim ker, dim im, dim quotient) of one degree of a restricted
-    complex, ranking its (basis size, leaving, entering) matrices with
-    the given rank routine."""
-    basis_size, leaving, entering = matrices
-    ker = basis_size - (ranker(leaving) if leaving is not None else 0)
-    im = ranker(entering) if entering is not None else 0
-    return ker, im, ker - im
-
-
-def restricted_cohomology_dims(alg: FiniteAlgebra, degree: int,
-                               elimination: str = "bareiss"):
-    """(dim ker, dim im, dim quotient) of the restricted complex at one
-    degree: kernel of the coboundary leaving the restricted subspace,
-    image of the coboundary entering it from the restricted subspace one
-    degree lower.
-
-    `elimination` selects the rank routine ("bareiss" or "gauss"), so two
-    independently coded eliminations can be compared; any other name
-    raises ValueError.
-    """
-    ranker = elimination_ranker(elimination)
-    return restricted_dims(restricted_complex_matrices(alg, degree), ranker)
+    leaving = cx.coboundary_matrix(degree, basis) if basis else None
+    below = cx.restricted_basis(degree - 1) if basis and degree > 1 else []
+    entering = cx.coboundary_matrix(degree - 1, below) if below else None
+    dims = {}
+    for route, ranker in (("bareiss", rank), ("gauss", rank_second_opinion)):
+        ker = len(basis) - (ranker(leaving) if leaving is not None else 0)
+        im = ranker(entering) if entering is not None else 0
+        dims[route] = (ker, im, ker - im)
+    return dims

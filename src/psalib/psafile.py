@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebroid import ChartAlgebroid, FormField
 from .exactclass import FlatConnection, PhiTensor, Splitting
-from .exprcore import (ChartContext, DiffExpr, ExprError, ExprSyntaxError,
+from .exprcore import (ChartContext, ExprError, ExprSyntaxError,
                        quote_prefix)
 from .lsa import FiniteAlgebra
 from .parakahler import ParaComplexOp
@@ -117,10 +117,6 @@ def _split_top(value: str):
     return parts
 
 
-def _names_list(value: str):
-    return _split_top(value)
-
-
 def _parse_exprs(ctx: ChartContext, value: str, want: int, where: str):
     parts = _split_top(value)
     if len(parts) != want:
@@ -152,8 +148,8 @@ def realize(df: DefinitionFile, name: str = "",
     """Build domain objects from raw sections, validating dependencies."""
     b = Bundle(name=name, description=description)
     chart = df.get("chart")
-    coords = tuple(_names_list(chart["coords"])) if "coords" in chart else ()
-    funcs = tuple(_names_list(chart["funcs"])) if "funcs" in chart else ()
+    coords = tuple(_split_top(chart["coords"])) if "coords" in chart else ()
+    funcs = tuple(_split_top(chart["funcs"])) if "funcs" in chart else ()
     try:
         ctx = ChartContext(coords=coords, funcs=funcs)
     except ExprError as exc:
@@ -163,7 +159,7 @@ def realize(df: DefinitionFile, name: str = "",
         sec = dict(df.get("algebra"))
         if "names" not in sec:
             raise PsaError("[algebra] needs a 'names' entry")
-        names = _names_list(sec.pop("names"))
+        names = _split_top(sec.pop("names"))
         index = {nm: i for i, nm in enumerate(names)}
         dim = len(names)
         constants = {}
@@ -187,7 +183,7 @@ def realize(df: DefinitionFile, name: str = "",
         sec = df.get("frame")
         if "names" not in sec:
             raise PsaError("[frame] needs a 'names' entry")
-        frame_names = tuple(_names_list(sec["names"]))
+        frame_names = tuple(_split_top(sec["names"]))
 
     anchor = None
     if df.has("anchor"):

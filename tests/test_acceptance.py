@@ -36,12 +36,11 @@ from psalib.exactclass import (ChartCochain, FlatConnection, PhiTensor,
                                Splitting, TruncatedComplex,
                                canonical_splitting, chart_coboundary,
                                check_exact, cochain_keys, extract_phi,
-                               splitting_equivalence,
-                               truncated_restricted_dims, twist_residual,
+                               splitting_equivalence, twist_residual,
                                twisted_product)
 from psalib.exactlinalg import ExprMatrix, invert
 from psalib.exprcore import ChartContext, differentiate
-from psalib.lsa import FiniteAlgebra, restricted_cohomology_dims
+from psalib.lsa import FiniteAlgebra, RestrictedComplex, restricted_dims
 from psalib.parakahler import ParaComplexOp, check_star_equals_nabla
 from psalib.presym import (PreSymStructure, Subbundle, check_dirac,
                            check_presymplectic, presym_from_symplectic,
@@ -590,9 +589,8 @@ def test_splitting_shift_adds_exact_term_and_equivalence():
 
 
 def test_coboundary_squares_to_zero_and_stays_restricted():
-    ctx = ChartContext(coords=("x", "y"))
-    tc = TruncatedComplex(ctx, 2)
-    alg = FlatConnection(ctx)
+    alg = FlatConnection(ChartContext(coords=("x", "y")))
+    tc = TruncatedComplex(alg, 2)
     rng = random.Random(20260825)
     for degree in (1, 2):
         basis = tc.restricted_basis(degree)
@@ -619,24 +617,29 @@ def test_abelian_dim2_degree2_target_dimensions():
     # (6, 0, 6), but both elimination routes compute (3, 0, 3) (the
     # symmetry cut leaves 3 of the 8 bilinear coefficients).  Kept as
     # stated; the computed triple is pinned in the next test.
-    assert restricted_cohomology_dims(FiniteAlgebra(2, {}), 2) == (6, 0, 6)
+    point = RestrictedComplex.point(FiniteAlgebra(2, {}))
+    assert restricted_dims(point, 2) == {"bareiss": (6, 0, 6),
+                                         "gauss": (6, 0, 6)}
+
+
+def both(dims):
+    """The result of `restricted_dims` when the two routes agree."""
+    return {"bareiss": dims, "gauss": dims}
 
 
 def test_abelian_dim2_computed_dimensions_both_eliminations():
-    alg = FiniteAlgebra(2, {})
+    point = RestrictedComplex.point(FiniteAlgebra(2, {}))
     want = {1: (2, 0, 2), 2: (3, 0, 3), 3: (2, 0, 2)}
     for degree, dims in want.items():
-        for route in ("bareiss", "gauss"):
-            assert restricted_cohomology_dims(alg, degree, route) == dims
+        assert restricted_dims(point, degree) == both(dims)
 
 
 def test_dim2_algebra_cohomology_both_eliminations():
-    alg = fixtures.lsa2_algebra()
+    point = RestrictedComplex.point(fixtures.lsa2_algebra())
     want = {1: (1, 0, 1), 2: (1, 0, 1), 3: (2, 2, 0)}
     for degree, dims in want.items():
-        got_b = restricted_cohomology_dims(alg, degree, "bareiss")
-        got_g = restricted_cohomology_dims(alg, degree, "gauss")
-        assert got_b == got_g == dims, (degree, got_b, got_g)
+        got = restricted_dims(point, degree)
+        assert got == both(dims), (degree, got)
 
 
 def test_truncated_chart_complex_dimensions():
@@ -644,16 +647,14 @@ def test_truncated_chart_complex_dimensions():
     for n in (1, 2):
         conn = FlatConnection(ChartContext(
             coords=tuple(f"x{i+1}" for i in range(n))))
-        point = FiniteAlgebra(n, {})
+        cx = TruncatedComplex(conn, max_poly_degree=0)
+        point = RestrictedComplex.point(FiniteAlgebra(n, {}))
         for degree in (1, 2, 3):
-            got = truncated_restricted_dims(conn, degree, max_poly_degree=0)
-            assert got == restricted_cohomology_dims(point, degree)
+            assert restricted_dims(cx, degree) == \
+                restricted_dims(point, degree)
     # quadratic truncation on the flat plane, both elimination routes
     conn = FlatConnection(ChartContext(coords=("x", "y")))
-    for route in ("bareiss", "gauss"):
-        got = truncated_restricted_dims(conn, 2, max_poly_degree=2,
-                                        elimination=route)
-        assert got == (12, 7, 5)
+    assert restricted_dims(TruncatedComplex(conn, 2), 2) == both((12, 7, 5))
 
 
 # -- para-Kahler chain --------------------------------------------------------

@@ -13,14 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from psalib.exactclass import (ChartCochain, TruncatedComplex,
+from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
                                _poly_to_coords, chart_coboundary)
 from psalib.exactlinalg import QMatrix, rank
 from psalib.exprcore import ChartContext
-from psalib.lsa import (Cochain, FiniteAlgebra, SkewForm, coboundary,
-                        coboundary_matrix, cochain_keys, cochain_space_dim,
-                        lsa_from_symplectic_lie, membership_matrix,
-                        restricted_basis, sorted_sign)
+from psalib.lsa import (Cochain, FiniteAlgebra, RestrictedComplex, SkewForm,
+                        coboundary, cochain_keys, lsa_from_symplectic_lie,
+                        sorted_sign)
 
 
 def units(n):
@@ -41,8 +40,8 @@ def same_row_space(a: QMatrix, b: QMatrix) -> bool:
 
 
 def flat_complex(n, t):
-    return TruncatedComplex(
-        ChartContext(coords=tuple(f"x{i + 1}" for i in range(n))), t)
+    return TruncatedComplex(FlatConnection(
+        ChartContext(coords=tuple(f"x{i + 1}" for i in range(n)))), t)
 
 
 # -- coboundary ---------------------------------------------------------------
@@ -57,7 +56,7 @@ def test_flat_chart_coboundary_columns_match_chart_coboundary(n, t):
         if not dim:
             continue
         ref = [cx.vector_from_cochain(chart_coboundary(
-                   cx._alg, cx.cochain_from_vector(degree, u)))
+                   cx.conn, cx.cochain_from_vector(degree, u)))
                for u in units(dim)]
         got = cx.coboundary_matrix(degree, units(dim))
         assert got.rows == tuple(zip(*ref)), (n, t, degree)
@@ -77,12 +76,15 @@ def test_flat_chart_coboundary_columns_match_chart_coboundary(n, t):
 @pytest.mark.parametrize("name", sorted(point_algebras()))
 def test_point_coboundary_matrix_matches_cochain_coboundary(name):
     alg = point_algebras()[name]
+    cx = RestrictedComplex.point(alg)
     for degree in (1, 2, 3, 4):
-        if not cochain_space_dim(alg.dim, degree):
+        dim = cx.space_dim(degree)
+        if not dim:
             continue
         ref = [coboundary(alg, Cochain(alg.dim, degree, {key: 1})).to_vector()
-               for key in Cochain.keys(alg.dim, degree)]
-        assert coboundary_matrix(alg, degree).rows == tuple(zip(*ref))
+               for key in cochain_keys(alg.dim, degree)]
+        assert cx.coboundary_matrix(degree, units(dim)).rows == \
+            tuple(zip(*ref))
 
 
 # -- membership rows ----------------------------------------------------------
@@ -112,7 +114,7 @@ def _conditions(degree, dim, value, bracket):
 @pytest.mark.parametrize("n,t", [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_flat_chart_membership_rows_span_the_conditions(n, t):
     cx = flat_complex(n, t)
-    alg = cx._alg
+    alg = cx.conn
     for degree in (1, 2, 3):
         columns = []
         for u in units(cx.space_dim(degree)):
@@ -146,7 +148,7 @@ def test_point_membership_rows_span_the_conditions(name):
 
     for degree in (1, 2, 3):
         columns = []
-        for key in Cochain.keys(d, degree):
+        for key in cochain_keys(d, degree):
             phi = Cochain(d, degree, {key: 1})
 
             def value(kind, *args):
@@ -154,9 +156,10 @@ def test_point_membership_rows_span_the_conditions(name):
 
             columns.append(_conditions(degree, d, value, bracket))
         ref = QMatrix(list(zip(*columns)) or [[0] * len(columns)])
-        assert same_row_space(membership_matrix(alg, degree), ref), degree
+        cx = RestrictedComplex.point(alg)
+        assert same_row_space(cx.membership_matrix(degree), ref), degree
         # and the kernel is what every restricted basis vector satisfies
-        for vec in restricted_basis(alg, degree):
+        for vec in cx.restricted_basis(degree):
             assert not any(ref.mulvec(vec))
 
 

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from psalib.exactclass import (ChartCochain, FlatConnection, PhiTensor,
                                Splitting, TruncatedComplex,
                                canonical_splitting, chart_coboundary,
-                               check_exact, cochain_keys, extract_phi,
-                               rho_star_matrix, splitting_equivalence,
-                               truncated_restricted_dims,
-                               truncated_restricted_matrices, twist_residual,
+                               check_exact, extract_phi, rho_star_matrix,
+                               splitting_equivalence, twist_residual,
                                twisted_product)
 from psalib.exprcore import ChartContext
-from psalib.lsa import (FiniteAlgebra, elimination_ranker,
-                        restricted_cohomology_dims, restricted_dims)
+from psalib.lsa import FiniteAlgebra, RestrictedComplex, restricted_dims
 from psalib.presym import PreSymStructure, check_presymplectic, \
     pseudo_semidirect
 
@@ -283,45 +280,39 @@ def test_chart_coboundary_with_nonflat_coordinates_squares_to_zero():
        st.sampled_from([1, 2]))
 def test_random_truncated_cochains_delta_squared_and_membership(vec, degree):
     ctx = ChartContext(coords=("x", "y"))
-    cx = TruncatedComplex(ctx, max_poly_degree=1)
+    cx = TruncatedComplex(FlatConnection(ctx), max_poly_degree=1)
     dim = cx.space_dim(degree)
     coords = [Fraction(vec[i % len(vec)]) for i in range(dim)]
     phi = cx.cochain_from_vector(degree, coords)
-    d1 = chart_coboundary(cx._alg, phi)
-    assert chart_coboundary(cx._alg, d1).is_zero()
+    d1 = chart_coboundary(cx.conn, phi)
+    assert chart_coboundary(cx.conn, d1).is_zero()
     # restricted cochains stay restricted under the coboundary
     basis = cx.restricted_basis(degree)
     mem_next = cx.membership_matrix(degree + 1)
     for bvec in basis:
         image = cx.vector_from_cochain(
-            chart_coboundary(cx._alg, cx.cochain_from_vector(degree, bvec)))
+            chart_coboundary(cx.conn, cx.cochain_from_vector(degree, bvec)))
         residual = mem_next.mulvec(image)
         assert all(r == 0 for r in residual)
 
 
 def test_truncated_degree_zero_matches_point_complex():
-    ctx = ChartContext(coords=("u",))
-    conn = FlatConnection(ctx)
-    point = FiniteAlgebra(1, {})
-    for degree in (1, 2, 3):
-        got = truncated_restricted_dims(conn, degree, max_poly_degree=0)
-        assert got == restricted_cohomology_dims(point, degree)
-    ctx2 = ChartContext(coords=("x", "y"))
-    conn2 = FlatConnection(ctx2)
-    point2 = FiniteAlgebra(2, {})
-    for degree in (1, 2, 3):
-        got = truncated_restricted_dims(conn2, degree, max_poly_degree=0)
-        assert got == restricted_cohomology_dims(point2, degree)
+    for coords in (("u",), ("x", "y")):
+        cx = TruncatedComplex(FlatConnection(ChartContext(coords=coords)),
+                              max_poly_degree=0)
+        point = RestrictedComplex.point(FiniteAlgebra(len(coords), {}))
+        for degree in (1, 2, 3):
+            assert restricted_dims(cx, degree) == \
+                restricted_dims(point, degree)
 
 
 def test_truncated_dims_elimination_routes_agree():
-    ctx = ChartContext(coords=("x", "y"))
-    conn = FlatConnection(ctx)
+    cx = TruncatedComplex(FlatConnection(ChartContext(coords=("x", "y"))), 2)
     for degree in (1, 2, 3):
-        a = truncated_restricted_dims(conn, degree, 2, "bareiss")
-        b = truncated_restricted_dims(conn, degree, 2, "gauss")
-        assert a == b
-        assert a[0] - a[1] == a[2]
+        dims = restricted_dims(cx, degree)
+        ker, im, h = dims["bareiss"]
+        assert dims == {"bareiss": (ker, im, h), "gauss": (ker, im, h)}
+        assert ker - im == h
 
 
 @pytest.mark.parametrize("truncate, degree, dims", [
@@ -330,24 +321,22 @@ def test_truncated_dims_elimination_routes_agree():
 ])
 def test_truncated_flat_r3_dims_both_eliminations(truncate, degree, dims):
     conn = FlatConnection(ChartContext(coords=("x1", "x2", "x3")))
-    mats = truncated_restricted_matrices(conn, degree, truncate)
-    for route in ("bareiss", "gauss"):
-        assert restricted_dims(mats, elimination_ranker(route)) == dims
+    assert restricted_dims(TruncatedComplex(conn, truncate), degree) == \
+        {"bareiss": dims, "gauss": dims}
 
 
-def test_truncated_rejects_unknown_elimination_and_negative_bound():
+def test_truncated_rejects_negative_bound():
     conn = FlatConnection(ChartContext(coords=("x",)))
-    with pytest.raises(ValueError, match="elimination"):
-        truncated_restricted_dims(conn, 2, 2, "bogus")
-    with pytest.raises(ValueError, match=">= 0"):
-        truncated_restricted_matrices(conn, 2, -1)
+    with pytest.raises(ValueError,
+                       match="^polynomial degree bound must be >= 0$"):
+        TruncatedComplex(conn, -1)
 
 
 def test_truncated_rejects_nonflat_coordinates():
     ctx = ChartContext(coords=("x",))
     conn = FlatConnection(ctx, [[[ctx.expr("x")]]])
     with pytest.raises(ValueError, match="flat coordinates"):
-        truncated_restricted_dims(conn, 2)
+        TruncatedComplex(conn)
 
 
 def test_cochain_value_frame_signs():

@@ -1,8 +1,6 @@
 """Product structures, induced metrics, Levi-Civita connections, and the
 restriction of the metric connection to the eigenbundles."""
 
-from fractions import Fraction
-
 import pytest
 
 from psalib.algebroid import ChartAlgebroid, FormField, check_2cocycle
