@@ -30,20 +30,21 @@ SUITES = ("lsa", "algebroid", "presym", "exact", "parakahler")
 DIRECTIONS = ("to-star", "to-bracket", "pseudo-semidirect", "twist")
 
 
-def _presym_of(b: Bundle):
-    """The skew-pairing structure a bundle determines, or None.
+def _presym_builder(b: Bundle):
+    """A call that builds the skew-pairing structure a bundle determines,
+    or None when it determines none.
 
     Priority: explicit star table, then the twisted product of a
     connection and obstruction tensor, then the product derived from a
     bracket with a symplectic form.
     """
     if b.structure is not None:
-        return b.structure
+        return lambda: b.structure
     if b.connection is not None and b.phi is not None:
-        return twisted_product(b.connection, b.phi)
+        return lambda: twisted_product(b.connection, b.phi)
     if b.algebroid is not None and b.algebroid.kind == "lie" \
             and b.form is not None:
-        return presym_from_symplectic(b.algebroid, b.form)
+        return lambda: presym_from_symplectic(b.algebroid, b.form)
     return None
 
 
@@ -53,11 +54,7 @@ def applicable_suites(b: Bundle):
         out.append("lsa")
     if b.algebroid is not None:
         out.append("algebroid")
-    star_capable = (b.structure is not None
-                    or (b.connection is not None and b.phi is not None)
-                    or (b.algebroid is not None
-                        and b.algebroid.kind == "lie"
-                        and b.form is not None))
+    star_capable = _presym_builder(b) is not None
     if star_capable:
         out.append("presym")
     if b.connection is not None and (b.structure is not None
@@ -81,9 +78,9 @@ def run_suite(b: Bundle, suite: str, artifact: str) -> CheckReport:
         return check_left_symmetric_algebroid(b.algebroid,
                                               artifact=artifact)
     if suite == "presym":
-        return check_presymplectic(_presym_of(b), artifact=artifact)
+        return check_presymplectic(_presym_builder(b)(), artifact=artifact)
     if suite == "exact":
-        E = _presym_of(b)
+        E = _presym_builder(b)()
         sigma = b.splitting
         if sigma is None:
             try:
@@ -92,7 +89,7 @@ def run_suite(b: Bundle, suite: str, artifact: str) -> CheckReport:
                 sigma = None
         return check_exact(E, b.connection, sigma, artifact=artifact)
     if suite == "parakahler":
-        return check_star_equals_nabla(_presym_of(b), b.paracomplex,
+        return check_star_equals_nabla(_presym_builder(b)(), b.paracomplex,
                                        artifact=artifact)
     raise ValueError(f"unknown suite '{suite}'")
 

@@ -11,7 +11,9 @@ and frame products cover the connection.  An isotropic splitting then
 produces a cubic obstruction tensor; the structure is a twist of the
 pseudo-semidirect product by that tensor, twists are valid exactly when
 the reshuffled tensor is coboundary-closed, and changing the splitting
-shifts the reshuffle by the coboundary of a symmetric 2-tensor.  The
+shifts the reshuffle by the coboundary of a symmetric 2-tensor.
+`ChartCochain` and `chart_coboundary` are the one symbolic cochain and
+coboundary, on a chart as at a point (over `ChartAlgebroid.point`).  The
 degree-truncated restricted cochain complex at the end (`TruncatedComplex`,
 ranked by `lsa.restricted_dims`) makes the classifying dimensions
 finitely computable.
@@ -21,8 +23,8 @@ import itertools
 from fractions import Fraction
 
 from .algebroid import ChartAlgebroid
-from .exactlinalg import (ExprMatrix, QMatrix, expr_rank, expr_solve,
-                          kernel_basis)
+from .exactlinalg import (ExprMatrix, QMatrix, SingularMatrixError,
+                          expr_rank, expr_solve, kernel_basis)
 # unused here; perfbench's test_tracer_wraps_every_binding_and_restores_them
 from .exactlinalg import rank  # noqa: F401
 from .exprcore import ChartContext, DiffExpr, differentiate
@@ -170,9 +172,16 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
         return True, None
 
     rec.run("exact.anchor-surjective", surjective)
-    rs = rho_star_matrix(E)
+    try:
+        rs, singular = rho_star_matrix(E), None
+    except SingularMatrixError as exc:
+        # the dual anchor and the section product both invert the pairing
+        rs, singular = None, f"pairing determinant vanishes: {exc.determinant}"
 
     def sequence():
+        if singular:
+            yield singular, True
+            return
         comp = rs.transpose().matmul(anchor_m)
         for i, j in itertools.product(range(comp.nrows), range(comp.ncols)):
             yield (f"the conormal image misses the anchor kernel: "
@@ -197,7 +206,11 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
                                       numbers)
 
     rec.scan("exact.sequence", sequence())
-    rec.scan("exact.anchor-compatible", anchor_compatible())
+    if singular:
+        rec.skip("not evaluated: pairing is degenerate",
+                 "exact.anchor-compatible")
+    else:
+        rec.scan("exact.anchor-compatible", anchor_compatible())
     if sigma is None:
         return rec.report
 
@@ -214,8 +227,9 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
         (f"(sigma(d{i+1}), sigma(d{j+1})) = ",
          E.pairing_value(secs[i], secs[j]))
         for i in range(n) for j in range(i, n))) and ok
-    if not ok:
-        rec.skip("not evaluated: splitting is invalid", "exact.phi-in-image",
+    if not ok or singular:
+        reason = "pairing is degenerate" if ok else "splitting is invalid"
+        rec.skip(f"not evaluated: {reason}", "exact.phi-in-image",
                  "exact.phi-13-antisymmetry", "exact.phi-pair-symmetry",
                  "exact.phi-closed")
         return rec.report
@@ -328,9 +342,6 @@ class PhiTensor:
                     if not res.is_zero():
                         raise ValueError(
                             f"pair identity fails at ({i},{j},{k})")
-
-    def value(self, i: int, j: int, k: int) -> DiffExpr:
-        return self.comps[i][j][k]
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.comps for cell in row

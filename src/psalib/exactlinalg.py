@@ -294,9 +294,6 @@ class ExprMatrix:
         return tuple(sum((r[j] * v[j] for j in range(self.ncols)), z)
                      for r in self.rows)
 
-    def scale(self, s) -> "ExprMatrix":
-        return ExprMatrix(self.ctx, [[x * s for x in r] for r in self.rows])
-
     def add(self, other: "ExprMatrix") -> "ExprMatrix":
         return ExprMatrix(self.ctx, [
             [a + b for a, b in zip(r1, r2)]

@@ -288,14 +288,6 @@ def _pneg(p: dict) -> dict:
     return {m: -c for m, c in p.items()}
 
 
-def _pscale(p: dict, q: Fraction) -> dict:
-    if not q:
-        return {}
-    if q == 1:
-        return p
-    return {m: c * q for m, c in p.items()}
-
-
 def _pmul(p: dict, q: dict) -> dict:
     if not p or not q:
         return {}

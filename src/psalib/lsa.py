@@ -3,10 +3,12 @@
 Products are stored as structure constants over a fixed basis.  The
 left-symmetry check, the commutator construction, invariant pairings, the
 product built from a nondegenerate closed skew form, representations, and
-the scalar cochain complex with its restricted subspaces all live here.
-`restricted_dims` is the one way from a restricted complex to its
+the restricted cochain complex as matrices (`RestrictedComplex`) all live
+here.  `restricted_dims` is the one way from a restricted complex to its
 dimensions, ranked by both eliminations.  Everything is exact Fraction
-arithmetic.
+arithmetic.  A symbolic cochain at a point is an `exactclass.ChartCochain`
+over `algebroid.ChartAlgebroid.point(alg)`, and `exactclass.chart_coboundary`
+is its coboundary.
 """
 
 from __future__ import annotations
@@ -29,14 +31,12 @@ __all__ = [
     "FiniteAlgebra",
     "SkewForm",
     "RepresentationData",
-    "Cochain",
     "RestrictedComplex",
     "check_left_symmetric",
     "subadjacent_lie",
     "check_invariant_form",
     "lsa_from_symplectic_lie",
     "check_representation",
-    "coboundary",
     "sorted_sign",
     "cochain_keys",
     "restricted_dims",
@@ -59,16 +59,6 @@ class FiniteAlgebra:
             f"e{i+1}" for i in range(dim))
         if len(self.names) != dim:
             raise ValueError("wrong number of basis names")
-
-    @staticmethod
-    def from_table(dim: int, table, names=None) -> "FiniteAlgebra":
-        """table[a][b] is the coefficient tuple of product(e_a, e_b)."""
-        constants = {}
-        for a in range(dim):
-            for b in range(dim):
-                for k, v in enumerate(table[a][b]):
-                    constants[(a, b, k)] = v
-        return FiniteAlgebra(dim, constants, names)
 
     def basis_product(self, a: int, b: int) -> tuple:
         return tuple(self.constants.get((a, b, k), Fraction(0))
@@ -100,9 +90,6 @@ class FiniteAlgebra:
         left = self.product(u, self.product(v, w))
         right = self.product(self.product(u, v), w)
         return tuple(x - y for x, y in zip(left, right))
-
-    def is_abelian(self) -> bool:
-        return not self.constants
 
     def __repr__(self):
         entries = []
@@ -329,85 +316,6 @@ def cochain_keys(dim: int, degree: int):
     return [(subset, k)
             for subset in itertools.combinations(range(dim), degree - 1)
             for k in range(dim)]
-
-
-class Cochain:
-    """A scalar n-cochain: n arguments, antisymmetric in the first n-1.
-
-    Components are stored on canonical keys (strictly increasing index
-    tuple for the first n-1 slots, free last index)."""
-
-    def __init__(self, dim: int, degree: int, components=None):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.dim = dim
-        self.degree = degree
-        comp = {}
-        for key, v in (components or {}).items():
-            first, last = key
-            first = tuple(first)
-            if len(first) != degree - 1:
-                raise ValueError(f"bad key {key} for degree {degree}")
-            if list(first) != sorted(set(first)):
-                raise ValueError(f"non-canonical key {key}")
-            v = Fraction(v)
-            if v:
-                comp[(first, last)] = v
-        self.components = comp
-
-    def value(self, args) -> Fraction:
-        if len(args) != self.degree:
-            raise ValueError("wrong argument count")
-        first, sign = sorted_sign(args[:-1])
-        if not sign:
-            return Fraction(0)
-        return sign * self.components.get((first, args[-1]), Fraction(0))
-
-    def to_vector(self) -> tuple:
-        return tuple(self.components.get(k, Fraction(0))
-                     for k in cochain_keys(self.dim, self.degree))
-
-    @staticmethod
-    def from_vector(dim: int, degree: int, vec) -> "Cochain":
-        comp = {}
-        for k, v in zip(cochain_keys(dim, degree), vec):
-            comp[k] = v
-        return Cochain(dim, degree, comp)
-
-
-def coboundary(alg: FiniteAlgebra, phi: Cochain) -> Cochain:
-    """Point-case coboundary of the scalar complex over a left-symmetric
-    algebra (the anchor term is absent at a point)."""
-    if phi.dim != alg.dim:
-        raise ValueError("dimension mismatch")
-    n = phi.degree
-    d = alg.dim
-    comp = {}
-    for first, last in cochain_keys(d, n + 1):
-        args = list(first) + [last]
-        total = Fraction(0)
-        # product term: - sum_i (-1)^(i+1) phi(..omit i.., args[i] * last)
-        for i in range(n):
-            sign = -1 if i % 2 == 0 else 1  # -(-1)^(i+1) with i zero-based
-            rest = [args[j] for j in range(n) if j != i]
-            prod = alg.basis_product(args[i], last)
-            for k, cv in enumerate(prod):
-                if cv:
-                    total += sign * cv * phi.value(tuple(rest[:n - 1] + [k]))
-        # bracket term: + sum_{i<j} (-1)^(i+j) phi([xi,xj], .., last)
-        for i in range(n):
-            for j in range(i + 1, n):
-                sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^(i+1 + j+1)
-                comm = alg.commutator(alg.basis_vector(args[i]),
-                                      alg.basis_vector(args[j]))
-                rest = [args[t] for t in range(n) if t != i and t != j]
-                for k, cv in enumerate(comm):
-                    if cv:
-                        total += sign * cv * phi.value(
-                            tuple([k] + rest + [last]))
-        if total:
-            comp[(first, last)] = total
-    return Cochain(d, n + 1, comp)
 
 
 class RestrictedComplex:

@@ -89,10 +89,10 @@ def test_check_deeply_nested_entry_exits_two(tmp_path):
     assert "nesting deeper than" in proc.stderr
 
 
-def _check_process(path):
+def _check_process(path, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "psalib.cli", "check",
-                           str(path)], capture_output=True, text=True,
+                           str(path), *args], capture_output=True, text=True,
                           env=env)
 
 
@@ -158,6 +158,38 @@ def test_parakahler_degenerate_pairing_is_a_failed_check(tmp_path):
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == \
         "24 checks: 7 pass, 2 fail, 15 skipped"
+
+
+def test_exact_degenerate_pairing_is_a_failed_check(tmp_path):
+    # an empty [pairing] cannot be inverted: the sequence check fails,
+    # the checks that need the dual anchor or the section product are
+    # skipped, and the connection, anchor and splitting checks still run
+    p = tmp_path / "degenerate.psa"
+    p.write_text("[chart]\ncoords = x\n\n[frame]\nnames = e1, e2\n\n"
+                 "[anchor]\ne1 = 1\n\n[star]\n\n[pairing]\n\n[connection]\n",
+                 encoding="utf-8")
+    proc = _check_process(p, "--json", str(tmp_path / "report.json"))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    report = json.loads((tmp_path / "report.json").read_text("utf-8"))
+    exact = {c["id"]: (c["status"], c["witness"]) for c in report["checks"]
+             if c["id"].startswith("exact.")}
+    skipped = ("skipped", "not evaluated: pairing is degenerate")
+    assert exact == {
+        "exact.connection-torsion-free": ("pass", None),
+        "exact.connection-flat": ("pass", None),
+        "exact.anchor-surjective": ("pass", None),
+        "exact.sequence": ("fail", "pairing determinant vanishes: 0"),
+        "exact.anchor-compatible": skipped,
+        "exact.splitting-section": ("pass", None),
+        "exact.splitting-isotropic": ("pass", None),
+        "exact.phi-in-image": skipped,
+        "exact.phi-13-antisymmetry": skipped,
+        "exact.phi-pair-symmetry": skipped,
+        "exact.phi-closed": skipped,
+    }
+    assert proc.stdout.splitlines()[-1] == \
+        "21 checks: 6 pass, 2 fail, 13 skipped"
 
 
 def test_exact_suite_runs_on_twist_file(capsys, fixture_file):

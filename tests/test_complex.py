@@ -1,25 +1,28 @@
-"""The direct restricted-complex build against the symbolic references.
+"""The direct restricted-complex build against the symbolic reference.
 
 `lsa.RestrictedComplex` writes the coboundary and the membership rows
 from structure constants and the frame action on a coefficient basis.
-Here every coboundary column is compared with the symbolic coboundary
-(`exactclass.chart_coboundary` on a flat chart, `lsa.coboundary` at a
-point) of the same basis cochain, and the membership rows are compared,
-as a row space, with the restriction conditions evaluated symbolically.
+Here every coboundary column is compared with `exactclass.chart_coboundary`
+of the same basis cochain, and the membership rows are compared, as a row
+space, with the restriction conditions evaluated symbolically.  One family
+covers both settings: a point algebra, whose cochains are `ChartCochain`s
+with constant values over `ChartAlgebroid.point`, and a flat chart
+truncated at a polynomial degree (`exactclass.TruncatedComplex`).
 """
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from psalib.algebroid import ChartAlgebroid
 from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
                                _poly_to_coords, chart_coboundary)
 from psalib.exactlinalg import QMatrix, rank
 from psalib.exprcore import ChartContext
-from psalib.lsa import (Cochain, FiniteAlgebra, RestrictedComplex, SkewForm,
-                        coboundary, cochain_keys, lsa_from_symplectic_lie,
-                        sorted_sign)
+from psalib.lsa import (FiniteAlgebra, RestrictedComplex, SkewForm,
+                        cochain_keys, lsa_from_symplectic_lie, sorted_sign)
 
 
 def units(n):
@@ -39,128 +42,115 @@ def same_row_space(a: QMatrix, b: QMatrix) -> bool:
     return rank(a) == rank(b) == rank(both)
 
 
-def flat_complex(n, t):
-    return TruncatedComplex(FlatConnection(
+def point_case(name):
+    alg = point_algebras()[name]
+    conn = ChartAlgebroid.point(alg)
+    zero = conn.ctx.zero()
+
+    def from_vector(degree, vec):
+        keys = cochain_keys(alg.dim, degree)
+        return ChartCochain(conn.ctx, alg.dim, degree, dict(zip(keys, vec)))
+
+    def to_vector(phi):
+        return [phi.components.get(key, zero).constant_value()
+                for key in cochain_keys(phi.dim, phi.degree)]
+
+    return SimpleNamespace(cx=RestrictedComplex.point(alg), alg=conn,
+                           from_vector=from_vector, to_vector=to_vector,
+                           coords=lambda e: [e.constant_value()])
+
+
+def flat_case(n, t):
+    cx = TruncatedComplex(FlatConnection(
         ChartContext(coords=tuple(f"x{i + 1}" for i in range(n)))), t)
+
+    def coords(e):
+        got = _poly_to_coords(e, cx.ctx, cx.mono_index)
+        return [got.get(i, Fraction(0)) for i in range(len(cx.monomials))]
+
+    return SimpleNamespace(cx=cx, alg=cx.conn,
+                           from_vector=cx.cochain_from_vector,
+                           to_vector=cx.vector_from_cochain, coords=coords)
+
+
+def cases(cells):
+    """The three point algebras, then the flat (n, t) cells."""
+    return ([pytest.param(point_case, (name,), id=name)
+             for name in sorted(point_algebras())]
+            + [pytest.param(flat_case, (n, t), id=f"flat-n{n}-t{t}")
+               for n, t in cells])
 
 
 # -- coboundary ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("t", [0, 1, 2, 3])
-def test_flat_chart_coboundary_columns_match_chart_coboundary(n, t):
-    cx = flat_complex(n, t)
+@pytest.mark.parametrize("make,args", cases(
+    [(n, t) for n in (1, 2, 3) for t in (0, 1, 2, 3)]))
+def test_coboundary_columns_match_chart_coboundary(make, args):
+    c = make(*args)
     for degree in (1, 2, 3, 4):
-        dim = cx.space_dim(degree)
+        dim = c.cx.space_dim(degree)
         if not dim:
             continue
-        ref = [cx.vector_from_cochain(chart_coboundary(
-                   cx.conn, cx.cochain_from_vector(degree, u)))
+        ref = [c.to_vector(chart_coboundary(c.alg, c.from_vector(degree, u)))
                for u in units(dim)]
-        got = cx.coboundary_matrix(degree, units(dim))
-        assert got.rows == tuple(zip(*ref)), (n, t, degree)
+        got = c.cx.coboundary_matrix(degree, units(dim))
+        assert got.rows == tuple(zip(*ref)), degree
         # a restricted basis vector's column is the same combination of
         # the reference columns
-        basis = cx.restricted_basis(degree)
+        basis = c.cx.restricted_basis(degree)
         if basis:
             want = []
             for vec in basis:
-                terms = [(c, col) for c, col in zip(vec, ref) if c]
-                want.append([sum((c * col[row] for c, col in terms),
+                terms = [(x, col) for x, col in zip(vec, ref) if x]
+                want.append([sum((x * col[row] for x, col in terms),
                                  Fraction(0)) for row in range(len(ref[0]))])
-            got = cx.coboundary_matrix(degree, basis)
-            assert got.rows == tuple(zip(*want)), (n, t, degree)
-
-
-@pytest.mark.parametrize("name", sorted(point_algebras()))
-def test_point_coboundary_matrix_matches_cochain_coboundary(name):
-    alg = point_algebras()[name]
-    cx = RestrictedComplex.point(alg)
-    for degree in (1, 2, 3, 4):
-        dim = cx.space_dim(degree)
-        if not dim:
-            continue
-        ref = [coboundary(alg, Cochain(alg.dim, degree, {key: 1})).to_vector()
-               for key in cochain_keys(alg.dim, degree)]
-        assert cx.coboundary_matrix(degree, units(dim)).rows == \
-            tuple(zip(*ref))
+            got = c.cx.coboundary_matrix(degree, basis)
+            assert got.rows == tuple(zip(*want)), degree
 
 
 # -- membership rows ----------------------------------------------------------
 
 
-def _conditions(degree, dim, value, bracket):
-    """The restriction conditions of one cochain, from its values:
-    degree 1 rho(a) phi(b) - rho(b) phi(a) - phi([a,b]) (the anchor part
-    comes with `value`), degree 2 symmetry, degree 3 every cyclic sum."""
+def _conditions(degree, alg, phi):
+    """The restriction conditions of one chart cochain over a product
+    structure: degree 1 rho(a) phi(b) - rho(b) phi(a) - phi([a,b]),
+    degree 2 symmetry, degree 3 every cyclic sum."""
+    r, at = alg.rank, phi.value_frame
     if degree == 1:
+        bracket = alg.commutator_algebroid().table
         out = []
-        for a, b in itertools.combinations(range(dim), 2):
-            acc = value("rho", a, b) - value("rho", b, a)
-            for k, v in enumerate(bracket(a, b)):
-                if v:
-                    acc = acc - value("at", k) * v
+        for a, b in itertools.combinations(range(r), 2):
+            acc = alg.anchor_apply(alg.frame_section(a), at((b,))) \
+                - alg.anchor_apply(alg.frame_section(b), at((a,)))
+            for k, v in enumerate(bracket[a][b]):
+                acc = acc - at((k,)) * v
             out.append(acc)
         return out
     if degree == 2:
-        return [value("at", a, b) - value("at", b, a)
-                for a, b in itertools.combinations(range(dim), 2)]
-    return [value("at", a, b, c) + value("at", b, c, a)
-            + value("at", c, a, b)
-            for a, b, c in itertools.product(range(dim), repeat=3)]
+        return [at((a, b)) - at((b, a))
+                for a, b in itertools.combinations(range(r), 2)]
+    return [at((a, b, c)) + at((b, c, a)) + at((c, a, b))
+            for a, b, c in itertools.product(range(r), repeat=3)]
 
 
-@pytest.mark.parametrize("n,t", [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2)])
-def test_flat_chart_membership_rows_span_the_conditions(n, t):
-    cx = flat_complex(n, t)
-    alg = cx.conn
+@pytest.mark.parametrize("make,args", cases(
+    [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2)]))
+def test_membership_rows_span_the_conditions(make, args):
+    c = make(*args)
     for degree in (1, 2, 3):
         columns = []
-        for u in units(cx.space_dim(degree)):
-            phi = cx.cochain_from_vector(degree, u)
-
-            def value(kind, *args):
-                if kind == "rho":
-                    return alg.anchor_apply(alg.frame_section(args[0]),
-                                            phi.value_frame(args[1:]))
-                return phi.value_frame(args)
-
-            conds = _conditions(degree, n, value,
-                                lambda a, b: [0] * n)  # flat: no brackets
-            col = []
-            for e in conds:
-                coords = _poly_to_coords(e, cx.ctx, cx.mono_index)
-                col.extend(coords.get(i, Fraction(0))
-                           for i in range(len(cx.monomials)))
-            columns.append(col)
+        for u in units(c.cx.space_dim(degree)):
+            phi = c.from_vector(degree, u)
+            columns.append([x for e in _conditions(degree, c.alg, phi)
+                            for x in c.coords(e)])
         ref = QMatrix(list(zip(*columns)) or [[0] * len(columns)])
-        assert same_row_space(cx.membership_matrix(degree), ref), degree
-
-
-@pytest.mark.parametrize("name", sorted(point_algebras()))
-def test_point_membership_rows_span_the_conditions(name):
-    alg = point_algebras()[name]
-    d = alg.dim
-
-    def bracket(a, b):
-        return alg.commutator(alg.basis_vector(a), alg.basis_vector(b))
-
-    for degree in (1, 2, 3):
-        columns = []
-        for key in cochain_keys(d, degree):
-            phi = Cochain(d, degree, {key: 1})
-
-            def value(kind, *args):
-                return Fraction(0) if kind == "rho" else phi.value(args)
-
-            columns.append(_conditions(degree, d, value, bracket))
-        ref = QMatrix(list(zip(*columns)) or [[0] * len(columns)])
-        cx = RestrictedComplex.point(alg)
-        assert same_row_space(cx.membership_matrix(degree), ref), degree
+        assert same_row_space(c.cx.membership_matrix(degree), ref), degree
         # and the kernel is what every restricted basis vector satisfies
-        for vec in cx.restricted_basis(degree):
-            assert not any(ref.mulvec(vec))
+        for vec in c.cx.restricted_basis(degree):
+            nonzero = [(j, x) for j, x in enumerate(vec) if x]
+            assert not any(sum(row[j] * x for j, x in nonzero)
+                           for row in ref.rows)
 
 
 # -- the permutation sign ------------------------------------------------------
@@ -184,5 +174,3 @@ def test_cochain_keys_and_chart_values_share_the_sign():
     phi = ChartCochain(ctx, 3, 3, {((0, 2), 1): ctx.expr("x")})
     assert phi.value_frame((2, 0, 1)) == -ctx.expr("x")
     assert phi.value_frame((2, 2, 1)).is_zero()
-    point = Cochain(3, 3, {((0, 2), 1): 5})
-    assert point.value((2, 0, 1)) == -5 and point.value((0, 0, 1)) == 0

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psalib import lsa
-from psalib.exactclass import FlatConnection, TruncatedComplex
+from psalib.algebroid import ChartAlgebroid
+from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
+                               chart_coboundary)
 from psalib.exactlinalg import QMatrix
 from psalib.exprcore import ChartContext
 from psalib.lsa import (
-    Cochain,
     FiniteAlgebra,
     RepresentationData,
     RestrictedComplex,
@@ -23,7 +24,6 @@ from psalib.lsa import (
     check_invariant_form,
     check_left_symmetric,
     check_representation,
-    coboundary,
     cochain_keys,
     lsa_from_symplectic_lie,
     restricted_dims,
@@ -154,41 +154,28 @@ def test_swapped_actions_fail():
 # cochains and the restricted complex
 
 
-def test_cochain_antisymmetry_and_canonical_keys():
-    phi = Cochain(3, 3, {((0, 1), 2): 1})
-    assert phi.value((0, 1, 2)) == 1
-    assert phi.value((1, 0, 2)) == -1
-    assert phi.value((0, 0, 2)) == 0
-    with pytest.raises(ValueError):
-        Cochain(3, 3, {((1, 0), 2): 1})
+def point_cochain(alg, degree, components):
+    """A constant cochain on the point chart of `alg`, with that chart."""
+    conn = ChartAlgebroid.point(alg)
+    return conn, ChartCochain(conn.ctx, alg.dim, degree, components)
 
 
 def test_degree1_coboundary_on_lsa2():
-    alg = lsa2()
-    phi = Cochain(2, 1, {((), 1): 1})
-    d = coboundary(alg, phi)
+    conn, phi = point_cochain(lsa2(), 1, {((), 1): 1})
+    d = chart_coboundary(conn, phi)
     # d phi(x,y) = -phi(x*y)
-    assert d.value((0, 1)) == -1
-    assert d.value((1, 0)) == 0
-    assert d.value((0, 0)) == 0
+    assert d.value_frame((0, 1)).constant_value() == -1
+    assert d.value_frame((1, 0)).is_zero()
+    assert d.value_frame((0, 0)).is_zero()
 
 
 def test_degree2_coboundary_on_lsa2_hand_values():
-    alg = lsa2()
     a, b, c = Fraction(5), Fraction(7), Fraction(11)
-    phi = Cochain(2, 2, {((0,), 0): a, ((0,), 1): b,
-                         ((1,), 0): b, ((1,), 1): c})
-    d = coboundary(alg, phi)
-    assert d.value((0, 1, 0)) == -b
-    assert d.value((0, 1, 1)) == -2 * c
-
-
-def cochains(dim, degree):
-    keys = cochain_keys(dim, degree)
-    return st.lists(
-        st.integers(-4, 4), min_size=len(keys), max_size=len(keys)
-    ).map(lambda vals: Cochain(dim, degree,
-                               dict(zip(keys, map(Fraction, vals)))))
+    conn, phi = point_cochain(lsa2(), 2, {((0,), 0): a, ((0,), 1): b,
+                                          ((1,), 0): b, ((1,), 1): c})
+    d = chart_coboundary(conn, phi)
+    assert d.value_frame((0, 1, 0)).constant_value() == -b
+    assert d.value_frame((0, 1, 1)).constant_value() == -2 * c
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,9 +183,11 @@ def cochains(dim, degree):
 def test_coboundary_squares_to_zero(degree, data):
     for alg in (lsa2(), abelian(2),
                 lsa_from_symplectic_lie(aff1_bracket(), std_form())):
-        phi = data.draw(cochains(alg.dim, degree))
-        dd = coboundary(alg, coboundary(alg, phi))
-        assert not dd.components
+        keys = cochain_keys(alg.dim, degree)
+        vals = data.draw(st.lists(st.integers(-4, 4), min_size=len(keys),
+                                  max_size=len(keys)))
+        conn, phi = point_cochain(alg, degree, dict(zip(keys, vals)))
+        assert chart_coboundary(conn, chart_coboundary(conn, phi)).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,8 +203,11 @@ def test_coboundary_preserves_restricted_subspaces(degree, data):
                                     max_size=len(basis)))
         vec = [sum(Fraction(c) * v[i] for c, v in zip(coeffs, basis))
                for i in range(len(basis[0]))]
-        phi = Cochain.from_vector(alg.dim, degree, vec)
-        img = coboundary(alg, phi).to_vector()
+        conn, phi = point_cochain(
+            alg, degree, dict(zip(cochain_keys(alg.dim, degree), vec)))
+        d, zero = chart_coboundary(conn, phi), conn.ctx.zero()
+        img = [d.components.get(key, zero).constant_value()
+               for key in cochain_keys(alg.dim, degree + 1)]
         member = cx.membership_matrix(degree + 1)
         assert all(x == 0 for x in member.mulvec(img))
 
