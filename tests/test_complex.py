@@ -153,6 +153,35 @@ def test_membership_rows_span_the_conditions(make, args):
                            for row in ref.rows)
 
 
+def test_degree1_membership_rows_carry_the_bracket_sign():
+    """Every degree-1 membership row against rho(a) phi(b) - rho(b) phi(a)
+    - phi([a,b]), written out here coordinate by coordinate.  The
+    row-space test above cannot see the sign of the bracket term: at a
+    point the action is zero, and flat charts have no bracket.  This
+    complex has both."""
+    r, m = 3, 2
+    constants = {(0, 1, 2): 1, (1, 0, 0): 2, (0, 2, 1): -1, (2, 1, 2): 3,
+                 (2, 2, 0): 5}
+    action = [[(0, 1, 1)], [(1, 0, 2), (0, 0, -1)], [(1, 1, 1)]]
+    cx = RestrictedComplex(r, constants, m, action)
+    want = []
+    for a, b in itertools.combinations(range(r), 2):
+        for row in range(m):
+            vec = [Fraction(0)] * (r * m)
+            for col, to, value in action[a]:
+                if to == row:
+                    vec[b * m + col] += value
+            for col, to, value in action[b]:
+                if to == row:
+                    vec[a * m + col] -= value
+            for k in range(r):
+                vec[k * m + row] -= (constants.get((a, b, k), 0)
+                                     - constants.get((b, a, k), 0))
+            if any(vec):
+                want.append(vec)
+    assert [list(row) for row in cx.membership_matrix(1).rows] == want
+
+
 # -- the permutation sign ------------------------------------------------------
 
 

@@ -283,3 +283,102 @@ def test_total_degree_and_predicates():
     assert c.expr("x*y^3").free_of_funcs() is True
     with pytest.raises(ExprError):
         c.expr("x/y").total_degree()
+
+
+# ---------------------------------------------------------------------------
+# an independent guard: expression trees evaluated with dual numbers
+
+
+_FCTX = ChartContext(coords=("x", "y"), funcs=("f",))
+_FEXT = _FCTX.extended(("h",))
+
+small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+def trees():
+    """Expression trees over x, y, a function symbol f and rational
+    constants, with the four operations."""
+    atoms = st.one_of(small_fractions.map(lambda q: ("num", q)),
+                      st.sampled_from([("x",), ("y",), ("f",)]))
+
+    def combine(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), children, children),
+            children.map(lambda t: ("neg", t)))
+
+    return st.recursive(atoms, combine, max_leaves=6)
+
+
+def build(tree, ctx):
+    """The DiffExpr of a tree, by the operators under test."""
+    head = tree[0]
+    if head == "num":
+        return ctx.number(tree[1])
+    if head in ("x", "y"):
+        return ctx.coordinate(head)
+    if head == "f":
+        return ctx.function("f")
+    if head == "neg":
+        return -build(tree[1], ctx)
+    a, b = build(tree[1], ctx), build(tree[2], ctx)
+    if head == "+":
+        return a + b
+    if head == "-":
+        return a - b
+    if head == "*":
+        return a * b
+    return a / b
+
+
+def jet(tree, x, y, f):
+    """(value, d/dx, d/dy) of a tree at a point, f given as its jet."""
+    head = tree[0]
+    if head == "num":
+        return tree[1], Fraction(0), Fraction(0)
+    if head == "x":
+        return x, Fraction(1), Fraction(0)
+    if head == "y":
+        return y, Fraction(0), Fraction(1)
+    if head == "f":
+        return f
+    if head == "neg":
+        v, dx, dy = jet(tree[1], x, y, f)
+        return -v, -dx, -dy
+    (u, ux, uy), (v, vx, vy) = jet(tree[1], x, y, f), jet(tree[2], x, y, f)
+    if head == "+":
+        return u + v, ux + vx, uy + vy
+    if head == "-":
+        return u - v, ux - vx, uy - vy
+    if head == "*":
+        return u * v, ux * v + u * vx, uy * v + u * vy
+    if not v:
+        raise ZeroDivisionError
+    return (u / v, (ux * v - u * vx) / (v * v), (uy * v - u * vy) / (v * v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees(), small_fractions, small_fractions,
+       st.tuples(*[st.integers(-3, 3)] * 4))
+def test_operations_and_derivatives_match_dual_number_evaluation(
+        tree, x, y, fc):
+    # f := c0 + c1 x + c2 x y + c3 y^2, its partials written out by hand
+    c0, c1, c2, c3 = fc
+    fpoly = _FCTX.expr(f"({c0}) + ({c1})*x + ({c2})*x*y + ({c3})*y^2")
+    fjet = (c0 + c1 * x + c2 * x * y + c3 * y * y, c1 + c2 * y,
+            c2 * x + 2 * c3 * y)
+    try:
+        e = build(tree, _FCTX)
+    except ZeroDivisionError:
+        return  # a divisor was the zero expression
+    assert parse_expr(str(e), _FCTX) == e
+    e_ext = build(tree, _FEXT)
+    assert e_ext == e and hash(e_ext) == hash(e)
+    assert (e_ext - e).is_zero() and e_ext + e == 2 * e
+    try:
+        value, dx, dy = jet(tree, x, y, fjet)
+    except ZeroDivisionError:
+        return  # the tree divides by zero at this point
+    point, inst = {"x": x, "y": y}, {"f": fpoly}
+    assert evaluate(e, point, inst) == value
+    assert evaluate(differentiate(e, "x"), point, inst) == dx
+    assert evaluate(differentiate(e, "y"), point, inst) == dy
