@@ -6,15 +6,13 @@ import argparse
 import sys
 
 from psalib import fixtures
-from psalib.cli import applicable_suites, run_suite
+from psalib.cli import applicable_suites, run_suites
 from psalib.report import CheckReport
 
 
 def verify(name: str, verbose: bool) -> CheckReport:
     bundle = fixtures.build(name)
-    combined = CheckReport(name)
-    for suite in applicable_suites(bundle):
-        combined.extend(run_suite(bundle, suite, name))
+    combined = run_suites(bundle, applicable_suites(bundle), name)
     if verbose:
         for check in combined.checks:
             mark = {"pass": "ok", "fail": "FAIL", "skipped": "--"}[check.status]

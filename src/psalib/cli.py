@@ -65,33 +65,42 @@ def applicable_suites(b: Bundle):
     return out
 
 
-def run_suite(b: Bundle, suite: str, artifact: str) -> CheckReport:
-    if suite == "lsa":
-        return check_left_symmetric(b.algebra, artifact=artifact)
-    if suite == "algebroid":
-        if b.algebroid.kind == "lie":
-            rep = check_lie_algebroid(b.algebroid, artifact=artifact)
+def run_suites(b: Bundle, suites, artifact: str) -> CheckReport:
+    """Run the named suites in order into one report.  The skew-pairing
+    structure is built once, when a suite first needs it, and shared, so
+    its memoised products, D and inverse pairing carry over."""
+    out = CheckReport(artifact)
+    E = None
+    for suite in suites:
+        if suite in ("presym", "exact", "parakahler") and E is None:
+            E = _presym_builder(b)()
+        if suite == "lsa":
+            out.extend(check_left_symmetric(b.algebra, artifact=artifact))
+        elif suite == "algebroid" and b.algebroid.kind == "lie":
+            out.extend(check_lie_algebroid(b.algebroid, artifact=artifact))
             if b.form is not None:
-                rep.extend(check_2cocycle(b.algebroid, b.form,
+                out.extend(check_2cocycle(b.algebroid, b.form,
                                           artifact=artifact))
-            return rep
-        return check_left_symmetric_algebroid(b.algebroid,
-                                              artifact=artifact)
-    if suite == "presym":
-        return check_presymplectic(_presym_builder(b)(), artifact=artifact)
-    if suite == "exact":
-        E = _presym_builder(b)()
-        sigma = b.splitting
-        if sigma is None:
-            try:
-                sigma = canonical_splitting(E)
-            except ValueError:
-                sigma = None
-        return check_exact(E, b.connection, sigma, artifact=artifact)
-    if suite == "parakahler":
-        return check_star_equals_nabla(_presym_builder(b)(), b.paracomplex,
-                                       artifact=artifact)
-    raise ValueError(f"unknown suite '{suite}'")
+        elif suite == "algebroid":
+            out.extend(check_left_symmetric_algebroid(b.algebroid,
+                                                      artifact=artifact))
+        elif suite == "presym":
+            out.extend(check_presymplectic(E, artifact=artifact))
+        elif suite == "exact":
+            sigma = b.splitting
+            if sigma is None:
+                try:
+                    sigma = canonical_splitting(E)
+                except ValueError:
+                    sigma = None
+            out.extend(check_exact(E, b.connection, sigma,
+                                   artifact=artifact))
+        elif suite == "parakahler":
+            out.extend(check_star_equals_nabla(E, b.paracomplex,
+                                               artifact=artifact))
+        else:
+            raise ValueError(f"unknown suite '{suite}'")
+    return out
 
 
 def cmd_check(args) -> int:
@@ -110,10 +119,8 @@ def cmd_check(args) -> int:
               f"{args.file}; applicable: {', '.join(avail)}",
               file=sys.stderr)
         return 2
-    combined = CheckReport(args.file)
     try:
-        for suite in selected:
-            combined.extend(run_suite(b, suite, args.file))
+        combined = run_suites(b, selected, args.file)
     except (ValueError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

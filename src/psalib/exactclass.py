@@ -587,21 +587,16 @@ def _monomials_upto(n: int, dmax: int):
 def _poly_to_coords(e: DiffExpr, ctx: ChartContext, index: dict):
     """Exact coordinates of a polynomial chart expression in the monomial
     basis; raises if a monomial falls outside the truncation."""
-    if not e.den == {(): Fraction(1)}:
+    if not e.is_polynomial():
         raise ValueError(f"non-polynomial coefficient: {e}")
-    n = len(ctx.coords)
+    if not e.free_of_funcs():
+        raise ValueError(f"non-coordinate symbol in {e}")
+    terms, den = e.coordinate_terms()
     out = {}
-    for mono, coeff in e.num.items():
-        exp = [0] * n
-        for var, p in mono:
-            kind, *rest = var.key
-            if kind != 0:
-                raise ValueError(f"non-coordinate symbol in {e}")
-            exp[rest[0]] += p
-        key = tuple(exp)
-        if key not in index:
+    for exp, coeff in terms:
+        if exp not in index:
             raise ValueError(f"monomial degree exceeds the truncation: {e}")
-        out[index[key]] = coeff
+        out[index[exp]] = Fraction(coeff, den)
     return out
 
 

@@ -9,9 +9,9 @@ order), so equality and `is_zero` are exact decisions, never heuristics.
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "ChartContext",
@@ -59,27 +59,22 @@ _KIND_D2 = 3
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
+# The process-wide intern table of indeterminates.  A variable's key is
+# (kind, coordinate position) for a coordinate, (kind, name) for a function
+# symbol, and (kind, name, i) or (kind, name, i, j) with i <= j for its
+# formal partials; its id is its position in _VAR_KEYS.  Every context
+# shares the ids, so a base chart and its extended() contexts mix freely.
+# Ids follow interning order; the canonical order is that of the keys.
+_VAR_KEYS: list = []
+_VAR_IDS: dict = {}
 
-class Var:
-    """An interned indeterminate.  Ordered and hashed by its key tuple."""
 
-    __slots__ = ("key", "text")
-
-    def __init__(self, key: tuple, text: str):
-        self.key = key
-        self.text = text
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __repr__(self):
-        return f"Var({self.text})"
+def _var_id(key: tuple) -> int:
+    vid = _VAR_IDS.get(key)
+    if vid is None:
+        vid = _VAR_IDS[key] = len(_VAR_KEYS)
+        _VAR_KEYS.append(key)
+    return vid
 
 
 class ChartContext:
@@ -110,7 +105,7 @@ class ChartContext:
         self.coords = coords
         self.funcs = funcs
         self._coord_pos = {name: i for i, name in enumerate(coords)}
-        self._vars: dict[tuple, Var] = {}
+        self._joins: dict = {}
         # zero() and one() hand out these two objects; nothing may mutate
         # them, and their hashes are computed once here
         self._zero = DiffExpr(self, {}, _P_ONE)
@@ -126,35 +121,31 @@ class ChartContext:
         except KeyError:
             raise ExprError(f"unknown coordinate: {name!r}") from None
 
-    def _intern(self, key: tuple, text: str) -> Var:
-        var = self._vars.get(key)
-        if var is None:
-            var = Var(key, text)
-            self._vars[key] = var
-        return var
+    def _atom(self, key: tuple) -> "DiffExpr":
+        return DiffExpr(self, {((_var_id(key), 1),): 1}, _P_ONE)
 
-    def coord_var(self, name: str) -> Var:
-        return self._intern((_KIND_COORD, self.coord_pos(name)), name)
-
-    def func_var(self, name: str) -> Var:
+    def _check_func(self, name: str) -> None:
         if name not in self.funcs:
             raise ExprError(f"unknown function symbol: {name!r}")
-        return self._intern((_KIND_FUNC, name), name)
 
-    def d1_var(self, fname: str, cname: str) -> Var:
-        if fname not in self.funcs:
-            raise ExprError(f"unknown function symbol: {fname!r}")
-        i = self.coord_pos(cname)
-        return self._intern((_KIND_D1, fname, i), f"d({fname},{cname})")
+    def partial(self, fname: str, *cnames: str) -> "DiffExpr":
+        """The formal partial of a function symbol by one or two
+        coordinates (symmetric in the two)."""
+        self._check_func(fname)
+        pos = sorted(self.coord_pos(c) for c in cnames)
+        return self._atom((_KIND_D1 if len(pos) == 1 else _KIND_D2, fname)
+                          + tuple(pos))
 
-    def d2_var(self, fname: str, cname1: str, cname2: str) -> Var:
-        if fname not in self.funcs:
-            raise ExprError(f"unknown function symbol: {fname!r}")
-        i, j = self.coord_pos(cname1), self.coord_pos(cname2)
-        if i > j:
-            i, j = j, i
-        ci, cj = self.coords[i], self.coords[j]
-        return self._intern((_KIND_D2, fname, i, j), f"d2({fname},{ci},{cj})")
+    def var_text(self, vid: int) -> str:
+        """How this chart prints an interned variable."""
+        key = _VAR_KEYS[vid]
+        kind, name = key[0], key[1]
+        if kind == _KIND_COORD:
+            return self.coords[name]
+        if kind == _KIND_FUNC:
+            return name
+        return f"d{'' if kind == _KIND_D1 else '2'}({name}," + ",".join(
+            self.coords[i] for i in key[2:]) + ")"
 
     def extended(self, extra_funcs) -> "ChartContext":
         """A context with the same chart plus additional function symbols."""
@@ -173,20 +164,24 @@ class ChartContext:
     # -- expression constructors ------------------------------------------
 
     def number(self, value) -> "DiffExpr":
-        q = Fraction(value)
-        if not q:
+        if type(value) is not int:
+            q = Fraction(value)
+            if q.denominator != 1:
+                return DiffExpr(self, {(): q.numerator},
+                                {(): q.denominator})
+            value = q.numerator
+        if not value:
             return self._zero
-        if q == 1:
+        if value == 1:
             return self._one
-        return DiffExpr(self, {(): q}, _P_ONE)
+        return DiffExpr(self, {(): value}, _P_ONE)
 
     def coordinate(self, name: str) -> "DiffExpr":
-        return DiffExpr(self, {((self.coord_var(name), 1),): Fraction(1)},
-                        _P_ONE)
+        return self._atom((_KIND_COORD, self.coord_pos(name)))
 
     def function(self, name: str) -> "DiffExpr":
-        return DiffExpr(self, {((self.func_var(name), 1),): Fraction(1)},
-                        _P_ONE)
+        self._check_func(name)
+        return self._atom((_KIND_FUNC, name))
 
     def zero(self) -> "DiffExpr":
         """The context's shared zero constant."""
@@ -199,17 +194,42 @@ class ChartContext:
     def expr(self, text: str) -> "DiffExpr":
         return parse_expr(text, self)
 
-    def compatible(self, other: "ChartContext") -> bool:
-        return self.coords == other.coords
+    def join(self, other: "ChartContext") -> "ChartContext":
+        """The context of a result that mixes expressions of self and
+        other: the same chart, and whichever knows more symbols (a base
+        chart mixes with its extended() contexts)."""
+        if other is self:
+            return self
+        got = self._joins.get(other)
+        if got is None:
+            if self.coords != other.coords:
+                raise ExprError("mixing expressions from different charts")
+            sa, sb = set(self.funcs), set(other.funcs)
+            if sb <= sa:
+                got = self
+            elif sa <= sb:
+                got = other
+            else:
+                raise ExprError(
+                    "mixing expressions with unrelated function symbols")
+            self._joins[other] = got
+        return got
 
     def __repr__(self):
         return f"ChartContext(coords={self.coords}, funcs={self.funcs})"
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer: dict {monomial: Fraction}, monomial = sorted ((Var, exp)..)
+# polynomial layer: dict {monomial: int}, monomial = ((var id, exp), ...)
+# sorted by id.  Hot paths compare and hash plain ints; the canonical
+# graded-lex order over the variables' keys is consulted only where it
+# picks an output or a representative (_plead, _pmainvar, printing).
 
-_P_ONE = {(): Fraction(1)}
+_P_ONE = {(): 1}
+
+
+def _is_const(p: dict) -> bool:
+    return len(p) == 1 and () in p
 
 
 def _mmul(m1: tuple, m2: tuple) -> tuple:
@@ -217,17 +237,21 @@ def _mmul(m1: tuple, m2: tuple) -> tuple:
         return m2
     if not m2:
         return m1
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
     out = []
     i = j = 0
     n1, n2 = len(m1), len(m2)
     while i < n1 and j < n2:
         v1, e1 = m1[i]
         v2, e2 = m2[j]
-        if v1.key == v2.key:
+        if v1 == v2:
             out.append((v1, e1 + e2))
             i += 1
             j += 1
-        elif v1.key < v2.key:
+        elif v1 < v2:
             out.append(m1[i])
             i += 1
         else:
@@ -242,27 +266,24 @@ def _mtotdeg(m: tuple) -> int:
     return sum(e for _, e in m)
 
 
-def _mcmp(a: tuple, b: tuple) -> int:
-    """Graded lex: higher total degree wins, then the earlier variable with
-    the larger exponent."""
-    da, db = _mtotdeg(a), _mtotdeg(b)
-    if da != db:
-        return -1 if da < db else 1
-    i = j = 0
-    while i < len(a) or j < len(b):
-        if i < len(a) and (j >= len(b) or a[i][0].key < b[j][0].key):
-            return 1  # a has the earlier variable with positive exponent
-        if j < len(b) and (i >= len(a) or b[j][0].key < a[i][0].key):
-            return -1
-        ea, eb = a[i][1], b[j][1]
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i += 1
-        j += 1
-    return 0
+def _graded_lex(p: dict):
+    """Sort key of p's monomials in the canonical graded-lex order:
+    higher total degree wins, then the earlier variable (by key) with the
+    larger exponent."""
+    vids = sorted({v for m in p for v, _ in m}, key=_VAR_KEYS.__getitem__)
+    rank = {v: r for r, v in enumerate(vids)}
+
+    def key(m):
+        exps = [0] * len(vids)
+        for v, e in m:
+            exps[rank[v]] = e
+        return sum(exps), exps
+
+    return key
 
 
-_MKEY = functools.cmp_to_key(_mcmp)
+def _plead(p: dict) -> tuple:
+    return max(p, key=_graded_lex(p))
 
 
 def _padd(p: dict, q: dict) -> dict:
@@ -270,13 +291,32 @@ def _padd(p: dict, q: dict) -> dict:
         return q
     if not q:
         return p
+    if len(q) > len(p):
+        p, q = q, p
     out = dict(p)
     for m, c in q.items():
         s = out.get(m)
         if s is None:
             out[m] = c
         else:
-            s = s + c
+            s += c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _psub(p: dict, q: dict) -> dict:
+    if not q:
+        return p
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = -c
+        else:
+            s -= c
             if s:
                 out[m] = s
             else:
@@ -288,13 +328,19 @@ def _pneg(p: dict) -> dict:
     return {m: -c for m, c in p.items()}
 
 
+def _pscale(p: dict, k: int) -> dict:
+    if k == 1:
+        return p
+    return {m: c * k for m, c in p.items()}
+
+
 def _pmul(p: dict, q: dict) -> dict:
     if not p or not q:
         return {}
-    if p == _P_ONE:
-        return q
-    if q == _P_ONE:
-        return p
+    if len(p) == 1 and () in p:
+        return _pscale(q, p[()])
+    if len(q) == 1 and () in q:
+        return _pscale(p, q[()])
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -303,7 +349,7 @@ def _pmul(p: dict, q: dict) -> dict:
             if s is None:
                 out[m] = c1 * c2
             else:
-                s = s + c1 * c2
+                s += c1 * c2
                 if s:
                     out[m] = s
                 else:
@@ -311,87 +357,75 @@ def _pmul(p: dict, q: dict) -> dict:
     return out
 
 
-def _plead(p: dict) -> tuple:
-    return max(p, key=_MKEY)
-
-
-def _pmonic(p: dict) -> dict:
-    """Scale so the leading coefficient is 1 (canonical gcd representative)."""
-    if not p:
+def _pprimitive(p: dict) -> dict:
+    """p divided by the gcd of its integer coefficients."""
+    g = gcd(*p.values())
+    if g == 1:
         return p
-    lc = p[_plead(p)]
-    if lc == 1:
-        return p
-    inv = 1 / lc
-    return {m: c * inv for m, c in p.items()}
+    return {m: c // g for m, c in p.items()}
 
 
 def _pvars(p: dict) -> set:
-    out = set()
-    for m in p:
-        for v, _ in m:
-            out.add(v)
-    return out
+    return {v for m in p for v, _ in m}
 
 
 def _pmainvar(p: dict, q: dict):
     vs = _pvars(p) | _pvars(q)
-    return max(vs) if vs else None
+    return max(vs, key=_VAR_KEYS.__getitem__) if vs else None
 
 
-def _puni(p: dict, v: Var) -> dict:
+def _puni(p: dict, v: int) -> dict:
     """View p as univariate in v: {degree: coefficient polynomial}."""
     out: dict = {}
     for m, c in p.items():
         deg = 0
-        rest = []
-        for var, e in m:
-            if var.key == v.key:
+        rest = m
+        for idx, (var, e) in enumerate(m):
+            if var == v:
                 deg = e
-            else:
-                rest.append((var, e))
-        coeff = out.setdefault(deg, {})
-        rm = tuple(rest)
-        coeff[rm] = coeff.get(rm, Fraction(0)) + c
-    return {d: {m: c for m, c in coeff.items() if c}
-            for d, coeff in out.items() if any(coeff.values())}
+                rest = m[:idx] + m[idx + 1:]
+                break
+        coeff = out.get(deg)
+        if coeff is None:
+            out[deg] = {rest: c}
+        else:
+            coeff[rest] = c
+    return out
 
 
-def _pfromuni(u: dict, v: Var) -> dict:
+def _pfromuni(u: dict, v: int) -> dict:
     out: dict = {}
     for deg, coeff in u.items():
         vm = ((v, deg),) if deg else ()
         for m, c in coeff.items():
-            mm = _mmul(vm, m)
-            out[mm] = out.get(mm, Fraction(0)) + c
-    return {m: c for m, c in out.items() if c}
+            out[_mmul(vm, m)] = c
+    return out
 
 
 def _monomial_gcd(p: dict, q: dict) -> dict:
     """gcd when at least one side is a single monomial; also the common
-    monomial-content fast path."""
+    monomial-content fast path.  The coefficient is 1."""
     exps: dict = {}
     first = True
-    for poly in (p, q):
+    for poly in ((q, p) if len(q) < len(p) else (p, q)):
         for m in poly:
-            md = dict((v, e) for v, e in m)
             if first:
-                exps = md
+                exps = dict(m)
                 first = False
             else:
-                exps = {v: min(e, md.get(v, 0)) for v, e in exps.items()
-                        if md.get(v, 0)}
+                md = dict(m)
+                exps = {v: min(e, md[v]) for v, e in exps.items()
+                        if v in md}
             if not exps:
                 return _P_ONE
-    mono = tuple(sorted(exps.items(), key=lambda t: t[0].key))
-    return {mono: Fraction(1)}
+    return {tuple(sorted(exps.items())): 1}
 
 
 def _pdivexact(p: dict, d: dict) -> dict:
-    """Exact division; raises if d does not divide p."""
+    """Exact division over the integers; raises if d does not divide p."""
     if not p:
         return {}
-    if d == _P_ONE:
+    if d is _P_ONE:
         return p
     if not d:
         raise ZeroDivisionError("polynomial division by zero")
@@ -400,18 +434,23 @@ def _pdivexact(p: dict, d: dict) -> dict:
         dd = dict(dm)
         out = {}
         for m, c in p.items():
-            md = dict(m)
-            for v, e in dd.items():
-                r = md.get(v, 0) - e
-                if r < 0:
-                    raise ExprError("inexact polynomial division")
-                if r:
-                    md[v] = r
-                else:
-                    md.pop(v, None)
-            out[tuple(sorted(md.items(), key=lambda t: t[0].key))] = c / dc
+            qc, rem = divmod(c, dc)
+            if rem:
+                raise ExprError("inexact polynomial division")
+            if dd:
+                md = dict(m)
+                for v, e in dd.items():
+                    r = md.get(v, 0) - e
+                    if r < 0:
+                        raise ExprError("inexact polynomial division")
+                    if r:
+                        md[v] = r
+                    else:
+                        del md[v]
+                m = tuple(sorted(md.items()))
+            out[m] = qc
         return out
-    v = max(_pvars(d))
+    v = max(_pvars(d), key=_VAR_KEYS.__getitem__)
     pu = _puni(p, v)
     du = _puni(d, v)
     dd = max(du)
@@ -424,8 +463,7 @@ def _pdivexact(p: dict, d: dict) -> dict:
         qc = _pdivexact(pu[pd], dl)
         quo[pd - dd] = qc
         for de, co in du.items():
-            t = _pneg(_pmul(qc, co))
-            tgt = _padd(pu.get(pd - dd + de, {}), t)
+            tgt = _psub(pu.get(pd - dd + de, {}), _pmul(qc, co))
             if tgt:
                 pu[pd - dd + de] = tgt
             else:
@@ -434,16 +472,16 @@ def _pdivexact(p: dict, d: dict) -> dict:
 
 
 def _pcontent(u: dict) -> dict:
-    """gcd of the coefficients of a univariatized polynomial."""
+    """Primitive gcd of the coefficients of a univariatized polynomial."""
     g: dict = {}
     for coeff in u.values():
         g = _pgcd(g, coeff)
-        if g == _P_ONE:
-            return g
+        if _is_const(g):
+            return _P_ONE
     return g
 
 
-def _pprem(a: dict, b: dict, v: Var) -> dict:
+def _pprem(a: dict, b: dict, v: int) -> dict:
     """Pseudo-remainder of a by b, both univariate views in v."""
     au = _puni(a, v)
     bu = _puni(b, v)
@@ -457,8 +495,7 @@ def _pprem(a: dict, b: dict, v: Var) -> dict:
         # multiply through by the leading coefficient of b, then cancel
         au = {d: _pmul(c, bl) for d, c in au.items()}
         for de, co in bu.items():
-            t = _pneg(_pmul(al, co))
-            tgt = _padd(au.get(ad - bd + de, {}), t)
+            tgt = _psub(au.get(ad - bd + de, {}), _pmul(al, co))
             if tgt:
                 au[ad - bd + de] = tgt
             else:
@@ -467,38 +504,33 @@ def _pprem(a: dict, b: dict, v: Var) -> dict:
 
 
 def _pgcd(p: dict, q: dict) -> dict:
-    """Monic gcd over Q[vars], primitive PRS with fast paths."""
+    """gcd over Z[vars], primitive (integer content 1) and determined up
+    to sign; primitive PRS with fast paths."""
     if not p:
-        return _pmonic(q)
+        return _pprimitive(q)
     if not q:
-        return _pmonic(p)
+        return _pprimitive(p)
     if len(p) == 1 or len(q) == 1:
         return _monomial_gcd(p, q)
     if p == q:
-        return _pmonic(p)
+        return _pprimitive(p)
     v = _pmainvar(p, q)
-    if v is None:
-        return _P_ONE
     # peel common monomial content cheaply first
-    mono = _monomial_gcd(p, p)
-    monoq = _monomial_gcd(q, q)
-    common = _monomial_gcd(mono, monoq)
-    if common != _P_ONE:
+    common = _monomial_gcd(_monomial_gcd(p, p), _monomial_gcd(q, q))
+    if common is not _P_ONE:
         p = _pdivexact(p, common)
         q = _pdivexact(q, common)
     pu = _puni(p, v)
     qu = _puni(q, v)
     if max(pu) == 0 or max(qu) == 0:
         # one side is free of the main variable: gcd divides its content
-        g = _pgcd(_pcontent(pu), _pcontent(qu))
-        return _pmonic(_pmul(common, g))
+        return _pmul(common, _pgcd(_pcontent(pu), _pcontent(qu)))
     cp = _pcontent(pu)
     cq = _pcontent(qu)
-    a = _pdivexact(p, cp)
-    b = _pdivexact(q, cq)
-    if _puni(a, v) and _puni(b, v):
-        if max(_puni(a, v)) < max(_puni(b, v)):
-            a, b = b, a
+    a = _pprimitive(_pdivexact(p, cp))
+    b = _pprimitive(_pdivexact(q, cq))
+    if max(_puni(a, v)) < max(_puni(b, v)):
+        a, b = b, a
     while True:
         r = _pprem(a, b, v)
         if not r:
@@ -508,56 +540,124 @@ def _pgcd(p: dict, q: dict) -> dict:
         if max(ru) == 0:
             g = _P_ONE
             break
-        r = _pdivexact(r, _pcontent(ru))
+        r = _pprimitive(_pdivexact(r, _pcontent(ru)))
         a, b = b, r
-    if g != _P_ONE:
-        gu = _puni(g, v)
-        g = _pdivexact(g, _pcontent(gu))
-    c = _pgcd(cp, cq)
-    return _pmonic(_pmul(common, _pmul(c, g)))
+    if g is not _P_ONE:
+        g = _pprimitive(_pdivexact(g, _pcontent(_puni(g, v))))
+    return _pmul(common, _pmul(_pgcd(cp, cq), g))
 
 
-def _pdiff(p: dict, ctx: ChartContext, cname: str) -> dict:
+def _pdiff(p: dict, cpos: int) -> dict:
     """Formal partial derivative of a polynomial by one coordinate."""
-    cpos = ctx.coord_pos(cname)
     out: dict = {}
     for m, c in p.items():
         for idx, (v, e) in enumerate(m):
-            dv = _var_derivative(ctx, v, cpos)
+            dv = _var_derivative(v, cpos)
             if dv is None:
                 continue
-            rest = list(m)
             if e > 1:
-                rest[idx] = (v, e - 1)
+                base = m[:idx] + ((v, e - 1),) + m[idx + 1:]
             else:
-                del rest[idx]
-            base = tuple(rest)
-            if dv is _ONE_MARK:
-                mm = base
-            else:
-                mm = _mmul(base, ((dv, 1),))
-            coeff = c * e
+                base = m[:idx] + m[idx + 1:]
+            mm = base if dv is _ONE_MARK else _mmul(base, ((dv, 1),))
             s = out.get(mm)
-            out[mm] = coeff if s is None else s + coeff
+            out[mm] = c * e if s is None else s + c * e
     return {m: c for m, c in out.items() if c}
 
 
 _ONE_MARK = object()  # derivative of a coordinate by itself
 
 
-def _var_derivative(ctx: ChartContext, v: Var, cpos: int):
-    kind = v.key[0]
+def _var_derivative(v: int, cpos: int):
+    key = _VAR_KEYS[v]
+    kind = key[0]
     if kind == _KIND_COORD:
-        return _ONE_MARK if v.key[1] == cpos else None
+        return _ONE_MARK if key[1] == cpos else None
     if kind == _KIND_FUNC:
-        fname = v.key[1]
-        cname = ctx.coords[cpos]
-        return ctx.d1_var(fname, cname)
+        return _var_id((_KIND_D1, key[1], cpos))
     if kind == _KIND_D1:
-        _, fname, i = v.key
-        return ctx.d2_var(fname, ctx.coords[i], ctx.coords[cpos])
+        i, j = sorted((key[2], cpos))
+        return _var_id((_KIND_D2, key[1], i, j))
     raise DerivativeOrderError(
-        f"third derivative of {v.key[1]} exceeds the cap")
+        f"third derivative of {key[1]} exceeds the cap")
+
+
+def _const_over(num: dict, d: int) -> tuple[dict, dict]:
+    """The canonical num/d for a nonzero integer d: no common integer
+    factor, positive denominator."""
+    g = gcd(d, *num.values())
+    if d < 0:
+        g = -g
+    if g != 1:
+        num = {m: c // g for m, c in num.items()}
+        d //= g
+    return num, (_P_ONE if d == 1 else {(): d})
+
+
+def _finish(num: dict, den: dict) -> tuple[dict, dict]:
+    """The canonical form of num/den for num and den coprime over Q: no
+    common integer factor, and den's canonical leading coefficient
+    positive."""
+    if not num:
+        return {}, _P_ONE
+    if len(den) == 1:
+        (m, lc), = den.items()
+        if not m:
+            return _const_over(num, lc)
+    else:
+        lc = den[_plead(den)]
+    c = gcd(*num.values(), *den.values())
+    if lc < 0:
+        c = -c
+    if c != 1:
+        num = {m: x // c for m, x in num.items()}
+        den = {m: x // c for m, x in den.items()}
+    return num, den
+
+
+def _cancel(p: dict, q: dict) -> tuple[dict, dict]:
+    """p and q divided by their gcd."""
+    g = _pgcd(p, q)
+    if _is_const(g):
+        return p, q
+    return _pdivexact(p, g), _pdivexact(q, g)
+
+
+def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
+    """The canonical form of num/den."""
+    if not num:
+        return {}, _P_ONE
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if _is_const(den):
+        return _const_over(num, den[()])
+    return _finish(*_cancel(num, den))
+
+
+def _qmul(n1: dict, d1: dict, n2: dict, d2: dict) -> tuple[dict, dict]:
+    """(n1/d1) * (n2/d2) for coprime pairs: each numerator is cancelled
+    against the other denominator, so the product is coprime."""
+    if not _is_const(d2):
+        n1, d2 = _cancel(n1, d2)
+    if not _is_const(d1):
+        n2, d1 = _cancel(n2, d1)
+    return _finish(_pmul(n1, n2), _pmul(d1, d2))
+
+
+def _qsum(n1: dict, d1: dict, n2: dict, d2: dict, combine
+          ) -> tuple[dict, dict]:
+    """(n1/d1) +- (n2/d2) for coprime pairs, as combine is _padd or
+    _psub: over the lcm of the denominators, then cancelled against
+    their gcd only (Henrici)."""
+    if d1 == d2:
+        return _reduce(combine(n1, n2), d1)
+    g = _pgcd(d1, d2)
+    if _is_const(g):
+        return _finish(combine(_pmul(n1, d2), _pmul(n2, d1)),
+                       _pmul(d1, d2))
+    d1, d2 = _pdivexact(d1, g), _pdivexact(d2, g)
+    num, g = _cancel(combine(_pmul(n1, d2), _pmul(n2, d1)), g)
+    return _finish(num, _pmul(_pmul(d1, d2), g))
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +665,16 @@ def _var_derivative(ctx: ChartContext, v: Var, cpos: int):
 
 
 class DiffExpr:
-    """A canonical quotient of two polynomials.  Immutable."""
+    """A canonical quotient of two integer polynomials.  Immutable.
+
+    num and den are coprime, share no integer factor, and den's leading
+    coefficient in the canonical order is positive; a polynomial has a
+    constant den.  It prints with a monic denominator.
+    """
 
     __slots__ = ("ctx", "num", "den", "_hash")
 
-    def __init__(self, ctx: ChartContext, num: dict, den: dict,
-                 reduced: bool = True):
-        if not reduced:
-            num, den = _reduce(num, den)
+    def __init__(self, ctx: ChartContext, num: dict, den: dict):
         self.ctx = ctx
         self.num = num
         self.den = den
@@ -580,42 +682,42 @@ class DiffExpr:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """(other as an expression, the result's context), or (None, None)
+        for an operand of another type."""
         if isinstance(other, DiffExpr):
-            if not self.ctx.compatible(other.ctx):
-                raise ExprError("mixing expressions from different charts")
-            return other
+            ctx = self.ctx
+            return other, (ctx if other.ctx is ctx else ctx.join(other.ctx))
         if isinstance(other, (int, Fraction)):
-            return self.ctx.number(other)
-        return None
+            return self.ctx.number(other), self.ctx
+        return None, None
 
-    def _join_ctx(self, o: "DiffExpr") -> "ChartContext":
-        # mixing a base-chart expression with one from an extended context
-        # is fine; the result lives in whichever knows more symbols
-        ca, cb = self.ctx, o.ctx
-        if ca is cb or ca.funcs == cb.funcs:
-            return ca
-        sa, sb = set(ca.funcs), set(cb.funcs)
-        if sb <= sa:
-            return ca
-        if sa <= sb:
-            return cb
-        raise ExprError("mixing expressions with unrelated function symbols")
+    def _sum(self, o: "DiffExpr", ctx: ChartContext, combine) -> "DiffExpr":
+        """self + o or self - o, as combine is _padd or _psub."""
+        d1, d2 = self.den, o.den
+        if d1 is _P_ONE and d2 is _P_ONE:
+            return DiffExpr(ctx, combine(self.num, o.num), _P_ONE)
+        if len(d1) == 1 and len(d2) == 1 and () in d1 and () in d2:
+            a, b = d1[()], d2[()]
+            g = gcd(a, b)
+            num = combine(_pscale(self.num, b // g), _pscale(o.num, a // g))
+            if not num:
+                return ctx._zero
+            return DiffExpr(ctx, *_const_over(num, a // g * b))
+        return DiffExpr(ctx, *_qsum(self.num, d1, o.num, d2, combine))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ctx = self._join_ctx(o)
+        if type(other) is DiffExpr and other.ctx is self.ctx:
+            o, ctx = other, self.ctx
+        else:
+            o, ctx = self._operand(other)
+            if o is None:
+                return NotImplemented
         if not o.num and ctx is self.ctx:
             return self
         if not self.num and ctx is o.ctx:
             return o
-        if self.den == o.den:
-            return DiffExpr(ctx, _padd(self.num, o.num), self.den,
-                            reduced=False)
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return DiffExpr(ctx, num, _pmul(self.den, o.den), reduced=False)
+        return self._sum(o, ctx, _padd)
 
     __radd__ = __add__
 
@@ -625,44 +727,57 @@ class DiffExpr:
         return DiffExpr(self.ctx, _pneg(self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.__add__(-o)
+        if type(other) is DiffExpr and other.ctx is self.ctx:
+            o, ctx = other, self.ctx
+        else:
+            o, ctx = self._operand(other)
+            if o is None:
+                return NotImplemented
+        if not o.num and ctx is self.ctx:
+            return self
+        return self._sum(o, ctx, _psub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o, _ = self._operand(other)
         if o is None:
             return NotImplemented
-        return o.__add__(-self)
+        return o.__sub__(self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ctx = self._join_ctx(o)
+        if type(other) is DiffExpr and other.ctx is self.ctx:
+            o, ctx = other, self.ctx
+        else:
+            o, ctx = self._operand(other)
+            if o is None:
+                return NotImplemented
         if not self.num or not o.num:
-            return ctx.zero()
+            return ctx._zero
         if o is o.ctx._one and ctx is self.ctx:
             return self
         if self is self.ctx._one and ctx is o.ctx:
             return o
-        return DiffExpr(ctx, _pmul(self.num, o.num),
-                        _pmul(self.den, o.den), reduced=False)
+        d1, d2 = self.den, o.den
+        if d1 is _P_ONE and d2 is _P_ONE:
+            return DiffExpr(ctx, _pmul(self.num, o.num), _P_ONE)
+        if len(d1) == 1 and len(d2) == 1 and () in d1 and () in d2:
+            return DiffExpr(ctx, *_const_over(_pmul(self.num, o.num),
+                                              d1[()] * d2[()]))
+        return DiffExpr(ctx, *_qmul(self.num, d1, o.num, d2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o, ctx = self._operand(other)
         if o is None:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by the zero expression")
-        return DiffExpr(self._join_ctx(o), _pmul(self.num, o.den),
-                        _pmul(self.den, o.num), reduced=False)
+        if not self.num:
+            return ctx._zero
+        return DiffExpr(ctx, *_qmul(self.num, self.den, o.den, o.num))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o, _ = self._operand(other)
         if o is None:
             return NotImplemented
         return o.__truediv__(self)
@@ -688,19 +803,35 @@ class DiffExpr:
         return self.num == _P_ONE and self.den == _P_ONE
 
     def is_constant(self) -> bool:
-        return (not self.num or self.num.keys() == {()}) and self.den == _P_ONE
+        num, den = self.num, self.den
+        return (len(den) == 1 and () in den
+                and (not num or (len(num) == 1 and () in num)))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ExprError(f"not a constant: {self}")
-        return self.num.get((), Fraction(0))
+        return Fraction(self.num.get((), 0), self.den[()])
 
     def is_polynomial(self) -> bool:
-        return self.den == _P_ONE
+        return len(self.den) == 1 and () in self.den
 
     def free_of_funcs(self) -> bool:
-        return all(v.key[0] == _KIND_COORD for v in
+        return all(_VAR_KEYS[v][0] == _KIND_COORD for v in
                    _pvars(self.num) | _pvars(self.den))
+
+    def coordinate_terms(self):
+        """A polynomial in the coordinates alone as ([(exponent of each
+        coordinate, integer coefficient), ...], integer denominator)."""
+        if not self.is_polynomial() or not self.free_of_funcs():
+            raise ExprError(f"not a coordinate polynomial: {self}")
+        n = len(self.ctx.coords)
+        terms = []
+        for m, c in self.num.items():
+            exp = [0] * n
+            for v, e in m:
+                exp[_VAR_KEYS[v][1]] = e
+            terms.append((tuple(exp), c))
+        return terms, self.den[()]
 
     def total_degree(self) -> int:
         """Total degree of a polynomial expression (zero polynomial: -1)."""
@@ -719,10 +850,8 @@ class DiffExpr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((
-                frozenset((m, c) for m, c in self.num.items()),
-                frozenset((m, c) for m, c in self.den.items()),
-            ))
+            self._hash = hash((frozenset(self.num.items()),
+                               frozenset(self.den.items())))
         return self._hash
 
     def __bool__(self):
@@ -731,77 +860,43 @@ class DiffExpr:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        num = _format_poly(self.num)
-        if self.den == _P_ONE:
-            return num
-        den = _format_poly(self.den)
+        den = self.den
+        if len(den) == 1 and () in den:
+            return _format_poly(self.ctx, self.num, den[()])
+        lc = den[_plead(den)]
+        num = _format_poly(self.ctx, self.num, lc)
         if len(self.num) > 1:
             num = f"({num})"
-        if _needs_parens_as_divisor(self.den):
-            den = f"({den})"
-        return f"{num}/{den}"
+        text = _format_poly(self.ctx, den, lc)
+        (m, _), *more = den.items()
+        if more or len(m) > 1 or m[0][1] > 1:
+            text = f"({text})"
+        return f"{num}/{text}"
 
     __repr__ = __str__
 
 
-def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
-    if not num:
-        return {}, _P_ONE
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if den == _P_ONE:
-        return num, den
-    if den.keys() == {()}:
-        c = den[()]
-        return {m: v / c for m, v in num.items()}, _P_ONE
-    g = _pgcd(num, den)
-    if g != _P_ONE:
-        num = _pdivexact(num, g)
-        den = _pdivexact(den, g)
-    if den == _P_ONE or den.keys() == {()}:
-        return _reduce(num, den)
-    lc = den[_plead(den)]
-    if lc != 1:
-        inv = 1 / lc
-        num = {m: c * inv for m, c in num.items()}
-        den = {m: c * inv for m, c in den.items()}
-    return num, den
-
-
-def _format_monomial(m: tuple, c: Fraction) -> str:
-    parts = []
-    if not m:
-        return str(abs(c))
-    a = abs(c)
-    if a != 1:
-        parts.append(str(a))
-    for v, e in m:
-        parts.append(v.text if e == 1 else f"{v.text}^{e}")
-    return "*".join(parts)
-
-
-def _format_poly(p: dict) -> str:
+def _format_poly(ctx: ChartContext, p: dict, scale: int) -> str:
+    """p / scale, terms in descending canonical order."""
     if not p:
         return "0"
-    terms = sorted(p.keys(), key=_MKEY, reverse=True)
     out = []
-    for i, m in enumerate(terms):
+    for m in sorted(p, key=_graded_lex(p), reverse=True):
         c = p[m]
-        body = _format_monomial(m, c)
-        if i == 0:
+        a = abs(c)
+        g = gcd(a, scale)
+        a, s = a // g, scale // g
+        coeff = str(a) if s == 1 else f"{a}/{s}"
+        parts = [] if m and coeff == "1" else [coeff]
+        for v, e in sorted(m, key=lambda t: _VAR_KEYS[t[0]]):
+            text = ctx.var_text(v)
+            parts.append(text if e == 1 else f"{text}^{e}")
+        body = "*".join(parts)
+        if not out:
             out.append(f"-{body}" if c < 0 else body)
         else:
             out.append(f" - {body}" if c < 0 else f" + {body}")
     return "".join(out)
-
-
-def _needs_parens_as_divisor(p: dict) -> bool:
-    if len(p) > 1:
-        return True
-    (m, c), = p.items()
-    if c != 1 or len(m) > 1:
-        return True
-    return m[0][1] > 1
 
 
 # ---------------------------------------------------------------------------
@@ -967,11 +1062,7 @@ class _Parser:
             if cname not in self.ctx._coord_pos:
                 raise ExprSyntaxError(f"unknown coordinate {cname!r}",
                                       self.text, pos)
-        if head == "d":
-            var = self.ctx.d1_var(fname, names[1])
-        else:
-            var = self.ctx.d2_var(fname, names[1], names[2])
-        return DiffExpr(self.ctx, {((var, 1),): Fraction(1)}, _P_ONE)
+        return self.ctx.partial(fname, *names[1:])
 
     def ident(self) -> str:
         kind, val, pos = self.next()
@@ -992,12 +1083,15 @@ def differentiate(e: DiffExpr, coord: str) -> DiffExpr:
     produced for function symbols, capped at second order.
     """
     ctx = e.ctx
-    dn = _pdiff(e.num, ctx, coord)
-    if e.den == _P_ONE:
+    cpos = ctx.coord_pos(coord)
+    dn = _pdiff(e.num, cpos)
+    den = e.den
+    if den is _P_ONE:
         return DiffExpr(ctx, dn, _P_ONE)
-    dd = _pdiff(e.den, ctx, coord)
-    num = _padd(_pmul(dn, e.den), _pneg(_pmul(e.num, dd)))
-    return DiffExpr(ctx, num, _pmul(e.den, e.den), reduced=False)
+    if len(den) == 1 and () in den:
+        return DiffExpr(ctx, *_const_over(dn, den[()]))
+    num = _psub(_pmul(dn, den), _pmul(e.num, _pdiff(den, cpos)))
+    return DiffExpr(ctx, *_reduce(num, _pmul(den, den)))
 
 
 def is_zero(e: DiffExpr) -> bool:
@@ -1025,30 +1119,28 @@ def evaluate(e: DiffExpr, coord_values: dict, func_polys: dict | None = None
                             "polynomials")
         return p
 
-    def value_of(v: Var) -> Fraction:
-        got = cache.get(v.key)
+    def value_of(v: int) -> Fraction:
+        got = cache.get(v)
         if got is not None:
             return got
-        kind = v.key[0]
+        key = _VAR_KEYS[v]
+        kind = key[0]
         if kind == _KIND_COORD:
-            out = Fraction(coord_values[ctx.coords[v.key[1]]])
+            out = Fraction(coord_values[ctx.coords[key[1]]])
         elif kind == _KIND_FUNC:
-            out = evaluate(poly_for(v.key[1]), coord_values)
-        elif kind == _KIND_D1:
-            _, fname, i = v.key
-            out = evaluate(differentiate(poly_for(fname), ctx.coords[i]),
-                           coord_values)
+            out = evaluate(poly_for(key[1]), coord_values)
         else:
-            _, fname, i, j = v.key
-            d1 = differentiate(poly_for(fname), ctx.coords[i])
-            out = evaluate(differentiate(d1, ctx.coords[j]), coord_values)
-        cache[v.key] = out
+            out = poly_for(key[1])
+            for i in key[2:]:
+                out = differentiate(out, ctx.coords[i])
+            out = evaluate(out, coord_values)
+        cache[v] = out
         return out
 
     def eval_poly(p: dict) -> Fraction:
         total = Fraction(0)
         for m, c in p.items():
-            term = c
+            term = Fraction(c)
             for v, exp in m:
                 term *= value_of(v) ** exp
             total += term

@@ -20,7 +20,8 @@ check_presymplectic appends the formal-function slots f e_a of its
 extended structure.  star keeps e * e' for basis sections e, e' keyed by
 their basis positions, so the memo holds at most (2r)^2 entries for a
 frame of rank r, and each product the def-i, def-ii and cyclic-T loops
-share is computed once.  Intermediate sections such as star(u, star(v,
+share is computed once; bracket keeps [e, e'] the same way, which def-ii
+asks for once per triple.  Intermediate sections such as star(u, star(v,
 w)) are recomputed on every call: memoising them would make the memo as
 large as the loops themselves.
 """
@@ -73,6 +74,7 @@ class PreSymStructure:
         self._d_cache: dict[DiffExpr, tuple] = {}
         self._basis: tuple = ()
         self._basis_products: dict[tuple[int, int], tuple] = {}
+        self._basis_brackets: dict[tuple[int, int], tuple] = {}
         self._frames = self.add_basis(
             self._prod.frame_section(a) for a in range(self.rank))
 
@@ -166,21 +168,22 @@ class PreSymStructure:
 
     # -- products on sections ------------------------------------------------
 
-    def star(self, u, v):
-        """The section product u * v.
-
-        When both arguments are basis sections of this structure (see
-        add_basis) the product is memoised under their basis positions;
-        the basis is fixed and small, so the memo is bounded by its
-        square.  Any other pair is computed afresh.
-        """
+    def _basis_memo(self, memo: dict, fn, u, v):
+        """fn(u, v), memoised under basis positions when both arguments
+        are basis sections of this structure (see add_basis); the basis is
+        fixed and small, so the memo is bounded by its square.  Any other
+        pair is computed afresh."""
         i, j = self._basis_pos(u), self._basis_pos(v)
         if i is None or j is None:
-            return self._star(self._section(u), self._section(v))
-        out = self._basis_products.get((i, j))
+            return fn(self._section(u), self._section(v))
+        out = memo.get((i, j))
         if out is None:
-            out = self._basis_products[(i, j)] = self._star(u, v)
+            out = memo[(i, j)] = fn(u, v)
         return out
+
+    def star(self, u, v):
+        """The section product u * v (memoised on basis sections)."""
+        return self._basis_memo(self._basis_products, self._star, u, v)
 
     def _star(self, u, v):
         out = [self.ctx.zero()] * self.rank
@@ -230,8 +233,9 @@ class PreSymStructure:
         return out
 
     def bracket(self, u, v):
-        return self.commutator_algebroid().bracket(
-            self._section(u), self._section(v))
+        """The commutator bracket [u, v] (memoised on basis sections)."""
+        return self._basis_memo(self._basis_brackets,
+                                self.commutator_algebroid().bracket, u, v)
 
     def associator(self, u, v, w):
         u, v, w = self._section(u), self._section(v), self._section(w)

@@ -13,7 +13,8 @@ import pytest
 import psalib
 from psalib import fixtures
 from psalib.cli import main
-from psalib.psafile import emit
+from psalib.psafile import emit, load_path
+from psalib.report import CheckReport
 
 
 def run(capsys, *argv):
@@ -197,6 +198,35 @@ def test_exact_suite_runs_on_twist_file(capsys, fixture_file):
                        "--suite", "exact")
     assert code == 0
     assert "exact.phi-closed" in out
+
+
+def test_check_builds_the_twisted_product_once(capsys, fixture_file,
+                                               tmp_path, monkeypatch):
+    """The skew-pairing structure is built once per `psa check` and shared
+    by presym, exact and parakahler; the report is byte for byte the one
+    that a structure built afresh for each suite gives."""
+    from psalib import cli
+    f = fixture_file("twist-r2")
+    b = load_path(f)
+    suites = cli.applicable_suites(b)
+    assert {"presym", "exact"} <= set(suites)
+    separate = CheckReport(f)
+    for suite in suites:
+        separate.extend(cli.run_suites(b, [suite], f))
+    calls = []
+    build = cli.twisted_product
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "twisted_product", counting)
+    shared = tmp_path / "shared.json"
+    code, _, _ = run(capsys, "check", f, "--json", str(shared))
+    assert code == 0
+    assert len(calls) == 1
+    assert _strip_timing(shared.read_text(encoding="utf-8")) == \
+        _strip_timing(separate.to_json())
 
 
 def test_json_report_shape(capsys, fixture_file, tmp_path):

@@ -14,7 +14,7 @@ from psalib.algebroid import (
     check_2cocycle,
     check_lie_algebroid,
 )
-from psalib.cli import applicable_suites, run_suite
+from psalib.cli import applicable_suites, run_suites
 from psalib.exprcore import ChartContext
 from psalib.presym import (
     PreSymStructure,
@@ -512,10 +512,36 @@ def test_interned_constants_survive_every_suite(monkeypatch):
     monkeypatch.setattr(ChartContext, "__init__", recording_init)
     for name in fixtures.REGISTRY_NAMES:
         b = fixtures.build(name)
-        for suite in applicable_suites(b):
-            run_suite(b, suite, name)
+        run_suites(b, applicable_suites(b), name)
     assert len(made) > len(fixtures.REGISTRY_NAMES)
     for ctx in made:
         assert ctx.zero() is ctx.number(0)
         assert ctx.zero().num == {} and ctx.zero().den == {(): 1}
         assert ctx.one().num == {(): 1} and ctx.one().den == {(): 1}
+
+
+def test_bracket_is_evaluated_once_per_pair_of_basis_sections(monkeypatch):
+    """def-ii asks for [u, w] once per triple (u, v, w), so without the
+    memo every pair of basis sections would be bracketed r times over."""
+    E = fixtures.sphere_structure()
+    r = E.rank
+    evaluated, asked = [], []
+    algebroid_bracket = ChartAlgebroid.bracket
+    presym_bracket = PreSymStructure.bracket
+
+    def counting_algebroid(self, u, v):
+        evaluated.append(1)
+        return algebroid_bracket(self, u, v)
+
+    def counting_presym(self, u, v):
+        asked.append((u.pos, v.pos))
+        return presym_bracket(self, u, v)
+
+    monkeypatch.setattr(ChartAlgebroid, "bracket", counting_algebroid)
+    monkeypatch.setattr(PreSymStructure, "bracket", counting_presym)
+    assert check_presymplectic(E).passed()
+    # def-ii: r^3 frame triples and r^3 per formal slot; bracket-leibniz
+    # r^2 more
+    assert len(asked) == 4 * r ** 3 + r ** 2
+    # frame with frame, formal slot with frame, frame with formal slot
+    assert len(set(asked)) == len(evaluated) == 3 * r ** 2

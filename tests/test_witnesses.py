@@ -16,7 +16,7 @@ from psalib import fixtures, parakahler
 from psalib.algebroid import (ChartAlgebroid, check_2cocycle,
                               check_left_symmetric_algebroid,
                               check_lie_algebroid)
-from psalib.cli import applicable_suites, run_suite
+from psalib.cli import applicable_suites, run_suites
 from psalib.exactclass import (FlatConnection, PhiTensor, Splitting,
                                canonical_splitting, check_exact,
                                splitting_equivalence, twisted_product)
@@ -582,7 +582,6 @@ def test_recorded_ids_are_exactly_the_anchors(reports):
     seen = {c.check_id for rep in reports.values() for c in rep.checks}
     for name in fixtures.REGISTRY_NAMES:
         bundle = fixtures.build(name)
-        for suite in applicable_suites(bundle):
-            seen |= {c.check_id
-                     for c in run_suite(bundle, suite, name).checks}
+        seen |= {c.check_id for c in run_suites(
+            bundle, applicable_suites(bundle), name).checks}
     assert seen == set(ANCHORS)
