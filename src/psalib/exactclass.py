@@ -584,7 +584,7 @@ def _monomials_upto(n: int, dmax: int):
     return out
 
 
-def _poly_to_coords(e: DiffExpr, ctx: ChartContext, index: dict):
+def _poly_to_coords(e: DiffExpr, index: dict):
     """Exact coordinates of a polynomial chart expression in the monomial
     basis; raises if a monomial falls outside the truncation."""
     if not e.is_polynomial():
@@ -637,9 +637,8 @@ class TruncatedComplex:
             frame = self.conn.frame_section(a)
             action.append([
                 (col, row, v) for col, e in enumerate(exprs)
-                for row, v in _poly_to_coords(
-                    self.conn.anchor_apply(frame, e), self.ctx,
-                    self.mono_index).items()])
+                for row, v in _poly_to_coords(self.conn.anchor_apply(
+                    frame, e), self.mono_index).items()])
         return action
 
     def space_dim(self, degree: int) -> int:
@@ -672,8 +671,7 @@ class TruncatedComplex:
             val = phi.components.get(key)
             if val is None:
                 continue
-            for col, coeff in _poly_to_coords(val, self.ctx,
-                                              self.mono_index).items():
+            for col, coeff in _poly_to_coords(val, self.mono_index).items():
                 vec[ki * m + col] = coeff
         return vec
 

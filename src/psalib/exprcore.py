@@ -2,9 +2,22 @@
 
 A value is a quotient of multivariate polynomials over Q.  The indeterminates
 are chart coordinates, formal function symbols, and formal partial derivatives
-of those symbols up to second order.  Everything is kept canonical (coprime
-numerator and denominator, monic denominator, fixed graded-lex monomial
-order), so equality and `is_zero` are exact decisions, never heuristics.
+of those symbols up to second order.  Everything is kept canonical, so
+equality and `is_zero` are exact decisions, never heuristics.
+
+The representation is packed into plain ints.  Each indeterminate has an id
+from one process-wide intern table, a monomial is a tuple of (id, exponent)
+pairs sorted by id, and numerator and denominator are integer polynomials:
+coprime, with no common integer factor, and the denominator's leading
+coefficient positive (a polynomial has a constant denominator).  Sums put
+two quotients over the lcm of their denominators and cancel against their
+gcd only; products cancel each numerator against the other denominator.
+gcds come from a primitive PRS over the integers.  The canonical
+graded-lex order over the variables' keys is consulted only where it
+chooses an output or a representative.  A value prints with a monic
+denominator and rational coefficients, and `Fraction` appears only where
+numbers enter or leave: parsing, `number()`, `constant_value()` and
+`evaluate()`.
 """
 
 from __future__ import annotations
@@ -136,7 +149,7 @@ class ChartContext:
         return self._atom((_KIND_D1 if len(pos) == 1 else _KIND_D2, fname)
                           + tuple(pos))
 
-    def var_text(self, vid: int) -> str:
+    def _var_text(self, vid: int) -> str:
         """How this chart prints an interned variable."""
         key = _VAR_KEYS[vid]
         kind, name = key[0], key[1]
@@ -337,10 +350,15 @@ def _pscale(p: dict, k: int) -> dict:
 def _pmul(p: dict, q: dict) -> dict:
     if not p or not q:
         return {}
-    if len(p) == 1 and () in p:
-        return _pscale(q, p[()])
-    if len(q) == 1 and () in q:
-        return _pscale(p, q[()])
+    if len(q) == 1 and len(p) > 1:
+        p, q = q, p
+    if len(p) == 1:
+        (m1, c1), = p.items()
+        if len(q) == 1:
+            (m2, c2), = q.items()
+            return {_mmul(m1, m2): c1 * c2}
+        if not m1:
+            return _pscale(q, c1)
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -369,9 +387,8 @@ def _pvars(p: dict) -> set:
     return {v for m in p for v, _ in m}
 
 
-def _pmainvar(p: dict, q: dict):
-    vs = _pvars(p) | _pvars(q)
-    return max(vs, key=_VAR_KEYS.__getitem__) if vs else None
+def _pmainvar(p: dict, q: dict) -> int:
+    return max(_pvars(p) | _pvars(q), key=_VAR_KEYS.__getitem__)
 
 
 def _puni(p: dict, v: int) -> dict:
@@ -516,7 +533,7 @@ def _pgcd(p: dict, q: dict) -> dict:
         return _pprimitive(p)
     v = _pmainvar(p, q)
     # peel common monomial content cheaply first
-    common = _monomial_gcd(_monomial_gcd(p, p), _monomial_gcd(q, q))
+    common = _monomial_gcd(p, q)
     if common is not _P_ONE:
         p = _pdivexact(p, common)
         q = _pdivexact(q, common)
@@ -589,8 +606,12 @@ def _const_over(num: dict, d: int) -> tuple[dict, dict]:
     if d < 0:
         g = -g
     if g != 1:
-        num = {m: c // g for m, c in num.items()}
         d //= g
+        if len(num) == 1:
+            (m, c), = num.items()
+            num = {m: c // g}
+        else:
+            num = {m: c // g for m, c in num.items()}
     return num, (_P_ONE if d == 1 else {(): d})
 
 
@@ -627,8 +648,6 @@ def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
     """The canonical form of num/den."""
     if not num:
         return {}, _P_ONE
-    if not den:
-        raise ZeroDivisionError("zero denominator")
     if _is_const(den):
         return _const_over(num, den[()])
     return _finish(*_cancel(num, den))
@@ -889,7 +908,7 @@ def _format_poly(ctx: ChartContext, p: dict, scale: int) -> str:
         coeff = str(a) if s == 1 else f"{a}/{s}"
         parts = [] if m and coeff == "1" else [coeff]
         for v, e in sorted(m, key=lambda t: _VAR_KEYS[t[0]]):
-            text = ctx.var_text(v)
+            text = ctx._var_text(v)
             parts.append(text if e == 1 else f"{text}^{e}")
         body = "*".join(parts)
         if not out:

@@ -65,7 +65,7 @@ def flat_case(n, t):
         ChartContext(coords=tuple(f"x{i + 1}" for i in range(n)))), t)
 
     def coords(e):
-        got = _poly_to_coords(e, cx.ctx, cx.mono_index)
+        got = _poly_to_coords(e, cx.mono_index)
         return [got.get(i, Fraction(0)) for i in range(len(cx.monomials))]
 
     return SimpleNamespace(cx=cx, alg=cx.conn,
