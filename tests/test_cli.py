@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import psalib
-from psalib import fixtures
+from psalib import cli, fixtures
 from psalib.cli import main
 from psalib.psafile import emit, load_path
 from psalib.report import CheckReport
@@ -205,7 +205,6 @@ def test_check_builds_the_twisted_product_once(capsys, fixture_file,
     """The skew-pairing structure is built once per `psa check` and shared
     by presym, exact and parakahler; the report is byte for byte the one
     that a structure built afresh for each suite gives."""
-    from psalib import cli
     f = fixture_file("twist-r2")
     b = load_path(f)
     suites = cli.applicable_suites(b)
