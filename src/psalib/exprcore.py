@@ -599,9 +599,10 @@ def _var_derivative(v: int, cpos: int):
         f"third derivative of {key[1]} exceeds the cap")
 
 
-def _const_over(num: dict, d: int) -> tuple[dict, dict]:
+def _const_over(num: dict, d: int, dens=()) -> tuple[dict, dict]:
     """The canonical num/d for a nonzero integer d: no common integer
-    factor, positive denominator."""
+    factor, positive denominator.  The denominator is shared with one of
+    the constant denominators dens when it equals it."""
     g = gcd(d, *num.values())
     if d < 0:
         g = -g
@@ -612,7 +613,12 @@ def _const_over(num: dict, d: int) -> tuple[dict, dict]:
             num = {m: c // g}
         else:
             num = {m: c // g for m, c in num.items()}
-    return num, (_P_ONE if d == 1 else {(): d})
+    if d == 1:
+        return num, _P_ONE
+    for den in dens:
+        if den[()] == d:
+            return num, den
+    return num, {(): d}
 
 
 def _finish(num: dict, den: dict) -> tuple[dict, dict]:
@@ -722,7 +728,7 @@ class DiffExpr:
             num = combine(_pscale(self.num, b // g), _pscale(o.num, a // g))
             if not num:
                 return ctx._zero
-            return DiffExpr(ctx, *_const_over(num, a // g * b))
+            return DiffExpr(ctx, *_const_over(num, a // g * b, (d1, d2)))
         return DiffExpr(ctx, *_qsum(self.num, d1, o.num, d2, combine))
 
     def __add__(self, other):
@@ -780,7 +786,7 @@ class DiffExpr:
             return DiffExpr(ctx, _pmul(self.num, o.num), _P_ONE)
         if len(d1) == 1 and len(d2) == 1 and () in d1 and () in d2:
             return DiffExpr(ctx, *_const_over(_pmul(self.num, o.num),
-                                              d1[()] * d2[()]))
+                                              d1[()] * d2[()], (d1, d2)))
         return DiffExpr(ctx, *_qmul(self.num, d1, o.num, d2))
 
     __rmul__ = __mul__
@@ -1108,7 +1114,7 @@ def differentiate(e: DiffExpr, coord: str) -> DiffExpr:
     if den is _P_ONE:
         return DiffExpr(ctx, dn, _P_ONE)
     if len(den) == 1 and () in den:
-        return DiffExpr(ctx, *_const_over(dn, den[()]))
+        return DiffExpr(ctx, *_const_over(dn, den[()], (den,)))
     num = _psub(_pmul(dn, den), _pmul(e.num, _pdiff(den, cpos)))
     return DiffExpr(ctx, *_reduce(num, _pmul(den, den)))
 
