@@ -240,6 +240,64 @@ def test_pairing_skew_enforced():
     assert rep.find("presym.pairing-skew").status == "fail"
 
 
+_NONSKEW_ZERO_TABLE = [
+    ("presym.D-reproducing", "fail", "(Df,e1) - rho(e1)(f) = 2*d(f,y)"),
+    ("presym.bracket-leibniz", "pass", None),
+    ("presym.cyclic-T", "fail", "(f e1,e1,e2): 2*d(f,y)"),
+    ("presym.def-i", "fail",
+     "(f e1,e1,e1): component d1: -1/3*d2(f,x,y) - 2/3*d2(f,y,y)"),
+    ("presym.def-ii", "fail",
+     "(e1,e1,e1), formal f in slot 1: residual 2*d(f,x) + 2*d(f,y)"),
+    ("presym.pairing-nondegenerate", "pass", None),
+    ("presym.pairing-skew", "fail", "(e1,e1) + (e1,e1) = 2"),
+    ("presym.scalar-left", "pass", None),
+    ("presym.scalar-right", "pass", None),
+    ("presym.star-with-D", "fail",
+     "e1 * Df - 1/2 D(Df,e1), component d1: -d2(f,y,y)"),
+]
+
+_NONSKEW_TABLE = [
+    ("presym.D-reproducing", "fail",
+     "(Df,e1) - rho(e1)(f) = 1/2*x^2*d(f,y) - 3*d(f,x)"),
+    ("presym.bracket-leibniz", "pass", None),
+    ("presym.cyclic-T", "fail",
+     "(f e1,e1,e2): 17/4*x^2*d(f,y) - 15/2*d(f,x)"),
+    ("presym.def-i", "fail", "(e1,e2,e1): component d1: -8/3*x + y"),
+    ("presym.def-ii", "fail", "(e1,e1,e1): residual -x*y"),
+    ("presym.pairing-nondegenerate", "pass", None),
+    ("presym.pairing-skew", "fail", "(e1,e1) + (e1,e1) = 2*x"),
+    ("presym.scalar-left", "pass", None),
+    ("presym.scalar-right", "pass", None),
+    ("presym.star-with-D", "fail",
+     "e1 * Df - 1/2 D(Df,e1), component d1: 1/8*x^3*d2(f,y,y) "
+     "- 1/2*x*y*d(f,y) - 3/4*x*d2(f,x,y) - 1/2*d(f,y)"),
+]
+
+
+def test_non_skew_pairing_reports_are_pinned():
+    """Every check of two invertible but non-skew structures, one with a
+    zero and one with a nonzero frame table.  Off a skew pairing u*v -
+    v*u is not [u, v] on formal-slot sections, so T and def-i must keep
+    their four-term definitions there; these reports were pinned from
+    that definition."""
+    ctx = ChartContext(coords=("x", "y"))
+    e = ctx.expr
+    z = ctx.zero()
+    cell = (z, z)
+    zero_table = PreSymStructure(ctx, ("d1", "d2"), [[1, 0], [0, 1]],
+                                 [[cell, cell], [cell, cell]],
+                                 [[1, 1], [-1, 0]])
+    table = [[(e("y"), z), (z, e("x"))], [(e("1"), e("-x")), (z, e("y^2"))]]
+    with_table = PreSymStructure(ctx, ("d1", "d2"), [[1, 0], [0, e("x")]],
+                                 table, [[e("x"), 1], [2, 0]])
+    for E, want in ((zero_table, _NONSKEW_ZERO_TABLE),
+                    (with_table, _NONSKEW_TABLE)):
+        rep = check_presymplectic(E)
+        got = [(c.check_id, c.status, c.witness)
+               for c in sorted(rep.checks, key=lambda c: c.check_id)]
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # correspondence, both directions
 
