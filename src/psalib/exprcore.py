@@ -595,7 +595,16 @@ def _var_derivative(v: int, cpos: int):
     if kind == _KIND_D1:
         i, j = sorted((key[2], cpos))
         return _var_id((_KIND_D2, key[1], i, j))
-    raise DerivativeOrderError(
+    raise DerivativeOrderError  # worded by differentiate
+
+
+def _cap_error(*polys) -> DerivativeOrderError:
+    """The error for differentiating second-order partials.  It names the
+    function symbol of the smallest such partial in canonical order, so
+    the message does not depend on the order the terms were built in."""
+    key = min(_VAR_KEYS[v] for p in polys for m in p for v, _ in m
+              if _VAR_KEYS[v][0] == _KIND_D2)
+    return DerivativeOrderError(
         f"third derivative of {key[1]} exceeds the cap")
 
 
@@ -1109,13 +1118,18 @@ def differentiate(e: DiffExpr, coord: str) -> DiffExpr:
     """
     ctx = e.ctx
     cpos = ctx.coord_pos(coord)
-    dn = _pdiff(e.num, cpos)
     den = e.den
+    const_den = len(den) == 1 and () in den
+    try:
+        dn = _pdiff(e.num, cpos)
+        dd = None if const_den else _pdiff(den, cpos)
+    except DerivativeOrderError:
+        raise _cap_error(e.num, den) from None
     if den is _P_ONE:
         return DiffExpr(ctx, dn, _P_ONE)
-    if len(den) == 1 and () in den:
+    if const_den:
         return DiffExpr(ctx, *_const_over(dn, den[()], (den,)))
-    num = _psub(_pmul(dn, den), _pmul(e.num, _pdiff(den, cpos)))
+    num = _psub(_pmul(dn, den), _pmul(e.num, dd))
     return DiffExpr(ctx, *_reduce(num, _pmul(den, den)))
 
 

@@ -14,16 +14,34 @@ pairing yields a bracket structure with a closed 2-form, and a bracket
 structure with a closed nondegenerate 2-form determines the product
 table uniquely through the pairing's inverse.
 
+Sections are normalised once.  The public entry points (pairing_value,
+star, bracket, associator, tensor_T, anchor_apply) accept frame indices
+and tuples of numbers and turn them into tuples of DiffExpr; every
+internal path already holds such tuples and calls the private forms
+(_pair, _times, _bracket, _tensor_T, the residual helpers), which skip
+that step.
+
 Products of basis sections are memoised.  Every structure's frame
 sections are built once and form the start of its basis;
 check_presymplectic appends the formal-function slots f e_a of its
 extended structure.  star keeps e * e' for basis sections e, e' keyed by
 their basis positions, so the memo holds at most (2r)^2 entries for a
 frame of rank r, and each product the def-i, def-ii and cyclic-T loops
-share is computed once; bracket keeps [e, e'] the same way, which def-ii
-asks for once per triple.  Intermediate sections such as star(u, star(v,
-w)) are recomputed on every call: memoising them would make the memo as
-large as the loops themselves.
+share is computed once; bracket keeps [e, e'] the same way.  The pairing
+walks the support of its arguments: with a frame on either side it is
+one row or column of the pairing matrix.
+
+On a skew pairing, u*v - v*u = [u, v] on every section: the
+-1/2 (W_ab + W_ba) D terms that the two scalar extension identities add
+cancel exactly when W_ab + W_ba = 0.  There T(u,v,w) is evaluated as
+([u,v], w) + (u, v*w) - (v, u*w), three pairings with the memoised
+bracket, and because the section product is additive in its left slot,
+(u,v,w) - (v,u,w) = u*(v*w) - v*(u*w) - [u,v]*w, three fresh products
+where the two associators take four.  A structure whose pairing is not
+skew (check_presymplectic reports it, and still runs the other checks)
+keeps the four-term definitions.  Intermediate sections such as
+u*(v*w) are recomputed on every call: memoising them would make the memo
+as large as the loops themselves.
 """
 
 import itertools
@@ -68,7 +86,17 @@ class PreSymStructure:
         self._pairing_nz = tuple(
             tuple((b, w) for b, w in enumerate(row) if not w.is_zero())
             for row in pairing.rows)
+        # (a, w) for each nonzero pairing entry w = (e_a, e_b), by column b
+        self._pairing_cols = tuple(
+            tuple((a, row[b]) for a, row in enumerate(pairing.rows)
+                  if not row[b].is_zero())
+            for b in range(self.rank))
+        # gates the short forms of T and def-i (see the module docstring)
+        self._skew = all(
+            (pairing.rows[a][b] + pairing.rows[b][a]).is_zero()
+            for a in range(self.rank) for b in range(a, self.rank))
         self._half = ctx.number(Fraction(1, 2))
+        self._sixth = ctx.number(Fraction(1, 6))
         self._inv_pairing = None
         self._comm = None
         self._d_cache: dict[DiffExpr, tuple] = {}
@@ -144,8 +172,28 @@ class PreSymStructure:
         return self._prod.anchor_apply(self._section(u), f)
 
     def pairing_value(self, u, v) -> DiffExpr:
-        u, v = self._section(u), self._section(v)
+        return self._pair(self._section(u), self._section(v))
+
+    def _pair(self, u, v) -> DiffExpr:
+        """(u, v) on normalised sections.  A frame e_b of this structure
+        on the right leaves the dot product of u with column b of the
+        pairing, a frame e_a on the left that of row a with v; otherwise
+        the rows of u's support meet the support of v."""
         acc = self.ctx.zero()
+        b = self._basis_pos(v)
+        if b is not None and b < self.rank:
+            for a, w in self._pairing_cols[b]:
+                ua = u[a]
+                if not ua.is_zero():
+                    acc = acc + ua * w
+            return acc
+        a = self._basis_pos(u)
+        if a is not None and a < self.rank:
+            for b, w in self._pairing_nz[a]:
+                vb = v[b]
+                if not vb.is_zero():
+                    acc = acc + vb * w
+            return acc
         for a, row in enumerate(self._pairing_nz):
             ua = u[a]
             if ua.is_zero():
@@ -169,13 +217,13 @@ class PreSymStructure:
     # -- products on sections ------------------------------------------------
 
     def _basis_memo(self, memo: dict, fn, u, v):
-        """fn(u, v), memoised under basis positions when both arguments
-        are basis sections of this structure (see add_basis); the basis is
-        fixed and small, so the memo is bounded by its square.  Any other
-        pair is computed afresh."""
+        """fn(u, v) on normalised sections, memoised under basis positions
+        when both arguments are basis sections of this structure (see
+        add_basis); the basis is fixed and small, so the memo is bounded
+        by its square.  Any other pair is computed afresh."""
         i, j = self._basis_pos(u), self._basis_pos(v)
         if i is None or j is None:
-            return fn(self._section(u), self._section(v))
+            return fn(u, v)
         out = memo.get((i, j))
         if out is None:
             out = memo[(i, j)] = fn(u, v)
@@ -183,6 +231,10 @@ class PreSymStructure:
 
     def star(self, u, v):
         """The section product u * v (memoised on basis sections)."""
+        return self._times(self._section(u), self._section(v))
+
+    def _times(self, u, v):
+        """star on normalised sections."""
         return self._basis_memo(self._basis_products, self._star, u, v)
 
     def _star(self, u, v):
@@ -234,13 +286,20 @@ class PreSymStructure:
 
     def bracket(self, u, v):
         """The commutator bracket [u, v] (memoised on basis sections)."""
+        return self._bracket(self._section(u), self._section(v))
+
+    def _bracket(self, u, v):
+        """bracket on normalised sections."""
         return self._basis_memo(self._basis_brackets,
                                 self.commutator_algebroid().bracket, u, v)
 
     def associator(self, u, v, w):
-        u, v, w = self._section(u), self._section(v), self._section(w)
-        left = self.star(u, self.star(v, w))
-        right = self.star(self.star(u, v), w)
+        return self._associator(self._section(u), self._section(v),
+                                self._section(w))
+
+    def _associator(self, u, v, w):
+        left = self._times(u, self._times(v, w))
+        right = self._times(self._times(u, v), w)
         return tuple(x - y for x, y in zip(left, right))
 
     def section_str(self, coeffs) -> str:
@@ -259,35 +318,56 @@ class PreSymStructure:
 
 def tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
     """(u*v, w) + (u, v*w) - (v*u, w) - (v, u*w)."""
-    u, v, w = E._section(u), E._section(v), E._section(w)
-    return (E.pairing_value(E.star(u, v), w)
-            + E.pairing_value(u, E.star(v, w))
-            - E.pairing_value(E.star(v, u), w)
-            - E.pairing_value(v, E.star(u, w)))
+    return _tensor_T(E, E._section(u), E._section(v), E._section(w))
+
+
+def _tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
+    """tensor_T on normalised sections.  On a skew pairing the first and
+    third pairings are ([u,v], w), since u*v - v*u = [u,v] there (see the
+    module docstring); otherwise all four are evaluated."""
+    if E._skew:
+        return (E._pair(E._bracket(u, v), w)
+                + E._pair(u, E._times(v, w))
+                - E._pair(v, E._times(u, w)))
+    return (E._pair(E._times(u, v), w)
+            + E._pair(u, E._times(v, w))
+            - E._pair(E._times(v, u), w)
+            - E._pair(v, E._times(u, w)))
 
 
 def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
     """(u,v,w) - (v,u,w) - 1/6 D T(u,v,w), componentwise, given
-    t = T(u,v,w)."""
-    sixth = E.ctx.number(Fraction(1, 6))
-    a1 = E.associator(u, v, w)
-    a2 = E.associator(v, u, w)
+    t = T(u,v,w), on normalised sections.
+
+    On a skew pairing the associator difference is
+    u*(v*w) - v*(u*w) - [u,v]*w: the product is additive in its left slot
+    and u*v - v*u = [u,v] exactly when W_ab + W_ba = 0 for all a, b (see
+    the module docstring).  Otherwise both associators are evaluated.
+    """
+    if E._skew:
+        diff = tuple(
+            x - y - z for x, y, z in zip(E._star(u, E._times(v, w)),
+                                         E._star(v, E._times(u, w)),
+                                         E._star(E._bracket(u, v), w)))
+    else:
+        diff = tuple(x - y for x, y in zip(E._associator(u, v, w),
+                                           E._associator(v, u, w)))
     if t.is_zero():
-        return tuple(x - y for x, y in zip(a1, a2))
-    dt = E.D(t)
-    return tuple(x - y - sixth * z for x, y, z in zip(a1, a2, dt))
+        return diff
+    return tuple(x - E._sixth * z for x, z in zip(diff, E.D(t)))
 
 
 def _def_ii_residual(E: PreSymStructure, u, v, w) -> DiffExpr:
-    """rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w])."""
-    lhs = E.anchor_apply(u, E.pairing_value(v, w))
-    s = list(E.star(u, v))
-    p = E.pairing_value(u, v)
+    """rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w]), on normalised
+    sections."""
+    lhs = E._prod.anchor_apply(u, E._pair(v, w))
+    s = list(E._times(u, v))
+    p = E._pair(u, v)
     if not p.is_zero():
         dp = E.D(p)
         for k in range(E.rank):
             s[k] = s[k] - E._half * dp[k]
-    rhs = E.pairing_value(s, w) + E.pairing_value(v, E.bracket(u, w))
+    rhs = E._pair(s, w) + E._pair(v, E._bracket(u, w))
     return lhs - rhs
 
 
@@ -339,7 +419,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
         i = (u.pos * nb + v.pos) * nb + w.pos
         t = t_memo[i]
         if t is None:
-            t = t_memo[i] = tensor_T(ext, u, v, w)
+            t = t_memo[i] = _tensor_T(ext, u, v, w)
         return t
 
     def d_reproducing():

@@ -108,6 +108,18 @@ def test_derivative_order_cap():
         differentiate(e, "x")
 
 
+def test_derivative_order_cap_names_the_smallest_symbol():
+    # the same expression built in two term orders names the same symbol:
+    # the smallest second-order partial in canonical order
+    c = ctx2()
+    a, b = c.expr("d2(g,x,y)"), c.expr("d2(f,x,x)")
+    for e in (a + b, b + a, a * b + c.expr("x"), b * a + c.expr("x"),
+              c.expr("x") * a - b, (a + b) / (c.expr("y") + a)):
+        with pytest.raises(DerivativeOrderError) as info:
+            differentiate(e, "y")
+        assert str(info.value) == "third derivative of f exceeds the cap"
+
+
 def test_context_validation():
     with pytest.raises(ExprError):
         ChartContext(coords=("x", "x"))

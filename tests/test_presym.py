@@ -2,20 +2,23 @@
 pseudo-semidirect products, closed isotropic subbundles."""
 
 import functools
+import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psalib import fixtures
+from psalib import fixtures, presym
 from psalib.algebroid import (
     ChartAlgebroid,
     FormField,
     check_2cocycle,
     check_lie_algebroid,
 )
-from psalib.cli import applicable_suites, run_suites
+from psalib.cli import _presym_builder, applicable_suites, run_suites
 from psalib.exprcore import ChartContext
+from psalib.psafile import load_path
 from psalib.presym import (
     PreSymStructure,
     Subbundle,
@@ -194,17 +197,24 @@ def test_cyclic_t_is_a_report_check():
 def test_t_evaluated_once_per_basis_triple(monkeypatch):
     """def-i and cyclic-T share one evaluation of T on each triple of
     basis sections."""
-    from psalib import presym
     triples = []
+    tensor = presym._tensor_T
 
     def counting(E, u, v, w):
         triples.append((u.pos, v.pos, w.pos))
-        return tensor_T(E, u, v, w)
+        return tensor(E, u, v, w)
 
-    monkeypatch.setattr(presym, "tensor_T", counting)
+    monkeypatch.setattr(presym, "_tensor_T", counting)
     assert check_presymplectic(fixtures.r2n_structure(2)).passed()
-    assert triples
-    assert len(triples) == len(set(triples))
+    r = 4
+    pairs = r * (r - 1) // 2
+    # def-i: (e_u, e_v, e_w) and (e_u, e_v, f e_w) for u < v, and
+    # (f e_u, e_v, e_w) for all u, v; cyclic-T adds the third rotation
+    # (e_w, e_u, e_v) of u < v < w, and of (f e_u, e_v, e_w) the rotations
+    # (e_v, e_w, f e_u) with v >= w and (e_w, f e_u, e_v)
+    want = (2 * pairs * r + r ** 3 + r * (r - 1) * (r - 2) // 6
+            + r * r * (r + 1) // 2 + r ** 3)
+    assert len(triples) == len(set(triples)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +510,72 @@ def test_dirac_closure_failure_reported():
 
 
 # ---------------------------------------------------------------------------
+# the short forms of T and def-i against their definitions
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def _fixture_structure(name):
+    b = fixtures.build(name)
+    build = _presym_builder(b)
+    if build is None:
+        return pseudo_semidirect(ChartAlgebroid.point(b.algebra))
+    return build()
+
+
+def _assert_short_forms_match_definitions(E):
+    """On every triple of basis sections of E's extended structure,
+    frames and formal slots f e_a alike, tensor_T and the def-i residual
+    equal their four-term definitions built from the public products."""
+    ext, f = E.extended()
+    r = ext.rank
+    assert ext._skew
+    slots = ext.add_basis(
+        tuple(f if k == a else ext.ctx.zero() for k in range(r))
+        for a in range(r))
+    basis = [ext.frame_section(a) for a in range(r)] + list(slots)
+    sixth = ext.ctx.number(Fraction(1, 6))
+    pair, star = ext.pairing_value, ext.star
+    for u, v, w in itertools.product(basis, repeat=3):
+        t = tensor_T(ext, u, v, w)
+        assert t == (pair(star(u, v), w) + pair(u, star(v, w))
+                     - pair(star(v, u), w) - pair(v, star(u, w)))
+        want = tuple(x - y - sixth * z for x, y, z in zip(
+            ext.associator(u, v, w), ext.associator(v, u, w), ext.D(t)))
+        assert presym._def_i_residual(ext, u, v, w, t) == want
+
+
+@pytest.mark.parametrize("name", fixtures.REGISTRY_NAMES)
+def test_short_forms_match_definitions_on_fixtures(name):
+    _assert_short_forms_match_definitions(_fixture_structure(name))
+
+
+@pytest.mark.parametrize("path", sorted(INPUTS.glob("perturbed.*.psa")),
+                         ids=lambda p: p.stem)
+def test_short_forms_match_definitions_on_perturbed_inputs(path):
+    _assert_short_forms_match_definitions(
+        _presym_builder(load_path(str(path)))())
+
+
+def test_public_entry_points_accept_indices_and_numbers():
+    E = fixtures.sphere_structure()
+    e1, e2 = E.frame_section(0), E.frame_section(1)
+    u = (1, Fraction(1, 2))
+    eu = (E.ctx.one(), E.ctx.number(Fraction(1, 2)))
+    x = E.ctx.expr("x")
+    assert E.star(0, 1) == E.star(e1, e2)
+    assert E.star(u, 1) == E.star(eu, e2)
+    assert E.bracket(1, u) == E.bracket(e2, eu)
+    assert E.pairing_value(u, 1) == E.pairing_value(eu, e2) \
+        == E.pairing_value(eu, (0, 1))
+    assert E.associator(0, u, 1) == E.associator(e1, eu, e2)
+    assert tensor_T(E, 0, u, (0, 1)) == tensor_T(E, e1, eu, e2)
+    assert E.anchor_apply(u, x) == E.anchor_apply(eu, x)
+    assert E.anchor_apply(0, x) == E.anchor_apply(e1, x)
+
+
+# ---------------------------------------------------------------------------
 # memoised basis products and interned constants
 
 
@@ -579,13 +655,15 @@ def test_interned_constants_survive_every_suite(monkeypatch):
 
 
 def test_bracket_is_evaluated_once_per_pair_of_basis_sections(monkeypatch):
-    """def-ii asks for [u, w] once per triple (u, v, w), so without the
-    memo every pair of basis sections would be bracketed r times over."""
+    """def-ii asks for [u, w] once per triple (u, v, w), and on a skew
+    pairing T and def-i ask for [u, v] once per evaluation, so without
+    the memo every pair of basis sections would be bracketed many times
+    over."""
     E = fixtures.sphere_structure()
     r = E.rank
     evaluated, asked = [], []
     algebroid_bracket = ChartAlgebroid.bracket
-    presym_bracket = PreSymStructure.bracket
+    presym_bracket = PreSymStructure._bracket
 
     def counting_algebroid(self, u, v):
         evaluated.append(1)
@@ -596,10 +674,18 @@ def test_bracket_is_evaluated_once_per_pair_of_basis_sections(monkeypatch):
         return presym_bracket(self, u, v)
 
     monkeypatch.setattr(ChartAlgebroid, "bracket", counting_algebroid)
-    monkeypatch.setattr(PreSymStructure, "bracket", counting_presym)
+    monkeypatch.setattr(PreSymStructure, "_bracket", counting_presym)
     assert check_presymplectic(E).passed()
+    pairs = r * (r - 1) // 2
     # def-ii: r^3 frame triples and r^3 per formal slot; bracket-leibniz
     # r^2 more
-    assert len(asked) == 4 * r ** 3 + r ** 2
+    def_ii = 4 * r ** 3 + r ** 2
+    # def-i: one residual per triple (e_u, e_v, e_w) and (e_u, e_v, f e_w)
+    # with u < v and (f e_u, e_v, e_w)
+    def_i = 2 * pairs * r + r ** 3
+    # T once per distinct basis triple of def-i and cyclic-T (see
+    # test_t_evaluated_once_per_basis_triple)
+    t = def_i + r * (r - 1) * (r - 2) // 6 + r * r * (r + 1) // 2 + r ** 3
+    assert len(asked) == def_ii + def_i + t
     # frame with frame, formal slot with frame, frame with formal slot
     assert len(set(asked)) == len(evaluated) == 3 * r ** 2
