@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psalib import lsa
-from psalib.algebroid import ChartAlgebroid
+from psalib.algebroid import ChartAlgebroid, FormField
 from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
                                chart_coboundary)
 from psalib.exactlinalg import QMatrix
 from psalib.exprcore import ChartContext
+from psalib.presym import (PreSymStructure, check_presymplectic,
+                           presym_from_symplectic)
 from psalib.lsa import (
     FiniteAlgebra,
     RepresentationData,
@@ -126,6 +128,75 @@ def test_invariant_form_failure_detected():
     rep = check_invariant_form(alg, std_form())
     # (e1*e2, e1) + (e2, [e1,e1]) = w(e2,e1) = -1 != 0
     assert not rep.passed()
+
+
+# ---------------------------------------------------------------------------
+# the correspondence at a point: the Fraction route against the chart route
+
+STD_PAIRING = [[0, 1], [-1, 0]]
+# the product the standard form determines on aff1: e1*e1 = -e1, e2*e1 = -e2
+AFF1_LSA = {(0, 0, 0): -1, (1, 0, 1): -1}
+
+
+def chart_constants(table) -> dict:
+    """{(a, b, k): value} of the nonzero cells of a constant frame table."""
+    r = range(len(table))
+    return {(a, b, k): table[a][b][k].constant_value()
+            for a in r for b in r for k in r if not table[a][b][k].is_zero()}
+
+
+def lie_point(lie: FiniteAlgebra) -> ChartAlgebroid:
+    """The bracket structure of a finite algebra on a point chart."""
+    d = lie.dim
+    table = [[[lie.constants.get((a, b, k), 0) for k in range(d)]
+              for b in range(d)] for a in range(d)]
+    return ChartAlgebroid(ChartContext(coords=()), lie.names, [[]] * d,
+                          table, kind="lie")
+
+
+def std_point_form(chart: ChartAlgebroid) -> FormField:
+    return FormField(chart.ctx, 2, 2, {(0, 1): 1})
+
+
+@pytest.mark.parametrize("alg, want", [
+    (lsa2(), {(0, 1, 1): 1, (1, 0, 1): -1}),
+    (abelian(2), {}),
+    (FiniteAlgebra(2, AFF1_LSA), {(0, 1, 1): 1, (1, 0, 1): -1}),
+], ids=["lsa2", "abelian-2", "aff1-lsa"])
+def test_commutator_at_a_point(alg, want):
+    got = ChartAlgebroid.point(alg).commutator_algebroid()
+    assert got.kind == "lie"
+    assert chart_constants(got.table) == want
+    assert subadjacent_lie(alg).constants == want
+
+
+@pytest.mark.parametrize("lie, want", [
+    (aff1_bracket(), AFF1_LSA),
+    (abelian(2), {}),
+], ids=["aff1", "abelian-2"])
+def test_symplectic_product_at_a_point(lie, want):
+    chart = lie_point(lie)
+    E = presym_from_symplectic(chart, std_point_form(chart))
+    assert chart_constants(E.table) == want
+    assert check_presymplectic(E).passed()
+    assert check_left_symmetric(FiniteAlgebra(2, want)).passed()
+    assert lsa_from_symplectic_lie(lie, std_form()).constants == want
+
+
+@pytest.mark.parametrize("alg, verdict", [
+    (lsa2(), "fail"),
+    (abelian(2), "pass"),
+    (FiniteAlgebra(2, AFF1_LSA), "pass"),
+], ids=["lsa2", "abelian-2", "aff1-lsa"])
+def test_invariance_at_a_point(alg, verdict):
+    """def-ii at a point, where the anchor is zero, is the invariance
+    (x*y, z) + (y, [x,z]) = 0 of the pairing."""
+    chart = ChartAlgebroid.point(alg)
+    E = PreSymStructure(chart.ctx, chart.names, chart.anchor, chart.table,
+                        STD_PAIRING)
+    assert check_presymplectic(E).find("presym.def-ii").status == verdict
+    assert check_invariant_form(alg, std_form()).find(
+        "lsa.form-invariance").status == verdict
 
 
 # ---------------------------------------------------------------------------
