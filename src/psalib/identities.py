@@ -16,13 +16,6 @@ ANCHORS: dict[str, str] = {
         "(x,y,z) = (y,x,z) where (x,y,z) = x*(y*z) - (x*y)*z",
     "lsa.subadjacent-jacobi":
         "[x,y] = x*y - y*x satisfies the Jacobi identity",
-    "lsa.form-skew": "(x,y) = -(y,x)",
-    "lsa.form-nondegenerate": "the pairing matrix is invertible",
-    "lsa.form-invariance": "(x*y, z) + (y, [x,z]) = 0",
-    "lsa.rep-lie":
-        "rho([x,y]) = rho(x)rho(y) - rho(y)rho(x)",
-    "lsa.rep-product":
-        "rho(x)mu(y) - mu(y)rho(x) = mu(x*y) - mu(y)mu(x)",
 
     # anchored bundles over a chart
     "algebroid.bracket-skew": "[x,y] = -[y,x]",

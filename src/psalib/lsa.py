@@ -1,42 +1,30 @@
-"""Finite-dimensional algebras at a point: products, pairings, cochains.
+"""Finite-dimensional algebras at a point: products and cochains.
 
 Products are stored as structure constants over a fixed basis.  The
-left-symmetry check, the commutator construction, invariant pairings, the
-product built from a nondegenerate closed skew form, representations, and
-the restricted cochain complex as matrices (`RestrictedComplex`) all live
-here.  `restricted_dims` is the one way from a restricted complex to its
-dimensions, ranked by both eliminations.  Everything is exact Fraction
-arithmetic.  A symbolic cochain at a point is an `exactclass.ChartCochain`
-over `algebroid.ChartAlgebroid.point(alg)`, and `exactclass.chart_coboundary`
-is its coboundary.
+left-symmetry check and the restricted cochain complex as matrices
+(`RestrictedComplex`) live here.  `restricted_dims` is the one way from a
+restricted complex to its dimensions, ranked by both eliminations.
+Everything is exact Fraction arithmetic.  The rest of the point case runs
+on the point chart `algebroid.ChartAlgebroid.point(alg)`: its
+`commutator_algebroid` is the commutator algebra, def-ii of
+`presym.check_presymplectic` is the invariance of a pairing, and
+`presym.presym_from_symplectic` on `ChartAlgebroid.point(lie, kind="lie")`
+is the product of a symplectic Lie algebra.  A symbolic cochain at a point
+is an `exactclass.ChartCochain` over `ChartAlgebroid.point(alg)`, and
+`exactclass.chart_coboundary` is its coboundary.
 """
-
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlinalg import (
-    QMatrix,
-    SingularMatrixError,
-    kernel_basis,
-    qinvert,
-    rank,
-    rank_second_opinion,
-)
+from .exactlinalg import QMatrix, kernel_basis, rank, rank_second_opinion
 from .report import CheckReport, Recorder
 
 __all__ = [
     "FiniteAlgebra",
-    "SkewForm",
-    "RepresentationData",
     "RestrictedComplex",
     "check_left_symmetric",
-    "subadjacent_lie",
-    "check_invariant_form",
-    "lsa_from_symplectic_lie",
-    "check_representation",
     "sorted_sign",
     "cochain_keys",
     "restricted_dims",
@@ -103,37 +91,6 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(dim={self.dim}, {'; '.join(entries) or '0'})"
 
 
-@dataclass(frozen=True)
-class SkewForm:
-    """A bilinear form as a matrix: value(e_a, e_b) = matrix[a][b]."""
-
-    matrix: QMatrix
-
-    def value(self, u, v) -> Fraction:
-        rows = self.matrix.rows
-        total = Fraction(0)
-        for a, ua in enumerate(u):
-            if not ua:
-                continue
-            for b, vb in enumerate(v):
-                if vb:
-                    total += ua * vb * rows[a][b]
-        return total
-
-
-@dataclass(frozen=True)
-class RepresentationData:
-    """A pair of linear actions on a module: rho for the bracket side,
-    mu for the right-multiplication side."""
-
-    rho: tuple  # one QMatrix per basis element
-    mu: tuple
-
-    @property
-    def module_dim(self) -> int:
-        return self.rho[0].nrows
-
-
 def check_left_symmetric(alg: FiniteAlgebra, artifact: str = "algebra"
                          ) -> CheckReport:
     """Associator symmetry in the first two slots, plus the Jacobi identity
@@ -160,132 +117,6 @@ def check_left_symmetric(alg: FiniteAlgebra, artifact: str = "algebra"
 
     rec.scan("lsa.left-symmetric", assoc_sym(), names)
     rec.scan("lsa.subadjacent-jacobi", jacobi(), names)
-    return rec.report
-
-
-def subadjacent_lie(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """The commutator algebra of a left-symmetric product."""
-    constants = {}
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            vec = alg.commutator(alg.basis_vector(a), alg.basis_vector(b))
-            for k, v in enumerate(vec):
-                if v:
-                    constants[(a, b, k)] = v
-    return FiniteAlgebra(alg.dim, constants, alg.names)
-
-
-def check_invariant_form(alg: FiniteAlgebra, form: SkewForm,
-                         artifact: str = "algebra") -> CheckReport:
-    """Skewness, nondegeneracy, and (x*y, z) + (y, [x,z]) = 0."""
-    rec = Recorder(artifact)
-    d, names = alg.dim, alg.names
-    m = form.matrix
-
-    rec.scan("lsa.form-skew", (
-        (f"({names[a]},{names[b]}) + ({names[b]},{names[a]}) = ",
-         m.rows[a][b] + m.rows[b][a])
-        for a in range(d) for b in range(a, d)))
-
-    def nondeg():
-        try:
-            qinvert(m)
-            return True, None
-        except SingularMatrixError:
-            return False, "pairing matrix is singular"
-
-    rec.run("lsa.form-nondegenerate", nondeg)
-    e = [alg.basis_vector(i) for i in range(d)]
-    rec.scan("lsa.form-invariance", (
-        (f"({names[a]},{names[b]},{names[c]}): residual = ",
-         form.value(alg.product(e[a], e[b]), e[c])
-         + form.value(e[b], alg.commutator(e[a], e[c])))
-        for a, b, c in itertools.product(range(d), repeat=3)))
-    return rec.report
-
-
-def lsa_from_symplectic_lie(lie: FiniteAlgebra, form: SkewForm
-                            ) -> FiniteAlgebra:
-    """The product defined by form(x*y, z) = -form(y, [x,z]) on a Lie
-    algebra with a nondegenerate closed skew form.
-
-    Raises ValueError when the preconditions fail (not skew, not Jacobi,
-    degenerate or non-closed form).
-    """
-    d = lie.dim
-    for a in range(d):
-        for b in range(d):
-            pab = lie.basis_product(a, b)
-            pba = lie.basis_product(b, a)
-            if any(x + y for x, y in zip(pab, pba)):
-                raise ValueError("bracket is not skew")
-    rep = check_left_symmetric(lie, "lie")
-    if rep.find("lsa.subadjacent-jacobi").status != "pass":
-        raise ValueError("bracket fails the Jacobi identity")
-    m = form.matrix
-    for a in range(d):
-        for b in range(d):
-            if m.rows[a][b] != -m.rows[b][a]:
-                raise ValueError("form is not skew")
-    e = [lie.basis_vector(i) for i in range(d)]
-    for a, b, c in itertools.combinations(range(d), 3):
-        r = form.value(lie.product(e[a], e[b]), e[c]) \
-            - form.value(lie.product(e[a], e[c]), e[b]) \
-            + form.value(lie.product(e[b], e[c]), e[a])
-        if r:
-            raise ValueError(
-                f"form is not closed: ({lie.names[a]},{lie.names[b]},"
-                f"{lie.names[c]}): residual = {r}")
-    try:
-        minv = qinvert(m)
-    except SingularMatrixError:
-        raise ValueError("form is degenerate") from None
-    constants = {}
-    for a in range(d):
-        ea = lie.basis_vector(a)
-        for b in range(d):
-            eb = lie.basis_vector(b)
-            # rhs_c = -form(e_b, [e_a, e_c]); solve m^T x = rhs
-            rhs = tuple(-form.value(eb, lie.product(ea, lie.basis_vector(c)))
-                        for c in range(d))
-            x = minv.transpose().mulvec(rhs)
-            for k, v in enumerate(x):
-                if v:
-                    constants[(a, b, k)] = v
-    return FiniteAlgebra(d, constants, lie.names)
-
-
-def check_representation(alg: FiniteAlgebra, rep: RepresentationData,
-                         artifact: str = "representation") -> CheckReport:
-    rec = Recorder(artifact)
-    d, m, names = alg.dim, rep.module_dim, alg.names
-    pairs = list(itertools.product(range(d), repeat=2))
-    entries = list(itertools.product(range(m), repeat=2))
-
-    def lie_condition():
-        for a, b in pairs:
-            lhs = rep.rho[a].matmul(rep.rho[b]).rows
-            rhs = rep.rho[b].matmul(rep.rho[a]).rows
-            comm = alg.commutator(alg.basis_vector(a), alg.basis_vector(b))
-            for i, j in entries:
-                want = sum(comm[k] * rep.rho[k].rows[i][j] for k in range(d))
-                yield (f"({names[a]},{names[b]}) entry ({i},{j})",
-                       lhs[i][j] - rhs[i][j] != want)
-
-    def product_condition():
-        for a, b in pairs:
-            lhs = rep.rho[a].matmul(rep.mu[b]).rows
-            l2 = rep.mu[b].matmul(rep.rho[a]).rows
-            prod = alg.basis_product(a, b)
-            r2 = rep.mu[b].matmul(rep.mu[a]).rows
-            for i, j in entries:
-                want = sum(prod[k] * rep.mu[k].rows[i][j]
-                           for k in range(d)) - r2[i][j]
-                yield (f"({names[a]},{names[b]}) entry ({i},{j})",
-                       lhs[i][j] - l2[i][j] != want)
-
-    rec.scan("lsa.rep-lie", lie_condition())
-    rec.scan("lsa.rep-product", product_condition())
     return rec.report
 
 

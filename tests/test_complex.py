@@ -21,8 +21,8 @@ from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
                                _poly_to_coords, chart_coboundary)
 from psalib.exactlinalg import QMatrix, rank
 from psalib.exprcore import ChartContext
-from psalib.lsa import (FiniteAlgebra, RestrictedComplex, SkewForm,
-                        cochain_keys, lsa_from_symplectic_lie, sorted_sign)
+from psalib.lsa import (FiniteAlgebra, RestrictedComplex, cochain_keys,
+                        sorted_sign)
 
 
 def units(n):
@@ -30,11 +30,10 @@ def units(n):
 
 
 def point_algebras():
-    aff1 = FiniteAlgebra(2, {(0, 1, 1): 1, (1, 0, 1): -1})
-    form = SkewForm(QMatrix([[0, 1], [-1, 0]]))
     return {"lsa2": FiniteAlgebra(2, {(0, 1, 1): 1}),
             "abelian-2": FiniteAlgebra(2, {}),
-            "aff1-lsa": lsa_from_symplectic_lie(aff1, form)}
+            # the product the standard form determines on aff1
+            "aff1-lsa": FiniteAlgebra(2, {(0, 0, 0): -1, (1, 0, 1): -1})}
 
 
 def same_row_space(a: QMatrix, b: QMatrix) -> bool:

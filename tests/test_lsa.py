@@ -1,5 +1,5 @@
-"""Point-case algebra checks, the symplectic-to-product construction, and
-the restricted scalar cochain complex.
+"""Point-case algebra checks, the correspondence on point charts, and the
+restricted scalar cochain complex.
 
 Frozen expected dimensions below were derived by hand from the complex's
 definition and are cross-checked here against both elimination routines.
@@ -14,22 +14,15 @@ from psalib import lsa
 from psalib.algebroid import ChartAlgebroid, FormField
 from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
                                chart_coboundary)
-from psalib.exactlinalg import QMatrix
 from psalib.exprcore import ChartContext
 from psalib.presym import (PreSymStructure, check_presymplectic,
                            presym_from_symplectic)
 from psalib.lsa import (
     FiniteAlgebra,
-    RepresentationData,
     RestrictedComplex,
-    SkewForm,
-    check_invariant_form,
     check_left_symmetric,
-    check_representation,
     cochain_keys,
-    lsa_from_symplectic_lie,
     restricted_dims,
-    subadjacent_lie,
 )
 
 
@@ -55,13 +48,6 @@ def test_left_symmetry_failure_is_witnessed():
     assert fails and fails[0].witness
 
 
-def test_subadjacent_lie_of_lsa2():
-    lie = subadjacent_lie(lsa2())
-    assert lie.basis_product(0, 1) == (0, 1)
-    assert lie.basis_product(1, 0) == (0, -1)
-    assert lie.basis_product(0, 0) == (0, 0)
-
-
 def test_associator_bilinearity_random_extension():
     """Left symmetry on the basis extends bilinearly: random rational
     vectors must satisfy the same identity."""
@@ -77,7 +63,11 @@ def test_associator_bilinearity_random_extension():
 
 
 # ---------------------------------------------------------------------------
-# invariant forms and the symplectic construction
+# the correspondence at a point, on point charts
+
+STD_PAIRING = [[0, 1], [-1, 0]]
+# the product the standard form determines on aff1: e1*e1 = -e1, e2*e1 = -e2
+AFF1_LSA = {(0, 0, 0): -1, (1, 0, 1): -1}
 
 
 def aff1_bracket() -> FiniteAlgebra:
@@ -85,57 +75,8 @@ def aff1_bracket() -> FiniteAlgebra:
     return FiniteAlgebra(2, {(0, 1, 1): 1, (1, 0, 1): -1})
 
 
-def std_form() -> SkewForm:
-    return SkewForm(QMatrix([[0, 1], [-1, 0]]))
-
-
-def test_lsa_from_symplectic_lie_product_table():
-    alg = lsa_from_symplectic_lie(aff1_bracket(), std_form())
-    assert alg.basis_product(0, 0) == (-1, 0)
-    assert alg.basis_product(0, 1) == (0, 0)
-    assert alg.basis_product(1, 0) == (0, -1)
-    assert alg.basis_product(1, 1) == (0, 0)
-
-
-def test_lsa_from_symplectic_lie_postconditions():
-    lie = aff1_bracket()
-    alg = lsa_from_symplectic_lie(lie, std_form())
-    assert check_left_symmetric(alg).passed()
-    # the commutator of the built product reproduces the bracket
-    got = subadjacent_lie(alg)
-    assert got.constants == lie.constants
-    # invariance of the form for the built product
-    assert check_invariant_form(alg, std_form()).passed()
-
-
-def test_lsa_from_symplectic_lie_preconditions():
-    with pytest.raises(ValueError):
-        lsa_from_symplectic_lie(lsa2(), std_form())  # not skew
-    with pytest.raises(ValueError):
-        lsa_from_symplectic_lie(aff1_bracket(),
-                                SkewForm(QMatrix([[0, 0], [0, 0]])))
-    # Jacobi failure in dim 3
-    bad = FiniteAlgebra(3, {(0, 1, 2): 1, (1, 0, 2): -1,
-                            (1, 2, 0): 1, (2, 1, 0): -1,
-                            (2, 0, 2): 1, (0, 2, 2): -1})
-    with pytest.raises(ValueError):
-        lsa_from_symplectic_lie(
-            bad, SkewForm(QMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])))
-
-
-def test_invariant_form_failure_detected():
-    alg = lsa2()
-    rep = check_invariant_form(alg, std_form())
-    # (e1*e2, e1) + (e2, [e1,e1]) = w(e2,e1) = -1 != 0
-    assert not rep.passed()
-
-
-# ---------------------------------------------------------------------------
-# the correspondence at a point: the Fraction route against the chart route
-
-STD_PAIRING = [[0, 1], [-1, 0]]
-# the product the standard form determines on aff1: e1*e1 = -e1, e2*e1 = -e2
-AFF1_LSA = {(0, 0, 0): -1, (1, 0, 1): -1}
+def aff1_lsa() -> FiniteAlgebra:
+    return FiniteAlgebra(2, AFF1_LSA)
 
 
 def chart_constants(table) -> dict:
@@ -145,15 +86,6 @@ def chart_constants(table) -> dict:
             for a in r for b in r for k in r if not table[a][b][k].is_zero()}
 
 
-def lie_point(lie: FiniteAlgebra) -> ChartAlgebroid:
-    """The bracket structure of a finite algebra on a point chart."""
-    d = lie.dim
-    table = [[[lie.constants.get((a, b, k), 0) for k in range(d)]
-              for b in range(d)] for a in range(d)]
-    return ChartAlgebroid(ChartContext(coords=()), lie.names, [[]] * d,
-                          table, kind="lie")
-
-
 def std_point_form(chart: ChartAlgebroid) -> FormField:
     return FormField(chart.ctx, 2, 2, {(0, 1): 1})
 
@@ -161,13 +93,12 @@ def std_point_form(chart: ChartAlgebroid) -> FormField:
 @pytest.mark.parametrize("alg, want", [
     (lsa2(), {(0, 1, 1): 1, (1, 0, 1): -1}),
     (abelian(2), {}),
-    (FiniteAlgebra(2, AFF1_LSA), {(0, 1, 1): 1, (1, 0, 1): -1}),
+    (aff1_lsa(), {(0, 1, 1): 1, (1, 0, 1): -1}),
 ], ids=["lsa2", "abelian-2", "aff1-lsa"])
 def test_commutator_at_a_point(alg, want):
     got = ChartAlgebroid.point(alg).commutator_algebroid()
     assert got.kind == "lie"
     assert chart_constants(got.table) == want
-    assert subadjacent_lie(alg).constants == want
 
 
 @pytest.mark.parametrize("lie, want", [
@@ -175,18 +106,23 @@ def test_commutator_at_a_point(alg, want):
     (abelian(2), {}),
 ], ids=["aff1", "abelian-2"])
 def test_symplectic_product_at_a_point(lie, want):
-    chart = lie_point(lie)
+    chart = ChartAlgebroid.point(lie, kind="lie")
     E = presym_from_symplectic(chart, std_point_form(chart))
     assert chart_constants(E.table) == want
     assert check_presymplectic(E).passed()
     assert check_left_symmetric(FiniteAlgebra(2, want)).passed()
-    assert lsa_from_symplectic_lie(lie, std_form()).constants == want
+
+
+def test_symplectic_product_needs_a_nondegenerate_form():
+    chart = ChartAlgebroid.point(aff1_bracket(), kind="lie")
+    with pytest.raises(ValueError, match="degenerate"):
+        presym_from_symplectic(chart, FormField(chart.ctx, 2, 2, {}))
 
 
 @pytest.mark.parametrize("alg, verdict", [
     (lsa2(), "fail"),
     (abelian(2), "pass"),
-    (FiniteAlgebra(2, AFF1_LSA), "pass"),
+    (aff1_lsa(), "pass"),
 ], ids=["lsa2", "abelian-2", "aff1-lsa"])
 def test_invariance_at_a_point(alg, verdict):
     """def-ii at a point, where the anchor is zero, is the invariance
@@ -195,30 +131,6 @@ def test_invariance_at_a_point(alg, verdict):
     E = PreSymStructure(chart.ctx, chart.names, chart.anchor, chart.table,
                         STD_PAIRING)
     assert check_presymplectic(E).find("presym.def-ii").status == verdict
-    assert check_invariant_form(alg, std_form()).find(
-        "lsa.form-invariance").status == verdict
-
-
-# ---------------------------------------------------------------------------
-# representations
-
-
-def test_left_right_multiplication_is_a_representation():
-    alg = lsa2()
-    zero = QMatrix.zeros(2, 2)
-    left = (QMatrix([[0, 0], [0, 1]]), zero)
-    right = (zero, QMatrix([[0, 0], [1, 0]]))
-    rep = check_representation(alg, RepresentationData(left, right))
-    assert rep.passed()
-
-
-def test_swapped_actions_fail():
-    alg = lsa2()
-    zero = QMatrix.zeros(2, 2)
-    left = (QMatrix([[0, 0], [0, 1]]), zero)
-    right = (zero, QMatrix([[0, 0], [1, 0]]))
-    rep = check_representation(alg, RepresentationData(right, left))
-    assert not rep.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +164,7 @@ def test_degree2_coboundary_on_lsa2_hand_values():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.data())
 def test_coboundary_squares_to_zero(degree, data):
-    for alg in (lsa2(), abelian(2),
-                lsa_from_symplectic_lie(aff1_bracket(), std_form())):
+    for alg in (lsa2(), abelian(2), aff1_lsa()):
         keys = cochain_keys(alg.dim, degree)
         vals = data.draw(st.lists(st.integers(-4, 4), min_size=len(keys),
                                   max_size=len(keys)))
@@ -265,7 +176,7 @@ def test_coboundary_squares_to_zero(degree, data):
 @given(st.sampled_from([1, 2]), st.data())
 def test_coboundary_preserves_restricted_subspaces(degree, data):
     """A restricted cochain's coboundary satisfies the next restriction."""
-    for alg in (lsa2(), lsa_from_symplectic_lie(aff1_bracket(), std_form())):
+    for alg in (lsa2(), aff1_lsa()):
         cx = RestrictedComplex.point(alg)
         basis = cx.restricted_basis(degree)
         if not basis:
@@ -321,8 +232,7 @@ def test_lsa2_restricted_cohomology_hand_derived():
 
 
 def test_two_elimination_routes_agree():
-    for alg in (lsa2(), abelian(2), abelian(3),
-                lsa_from_symplectic_lie(aff1_bracket(), std_form())):
+    for alg in (lsa2(), abelian(2), abelian(3), aff1_lsa()):
         for n in (1, 2, 3):
             dims = point_dims(alg, n)
             assert dims == both(dims["bareiss"])

@@ -20,12 +20,9 @@ from psalib.cli import applicable_suites, run_suites
 from psalib.exactclass import (FlatConnection, PhiTensor, Splitting,
                                canonical_splitting, check_exact,
                                splitting_equivalence, twisted_product)
-from psalib.exactlinalg import QMatrix
 from psalib.exprcore import ChartContext
 from psalib.identities import ANCHORS
-from psalib.lsa import (FiniteAlgebra, RepresentationData, SkewForm,
-                        check_invariant_form, check_left_symmetric,
-                        check_representation)
+from psalib.lsa import FiniteAlgebra, check_left_symmetric
 from psalib.parakahler import (MetricField, ParaComplexOp, check_levi_civita,
                                check_metric, check_star_equals_nabla,
                                metric_from)
@@ -110,14 +107,6 @@ def jacobi_breaking_dim3():
                              (2, 1, 0): -1, (2, 0, 2): 1, (0, 2, 2): -1})
 
 
-def lsa2_representation(swapped):
-    zero = QMatrix.zeros(2, 2)
-    left = (QMatrix([[0, 0], [0, 1]]), zero)
-    right = (zero, QMatrix([[0, 0], [1, 0]]))
-    return RepresentationData(right, left) if swapped else \
-        RepresentationData(left, right)
-
-
 def semidirect_half(E, sections):
     one, z = E.ctx.one(), E.ctx.zero()
     return Subbundle([tuple(one if k == a else z for k in range(E.rank))
@@ -184,10 +173,6 @@ INPUTS = {
         lsa2_bumped(0, 1, 0)),
     "dim-3 Jacobi failure": lambda: check_left_symmetric(
         jacobi_breaking_dim3()),
-    "lsa2 with a non-skew degenerate form": lambda: check_invariant_form(
-        fixtures.lsa2_algebra(), SkewForm(QMatrix([[0, 1], [0, 0]]))),
-    "lsa2 with swapped actions": lambda: check_representation(
-        fixtures.lsa2_algebra(), lsa2_representation(swapped=True)),
     # algebroid
     "bisection [e1,e2] += e1": lambda: check_lie_algebroid(
         bumped_lie(fixtures.bisection_data()[0], 0, 1, 0)),
@@ -257,15 +242,6 @@ EXPECTED = {
     "dim-3 Jacobi failure": [
         ("lsa.left-symmetric", "fail", "(e1,e2,e1): residual = -1*e3"),
         ("lsa.subadjacent-jacobi", "fail", "(e1,e2,e3): residual = -4*e1"),
-    ],
-    "lsa2 with a non-skew degenerate form": [
-        ("lsa.form-skew", "fail", "(e1,e2) + (e2,e1) = 1"),
-        ("lsa.form-nondegenerate", "fail", "pairing matrix is singular"),
-        ("lsa.form-invariance", "fail", "(e1,e1,e2): residual = 1"),
-    ],
-    "lsa2 with swapped actions": [
-        ("lsa.rep-lie", "fail", "(e1,e2) entry (1,0)"),
-        ("lsa.rep-product", "fail", "(e1,e1) entry (1,1)"),
     ],
     "bisection [e1,e2] += e1": [
         ("algebroid.bracket-skew", "fail", "[e1,e2] + [e2,e1] = (1)*e1"),
