@@ -131,9 +131,8 @@ def cmd_check(args) -> int:
     nskip = sum(1 for c in combined.checks if c.status == "skipped")
     print(f"{len(combined.checks)} checks: {npass} pass, {nfail} fail, "
           f"{nskip} skipped")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(combined.to_json())
+    if args.json and not _write(args.json, combined.to_json()):
+        return 2
     return 0 if nfail == 0 else 1
 
 
@@ -176,13 +175,7 @@ def cmd_derive(args) -> int:
     except (PsaError, OSError, ValueError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit_to(args.output, out)
 
 
 def cmd_cohomology(args) -> int:
@@ -238,13 +231,29 @@ def cmd_examples(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    text = emit(b)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    return _emit_to(args.output, b)
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to a file; on failure print one error line and return
+    False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit_to(output, b: Bundle) -> int:
+    """Write a bundle's file text to output, or to stdout when no output
+    is given; the exit code."""
+    text = emit(b)
+    if not output:
         sys.stdout.write(text)
-    return 0
+        return 0
+    return 0 if _write(output, text) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

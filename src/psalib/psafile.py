@@ -323,7 +323,12 @@ def realize(df: DefinitionFile, name: str = "",
 
 def load_path(path: str) -> Bundle:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PsaError(f"{path}: not UTF-8 text (byte "
+                           f"{exc.object[exc.start]:#04x}: {exc.reason})"
+                           ) from None
     return realize(parse(text), name=path)
 
 

@@ -73,6 +73,35 @@ def test_check_malformed_file_exits_two(capsys, tmp_path):
     assert "unknown section" in err
 
 
+@pytest.mark.parametrize("command", [["check"],
+                                     ["derive", "--direction", "to-star"],
+                                     ["cohomology", "--degree", "1"]])
+def test_non_utf8_file_exits_two(capsys, tmp_path, command):
+    p = tmp_path / "b.psa"
+    p.write_bytes(b"[algebra]\nnames = e1, e2\ne1 e2 = 0, \xff\n")
+    code, out, err = run(capsys, command[0], str(p), *command[1:])
+    assert code == 2
+    assert err == f"error: {p}: not UTF-8 text (byte 0xff: invalid " \
+                  "start byte)\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["check", "--json"], None),
+    (["derive", "--direction", "to-bracket", "-o"], None),
+    (["examples", "-o"], "sphere"),
+])
+def test_unwritable_output_path_exits_two(capsys, fixture_file, tmp_path,
+                                          command, flag):
+    target = tmp_path / "missing" / "out"
+    source = flag or fixture_file("sphere")
+    code, _, err = run(capsys, command[0], source, *command[1:], str(target))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: " \
+                  f"'{target}'\n"
+    assert not target.parent.exists()
+
+
 def test_check_deeply_nested_entry_exits_two(tmp_path):
     # run as a process: a RecursionError would print a traceback, exit 1
     deep = "(" * 3000 + "x1" + ")" * 3000
