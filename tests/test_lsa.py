@@ -86,10 +86,6 @@ def chart_constants(table) -> dict:
             for a in r for b in r for k in r if not table[a][b][k].is_zero()}
 
 
-def std_point_form(chart: ChartAlgebroid) -> FormField:
-    return FormField(chart.ctx, 2, 2, {(0, 1): 1})
-
-
 @pytest.mark.parametrize("alg, want", [
     (lsa2(), {(0, 1, 1): 1, (1, 0, 1): -1}),
     (abelian(2), {}),
@@ -107,7 +103,8 @@ def test_commutator_at_a_point(alg, want):
 ], ids=["aff1", "abelian-2"])
 def test_symplectic_product_at_a_point(lie, want):
     chart = ChartAlgebroid.point(lie, kind="lie")
-    E = presym_from_symplectic(chart, std_point_form(chart))
+    form = FormField(chart.ctx, 2, 2, {(0, 1): 1})
+    E = presym_from_symplectic(chart, form)
     assert chart_constants(E.table) == want
     assert check_presymplectic(E).passed()
     assert check_left_symmetric(FiniteAlgebra(2, want)).passed()
