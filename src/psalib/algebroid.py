@@ -60,14 +60,13 @@ class ChartAlgebroid:
         self.kind = kind
 
     @staticmethod
-    def point(alg, kind: str = "lsa") -> "ChartAlgebroid":
-        """A finite algebra on a point chart, its constants read as a
-        product (kind "lsa") or as a bracket (kind "lie")."""
+    def point(alg) -> "ChartAlgebroid":
+        """The product structure of a finite algebra on a point chart."""
         d = alg.dim
         table = [[[alg.constants.get((a, b, k), 0) for k in range(d)]
                   for b in range(d)] for a in range(d)]
         return ChartAlgebroid(ChartContext(coords=()), alg.names, [[]] * d,
-                              table, kind)
+                              table, kind="lsa")
 
     def _expr(self, x) -> DiffExpr:
         return x if isinstance(x, DiffExpr) else self.ctx.number(x)

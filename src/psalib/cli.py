@@ -11,6 +11,7 @@ disagree, 2 input or usage error.
 """
 
 import argparse
+import contextlib
 import sys
 
 from .algebroid import ChartAlgebroid, check_2cocycle, check_lie_algebroid, \
@@ -119,11 +120,18 @@ def cmd_check(args) -> int:
               f"{args.file}; applicable: {', '.join(avail)}",
               file=sys.stderr)
         return 2
-    try:
-        combined = run_suites(b, selected, args.file)
-    except (ValueError, ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with contextlib.ExitStack() as stack:
+        # the report file is opened before any check runs, so an
+        # unwritable path fails before any work is done
+        try:
+            report = None if args.json is None else stack.enter_context(
+                open(args.json, "w", encoding="utf-8"))
+            combined = run_suites(b, selected, args.file)
+        except (OSError, ValueError, ExprError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if report is not None:
+            report.write(combined.to_json())
     for line in combined.text_lines():
         print(line)
     npass = sum(1 for c in combined.checks if c.status == "pass")
@@ -131,8 +139,6 @@ def cmd_check(args) -> int:
     nskip = sum(1 for c in combined.checks if c.status == "skipped")
     print(f"{len(combined.checks)} checks: {npass} pass, {nfail} fail, "
           f"{nskip} skipped")
-    if args.json and not _write(args.json, combined.to_json()):
-        return 2
     return 0 if nfail == 0 else 1
 
 
@@ -234,26 +240,20 @@ def cmd_examples(args) -> int:
     return _emit_to(args.output, b)
 
 
-def _write(path: str, text: str) -> bool:
-    """Write text to a file; on failure print one error line and return
-    False."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
 def _emit_to(output, b: Bundle) -> int:
     """Write a bundle's file text to output, or to stdout when no output
     is given; the exit code."""
     text = emit(b)
-    if not output:
+    if output is None:
         sys.stdout.write(text)
         return 0
-    return 0 if _write(output, text) else 2
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

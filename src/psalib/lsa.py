@@ -8,10 +8,11 @@ Everything is exact Fraction arithmetic.  The rest of the point case runs
 on the point chart `algebroid.ChartAlgebroid.point(alg)`: its
 `commutator_algebroid` is the commutator algebra, def-ii of
 `presym.check_presymplectic` is the invariance of a pairing, and
-`presym.presym_from_symplectic` on `ChartAlgebroid.point(lie, kind="lie")`
-is the product of a symplectic Lie algebra.  A symbolic cochain at a point
-is an `exactclass.ChartCochain` over `ChartAlgebroid.point(alg)`, and
-`exactclass.chart_coboundary` is its coboundary.
+`presym.presym_from_symplectic` on a Lie point chart such as that
+commutator is the product of a symplectic Lie algebra.  A symbolic
+cochain at a point is an `exactclass.ChartCochain` over
+`ChartAlgebroid.point(alg)`, and `exactclass.chart_coboundary` is its
+coboundary.
 """
 from __future__ import annotations
 

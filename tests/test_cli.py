@@ -86,20 +86,25 @@ def test_non_utf8_file_exits_two(capsys, tmp_path, command):
     assert out == ""
 
 
-@pytest.mark.parametrize("command, flag", [
+@pytest.mark.parametrize("missing_dir", [True, False],
+                         ids=["missing-dir", "empty-path"])
+@pytest.mark.parametrize("command, example", [
     (["check", "--json"], None),
     (["derive", "--direction", "to-bracket", "-o"], None),
     (["examples", "-o"], "sphere"),
 ])
 def test_unwritable_output_path_exits_two(capsys, fixture_file, tmp_path,
-                                          command, flag):
-    target = tmp_path / "missing" / "out"
-    source = flag or fixture_file("sphere")
-    code, _, err = run(capsys, command[0], source, *command[1:], str(target))
+                                          command, example, missing_dir):
+    """Nothing is printed on stdout: `check` opens its report before any
+    check runs."""
+    target = str(tmp_path / "missing" / "out") if missing_dir else ""
+    source = example or fixture_file("sphere")
+    code, out, err = run(capsys, command[0], source, *command[1:], target)
     assert code == 2
     assert err == f"error: [Errno 2] No such file or directory: " \
                   f"'{target}'\n"
-    assert not target.parent.exists()
+    assert out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_check_deeply_nested_entry_exits_two(tmp_path):

@@ -70,11 +70,6 @@ STD_PAIRING = [[0, 1], [-1, 0]]
 AFF1_LSA = {(0, 0, 0): -1, (1, 0, 1): -1}
 
 
-def aff1_bracket() -> FiniteAlgebra:
-    """[e1, e2] = e2 as a skew product (the dim-2 nonabelian Lie algebra)."""
-    return FiniteAlgebra(2, {(0, 1, 1): 1, (1, 0, 1): -1})
-
-
 def aff1_lsa() -> FiniteAlgebra:
     return FiniteAlgebra(2, AFF1_LSA)
 
@@ -97,12 +92,15 @@ def test_commutator_at_a_point(alg, want):
     assert chart_constants(got.table) == want
 
 
-@pytest.mark.parametrize("lie, want", [
-    (aff1_bracket(), AFF1_LSA),
+@pytest.mark.parametrize("alg, want", [
+    (aff1_lsa(), AFF1_LSA),
     (abelian(2), {}),
 ], ids=["aff1", "abelian-2"])
-def test_symplectic_product_at_a_point(lie, want):
-    chart = ChartAlgebroid.point(lie, kind="lie")
+def test_symplectic_product_at_a_point(alg, want):
+    """The Lie algebra at the point is the commutator of `alg`: aff1's
+    bracket [e1, e2] = e2 for aff1-lsa, zero for abelian(2)
+    (test_commutator_at_a_point)."""
+    chart = ChartAlgebroid.point(alg).commutator_algebroid()
     form = FormField(chart.ctx, 2, 2, {(0, 1): 1})
     E = presym_from_symplectic(chart, form)
     assert chart_constants(E.table) == want
@@ -111,7 +109,7 @@ def test_symplectic_product_at_a_point(lie, want):
 
 
 def test_symplectic_product_needs_a_nondegenerate_form():
-    chart = ChartAlgebroid.point(aff1_bracket(), kind="lie")
+    chart = ChartAlgebroid.point(aff1_lsa()).commutator_algebroid()
     with pytest.raises(ValueError, match="degenerate"):
         presym_from_symplectic(chart, FormField(chart.ctx, 2, 2, {}))
 
