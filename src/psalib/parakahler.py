@@ -219,21 +219,15 @@ def check_metric(E: PreSymStructure, P: ParaComplexOp,
     return rec.report, metric
 
 
-def levi_civita(L: ChartAlgebroid, g: MetricField,
-                method: str = "koszul") -> ChartAlgebroid:
+def levi_civita(L: ChartAlgebroid, g: MetricField) -> ChartAlgebroid:
     """The unique torsion-free metric frame connection on a bracket
     structure, as the product table nabla_{e_a} e_b on its frame, solved
-    either from the doubled-product expansion or as one linear system in
-    all coefficients."""
+    from the doubled-product expansion (Koszul)."""
     if L.kind != "lie":
         raise ValueError("expects a bracket (kind 'lie') structure")
     if g.rank != L.rank:
         raise ValueError("metric rank mismatch")
-    if method == "koszul":
-        return _levi_civita_koszul(L, g)
-    if method == "linear-system":
-        return _levi_civita_linear(L, g)
-    raise ValueError("method must be 'koszul' or 'linear-system'")
+    return _levi_civita_koszul(L, g)
 
 
 def _levi_civita_koszul(L: ChartAlgebroid, g: MetricField):
@@ -316,7 +310,7 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
     residuals; returns (report, connection or None)."""
     rec = Recorder(artifact)
     try:
-        nabla = levi_civita(L, g, method="koszul")
+        nabla = levi_civita(L, g)
     except (SingularMatrixError, ValueError) as exc:
         rec.run("para.levi-civita-agreement", lambda: (False, str(exc)))
         return rec.report, None
@@ -324,7 +318,7 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
     frames = [L.frame_section(a) for a in range(r)]
 
     def agreement():
-        other = levi_civita(L, g, method="linear-system")
+        other = _levi_civita_linear(L, g)
         for a, b, c in itertools.product(range(r), repeat=3):
             yield (f"coefficient ({a+1},{b+1},{c+1}) differs between "
                    f"solves: ", nabla.table[a][b][c] - other.table[a][b][c])

@@ -6,10 +6,15 @@ Values are comma-separated expression strings in the exprcore grammar;
 commas inside parentheses (derivative atoms) do not split.  Binary table
 keys are two names separated by whitespace; only nonzero entries need to
 be written.
+
+`parse` returns the raw sections as {section: {key: value}}.  `realize`
+reads every keyed section through one reader, which checks each key and
+parses its entries; `emit` writes every table of "a b = entries" lines
+through one cell writer.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebroid import ChartAlgebroid, FormField
@@ -20,8 +25,7 @@ from .lsa import FiniteAlgebra
 from .parakahler import ParaComplexOp
 from .presym import PreSymStructure
 
-__all__ = ["PsaError", "DefinitionFile", "Bundle", "parse", "realize",
-           "load_path", "emit"]
+__all__ = ["PsaError", "Bundle", "parse", "realize", "load_path", "emit"]
 
 _SECTIONS = ("chart", "frame", "algebra", "anchor", "bracket", "product",
              "star", "pairing", "form", "connection", "phi", "splitting",
@@ -30,18 +34,6 @@ _SECTIONS = ("chart", "frame", "algebra", "anchor", "bracket", "product",
 
 class PsaError(ValueError):
     """Malformed definition file."""
-
-
-@dataclass
-class DefinitionFile:
-    """Raw sections: name -> ordered key/value string pairs."""
-    sections: dict = field(default_factory=dict)
-
-    def has(self, name: str) -> bool:
-        return name in self.sections
-
-    def get(self, name: str) -> dict:
-        return self.sections.get(name, {})
 
 
 @dataclass
@@ -62,7 +54,8 @@ class Bundle:
 _SECTION_RE = re.compile(r"^\[([a-z][a-z-]*)\]$")
 
 
-def parse(text: str) -> DefinitionFile:
+def parse(text: str) -> dict:
+    """Sections of a definition file: {section: {key: value string}}."""
     sections: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -91,7 +84,7 @@ def parse(text: str) -> DefinitionFile:
             raise PsaError(f"line {lineno}: duplicate key '{key}' in "
                            f"[{current}]")
         sections[current][key] = value.strip()
-    return DefinitionFile(sections)
+    return sections
 
 
 def _split_top(value: str):
@@ -143,27 +136,37 @@ def _pair_key(key: str, index: dict, where: str):
         raise PsaError(f"{where}: unknown name {exc} in key '{key}'")
 
 
-def realize(df: DefinitionFile, name: str = "",
-            description: str = "") -> Bundle:
-    """Build domain objects from raw sections, validating dependencies."""
+def _names(df: dict, section: str):
+    """The 'names' entry of a section, each name once."""
+    if "names" not in df[section]:
+        raise PsaError(f"[{section}] needs a 'names' entry")
+    names = _split_top(df[section]["names"])
+    for i, nm in enumerate(names):
+        if nm in names[:i]:
+            raise PsaError(f"[{section}]: duplicate name '{nm}'")
+    return names
+
+
+def realize(df: dict, name: str = "", description: str = "") -> Bundle:
+    """Build domain objects from parsed sections, validating dependencies."""
     b = Bundle(name=name, description=description)
-    chart = df.get("chart")
+    chart = df.get("chart", {})
     coords = tuple(_split_top(chart["coords"])) if "coords" in chart else ()
     funcs = tuple(_split_top(chart["funcs"])) if "funcs" in chart else ()
     try:
         ctx = ChartContext(coords=coords, funcs=funcs)
     except ExprError as exc:
         raise PsaError(f"[chart]: {exc}") from exc
+    coord_index = {nm: i for i, nm in enumerate(coords)}
 
-    if df.has("algebra"):
-        sec = dict(df.get("algebra"))
-        if "names" not in sec:
-            raise PsaError("[algebra] needs a 'names' entry")
-        names = _split_top(sec.pop("names"))
+    if "algebra" in df:
+        names = _names(df, "algebra")
         index = {nm: i for i, nm in enumerate(names)}
         dim = len(names)
         constants = {}
-        for key, value in sec.items():
+        for key, value in df["algebra"].items():
+            if key == "names":
+                continue
             a, bidx = _pair_key(key, index, "[algebra]")
             parts = _split_top(value)
             if len(parts) != dim:
@@ -178,142 +181,117 @@ def realize(df: DefinitionFile, name: str = "",
                     constants[(a, bidx, k)] = v
         b.algebra = FiniteAlgebra(dim, constants, names)
 
-    frame_names = None
-    if df.has("frame"):
-        sec = df.get("frame")
-        if "names" not in sec:
-            raise PsaError("[frame] needs a 'names' entry")
-        frame_names = tuple(_split_top(sec["names"]))
+    frame_names = _names(df, "frame") if "frame" in df else None
+    frame_index = {nm: i for i, nm in enumerate(frame_names or ())}
+    r = len(frame_index)
 
-    anchor = None
-    if df.has("anchor"):
-        if frame_names is None:
-            raise PsaError("[anchor] requires a [frame] section")
-        index = {nm: i for i, nm in enumerate(frame_names)}
-        rows = [[ctx.zero()] * len(coords) for _ in frame_names]
-        for key, value in df.get("anchor").items():
-            if key not in index:
-                raise PsaError(f"[anchor]: unknown frame name '{key}'")
-            rows[index[key]] = _parse_exprs(ctx, value, len(coords),
-                                            f"[anchor] {key}")
-        anchor = rows
-
-    def read_table(section: str):
+    def need_frame(section):
         if frame_names is None:
             raise PsaError(f"[{section}] requires a [frame] section")
-        if anchor is None:
-            raise PsaError(f"[{section}] requires an [anchor] section")
-        r = len(frame_names)
-        index = {nm: i for i, nm in enumerate(frame_names)}
-        table = [[[ctx.zero()] * r for _ in range(r)] for _ in range(r)]
-        for key, value in df.get(section).items():
-            a, bidx = _pair_key(key, index, f"[{section}]")
-            table[a][bidx] = _parse_exprs(ctx, value, r,
-                                          f"[{section}] {key}")
+
+    def need_coords(section):
+        if not coords:
+            raise PsaError(f"[{section}] requires chart coordinates")
+
+    def keyed(section, index, width, what=None, order=None):
+        """(indices, expressions) for each line of a section.  A key is
+        two names of index or, when `what` says what a name is, one; with
+        `order`, the tail of the message, two names must increase."""
+        for key, value in df[section].items():
+            if what is None:
+                indices = _pair_key(key, index, f"[{section}]")
+                if order is not None and indices[0] >= indices[1]:
+                    raise PsaError(f"[{section}] {key}: use strictly "
+                                   f"increasing frame order{order}")
+            elif key in index:
+                indices = (index[key],)
+            else:
+                raise PsaError(f"[{section}]: unknown {what} '{key}'")
+            yield indices, _parse_exprs(ctx, value, width,
+                                        f"[{section}] {key}")
+
+    def cube(section, index):
+        """A square table of cells; absent cells are zero."""
+        n = len(index)
+        table = [[[ctx.zero()] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), cell in keyed(section, index, n):
+            table[i][j] = cell
         return table
 
-    kinds = [s for s in ("bracket", "product", "star") if df.has(s)]
+    def columns(section, index, width, what, missing):
+        """One line per name of index, every name present."""
+        cols = [None] * len(index)
+        for (i,), col in keyed(section, index, width, what):
+            cols[i] = col
+        if any(c is None for c in cols):
+            raise PsaError(f"[{section}] needs one {missing}")
+        return cols
+
+    anchor = None
+    if "anchor" in df:
+        need_frame("anchor")
+        anchor = [[ctx.zero()] * len(coords) for _ in frame_names]
+        for (a,), row in keyed("anchor", frame_index, len(coords),
+                               "frame name"):
+            anchor[a] = row
+
+    def read_table(section: str):
+        need_frame(section)
+        if anchor is None:
+            raise PsaError(f"[{section}] requires an [anchor] section")
+        return cube(section, frame_index)
+
+    kinds = [s for s in ("bracket", "product", "star") if s in df]
     if len(kinds) > 1:
         raise PsaError(f"sections {kinds} are mutually exclusive")
 
     pairing = None
-    if df.has("pairing"):
-        if frame_names is None:
-            raise PsaError("[pairing] requires a [frame] section")
-        r = len(frame_names)
-        index = {nm: i for i, nm in enumerate(frame_names)}
-        rows = [[ctx.zero()] * r for _ in range(r)]
-        for key, value in df.get("pairing").items():
-            a, bidx = _pair_key(key, index, "[pairing]")
-            if a >= bidx:
-                raise PsaError(f"[pairing] {key}: use strictly increasing "
-                               f"frame order; the skew completion is "
-                               f"automatic")
-            v = _parse_exprs(ctx, value, 1, f"[pairing] {key}")[0]
-            rows[a][bidx] = v
-            rows[bidx][a] = -v
-        pairing = rows
+    if "pairing" in df:
+        need_frame("pairing")
+        pairing = [[ctx.zero()] * r for _ in range(r)]
+        skew = "; the skew completion is automatic"
+        for (a, c), (v,) in keyed("pairing", frame_index, 1, order=skew):
+            pairing[a][c], pairing[c][a] = v, -v
 
-    if df.has("form"):
-        if frame_names is None:
-            raise PsaError("[form] requires a [frame] section")
-        index = {nm: i for i, nm in enumerate(frame_names)}
-        comps = {}
-        for key, value in df.get("form").items():
-            a, bidx = _pair_key(key, index, "[form]")
-            if a >= bidx:
-                raise PsaError(f"[form] {key}: use strictly increasing "
-                               f"frame order")
-            comps[(a, bidx)] = _parse_exprs(ctx, value, 1,
-                                            f"[form] {key}")[0]
-        b.form = FormField(ctx, len(frame_names), 2, comps)
+    if "form" in df:
+        need_frame("form")
+        b.form = FormField(ctx, r, 2, {
+            ac: v for ac, (v,) in keyed("form", frame_index, 1, order="")})
 
-    if df.has("bracket"):
-        b.algebroid = ChartAlgebroid(ctx, frame_names, anchor,
-                                     read_table("bracket"), kind="lie")
-    if df.has("product"):
-        b.algebroid = ChartAlgebroid(ctx, frame_names, anchor,
-                                     read_table("product"), kind="lsa")
-    if df.has("star"):
+    for section, kind in (("bracket", "lie"), ("product", "lsa")):
+        if section in df:
+            b.algebroid = ChartAlgebroid(ctx, frame_names, anchor,
+                                         read_table(section), kind=kind)
+    if "star" in df:
         if pairing is None:
             raise PsaError("[star] requires a [pairing] section")
         b.structure = PreSymStructure(ctx, frame_names, anchor,
                                       read_table("star"), pairing)
 
-    if df.has("connection"):
-        n = len(coords)
-        if n == 0:
-            raise PsaError("[connection] requires chart coordinates")
-        cindex = {nm: i for i, nm in enumerate(coords)}
-        gamma = [[[ctx.zero()] * n for _ in range(n)] for _ in range(n)]
-        for key, value in df.get("connection").items():
-            i, j = _pair_key(key, cindex, "[connection]")
-            gamma[i][j] = _parse_exprs(ctx, value, n, f"[connection] {key}")
-        b.connection = FlatConnection(ctx, gamma)
+    if "connection" in df:
+        need_coords("connection")
+        b.connection = FlatConnection(ctx, cube("connection", coord_index))
 
-    if df.has("phi"):
-        n = len(coords)
-        if n == 0:
-            raise PsaError("[phi] requires chart coordinates")
-        cindex = {nm: i for i, nm in enumerate(coords)}
-        comps = [[[ctx.zero()] * n for _ in range(n)] for _ in range(n)]
-        for key, value in df.get("phi").items():
-            i, j = _pair_key(key, cindex, "[phi]")
-            comps[i][j] = _parse_exprs(ctx, value, n, f"[phi] {key}")
+    if "phi" in df:
+        need_coords("phi")
+        comps = cube("phi", coord_index)
         try:
             b.phi = PhiTensor(ctx, comps)
         except ValueError as exc:
             raise PsaError(f"[phi]: {exc}") from exc
 
-    if df.has("splitting"):
-        if frame_names is None:
-            raise PsaError("[splitting] requires a [frame] section")
-        cindex = {nm: i for i, nm in enumerate(coords)}
-        rows = [None] * len(coords)
-        for key, value in df.get("splitting").items():
-            if key not in cindex:
-                raise PsaError(f"[splitting]: unknown coordinate '{key}'")
-            rows[cindex[key]] = _parse_exprs(ctx, value, len(frame_names),
-                                             f"[splitting] {key}")
-        if any(r is None for r in rows):
-            raise PsaError("[splitting] needs one row per coordinate")
-        b.splitting = Splitting(rows)
+    if "splitting" in df:
+        need_frame("splitting")
+        need_coords("splitting")
+        b.splitting = Splitting(columns("splitting", coord_index, r,
+                                        "coordinate", "row per coordinate"))
 
-    if df.has("paracomplex"):
-        if frame_names is None:
-            raise PsaError("[paracomplex] requires a [frame] section")
-        r = len(frame_names)
-        index = {nm: i for i, nm in enumerate(frame_names)}
-        cols = [None] * r
-        for key, value in df.get("paracomplex").items():
-            if key not in index:
-                raise PsaError(f"[paracomplex]: unknown frame name '{key}'")
-            cols[index[key]] = _parse_exprs(ctx, value, r,
-                                            f"[paracomplex] {key}")
-        if any(c is None for c in cols):
-            raise PsaError("[paracomplex] needs one column per frame name")
-        rows = [[cols[bidx][a] for bidx in range(r)] for a in range(r)]
-        b.paracomplex = ParaComplexOp(ctx, rows)
+    if "paracomplex" in df:
+        need_frame("paracomplex")
+        cols = columns("paracomplex", frame_index, r, "frame name",
+                       "column per frame name")
+        b.paracomplex = ParaComplexOp(
+            ctx, [[cols[c][a] for c in range(r)] for a in range(r)])
 
     if b.algebra is None and b.algebroid is None and b.structure is None \
             and b.connection is None:
@@ -340,10 +318,22 @@ def _fmt_list(entries) -> str:
     return ", ".join(str(x) for x in entries)
 
 
+def _cells(names, cell):
+    """One "a b = entries" line per pair of names whose cell(a, b) has a
+    nonzero entry, in row-major order."""
+    return [f"{x} {y} = {_fmt_list(entries)}"
+            for a, x in enumerate(names) for c, y in enumerate(names)
+            if any(entries := cell(a, c))]
+
+
 def emit(b: Bundle) -> str:
     """Deterministic text for a bundle; inverse of realize up to zero
     entries and formatting."""
     out = []
+
+    def section(name, lines):
+        out.extend([f"[{name}]", *lines, ""])
+
     if b.description:
         out.append(f"# {b.name}: {b.description}" if b.name
                    else f"# {b.description}")
@@ -354,108 +344,57 @@ def emit(b: Bundle) -> str:
             ctx = obj.ctx
             break
     if ctx is not None and (ctx.coords or ctx.funcs):
-        out.append("[chart]")
-        if ctx.coords:
-            out.append(f"coords = {_fmt_list(ctx.coords)}")
-        if ctx.funcs:
-            out.append(f"funcs = {_fmt_list(ctx.funcs)}")
-        out.append("")
+        section("chart", [f"{key} = {_fmt_list(symbols)}" for key, symbols
+                          in (("coords", ctx.coords), ("funcs", ctx.funcs))
+                          if symbols])
 
     if b.algebra is not None:
         alg = b.algebra
-        out.append("[algebra]")
-        out.append(f"names = {_fmt_list(alg.names)}")
-        for a in range(alg.dim):
-            for bidx in range(alg.dim):
-                row = [alg.constants.get((a, bidx, k), Fraction(0))
-                       for k in range(alg.dim)]
-                if any(row):
-                    out.append(f"{alg.names[a]} {alg.names[bidx]} = "
-                               f"{_fmt_list(row)}")
-        out.append("")
+        section("algebra", [f"names = {_fmt_list(alg.names)}", *_cells(
+            alg.names, lambda a, c: [alg.constants.get((a, c, k), 0)
+                                     for k in range(alg.dim)])])
 
     carrier = b.structure if b.structure is not None else b.algebroid
     if carrier is not None:
-        out.append("[frame]")
-        out.append(f"names = {_fmt_list(carrier.names)}")
-        out.append("")
-        out.append("[anchor]")
-        for a, nm in enumerate(carrier.names):
-            if any(not x.is_zero() for x in carrier.anchor[a]):
-                out.append(f"{nm} = {_fmt_list(carrier.anchor[a])}")
-        out.append("")
-        section = "star" if b.structure is not None else (
-            "bracket" if carrier.kind == "lie" else "product")
-        out.append(f"[{section}]")
-        r = carrier.rank
-        for a in range(r):
-            for bidx in range(r):
-                cell = carrier.table[a][bidx]
-                if any(not x.is_zero() for x in cell):
-                    out.append(f"{carrier.names[a]} {carrier.names[bidx]}"
-                               f" = {_fmt_list(cell)}")
-        out.append("")
+        names = carrier.names
+        section("frame", [f"names = {_fmt_list(names)}"])
+        section("anchor", [f"{nm} = {_fmt_list(row)}"
+                           for nm, row in zip(names, carrier.anchor)
+                           if any(row)])
+        section("star" if b.structure is not None else (
+            "bracket" if carrier.kind == "lie" else "product"),
+            _cells(names, lambda a, c: carrier.table[a][c]))
 
     if b.structure is not None:
-        out.append("[pairing]")
-        for a in range(b.structure.rank):
-            for bidx in range(a + 1, b.structure.rank):
-                v = b.structure.pairing.rows[a][bidx]
-                if not v.is_zero():
-                    out.append(f"{b.structure.names[a]} "
-                               f"{b.structure.names[bidx]} = {v}")
-        out.append("")
+        rows = b.structure.pairing.rows
+        section("pairing", _cells(names, lambda a, c: [rows[a][c]]
+                                  if a < c else []))
 
     if b.form is not None:
-        names = carrier.names if carrier is not None else None
-        if names is None:
+        if carrier is None:
             raise PsaError("cannot emit a form without a frame")
-        out.append("[form]")
-        for (a, bidx) in sorted(b.form.components):
-            out.append(f"{names[a]} {names[bidx]} = "
-                       f"{b.form.components[(a, bidx)]}")
-        out.append("")
+        comps = b.form.components
+        section("form", _cells(names, lambda a, c: [comps.get((a, c), 0)]))
 
     if b.connection is not None:
-        out.append("[connection]")
-        coords = b.connection.ctx.coords
-        n = b.connection.rank
-        for i in range(n):
-            for j in range(n):
-                cell = b.connection.table[i][j]
-                if any(not x.is_zero() for x in cell):
-                    out.append(f"{coords[i]} {coords[j]} = "
-                               f"{_fmt_list(cell)}")
-        out.append("")
+        table = b.connection.table
+        section("connection", _cells(b.connection.ctx.coords,
+                                     lambda i, j: table[i][j]))
 
     if b.phi is not None:
-        out.append("[phi]")
-        coords = b.phi.ctx.coords
-        n = b.phi.dim
-        for i in range(n):
-            for j in range(n):
-                cell = b.phi.comps[i][j]
-                if any(not x.is_zero() for x in cell):
-                    out.append(f"{coords[i]} {coords[j]} = "
-                               f"{_fmt_list(cell)}")
-        out.append("")
+        comps = b.phi.comps
+        section("phi", _cells(b.phi.ctx.coords, lambda i, j: comps[i][j]))
 
     if b.splitting is not None:
-        out.append("[splitting]")
         coords = ctx.coords if ctx is not None else ()
-        for i, row in enumerate(b.splitting.sigma):
-            out.append(f"{coords[i]} = {_fmt_list(row)}")
-        out.append("")
+        section("splitting", [f"{coords[i]} = {_fmt_list(row)}"
+                              for i, row in enumerate(b.splitting.sigma)])
 
     if b.paracomplex is not None:
-        names = carrier.names
-        out.append("[paracomplex]")
-        r = b.paracomplex.rank
-        for bidx in range(r):
-            col = b.paracomplex.column(bidx)
-            if any(not x.is_zero() for x in col):
-                out.append(f"{names[bidx]} = {_fmt_list(col)}")
-        out.append("")
+        cols = map(b.paracomplex.column, range(b.paracomplex.rank))
+        section("paracomplex", [f"{nm} = {_fmt_list(col)}"
+                                for nm, col in zip(carrier.names, cols)
+                                if any(col)])
 
     while out and out[-1] == "":
         out.pop()

@@ -180,6 +180,31 @@ def test_bad_chart_names_exit_two(tmp_path, command, coords):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", [["check"],
+                                     ["cohomology", "--degree", "1"],
+                                     ["derive", "--direction", "to-bracket"]])
+@pytest.mark.parametrize("text, message", [
+    # a splitting lifts chart directions, so a chart without coordinates
+    # has none to lift
+    ("[frame]\nnames = e1, e2\n[anchor]\n[star]\n[pairing]\ne1 e2 = 1\n"
+     "[splitting]\n", "[splitting] requires chart coordinates"),
+    # a repeated name would put the file's rows on its last position
+    ("[chart]\ncoords = x\n[frame]\nnames = e1, e2, e1\n[anchor]\n"
+     "[bracket]\ne1 e2 = 1, 0, 0\n", "[frame]: duplicate name 'e1'"),
+    ("[algebra]\nnames = e1, e2, e1\ne1 e2 = 1, 0, 0\n",
+     "[algebra]: duplicate name 'e1'"),
+], ids=["splitting-without-coords", "frame-repeated-name",
+        "algebra-repeated-name"])
+def test_ill_formed_sections_exit_two(capsys, tmp_path, command, text,
+                                      message):
+    p = tmp_path / "bad.psa"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(p), *command[1:])
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_parakahler_degenerate_pairing_is_a_failed_check(tmp_path):
     # (e1,f1) = 0 makes the pairing singular: the suites that need the
     # section product are skipped, the nondegeneracy checks fail

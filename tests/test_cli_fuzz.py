@@ -23,14 +23,15 @@ from hypothesis import given, seed, settings, strategies as st
 import psalib
 from psalib import fixtures
 from psalib.cli import DIRECTIONS, main
-from psalib.psafile import emit
+from psalib.psafile import _SECTIONS, emit
 
 TEXTS = {name: emit(fixtures.build(name)).encode("utf-8")
          for name in fixtures.REGISTRY_NAMES}
-# every token of the fixture texts, plus pieces that break the syntax
+# every token of the fixture texts, every section header, plus pieces
+# that break the syntax
 POOL = sorted({tok for text in TEXTS.values() for tok in text.split()}
-              | {b"[", b"]", b"=", b",", b"(", b")", b"1/0", b"[star]",
-                 b"[chart]", b"d(f,x)"})
+              | {f"[{section}]".encode() for section in _SECTIONS}
+              | {b"[", b"]", b"=", b",", b"(", b")", b"1/0", b"d(f,x)"})
 OPS = ("delete line", "insert line", "duplicate line",
        "delete token", "insert token", "duplicate token", "insert byte")
 MUTATION = st.tuples(st.sampled_from(OPS), st.integers(0, 999),

@@ -1,9 +1,15 @@
-"""Definition-file parsing, realization, and emission."""
+"""Definition-file parsing, realization, and emission.  The round trip
+also reads the benchmark's committed inputs; it only reads `perfbench/`."""
+
+from pathlib import Path
 
 import pytest
 
 from psalib import fixtures
 from psalib.psafile import PsaError, emit, load_path, parse, realize
+
+BENCH_INPUTS = sorted((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "inputs").glob("*.psa"))
 
 
 def realize_text(text, **kw):
@@ -14,9 +20,19 @@ def realize_text(text, **kw):
 # round trips through the text format
 
 
-@pytest.mark.parametrize("name", fixtures.REGISTRY_NAMES)
-def test_emit_parse_realize_round_trip(name):
-    b = fixtures.build(name)
+@pytest.mark.parametrize("source", [
+    *fixtures.REGISTRY_NAMES,
+    *(pytest.param(path, id=path.name) for path in BENCH_INPUTS)])
+def test_emit_parse_realize_round_trip(source):
+    if isinstance(source, Path):
+        # a benchmark input is emit's own text, after its "# name:
+        # description" line if it has one
+        text = source.read_text(encoding="utf-8")
+        if text.startswith("# "):
+            text = text.partition("\n")[2]
+        assert emit(load_path(str(source))) == text
+        return
+    b = fixtures.build(source)
     text = emit(b)
     b2 = realize_text(text, name=b.name, description=b.description)
     assert emit(b2) == text
