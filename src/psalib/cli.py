@@ -111,6 +111,13 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     avail = applicable_suites(b)
+    if b.paracomplex is not None and _presym_builder(b) is None:
+        print("error: [paracomplex] needs a [star] table, a [connection] "
+              "with [phi], or a [bracket] with a [form]", file=sys.stderr)
+        return 2
+    if not avail:
+        print(f"error: no suite applies to {args.file}", file=sys.stderr)
+        return 2
     if args.suite == "all":
         selected = avail
     elif args.suite in avail:

@@ -9,6 +9,13 @@ ExprMatrix holds DiffExpr entries; inversion is cofactor-based with
 subset-memoized Laplace determinants, sized for the small matrices that
 occur here.  Reduced echelon forms, kernels and solutions over both
 fields come from one first-nonzero-pivot Gauss-Jordan.
+
+`blocks` splits a matrix into the connected blocks of its nonzero
+pattern: the matrix is block-diagonal over them up to a permutation of
+rows and columns, so its rank is the sum of the block ranks and its
+kernel the direct sum of the block kernels.  Kernels are taken block by
+block; `lsa.restricted_dims` ranks its sparse cohomology matrices the
+same way, under both eliminations.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ __all__ = [
     "SingularMatrixError",
     "rank",
     "rank_second_opinion",
+    "blocks",
     "kernel_basis",
     "rref",
     "solve",
@@ -188,20 +196,54 @@ def _gauss_jordan(rows, ncols: int):
     return a, pivots
 
 
+def blocks(m):
+    """(row indices, column indices) of each connected component of the
+    bipartite row/column graph of m's nonzero entries, by union-find over
+    the columns, in order of first column; indices ascend in each.  An
+    all-zero column is a block with no rows; all-zero rows are in none."""
+    parent = list(range(m.ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    row_cols = []
+    for row in m.rows:
+        cols = [j for j, x in enumerate(row) if x]
+        row_cols.append(cols)
+        for j in cols[1:]:
+            parent[find(j)] = find(cols[0])
+    out = {}
+    for j in range(m.ncols):
+        out.setdefault(find(j), ([], []))[1].append(j)
+    for i, cols in enumerate(row_cols):
+        if cols:
+            out[find(cols[0])][0].append(i)
+    return list(out.values())
+
+
 def _kernel(m, zero, one):
-    """Right kernel basis, one vector per free column, unit in it."""
-    red, pivots = _gauss_jordan(m.rows, m.ncols)
-    pivset = set(pivots)
+    """Right kernel basis, one vector per free column, unit in it, in
+    free-column order.  The reduced echelon form is taken block by block
+    (`blocks`); it is unique, so each vector is the one the whole-matrix
+    form gives."""
     basis = []
-    for free in range(m.ncols):
-        if free in pivset:
-            continue
-        v = [zero] * m.ncols
-        v[free] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(tuple(v))
-    return basis
+    for rows, cols in blocks(m):
+        red, pivots = _gauss_jordan(
+            [[m.rows[i][j] for j in cols] for i in rows], len(cols))
+        pivset = set(pivots)
+        for free in range(len(cols)):
+            if free in pivset:
+                continue
+            v = [zero] * m.ncols
+            v[cols[free]] = one
+            for r, pc in enumerate(pivots):
+                v[cols[pc]] = -red[r][free]
+            basis.append((cols[free], tuple(v)))
+    basis.sort(key=lambda fv: fv[0])
+    return [v for _, v in basis]
 
 
 def _solve_augmented(aug, ncols: int, zero):

@@ -3,7 +3,9 @@
 Products are stored as structure constants over a fixed basis.  The
 left-symmetry check and the restricted cochain complex as matrices
 (`RestrictedComplex`) live here.  `restricted_dims` is the one way from a
-restricted complex to its dimensions, ranked by both eliminations.
+restricted complex to its dimensions: it splits each matrix into the
+connected blocks of its nonzero pattern and ranks every block by both
+eliminations.
 Everything is exact Fraction arithmetic.  The rest of the point case runs
 on the point chart `algebroid.ChartAlgebroid.point(alg)`: its
 `commutator_algebroid` is the commutator algebra, def-ii of
@@ -19,7 +21,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactlinalg import QMatrix, kernel_basis, rank, rank_second_opinion
+from .exactlinalg import (QMatrix, blocks, kernel_basis, rank,
+                          rank_second_opinion)
 from .report import CheckReport, Recorder
 
 __all__ = [
@@ -305,6 +308,12 @@ class RestrictedComplex:
         return QMatrix(list(zip(*cols)))
 
 
+def _split(m):
+    """The blocks of m with a row (`exactlinalg.blocks`), as matrices."""
+    return [QMatrix([[m.rows[i][j] for j in cols] for i in rows])
+            for rows, cols in blocks(m) if rows]
+
+
 def restricted_dims(cx, degree: int) -> dict:
     """(dim ker, dim im, dim quotient) of the restricted complex `cx` at
     one degree, under both eliminations: {"bareiss": ..., "gauss": ...}.
@@ -312,19 +321,21 @@ def restricted_dims(cx, degree: int) -> dict:
     `cx` is a `RestrictedComplex` or an `exactclass.TruncatedComplex`.
     The kernel is that of the coboundary leaving the restricted subspace,
     the image that of the coboundary entering it from the restricted
-    subspace one degree lower.  Each matrix is built once and ranked by
-    `rank` (Bareiss) and by the independently coded
-    `rank_second_opinion` (Gauss).
+    subspace one degree lower.  Each matrix is built once and split into
+    the connected blocks of its nonzero pattern; a rank is the sum of
+    the block ranks, and every block is ranked by `rank` (Bareiss) and by
+    the independently coded `rank_second_opinion` (Gauss).
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     basis = cx.restricted_basis(degree)
-    leaving = cx.coboundary_matrix(degree, basis) if basis else None
+    leaving = _split(cx.coboundary_matrix(degree, basis)) if basis else []
     below = cx.restricted_basis(degree - 1) if basis and degree > 1 else []
-    entering = cx.coboundary_matrix(degree - 1, below) if below else None
+    entering = (_split(cx.coboundary_matrix(degree - 1, below)) if below
+                else [])
     dims = {}
     for route, ranker in (("bareiss", rank), ("gauss", rank_second_opinion)):
-        ker = len(basis) - (ranker(leaving) if leaving is not None else 0)
-        im = ranker(entering) if entering is not None else 0
+        ker = len(basis) - sum(map(ranker, leaving))
+        im = sum(map(ranker, entering))
         dims[route] = (ker, im, ker - im)
     return dims

@@ -391,6 +391,8 @@ def emit(b: Bundle) -> str:
                               for i, row in enumerate(b.splitting.sigma)])
 
     if b.paracomplex is not None:
+        if carrier is None:
+            raise PsaError("cannot emit a paracomplex without a frame")
         cols = map(b.paracomplex.column, range(b.paracomplex.rank))
         section("paracomplex", [f"{nm} = {_fmt_list(col)}"
                                 for nm, col in zip(carrier.names, cols)

@@ -205,6 +205,35 @@ def test_ill_formed_sections_exit_two(capsys, tmp_path, command, text,
     assert out == ""
 
 
+_NOT_INVOLUTION = "[paracomplex]\ne1 = 1, 0\ne2 = 0, 5\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # a connection alone is checked by no suite, so P = diag(1, 5), which
+    # is no involution, would go unchecked
+    ("[chart]\ncoords = x, y\n[frame]\nnames = e1, e2\n[connection]\n"
+     "x x = 1, 0\n" + _NOT_INVOLUTION,
+     "[paracomplex] needs a [star] table, a [connection] with [phi], or a "
+     "[bracket] with a [form]"),
+    # a bracket without a form has algebroid checks but no section product
+    ("[chart]\ncoords = x, y\n[frame]\nnames = e1, e2\n[anchor]\n"
+     "e1 = 1, 0\ne2 = 0, 1\n[bracket]\n" + _NOT_INVOLUTION,
+     "[paracomplex] needs a [star] table, a [connection] with [phi], or a "
+     "[bracket] with a [form]"),
+    ("[chart]\ncoords = x, y\n[connection]\nx x = 1, 0\n",
+     "no suite applies to {path}"),
+], ids=["paracomplex-beside-connection", "paracomplex-beside-bracket",
+        "connection-only"])
+def test_check_with_nothing_to_check_exits_two(capsys, tmp_path, text,
+                                               message):
+    p = tmp_path / "unchecked.psa"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert err == f"error: {message.format(path=p)}\n"
+    assert out == ""
+
+
 def test_parakahler_degenerate_pairing_is_a_failed_check(tmp_path):
     # (e1,f1) = 0 makes the pairing singular: the suites that need the
     # section product are skipped, the nondegeneracy checks fail

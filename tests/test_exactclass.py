@@ -325,6 +325,15 @@ def test_truncated_flat_r3_dims_both_eliminations(truncate, degree, dims):
         {"bareiss": dims, "gauss": dims}
 
 
+@pytest.mark.parametrize("truncate, degree, dims", [
+    (2, 2, (65, 30, 35)), (2, 3, (229, 85, 144)), (3, 3, (495, 229, 266)),
+])
+def test_truncated_flat_r4_dims_both_eliminations(truncate, degree, dims):
+    conn = FlatConnection(ChartContext(coords=("x1", "x2", "x3", "x4")))
+    assert restricted_dims(TruncatedComplex(conn, truncate), degree) == \
+        {"bareiss": dims, "gauss": dims}
+
+
 def test_truncated_rejects_negative_bound():
     conn = FlatConnection(ChartContext(coords=("x",)))
     with pytest.raises(ValueError,

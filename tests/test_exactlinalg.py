@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psalib.exactclass import FlatConnection, TruncatedComplex
 from psalib.exactlinalg import (
     ExprMatrix,
     QMatrix,
     SingularMatrixError,
+    blocks,
     determinant,
     expr_kernel_basis,
     expr_rank,
@@ -145,6 +147,105 @@ def test_solve_property(m):
     got = solve(m, rhs)
     assert got is not None
     assert m.mulvec(got) == rhs
+
+
+@st.composite
+def permuted_block_diagonals(draw):
+    """Block-diagonal rational matrices up to random row and column
+    permutations, with all-zero rows and columns among them."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                           min_size=1, max_size=4))
+    n = sum(h for h, _ in shapes) + draw(st.integers(0, 2))
+    w = sum(c for _, c in shapes) + draw(st.integers(0, 2))
+    rows = [[Fraction(0)] * w for _ in range(n)]
+    top = left = 0
+    for h, c in shapes:
+        for i, row in enumerate(draw(rational_rows(h, c))):
+            rows[top + i][left:left + c] = row
+        top, left = top + h, left + c
+    row_order = draw(st.permutations(range(n)))
+    col_order = draw(st.permutations(range(w)))
+    return QMatrix([[rows[i][j] for j in col_order] for i in row_order])
+
+
+def submatrix(m, rows, cols):
+    return QMatrix([[m.rows[i][j] for j in cols] for i in rows])
+
+
+def rref_kernel(m):
+    """The kernel read off the whole-matrix reduced echelon form."""
+    red, pivots = rref(m)
+    basis = []
+    for free in range(m.ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m.ncols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.rows[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def assert_block_ranks(m):
+    """The block ranks sum to the whole-matrix rank under both routes."""
+    parts = [submatrix(m, rows, cols) for rows, cols in blocks(m) if rows]
+    assert sum(map(rank, parts)) == rank(m)
+    assert sum(map(rank_second_opinion, parts)) == rank_second_opinion(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_block_diagonals())
+def test_blocks_are_the_components_and_keep_rank_and_kernel(m):
+    split = blocks(m)
+    nonzero = [(i, j) for i, row in enumerate(m.rows)
+               for j, x in enumerate(row) if x]
+    row_of = {i: k for k, (rows, _) in enumerate(split) for i in rows}
+    col_of = {j: k for k, (_, cols) in enumerate(split) for j in cols}
+    assert sum(len(cols) for _, cols in split) == m.ncols == len(col_of)
+    assert sum(len(rows) for rows, _ in split) == len(row_of)
+    assert set(row_of) == {i for i, _ in nonzero}
+    assert all(row_of[i] == col_of[j] for i, j in nonzero)
+    for k, (rows, cols) in enumerate(split):
+        assert rows == sorted(rows) and cols == sorted(cols)
+        # connected: a walk over nonzeros from the first column reaches
+        # every column of the block
+        seen, todo = {cols[0]}, [cols[0]]
+        while todo:
+            j = todo.pop()
+            for i in rows:
+                if m.rows[i][j]:
+                    for jj in cols:
+                        if m.rows[i][jj] and jj not in seen:
+                            seen.add(jj)
+                            todo.append(jj)
+        assert seen == set(cols)
+    assert_block_ranks(m)
+    assert kernel_basis(m) == rref_kernel(m)
+
+
+def test_blocks_of_an_empty_and_a_zero_matrix():
+    assert blocks(QMatrix([])) == []
+    assert blocks(QMatrix.zeros(2, 3)) == [([], [0]), ([], [1]), ([], [2])]
+    assert kernel_basis(QMatrix.zeros(2, 2)) == rref_kernel(
+        QMatrix.zeros(2, 2))
+
+
+def test_flat_cells_block_ranks_and_kernels_match_whole_matrix():
+    """Every flat cell with n <= 3, t <= 3 at degrees 1..4: the matrices
+    `lsa.restricted_dims` ranks keep their rank when split, and each
+    membership kernel is the whole-matrix one, vector for vector."""
+    for n in (1, 2, 3):
+        conn = FlatConnection(ChartContext(
+            coords=tuple(f"x{i + 1}" for i in range(n))))
+        for t in (0, 1, 2, 3):
+            cx = TruncatedComplex(conn, t)
+            for degree in (1, 2, 3, 4):
+                member = cx.membership_matrix(degree)
+                basis = kernel_basis(member)
+                assert basis == rref_kernel(member)
+                if basis:
+                    assert_block_ranks(cx.coboundary_matrix(degree, basis))
 
 
 # ---------------------------------------------------------------------------

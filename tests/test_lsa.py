@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psalib import lsa
+from psalib import exactlinalg, lsa
 from psalib.algebroid import ChartAlgebroid, FormField
 from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
                                chart_coboundary)
@@ -250,7 +250,8 @@ def test_restricted_dims_builds_each_matrix_once_and_ranks_it_both_ways(
         monkeypatch):
     """The rank routines are looked up in `lsa` when `restricted_dims`
     runs, so a wrapper bound there (as perfbench's tracer binds one)
-    sees every call."""
+    sees every call.  Both routes rank the same blocks, and the blocks
+    hold every nonzero entry of the built matrices once, in place."""
     logs = {}
     for name in ("rank", "rank_second_opinion"):
         fn, log = getattr(lsa, name), []
@@ -275,8 +276,24 @@ def test_restricted_dims_builds_each_matrix_once_and_ranks_it_both_ways(
             assert len(set(degrees)) == len(degrees)
             assert set(degrees) <= {degree - 1, degree}
             entering += degree - 1 in degrees
-            for log in logs.values():
-                assert [id(m) for _, m in built] == [id(m) for m in log]
+            received = logs["rank"]
+            assert [id(b) for b in logs["rank_second_opinion"]] == \
+                [id(b) for b in received]
+            for _, m in built:
+                nonzero = {(i, j): x for i, row in enumerate(m.rows)
+                           for j, x in enumerate(row) if x}
+                placed = []
+                for rows, cols in exactlinalg.blocks(m):
+                    if not rows:
+                        continue
+                    block = received.pop(0)
+                    assert (block.nrows, block.ncols) == (len(rows), len(cols))
+                    placed += [((rows[a], cols[c]), x)
+                               for a, row in enumerate(block.rows)
+                               for c, x in enumerate(row) if x]
+                assert len(placed) == len(nonzero)
+                assert dict(placed) == nonzero
+            assert received == []
     assert entering
     with pytest.raises(ValueError, match="degree must be >= 1"):
         restricted_dims(cx, 0)

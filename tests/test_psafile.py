@@ -192,3 +192,13 @@ def test_splitting_needs_every_coordinate_row():
 def test_empty_file_defines_nothing():
     with pytest.raises(PsaError, match="no checkable object"):
         realize_text("[chart]\ncoords = x\n")
+
+
+def test_emit_paracomplex_needs_a_frame_table():
+    # realize accepts a [paracomplex] beside a [connection] alone, but
+    # without a frame table there are no names to write its columns under
+    b = realize_text("[chart]\ncoords = x, y\n[frame]\nnames = e1, e2\n"
+                     "[connection]\n[paracomplex]\ne1 = 1, 0\ne2 = 0, -1\n")
+    with pytest.raises(PsaError,
+                       match="^cannot emit a paracomplex without a frame$"):
+        emit(b)
