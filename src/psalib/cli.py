@@ -10,16 +10,18 @@ Exit codes: 0 all checks pass, 1 a check failed or the eliminations
 disagree, 2 input or usage error.
 """
 
-import argparse
 import contextlib
+import math
 import sys
+from types import SimpleNamespace
 
 from .algebroid import ChartAlgebroid, check_2cocycle, check_lie_algebroid, \
     check_left_symmetric_algebroid
 from .exactclass import TruncatedComplex, canonical_splitting, \
     check_exact, twisted_product
 from .exprcore import ExprError
-from .lsa import RestrictedComplex, check_left_symmetric, restricted_dims
+from .lsa import RestrictedComplex, check_left_symmetric, cochain_dim, \
+    restricted_dims
 from .parakahler import check_star_equals_nabla
 from .presym import check_presymplectic, presym_from_symplectic, \
     pseudo_semidirect, symplectic_from_presym
@@ -29,6 +31,11 @@ from . import fixtures
 
 SUITES = ("lsa", "algebroid", "presym", "exact", "parakahler")
 DIRECTIONS = ("to-star", "to-bracket", "pseudo-semidirect", "twist")
+# The largest cochain space `psa cohomology` builds, in keys times
+# coefficients.  Peak memory grows about with its square: flat-2 at
+# --truncate 40 --degree 2 (3444) peaks at 190 MB in 6 s, and at
+# --truncate 50 (5304) at 420 MB in 15 s.
+COCHAIN_BUDGET = 4000
 
 
 def _presym_builder(b: Bundle):
@@ -204,18 +211,32 @@ def cmd_cohomology(args) -> int:
     if args.truncate < 0:
         print("error: --truncate must be >= 0", file=sys.stderr)
         return 2
+    if b.algebra is not None:
+        where = f"point algebra, dim {b.algebra.dim}"
+        rank, ncoeffs = b.algebra.dim, 1
+    elif b.connection is not None:
+        where = (f"chart, {b.connection.rank} flat coordinates, "
+                 f"polynomial degree <= {args.truncate}")
+        # coefficients: the monomials of degree <= truncate
+        rank = b.connection.rank
+        ncoeffs = math.comb(rank + args.truncate, rank)
+    else:
+        print("error: cohomology needs an [algebra] or a "
+              "[connection] section", file=sys.stderr)
+        return 2
+    # the restricted bases of degree and degree - 1 and the coboundary
+    # rows of degree + 1 are all built
+    size = max((cochain_dim(rank, d, ncoeffs)
+                for d in (args.degree - 1, args.degree, args.degree + 1)
+                if d >= 1), default=0)
+    if size > COCHAIN_BUDGET:
+        print(f"error: this complex needs a {size}-dimensional cochain "
+              f"space, above the budget of {COCHAIN_BUDGET}; lower "
+              f"--truncate or --degree", file=sys.stderr)
+        return 2
     try:
-        if b.algebra is not None:
-            where = f"point algebra, dim {b.algebra.dim}"
-            cx = RestrictedComplex.point(b.algebra)
-        elif b.connection is not None:
-            where = (f"chart, {b.connection.rank} flat coordinates, "
-                     f"polynomial degree <= {args.truncate}")
-            cx = TruncatedComplex(b.connection, args.truncate)
-        else:
-            print("error: cohomology needs an [algebra] or a "
-                  "[connection] section", file=sys.stderr)
-            return 2
+        cx = (RestrictedComplex.point(b.algebra) if b.algebra is not None
+              else TruncatedComplex(b.connection, args.truncate))
         dims = restricted_dims(cx, args.degree)
     except (ValueError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -234,6 +255,9 @@ def cmd_cohomology(args) -> int:
 
 def cmd_examples(args) -> int:
     if not args.name:
+        if args.output is not None:
+            print("error: -o/--output needs a fixture NAME", file=sys.stderr)
+            return 2
         width = max(len(n) for n in fixtures.REGISTRY_NAMES)
         for name in fixtures.REGISTRY_NAMES:
             b = fixtures.build(name)
@@ -263,48 +287,166 @@ def _emit_to(output, b: Bundle) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="psa",
-        description="exact verification of chart-level product, bracket, "
-                    "and skew-pairing structures")
-    sub = p.add_subparsers(dest="command", required=True)
+_HELP = ("-h", "--help")
+_REQUIRED = object()  # the default of an option that must be given
 
-    c = sub.add_parser("check", help="run verification suites on a file")
-    c.add_argument("file")
-    c.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    c.add_argument("--json", metavar="PATH",
-                   help="also write the report as JSON")
-    c.set_defaults(fn=cmd_check)
+# One row per command: its handler, a one-line summary, its positional
+# (name, required, help) and its options.  An option row is (spellings,
+# dest, takes, default, help), where takes is a tuple of choices, int, a
+# metavar for a value taken as is, or None for a flag.
+COMMANDS = {
+    "check": (cmd_check, "run verification suites on a file",
+              ("file", True, "a .psa definition file"), (
+        (("--suite",), "suite", SUITES + ("all",), "all",
+         "run this suite only (default: every applicable one)"),
+        (("--json",), "json", "PATH", None,
+         "also write the report as JSON"),
+    )),
+    "derive": (cmd_derive, "derive one structure from another",
+               ("file", True, "a .psa definition file"), (
+        (("--direction",), "direction", DIRECTIONS, _REQUIRED,
+         "the derivation to apply"),
+        (("-o", "--output"), "output", "PATH", None,
+         "write the derived file here instead of stdout"),
+    )),
+    "cohomology": (cmd_cohomology, "restricted cohomology dimensions",
+                   ("file", True, "a .psa file with an [algebra] or a "
+                    "[connection]"), (
+        (("--degree",), "degree", int, _REQUIRED,
+         "the cochain degree: 1, 2 or 3, any with --full"),
+        (("--truncate",), "truncate", int, 2,
+         "polynomial coefficient degree bound for chart complexes "
+         "(default 2)"),
+        (("--full",), "full", None, False, "allow degrees outside 1..3"),
+    )),
+    "examples": (cmd_examples, "list or emit built-in structures",
+                 ("name", False, "the fixture to emit; without it, list "
+                  "the registry"), (
+        (("-o", "--output"), "output", "PATH", None,
+         "write the named fixture here instead of stdout"),
+    )),
+}
 
-    d = sub.add_parser("derive", help="derive one structure from another")
-    d.add_argument("file")
-    d.add_argument("--direction", choices=DIRECTIONS, required=True)
-    d.add_argument("-o", "--output", metavar="PATH",
-                   help="write the derived file here instead of stdout")
-    d.set_defaults(fn=cmd_derive)
 
-    h = sub.add_parser("cohomology",
-                       help="restricted cohomology dimensions")
-    h.add_argument("file")
-    h.add_argument("--degree", type=int, required=True)
-    h.add_argument("--truncate", type=int, default=2, metavar="D",
-                   help="polynomial coefficient degree bound for chart "
-                        "complexes (default 2)")
-    h.add_argument("--full", action="store_true",
-                   help="allow degrees outside 1..3")
-    h.set_defaults(fn=cmd_cohomology)
+def _metavar(dest, takes) -> str:
+    if isinstance(takes, tuple):
+        return " {" + ",".join(takes) + "}"
+    if takes is int:
+        return " " + dest.upper()
+    return "" if takes is None else " " + takes
 
-    e = sub.add_parser("examples", help="list or emit built-in structures")
-    e.add_argument("name", nargs="?", default=None)
-    e.add_argument("-o", "--output", metavar="PATH")
-    e.set_defaults(fn=cmd_examples)
-    return p
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: psa [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, (pos, pos_required, _), options = COMMANDS[command]
+    parts = ["usage: psa", command, "[-h]"]
+    for spellings, dest, takes, default, _ in options:
+        part = spellings[0] + _metavar(dest, takes)
+        parts.append(part if default is _REQUIRED else f"[{part}]")
+    parts.append(pos if pos_required else f"[{pos}]")
+    return " ".join(parts)
+
+
+def _help(command) -> str:
+    if command is None:
+        rows = "".join(f"  {name:<12}{row[1]}\n"
+                       for name, row in COMMANDS.items())
+        return (f"{_usage(None)}\n\nexact verification of chart-level "
+                f"product, bracket, and skew-pairing structures\n\n"
+                f"commands:\n{rows}\nRun 'psa COMMAND -h' for a command's "
+                f"options.  Exit codes: 0 all checks pass,\n1 a check "
+                f"failed or the eliminations disagree, 2 input or usage "
+                f"error.\n")
+    _, summary, (pos, _, pos_help), options = COMMANDS[command]
+    lines = [_usage(command), "", summary, "", f"  {pos}", f"      {pos_help}",
+             "  -h, --help", "      show this help and exit"]
+    for spellings, dest, takes, _, text in options:
+        lines += ["  " + ", ".join(spellings) + _metavar(dest, takes),
+                  "      " + text]
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(command, message):
+    sys.stderr.write(f"{_usage(command)}\npsa: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_option(token: str) -> bool:
+    """A token is an option when it starts with '-' and is neither '-'
+    nor a negative number, so that `--truncate -1` reaches the range
+    check."""
+    return token[:1] == "-" and token != "-" and \
+        not token[1:].replace(".", "", 1).isdigit()
+
+
+def read_argv(argv):
+    """(handler, args) of one command line.  `-h` or `--help` anywhere
+    prints help to stdout and exits 0; any usage error prints the usage
+    and one `psa: error:` line to stderr and exits 2.  Options are
+    spelled in full, as `--opt value` or `--opt=value`, before or after
+    the positional; a repeated option keeps its last value."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    if command not in COMMANDS:
+        problem = ("missing command" if command is None
+                   else f"unknown command '{command}'")
+        _usage_error(None, f"{problem}; choose from {', '.join(COMMANDS)}")
+    if any(token in _HELP for token in argv[1:]):
+        sys.stdout.write(_help(command))
+        raise SystemExit(0)
+    handler, _, (pos, pos_required, _), options = COMMANDS[command]
+    spelled = {s: row for row in options for s in row[0]}
+    values = {pos: None}
+    values.update((row[1], row[3]) for row in options)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_option(token):
+            if values[pos] is not None:
+                _usage_error(command, f"unexpected argument '{token}'")
+            values[pos] = token
+            continue
+        name, eq, value = token.partition("=") if token[:2] == "--" \
+            else (token, "", "")
+        row = spelled.get(name)
+        if row is None:
+            full = [s for s in spelled if s.startswith(name)]
+            hint = (f" (options are not abbreviated: {', '.join(full)})"
+                    if full and name[:2] == "--" else "")
+            _usage_error(command, f"unknown option '{name}'{hint}")
+        _, dest, takes, _, _ = row
+        if takes is None:
+            if eq:
+                _usage_error(command, f"option {name} takes no value")
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                _usage_error(command, f"option {name} expects a value")
+        if isinstance(takes, tuple) and value not in takes:
+            _usage_error(command, f"option {name}: invalid choice "
+                         f"'{value}' (choose from {', '.join(takes)})")
+        if takes is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"option {name}: invalid int value "
+                             f"'{value}'")
+        values[dest] = value
+    missing = [pos] if pos_required and values[pos] is None else []
+    missing += [row[0][0] for row in options if values[row[1]] is _REQUIRED]
+    if missing:
+        _usage_error(command, "the following arguments are required: "
+                     + ", ".join(missing))
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    handler, args = read_argv(sys.argv[1:] if argv is None else argv)
+    return handler(args)
 
 
 if __name__ == "__main__":

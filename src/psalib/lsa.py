@@ -19,6 +19,7 @@ coboundary.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .exactlinalg import (QMatrix, blocks, kernel_basis, rank,
@@ -31,6 +32,7 @@ __all__ = [
     "check_left_symmetric",
     "sorted_sign",
     "cochain_keys",
+    "cochain_dim",
     "restricted_dims",
 ]
 
@@ -153,6 +155,13 @@ def cochain_keys(dim: int, degree: int):
             for k in range(dim)]
 
 
+def cochain_dim(rank: int, degree: int, ncoeffs: int = 1) -> int:
+    """The dimension of the degree-`degree` cochain space: one coordinate
+    per canonical key (`cochain_keys`) and coefficient basis element,
+    counted without enumerating them."""
+    return math.comb(rank, degree - 1) * rank * ncoeffs
+
+
 class RestrictedComplex:
     """The restricted scalar cochain complex of a left-symmetric product
     with constant structure constants, with coefficients in a finite
@@ -204,7 +213,7 @@ class RestrictedComplex:
         return cls(alg.dim, alg.constants)
 
     def space_dim(self, degree: int) -> int:
-        return len(cochain_keys(self.rank, degree)) * self.ncoeffs
+        return cochain_dim(self.rank, degree, self.ncoeffs)
 
     def _key_positions(self, degree: int):
         return {key: i for i, key in

@@ -14,7 +14,6 @@ through one cell writer.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebroid import ChartAlgebroid, FormField
@@ -36,19 +35,29 @@ class PsaError(ValueError):
     """Malformed definition file."""
 
 
-@dataclass
 class Bundle:
-    """Realized content of a definition file; absent parts are None."""
-    name: str = ""
-    description: str = ""
-    algebra: object = None        # FiniteAlgebra
-    algebroid: object = None      # ChartAlgebroid (bracket or product file)
-    form: object = None           # FormField (degree 2)
-    structure: object = None      # PreSymStructure (star + pairing)
-    connection: object = None     # FlatConnection
-    phi: object = None            # PhiTensor
-    splitting: object = None      # Splitting
-    paracomplex: object = None    # ParaComplexOp
+    """Realized content of a definition file; absent parts are None.
+
+    algebra is a FiniteAlgebra, algebroid a ChartAlgebroid (a bracket or
+    product file), form a degree-2 FormField, structure a PreSymStructure
+    (star and pairing), connection a FlatConnection, phi a PhiTensor,
+    splitting a Splitting and paracomplex a ParaComplexOp.
+    """
+
+    def __init__(self, name: str = "", description: str = "",
+                 algebra=None, algebroid=None, form=None, structure=None,
+                 connection=None, phi=None, splitting=None,
+                 paracomplex=None):
+        self.name = name
+        self.description = description
+        self.algebra = algebra
+        self.algebroid = algebroid
+        self.form = form
+        self.structure = structure
+        self.connection = connection
+        self.phi = phi
+        self.splitting = splitting
+        self.paracomplex = paracomplex
 
 
 _SECTION_RE = re.compile(r"^\[([a-z][a-z-]*)\]$")

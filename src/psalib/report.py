@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .identities import anchor_for
@@ -21,19 +20,24 @@ from .identities import anchor_for
 __all__ = ["Check", "CheckReport", "Recorder", "components", "section_str"]
 
 
-@dataclass(frozen=True)
 class Check:
-    check_id: str
-    anchor: str
-    status: str  # pass | fail | skipped
-    witness: str | None
-    wall_ms: float
+    """One check's verdict: status is pass, fail or skipped."""
+
+    def __init__(self, check_id: str, anchor: str, status: str,
+                 witness: str | None, wall_ms: float):
+        self.check_id = check_id
+        self.anchor = anchor
+        self.status = status
+        self.witness = witness
+        self.wall_ms = wall_ms
 
 
-@dataclass
 class CheckReport:
-    artifact: str
-    checks: list[Check] = field(default_factory=list)
+    """The checks run on one artifact, in the order they ran."""
+
+    def __init__(self, artifact: str):
+        self.artifact = artifact
+        self.checks: list[Check] = []
 
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)

@@ -4,8 +4,10 @@ exit codes, and report determinism."""
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,9 @@ import pytest
 import psalib
 from psalib import cli, fixtures
 from psalib.cli import main
-from psalib.psafile import emit, load_path
+from psalib.exactclass import FlatConnection
+from psalib.exprcore import ChartContext
+from psalib.psafile import Bundle, emit, load_path
 from psalib.report import CheckReport
 
 
@@ -445,6 +449,8 @@ def test_cohomology_degree_gate(capsys, fixture_file):
     code, out, _ = run(capsys, "cohomology", f, "--degree", "4", "--full")
     assert code == 0
     assert "degree 4" in out
+    code, out, err = run(capsys, "cohomology", f, "--degree", "-1", "--full")
+    assert (code, out, err) == (2, "", "error: degree must be >= 1\n")
 
 
 def test_cohomology_rejects_negative_truncation(capsys, fixture_file):
@@ -485,3 +491,160 @@ def test_examples_unknown_name_exits_two(capsys):
     code, _, err = run(capsys, "examples", "zzz")
     assert code == 2
     assert "unknown fixture" in err
+
+
+def test_examples_output_without_name_exits_two(capsys, tmp_path):
+    out_file = tmp_path / "x.psa"
+    code, out, err = run(capsys, "examples", "-o", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: -o/--output needs a fixture NAME\n"
+    assert not out_file.exists()
+
+
+# ---------------------------------------------------------------------------
+# cohomology budget
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cohomology_over_budget_exits_two_before_building(fixture_file):
+    """Run as a process capped at 1 GB and 10 s: without the budget the
+    complex would enumerate its five billion monomials."""
+    env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "psalib.cli", "cohomology",
+         fixture_file("twist-r2"), "--degree", "1", "--truncate", "100000"],
+        capture_output=True, text=True, env=env, timeout=10,
+        preexec_fn=_limit_memory)
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # the degree-1 and degree-2 spaces: 2 and 2 * 2 keys, each times
+    # the C(100002, 2) monomials of degree <= 100000 in 2 variables
+    assert proc.stderr == (
+        "error: this complex needs a 20000600004-dimensional cochain "
+        "space, above the budget of 4000; lower --truncate or --degree\n")
+
+
+@pytest.mark.parametrize("rank, truncate, degree", [
+    (4, 3, 3),   # README's flat 4-chart
+    (3, 3, 3),   # the largest perfbench cohomology cell
+    (2, 40, 2),  # 3444-dimensional, COCHAIN_BUDGET's reference point
+])
+def test_cohomology_budget_admits_documented_cells(capsys, tmp_path,
+                                                   monkeypatch, rank,
+                                                   truncate, degree):
+    """The budget refuses none of these; the ranks are stubbed out."""
+    p = tmp_path / "flat.psa"
+    p.write_text(emit(Bundle(connection=FlatConnection(ChartContext(
+        coords=tuple(f"x{i + 1}" for i in range(rank)))))), encoding="utf-8")
+    monkeypatch.setattr(cli, "restricted_dims",
+                        lambda cx, degree: dict.fromkeys(("bareiss", "gauss"),
+                                                         (0, 0, 0)))
+    code, _, err = run(capsys, "cohomology", str(p), "--truncate",
+                       str(truncate), "--degree", str(degree))
+    assert (code, err) == (0, "")
+
+
+# ---------------------------------------------------------------------------
+# argv reader
+
+
+def read(capsys, *argv):
+    """(exit code, stdout, stderr) of a command line the reader stops."""
+    with pytest.raises(SystemExit) as stopped:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return stopped.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing command; choose from check, derive, cohomology, examples"),
+    (["bogus", "x.psa"], "unknown command 'bogus'"),
+    (["check"], "the following arguments are required: file"),
+    (["derive", "x.psa"], "the following arguments are required: "
+                          "--direction"),
+    (["cohomology", "x.psa"], "the following arguments are required: "
+                              "--degree"),
+    (["check", "x.psa", "--suite", "bogus"],
+     "option --suite: invalid choice 'bogus'"),
+    (["derive", "x.psa", "--direction=sideways"],
+     "option --direction: invalid choice 'sideways'"),
+    (["cohomology", "x.psa", "--degree", "two"],
+     "option --degree: invalid int value 'two'"),
+    (["check", "x.psa", "--x"], "unknown option '--x'"),
+    (["cohomology", "x.psa", "--deg", "2"],
+     "unknown option '--deg' (options are not abbreviated: --degree)"),
+    (["check", "x.psa", "--json"], "option --json expects a value"),
+    (["derive", "x.psa", "--direction", "-o", "out.psa"],
+     "option --direction expects a value"),
+    (["check", "x.psa", "y.psa"], "unexpected argument 'y.psa'"),
+    (["cohomology", "x.psa", "--degree", "2", "--full=yes"],
+     "option --full takes no value"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_usage_errors_exit_two(capsys, argv, message):
+    code, out, err = read(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: psa ")
+    assert error.startswith("psa: error: ")
+    assert message in error
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"],
+    *([command, "-h"] for command in ("check", "derive", "cohomology",
+                                      "examples")),
+    ["cohomology", "x.psa", "--degree", "bad", "--help"],
+])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = read(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("usage: psa ")
+    command = argv[0] if argv[0] in cli.COMMANDS else None
+    for name, row in cli.COMMANDS.items():
+        if command in (None, name):
+            assert row[1] in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "{f}", "--degree=2", "--truncate=1"],
+    ["cohomology", "--degree", "2", "--truncate", "1", "{f}"],
+    ["cohomology", "--truncate", "3", "{f}", "--degree", "1",
+     "--truncate", "1", "--degree", "2"],
+])
+def test_option_forms_agree(capsys, fixture_file, argv):
+    f = fixture_file("twist-r2")
+    spaced = run(capsys, "cohomology", f, "--degree", "2", "--truncate", "1")
+    assert spaced[0] == 0
+    assert run(capsys, *(f if a == "{f}" else a for a in argv)) == spaced
+
+
+def test_json_equals_form_writes_the_same_report(capsys, fixture_file,
+                                                 tmp_path):
+    f = fixture_file("sphere")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    spaced = run(capsys, "check", f, "--json", str(a))
+    joined = run(capsys, "check", f"--json={b}", f)
+    assert joined == spaced
+    assert _strip_timing(b.read_text(encoding="utf-8")) == \
+        _strip_timing(a.read_text(encoding="utf-8"))
+
+
+def test_import_loads_no_argparse_or_dataclasses():
+    """`psa` starts without argparse, gettext, locale, dataclasses or
+    inspect: each costs milliseconds on every run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
+    heavy = ("argparse", "gettext", "locale", "dataclasses", "inspect")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import psalib.cli, sys; print(' '.join("
+         f"m for m in {heavy!r} if m in sys.modules))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == []

@@ -3,12 +3,13 @@
 Each case takes a registry fixture's `.psa` text, deletes, inserts or
 duplicates a few lines or tokens, may splice in a byte that is not UTF-8,
 and runs `check`, `derive` or `cohomology` on it, with an argument list
-that may itself lose or repeat a token and an output path that may sit
-in a missing directory.  Whatever the input, the command exits 0, 1 or 2
-and prints no traceback: a malformed file or an unwritable output is an
-input error (2), never a crash.  The bulk runs in-process through
-`cli.main`; one case runs as a subprocess, where a crash would show as a
-traceback on stderr.
+that may itself lose or repeat a token, gain `-h`, an unknown option or
+a bare `--`, or spell an option `=`-joined or abbreviated, and an output
+path that may sit in a missing directory.  Whatever the input, the
+command exits 0, 1 or 2 and prints no traceback: a malformed file, an
+unwritable output or an argument list the reader cannot read exits 2,
+never crashes.  The bulk runs in-process through `cli.main`; one case
+runs as a subprocess, where a crash would show as a traceback on stderr.
 """
 
 import contextlib
@@ -75,19 +76,35 @@ def mutate(text: bytes, mutations) -> bytes:
     return b"\n".join(lines)
 
 
+# argv edits that insert one token
+INSERTED = {"help": "-h", "unknown": "--x", "end": "--"}
+
+
 def argv_for(command, path, output, argv_edit):
     """The argument list: command, file, options, an optional output
-    option, then the deletion ("drop", k) or repetition ("repeat", k)
-    of the token after the command at position k, or neither (None, k)."""
+    option, then one edit at position k after the command: the deletion
+    ("drop") or repetition ("repeat") of the token there, the insertion
+    of `-h`, an unknown `--x` or a bare `--` there, or, for the first
+    long option at or after k (cyclically), joining it to its value with
+    "=" ("join") or cutting it to its first three letters ("abbreviate");
+    or no edit (None)."""
     argv = [command[0], str(path), *command[1:]]
     if output is not None and command[0] in OUTPUT_FLAG:
         argv += [OUTPUT_FLAG[command[0]], str(output)]
     what, k = argv_edit
+    longs = [i for i, token in enumerate(argv) if token.startswith("--")]
+    i = longs[k % len(longs)] if longs else None
     k = 1 + k % (len(argv) - 1)
     if what == "repeat":
         argv.insert(k, argv[k])
     elif what == "drop":
         del argv[k]
+    elif what in INSERTED:
+        argv.insert(k, INSERTED[what])
+    elif what == "join" and i is not None and i + 1 < len(argv):
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif what == "abbreviate" and i is not None:
+        argv[i] = argv[i][:5]
     return argv
 
 
@@ -96,7 +113,7 @@ def run_in_process(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
+        except SystemExit as exc:  # usage errors and help
             code = exc.code
     return code, err.getvalue()
 
@@ -108,7 +125,8 @@ def run_in_process(argv):
        command=COMMAND,
        output=st.sampled_from([None, "out", "missing/out"]),
        argv_edit=st.tuples(st.sampled_from([None, None, None, "drop",
-                                            "repeat"]),
+                                            "repeat", *INSERTED, "join",
+                                            "abbreviate"]),
                            st.integers(0, 9)))
 def test_mutated_input_exits_with_a_code_not_a_crash(
         tmp_path_factory, name, mutations, command, output, argv_edit):
