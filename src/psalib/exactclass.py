@@ -23,8 +23,8 @@ import itertools
 from fractions import Fraction
 
 from .algebroid import ChartAlgebroid
-from .exactlinalg import (ExprMatrix, QMatrix, SingularMatrixError,
-                          expr_rank, expr_solve, kernel_basis)
+from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_rank,
+                          expr_solve, kernel_basis)
 # unused here; perfbench's test_tracer_wraps_every_binding_and_restores_them
 from .exactlinalg import rank  # noqa: F401
 from .exprcore import ChartContext, DiffExpr, differentiate
@@ -606,10 +606,10 @@ class TruncatedComplex:
 
     Flat coordinates make the frame products and brackets vanish, so the
     coboundary is pure anchor transport and lowers coefficient degree;
-    truncation therefore yields an honest subcomplex.  The matrices come
-    from an `lsa.RestrictedComplex` whose coefficient basis is the
-    truncated monomials; this class converts its coordinates to and from
-    chart cochains.  `lsa.restricted_dims` ranks it.
+    truncation therefore yields an honest subcomplex.  The sparse matrices
+    come from an `lsa.RestrictedComplex` whose coefficient basis is the
+    truncated monomials; this class converts its sparse coordinates to
+    and from chart cochains.  `lsa.restricted_dims` ranks it.
     """
 
     def __init__(self, conn: FlatConnection, max_poly_degree: int = 2):
@@ -652,22 +652,21 @@ class TruncatedComplex:
         return e
 
     def cochain_from_vector(self, degree: int, vec) -> ChartCochain:
-        """The chart cochain at full-space coordinates `vec`: position
-        key index * number of monomials + monomial index."""
+        """The chart cochain at sparse full-space coordinates `vec`:
+        position key index * number of monomials + monomial index."""
+        keys, m = cochain_keys(self.dim, degree), len(self.monomials)
         comps = {}
-        basis = itertools.product(cochain_keys(self.dim, degree),
-                                  self.monomials)
-        for (key, mono), c in zip(basis, vec):
-            if c:
-                add = self._mono_expr(mono) * self.ctx.number(c)
-                comps[key] = comps.get(key, self.ctx.zero()) + add
+        for pos, c in sorted(vec.items()):
+            key, mono = keys[pos // m], self.monomials[pos % m]
+            add = self._mono_expr(mono) * self.ctx.number(c)
+            comps[key] = comps.get(key, self.ctx.zero()) + add
         return ChartCochain(self.ctx, self.dim, degree, comps)
 
     def vector_from_cochain(self, phi: ChartCochain):
-        keys = cochain_keys(self.dim, phi.degree)
+        """The sparse full-space coordinates of a polynomial cochain."""
         m = len(self.monomials)
-        vec = [Fraction(0)] * (len(keys) * m)
-        for ki, key in enumerate(keys):
+        vec = {}
+        for ki, key in enumerate(cochain_keys(self.dim, phi.degree)):
             val = phi.components.get(key)
             if val is None:
                 continue
@@ -675,8 +674,8 @@ class TruncatedComplex:
                 vec[ki * m + col] = coeff
         return vec
 
-    def membership_matrix(self, degree: int) -> QMatrix:
-        """Rows: the linear conditions carving the restricted subspace.
+    def membership_matrix(self, degree: int):
+        """Sparse rows: the linear conditions carving the restricted space.
 
         Degree 1 wants a symmetric coefficient Jacobian (the anchor form
         of the bracket-compatibility condition with zero brackets),
@@ -686,8 +685,9 @@ class TruncatedComplex:
         return self.complex.membership_matrix(degree)
 
     def restricted_basis(self, degree: int):
-        return kernel_basis(self.membership_matrix(degree))
+        return kernel_basis(self.membership_matrix(degree),
+                            self.space_dim(degree))
 
-    def coboundary_matrix(self, degree: int, basis_vectors) -> QMatrix:
-        """Columns: coordinates of the coboundary of each basis cochain."""
+    def coboundary_matrix(self, degree: int, basis_vectors):
+        """Sparse columns: the coboundary of each basis cochain."""
         return self.complex.coboundary_matrix(degree, basis_vectors)

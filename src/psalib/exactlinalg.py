@@ -10,12 +10,12 @@ subset-memoized Laplace determinants, sized for the small matrices that
 occur here.  Reduced echelon forms, kernels and solutions over both
 fields come from one first-nonzero-pivot Gauss-Jordan.
 
-`blocks` splits a matrix into the connected blocks of its nonzero
-pattern: the matrix is block-diagonal over them up to a permutation of
-rows and columns, so its rank is the sum of the block ranks and its
-kernel the direct sum of the block kernels.  Kernels are taken block by
-block; `lsa.restricted_dims` ranks its sparse cohomology matrices the
-same way, under both eliminations.
+`blocks` splits a sparse matrix ({column: entry} rows) into the connected
+blocks of its nonzero pattern: up to a permutation it is block-diagonal
+over them, so its rank is the sum of the block ranks and its kernel the
+direct sum of the block kernels.  `kernel_basis` takes sparse rows and
+returns sparse vectors, and `lsa.restricted_dims` ranks its sparse
+matrices block by block: only a block is ever written out dense.
 """
 
 from __future__ import annotations
@@ -196,12 +196,13 @@ def _gauss_jordan(rows, ncols: int):
     return a, pivots
 
 
-def blocks(m):
+def blocks(rows, ncols: int):
     """(row indices, column indices) of each connected component of the
-    bipartite row/column graph of m's nonzero entries, by union-find over
-    the columns, in order of first column; indices ascend in each.  An
-    all-zero column is a block with no rows; all-zero rows are in none."""
-    parent = list(range(m.ncols))
+    row/column graph of the nonzero entries of sparse `rows` ({column:
+    entry} each) over columns 0..ncols-1, by union-find over the columns,
+    in order of first column; indices ascend in each.  An all-zero column
+    is a block with no rows; empty rows are in none."""
+    parent = list(range(ncols))
 
     def find(c):
         while parent[c] != c:
@@ -209,39 +210,36 @@ def blocks(m):
             c = parent[c]
         return c
 
-    row_cols = []
-    for row in m.rows:
-        cols = [j for j, x in enumerate(row) if x]
-        row_cols.append(cols)
-        for j in cols[1:]:
-            parent[find(j)] = find(cols[0])
+    for row in rows:
+        for j in row:
+            parent[find(j)] = find(next(iter(row)))
     out = {}
-    for j in range(m.ncols):
+    for j in range(ncols):
         out.setdefault(find(j), ([], []))[1].append(j)
-    for i, cols in enumerate(row_cols):
-        if cols:
-            out[find(cols[0])][0].append(i)
+    for i, row in enumerate(rows):
+        if row:
+            out[find(next(iter(row)))][0].append(i)
     return list(out.values())
 
 
-def _kernel(m, zero, one):
-    """Right kernel basis, one vector per free column, unit in it, in
-    free-column order.  The reduced echelon form is taken block by block
-    (`blocks`); it is unique, so each vector is the one the whole-matrix
-    form gives."""
+def _kernel(rows, ncols: int, zero, one):
+    """Right kernel basis of sparse `rows` (as `blocks` takes them), one
+    sparse vector per free column, unit in it, in free-column order.  The
+    reduced echelon form is taken block by block, each block dense; it is
+    unique, so each vector is the one the whole-matrix form gives."""
     basis = []
-    for rows, cols in blocks(m):
+    for rs, cols in blocks(rows, ncols):
         red, pivots = _gauss_jordan(
-            [[m.rows[i][j] for j in cols] for i in rows], len(cols))
+            [[rows[i].get(j, zero) for j in cols] for i in rs], len(cols))
         pivset = set(pivots)
         for free in range(len(cols)):
             if free in pivset:
                 continue
-            v = [zero] * m.ncols
-            v[cols[free]] = one
+            v = {cols[free]: one}
             for r, pc in enumerate(pivots):
-                v[cols[pc]] = -red[r][free]
-            basis.append((cols[free], tuple(v)))
+                if red[r][free]:
+                    v[cols[pc]] = -red[r][free]
+            basis.append((cols[free], v))
     basis.sort(key=lambda fv: fv[0])
     return [v for _, v in basis]
 
@@ -263,10 +261,10 @@ def rref(m: QMatrix):
     return QMatrix(a), pivots
 
 
-def kernel_basis(m: QMatrix):
-    """Basis of the right kernel, deterministic (one vector per free column,
-    unit in that column)."""
-    return _kernel(m, Fraction(0), Fraction(1))
+def kernel_basis(rows, ncols: int):
+    """Basis of the right kernel of sparse rational `rows` over `ncols`
+    columns, as sparse vectors (one per free column, unit in it)."""
+    return _kernel(rows, ncols, Fraction(0), Fraction(1))
 
 
 def solve(m: QMatrix, rhs):
@@ -428,7 +426,11 @@ def expr_rank(m: ExprMatrix) -> int:
 
 
 def expr_kernel_basis(m: ExprMatrix):
-    return _kernel(m, m.ctx.zero(), m.ctx.one())
+    """`kernel_basis` over the symbolic field, dense in and out."""
+    zero = m.ctx.zero()
+    rows = [{j: x for j, x in enumerate(r) if x} for r in m.rows]
+    return [tuple(v.get(j, zero) for j in range(m.ncols))
+            for v in _kernel(rows, m.ncols, zero, m.ctx.one())]
 
 
 def expr_solve(m: ExprMatrix, rhs):

@@ -1,11 +1,12 @@
 """Finite-dimensional algebras at a point: products and cochains.
 
 Products are stored as structure constants over a fixed basis.  The
-left-symmetry check and the restricted cochain complex as matrices
-(`RestrictedComplex`) live here.  `restricted_dims` is the one way from a
-restricted complex to its dimensions: it splits each matrix into the
-connected blocks of its nonzero pattern and ranks every block by both
-eliminations.
+left-symmetry check and the restricted cochain complex (`RestrictedComplex`)
+live here; its membership rows, coboundary columns and restricted basis
+vectors are sparse {position: Fraction} dicts.  `restricted_dims` is the
+one way from a restricted complex to its dimensions: it splits each
+matrix into the connected blocks of its nonzero pattern, writes out only
+a block as a dense matrix, and ranks every block by both eliminations.
 Everything is exact Fraction arithmetic.  The rest of the point case runs
 on the point chart `algebroid.ChartAlgebroid.point(alg)`: its
 `commutator_algebroid` is the commutator algebra, def-ii of
@@ -186,7 +187,8 @@ class RestrictedComplex:
     Both operators are first written on keys, as terms (row key, column
     key, scalar, direction) where the direction is None for a scalar
     multiple and a frame index for a scalar times that frame's action,
-    and then spread over the coefficient basis.
+    and then spread over the coefficient basis, into sparse rows
+    (membership) and sparse columns (coboundary).
     """
 
     def __init__(self, rank: int, constants=None, ncoeffs: int = 1,
@@ -272,55 +274,38 @@ class RestrictedComplex:
                         terms.append((row, kpos[(key, last)], sign * v, None))
         return terms
 
-    def membership_matrix(self, degree: int) -> QMatrix:
-        """Constraint rows whose kernel is the restricted subspace."""
-        ncols = self.space_dim(degree)
+    def membership_matrix(self, degree: int):
+        """Constraint rows whose kernel is the restricted subspace: the
+        nonzero ones, each a sparse {full-space position: Fraction}."""
         rows = {}
         for (row, col), v in self._spread(
                 self._membership_terms(degree)).items():
             if v:
-                rows.setdefault(row, [Fraction(0)] * ncols)[col] = v
-        if not rows:
-            return QMatrix.zeros(1, ncols)
-        return QMatrix([rows[i] for i in sorted(rows)])
+                rows.setdefault(row, {})[col] = Fraction(v)
+        return [rows[i] for i in sorted(rows)]
 
     def restricted_basis(self, degree: int):
-        """Basis vectors (full-space coordinates) of the restricted
-        subspace."""
-        return kernel_basis(self.membership_matrix(degree))
+        """Basis vectors of the restricted subspace, each a sparse
+        {full-space position: Fraction}."""
+        return kernel_basis(self.membership_matrix(degree),
+                            self.space_dim(degree))
 
-    def coboundary_columns(self, degree: int):
-        """The coboundary on the full space, one sparse column
-        {row position: value} per full-space coordinate."""
-        cols = [{} for _ in range(self.space_dim(degree))]
+    def coboundary_matrix(self, degree: int, vectors):
+        """Columns: the coboundary of each given sparse full-space vector
+        ({position: Fraction}), as a sparse {row position: Fraction}."""
+        delta = {}
         for (row, col), v in self._spread(
                 self._coboundary_terms(degree)).items():
             if v:
-                cols[col][row] = v
-        return cols
-
-    def coboundary_matrix(self, degree: int, vectors) -> QMatrix:
-        """Columns: full-space coordinates of the coboundary of each
-        given full-space vector."""
-        delta = self.coboundary_columns(degree)
-        nrows = self.space_dim(degree + 1)
+                delta.setdefault(col, []).append((row, v))
         cols = []
         for vec in vectors:
-            col = [Fraction(0)] * nrows
-            for j, c in enumerate(vec):
-                if c:
-                    for row, v in delta[j].items():
-                        col[row] += c * v
-            cols.append(col)
-        if not cols:
-            return QMatrix.zeros(1, 1)
-        return QMatrix(list(zip(*cols)))
-
-
-def _split(m):
-    """The blocks of m with a row (`exactlinalg.blocks`), as matrices."""
-    return [QMatrix([[m.rows[i][j] for j in cols] for i in rows])
-            for rows, cols in blocks(m) if rows]
+            col = {}
+            for j, c in vec.items():
+                for row, v in delta.get(j, ()):
+                    col[row] = col.get(row, 0) + c * v
+            cols.append({row: x for row, x in col.items() if x})
+        return cols
 
 
 def restricted_dims(cx, degree: int) -> dict:
@@ -330,18 +315,26 @@ def restricted_dims(cx, degree: int) -> dict:
     `cx` is a `RestrictedComplex` or an `exactclass.TruncatedComplex`.
     The kernel is that of the coboundary leaving the restricted subspace,
     the image that of the coboundary entering it from the restricted
-    subspace one degree lower.  Each matrix is built once and split into
-    the connected blocks of its nonzero pattern; a rank is the sum of
-    the block ranks, and every block is ranked by `rank` (Bareiss) and by
-    the independently coded `rank_second_opinion` (Gauss).
+    subspace one degree lower.  Each matrix is built once, as sparse
+    columns, and split into the connected blocks of its nonzero pattern
+    (`exactlinalg.blocks`); only a block is written out as a dense
+    `QMatrix`.  A rank is the sum of the block ranks, and every block is
+    ranked by `rank` (Bareiss) and by the independently coded
+    `rank_second_opinion` (Gauss).
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
+
+    def split(d, vectors):
+        if not vectors:
+            return []
+        cols = cx.coboundary_matrix(d, vectors)
+        return [QMatrix([[cols[j].get(i, 0) for j in vecs] for i in rows])
+                for vecs, rows in blocks(cols, cx.space_dim(d + 1)) if vecs]
+
     basis = cx.restricted_basis(degree)
-    leaving = _split(cx.coboundary_matrix(degree, basis)) if basis else []
     below = cx.restricted_basis(degree - 1) if basis and degree > 1 else []
-    entering = (_split(cx.coboundary_matrix(degree - 1, below)) if below
-                else [])
+    leaving, entering = split(degree, basis), split(degree - 1, below)
     dims = {}
     for route, ranker in (("bareiss", rank), ("gauss", rank_second_opinion)):
         ker = len(basis) - sum(map(ranker, leaving))

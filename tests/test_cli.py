@@ -550,6 +550,43 @@ def test_cohomology_budget_admits_documented_cells(capsys, tmp_path,
     assert (code, err) == (0, "")
 
 
+# runs `psa cohomology` from argv, then prints its own peak resident size
+PEAK_CHILD = """
+import os, sys
+from psalib.cli import main
+code = main(sys.argv[1:])
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        sys.stderr.write("".join(line for line in status
+                                 if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def test_cohomology_at_the_budget_reference_stays_small(tmp_path):
+    """flat-2 at --truncate 40 --degree 2 (space 3444) prints its triple,
+    both eliminations agree, and the process peaks under 40 MB where
+    /proc gives its VmHWM.  Dense whole-space matrices peaked at about
+    190 MB on this input."""
+    p = tmp_path / "flat-2.psa"
+    p.write_text("[chart]\ncoords = x1, x2\n\n[connection]\n",
+                 encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_CHILD, "cohomology", str(p),
+         "--truncate", "40", "--degree", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "complex: chart, 2 flat coordinates, polynomial degree <= 40\n"
+        "degree 2: ker = 943  im = 900  h = 43\n"
+        "eliminations: bareiss and gauss agree\n")
+    if os.path.exists("/proc/self/status"):
+        peak = re.fullmatch(r"VmHWM:\s+(\d+) kB\n", proc.stderr)
+        assert peak, proc.stderr
+        assert int(peak.group(1)) < 40 * 1024
+
+
 # ---------------------------------------------------------------------------
 # argv reader
 

@@ -24,6 +24,22 @@ from psalib.exactlinalg import (
     solve,
 )
 from psalib.exprcore import ChartContext
+from psalib.lsa import FiniteAlgebra, RestrictedComplex
+
+
+def sparse_rows(m):
+    """The rows of a dense matrix as {column: nonzero entry} dicts."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+
+
+def dense(vectors, n):
+    """Sparse vectors written out over n coordinates."""
+    return [tuple(v.get(j, Fraction(0)) for j in range(n)) for v in vectors]
+
+
+def dense_kernel(m):
+    """`kernel_basis` of a dense matrix, written out dense."""
+    return dense(kernel_basis(sparse_rows(m), m.ncols), m.ncols)
 
 
 def test_rank_known():
@@ -36,7 +52,7 @@ def test_rank_known():
 
 def test_kernel_known():
     m = QMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    basis = kernel_basis(m)
+    basis = dense_kernel(m)
     assert len(basis) == 1
     assert basis[0] == (Fraction(-1), Fraction(-1), Fraction(1))
 
@@ -94,7 +110,7 @@ def assert_ranks_agree(m):
 @given(qmatrices())
 def test_rank_properties(m):
     r1 = assert_ranks_agree(m)
-    basis = kernel_basis(m)
+    basis = dense_kernel(m)
     assert r1 + len(basis) == m.ncols
     for v in basis:
         assert all(x == 0 for x in m.mulvec(v))
@@ -189,7 +205,8 @@ def rref_kernel(m):
 
 def assert_block_ranks(m):
     """The block ranks sum to the whole-matrix rank under both routes."""
-    parts = [submatrix(m, rows, cols) for rows, cols in blocks(m) if rows]
+    parts = [submatrix(m, rows, cols)
+             for rows, cols in blocks(sparse_rows(m), m.ncols) if rows]
     assert sum(map(rank, parts)) == rank(m)
     assert sum(map(rank_second_opinion, parts)) == rank_second_opinion(m)
 
@@ -197,7 +214,7 @@ def assert_block_ranks(m):
 @settings(max_examples=150, deadline=None)
 @given(permuted_block_diagonals())
 def test_blocks_are_the_components_and_keep_rank_and_kernel(m):
-    split = blocks(m)
+    split = blocks(sparse_rows(m), m.ncols)
     nonzero = [(i, j) for i, row in enumerate(m.rows)
                for j, x in enumerate(row) if x]
     row_of = {i: k for k, (rows, _) in enumerate(split) for i in rows}
@@ -221,31 +238,45 @@ def test_blocks_are_the_components_and_keep_rank_and_kernel(m):
                             todo.append(jj)
         assert seen == set(cols)
     assert_block_ranks(m)
-    assert kernel_basis(m) == rref_kernel(m)
+    assert dense_kernel(m) == rref_kernel(m)
 
 
 def test_blocks_of_an_empty_and_a_zero_matrix():
-    assert blocks(QMatrix([])) == []
-    assert blocks(QMatrix.zeros(2, 3)) == [([], [0]), ([], [1]), ([], [2])]
-    assert kernel_basis(QMatrix.zeros(2, 2)) == rref_kernel(
+    assert blocks([], 0) == []
+    assert blocks([{}, {}], 3) == [([], [0]), ([], [1]), ([], [2])]
+    assert dense_kernel(QMatrix.zeros(2, 2)) == rref_kernel(
         QMatrix.zeros(2, 2))
 
 
-def test_flat_cells_block_ranks_and_kernels_match_whole_matrix():
-    """Every flat cell with n <= 3, t <= 3 at degrees 1..4: the matrices
-    `lsa.restricted_dims` ranks keep their rank when split, and each
-    membership kernel is the whole-matrix one, vector for vector."""
+def restricted_complexes():
+    """Every flat cell with n <= 3, t <= 3, then four point algebras:
+    lsa2, abelian(2), abelian(3) and aff1."""
     for n in (1, 2, 3):
         conn = FlatConnection(ChartContext(
             coords=tuple(f"x{i + 1}" for i in range(n))))
         for t in (0, 1, 2, 3):
-            cx = TruncatedComplex(conn, t)
-            for degree in (1, 2, 3, 4):
-                member = cx.membership_matrix(degree)
-                basis = kernel_basis(member)
-                assert basis == rref_kernel(member)
-                if basis:
-                    assert_block_ranks(cx.coboundary_matrix(degree, basis))
+            yield TruncatedComplex(conn, t)
+    for dim, constants in ((2, {(0, 1, 1): 1}), (2, {}), (3, {}),
+                           (2, {(0, 0, 0): -1, (1, 0, 1): -1})):
+        yield RestrictedComplex.point(FiniteAlgebra(dim, constants))
+
+
+def test_flat_cells_block_ranks_and_kernels_match_whole_matrix():
+    """At degrees 1..4 of every complex above: each restricted basis,
+    written out dense, is the kernel of the whole dense membership matrix,
+    vector for vector in the same order, and the coboundary matrices
+    `lsa.restricted_dims` ranks keep their rank when split."""
+    for cx in restricted_complexes():
+        for degree in (1, 2, 3, 4):
+            ncols = cx.space_dim(degree)
+            member = QMatrix(dense(cx.membership_matrix(degree), ncols)
+                             or [[0] * ncols])
+            basis = cx.restricted_basis(degree)
+            assert dense(basis, ncols) == rref_kernel(member)
+            if basis:
+                cols = dense(cx.coboundary_matrix(degree, basis),
+                             cx.space_dim(degree + 1))
+                assert_block_ranks(QMatrix(list(zip(*cols))))
 
 
 # ---------------------------------------------------------------------------

@@ -178,15 +178,16 @@ def test_coboundary_preserves_restricted_subspaces(degree, data):
             continue
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
                                     max_size=len(basis)))
-        vec = [sum(Fraction(c) * v[i] for c, v in zip(coeffs, basis))
-               for i in range(len(basis[0]))]
+        vec = [sum(Fraction(c) * v.get(i, 0) for c, v in zip(coeffs, basis))
+               for i in range(cx.space_dim(degree))]
         conn, phi = point_cochain(
             alg, degree, dict(zip(cochain_keys(alg.dim, degree), vec)))
         d, zero = chart_coboundary(conn, phi), conn.ctx.zero()
         img = [d.components.get(key, zero).constant_value()
                for key in cochain_keys(alg.dim, degree + 1)]
         member = cx.membership_matrix(degree + 1)
-        assert all(x == 0 for x in member.mulvec(img))
+        assert all(sum(x * img[j] for j, x in row.items()) == 0
+                   for row in member)
 
 
 def test_restricted_subspace_dims():
@@ -251,7 +252,8 @@ def test_restricted_dims_builds_each_matrix_once_and_ranks_it_both_ways(
     """The rank routines are looked up in `lsa` when `restricted_dims`
     runs, so a wrapper bound there (as perfbench's tracer binds one)
     sees every call.  Both routes rank the same blocks, and the blocks
-    hold every nonzero entry of the built matrices once, in place."""
+    hold every nonzero entry of the built sparse columns once, in place:
+    a block's rows are positions and its columns vectors."""
     logs = {}
     for name in ("rank", "rank_second_opinion"):
         fn, log = getattr(lsa, name), []
@@ -279,12 +281,12 @@ def test_restricted_dims_builds_each_matrix_once_and_ranks_it_both_ways(
             received = logs["rank"]
             assert [id(b) for b in logs["rank_second_opinion"]] == \
                 [id(b) for b in received]
-            for _, m in built:
-                nonzero = {(i, j): x for i, row in enumerate(m.rows)
-                           for j, x in enumerate(row) if x}
+            for d, m in built:
+                nonzero = {(i, j): x for j, col in enumerate(m)
+                           for i, x in col.items() if x}
                 placed = []
-                for rows, cols in exactlinalg.blocks(m):
-                    if not rows:
+                for cols, rows in exactlinalg.blocks(m, cx.space_dim(d + 1)):
+                    if not cols:
                         continue
                     block = received.pop(0)
                     assert (block.nrows, block.ncols) == (len(rows), len(cols))
