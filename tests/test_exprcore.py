@@ -138,6 +138,22 @@ def test_mixing_charts_rejected():
         a.expr("x") + b.expr("y")
 
 
+def test_lift_into_an_extended_context():
+    base = ChartContext(coords=("x", "y"))
+    ext = base.extended(("f",))
+    e = base.expr("x^2/(1 + y)")
+    assert ext.lift(base.zero()) is ext.zero()
+    assert ext.lift(base.one()) is ext.one()
+    assert ext.lift(e - e) is ext.zero() and ext.lift(e / e) is ext.one()
+    got = ext.lift(e)
+    assert got.ctx is ext and got == e and str(got) == str(e)
+    assert ext.lift(got) is got
+    with pytest.raises(ExprError):
+        base.lift(ext.expr("f"))
+    with pytest.raises(ExprError):
+        ext.lift(ChartContext(coords=("x",)).expr("x"))
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 

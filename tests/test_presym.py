@@ -14,10 +14,11 @@ from psalib.algebroid import (
     ChartAlgebroid,
     FormField,
     check_2cocycle,
+    check_left_symmetric_algebroid,
     check_lie_algebroid,
 )
 from psalib.cli import _presym_builder, applicable_suites, run_suites
-from psalib.exprcore import ChartContext
+from psalib.exprcore import ChartContext, DiffExpr
 from psalib.psafile import load_path
 from psalib.presym import (
     PreSymStructure,
@@ -689,3 +690,125 @@ def test_bracket_is_evaluated_once_per_pair_of_basis_sections(monkeypatch):
     assert len(asked) == def_ii + def_i + t
     # frame with frame, formal slot with frame, frame with formal slot
     assert len(set(asked)) == len(evaluated) == 3 * r ** 2
+
+
+def test_no_operation_mixes_contexts(monkeypatch):
+    """The extended structure, the lifted algebroids and the lifted P hold
+    their entries in the extended context (ChartContext.lift), so no
+    check on a registry fixture combines expressions of two contexts."""
+    mixed = []
+    operand = DiffExpr._operand
+
+    def guarded(self, other):
+        if isinstance(other, DiffExpr) and other.ctx is not self.ctx:
+            mixed.append((self, other))
+        return operand(self, other)
+
+    monkeypatch.setattr(DiffExpr, "_operand", guarded)
+    for name in fixtures.REGISTRY_NAMES:
+        b = fixtures.build(name)
+        E = _fixture_structure(name)
+        check_presymplectic(E)
+        check_lie_algebroid(E.commutator_algebroid())
+        for alg in (b.algebroid, b.connection, E._prod):
+            if alg is not None and alg.kind == "lie":
+                check_lie_algebroid(alg)
+            elif alg is not None:
+                check_left_symmetric_algebroid(alg)
+        run_suites(b, applicable_suites(b), name)
+        assert not mixed, (name, mixed[0])
+
+
+# ---------------------------------------------------------------------------
+# the sparse section products against dense reference loops
+
+
+def _dense_D(E, g):
+    """-W^-1 (rho(e_b)(g))_b, every entry visited."""
+    r = E.rank
+    rhs = [E.anchor_apply(E.frame_section(b), g) for b in range(r)]
+    return [-sum((E.inverse_pairing.rows[k][b] * rhs[b] for b in range(r)),
+                 E.ctx.zero()) for k in range(r)]
+
+
+def _dense_star(E, u, v):
+    """u * v from the frame table by the two scalar extension rules,
+    every index visited:
+    e_a * (h e_b) = h e_a*e_b + rho(e_a)(h) e_b + 1/2 (e_a, e_b) D h and
+    (g e_a) * v = g (e_a * v) - 1/2 (e_a, v) D g."""
+    r, zero = E.rank, E.ctx.zero()
+    half = E.ctx.number(Fraction(1, 2))
+    rows = E.pairing.rows
+    out = [zero] * r
+    for a in range(r):
+        eav = [zero] * r
+        for b in range(r):
+            dv = _dense_D(E, v[b])
+            for k in range(r):
+                eav[k] = (eav[k] + v[b] * E.table[a][b][k]
+                          + half * rows[a][b] * dv[k])
+            eav[b] = eav[b] + E.anchor_apply(E.frame_section(a), v[b])
+        pav = sum((rows[a][b] * v[b] for b in range(r)), zero)
+        du = _dense_D(E, u[a])
+        for k in range(r):
+            out[k] = out[k] + u[a] * eav[k] - half * pav * du[k]
+    return tuple(out)
+
+
+def _dense_algebroid(alg, u, v):
+    """bracket (kind "lie") or product (kind "lsa") of alg, every table
+    entry visited."""
+    r, zero = alg.rank, alg.ctx.zero()
+    out = [zero] * r
+    for a, b, k in itertools.product(range(r), repeat=3):
+        out[k] = out[k] + u[a] * v[b] * alg.table[a][b][k]
+    for b in range(r):
+        out[b] = out[b] + alg.anchor_apply(u, v[b])
+        if alg.kind == "lie":
+            out[b] = out[b] - alg.anchor_apply(v, u[b])
+    return tuple(out)
+
+
+_STRUCTURES = ("sphere", "prolongation-so3", "r2n-2")
+
+
+@functools.lru_cache(maxsize=None)
+def _structure(name, extended):
+    """(structure, scalar pool): a fixture structure or its extension by
+    one formal function, and entries for sections over its chart."""
+    E = (fixtures.r2n_structure(2) if name == "r2n-2"
+         else _fixture_structure(name))
+    c, d = E.ctx.coords[:2]
+    pool = ["0", "1", "-2", c, f"{d}^2 - {c}", f"1/2*{c}*{d}", f"{c}/{d}"]
+    if extended:
+        E, f = E.extended()
+        pool += [f"{f}", f"{c}*{f}", f"{f}^2 + {d}", f"d({f},{c})"]
+    return E, tuple(pool)
+
+
+@st.composite
+def _section_of(draw, E, pool):
+    """A frame index or a section with entries from the pool."""
+    if draw(st.booleans()):
+        return draw(st.integers(min_value=0, max_value=E.rank - 1))
+    return tuple(E.ctx.expr(draw(st.sampled_from(pool)))
+                 if draw(st.integers(0, 2)) else E.ctx.zero()
+                 for _ in range(E.rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(_STRUCTURES),
+       extended=st.booleans())
+def test_sparse_products_match_dense_reference(data, name, extended):
+    E, pool = _structure(name, extended)
+    u = data.draw(_section_of(E, pool))
+    v = data.draw(_section_of(E, pool))
+    su, sv = E._section(u), E._section(v)
+    want = _dense_star(E, tuple(su), tuple(sv))
+    assert E.star(u, v) == want
+    assert E.star(tuple(su), tuple(sv)) == want
+    if isinstance(u, int):
+        assert tuple(E._frame_star(u, tuple(sv))) == want
+    for alg in (E._prod, E.commutator_algebroid()):
+        op = alg.product if alg.kind == "lsa" else alg.bracket
+        assert op(su, sv) == _dense_algebroid(alg, su, sv)
