@@ -4,6 +4,10 @@ the truncated chart complexes, under both elimination routes."""
 
 import argparse
 import sys
+from pathlib import Path
+
+# run from a source checkout: the package is src/psalib, not installed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from psalib import fixtures
 from psalib.exactclass import FlatConnection, TruncatedComplex

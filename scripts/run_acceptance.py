@@ -14,6 +14,9 @@ complete exits 1.
 import sys
 from pathlib import Path
 
+# run from a source checkout: the package is src/psalib, not installed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 import pytest
 
 EXPECTED_FAILURES = {

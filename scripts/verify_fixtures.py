@@ -4,6 +4,10 @@ one-line outcome per fixture.  Exits 1 if anything fails."""
 
 import argparse
 import sys
+from pathlib import Path
+
+# run from a source checkout: the package is src/psalib, not installed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from psalib import fixtures
 from psalib.cli import applicable_suites, run_suites

@@ -587,7 +587,8 @@ def _monomials_upto(n: int, dmax: int):
 
 def _poly_to_coords(e: DiffExpr, index: dict):
     """Exact coordinates of a polynomial chart expression in the monomial
-    basis; raises if a monomial falls outside the truncation."""
+    basis, ints where integral; raises if a monomial falls outside the
+    truncation."""
     if not e.is_polynomial():
         raise ValueError(f"non-polynomial coefficient: {e}")
     if not e.free_of_funcs():
@@ -597,7 +598,8 @@ def _poly_to_coords(e: DiffExpr, index: dict):
     for exp, coeff in terms:
         if exp not in index:
             raise ValueError(f"monomial degree exceeds the truncation: {e}")
-        out[index[exp]] = Fraction(coeff, den)
+        q, r = divmod(coeff, den)
+        out[index[exp]] = Fraction(coeff, den) if r else q
     return out
 
 

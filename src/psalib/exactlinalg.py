@@ -15,7 +15,10 @@ blocks of its nonzero pattern: up to a permutation it is block-diagonal
 over them, so its rank is the sum of the block ranks and its kernel the
 direct sum of the block kernels.  `kernel_basis` takes sparse rows and
 returns sparse vectors, and `lsa.restricted_dims` ranks its sparse
-matrices block by block: only a block is ever written out dense.
+matrices block by block: only a block is ever written out dense.  The
+sparse rows and vectors hold ints where an entry is integral;
+`kernel_basis` converts to Fraction only inside the dense block its
+reduced echelon form takes, and every QMatrix still holds Fractions.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "rank_second_opinion",
     "blocks",
     "kernel_basis",
+    "narrow",
     "rref",
     "solve",
     "invert",
@@ -222,15 +226,17 @@ def blocks(rows, ncols: int):
     return list(out.values())
 
 
-def _kernel(rows, ncols: int, zero, one):
+def _kernel(rows, ncols: int, zero, one, field):
     """Right kernel basis of sparse `rows` (as `blocks` takes them), one
     sparse vector per free column, unit in it, in free-column order.  The
-    reduced echelon form is taken block by block, each block dense; it is
-    unique, so each vector is the one the whole-matrix form gives."""
+    reduced echelon form is taken block by block, each block dense with
+    its entries converted by `field`; it is unique, so each vector is the
+    one the whole-matrix form gives."""
     basis = []
     for rs, cols in blocks(rows, ncols):
         red, pivots = _gauss_jordan(
-            [[rows[i].get(j, zero) for j in cols] for i in rs], len(cols))
+            [[field(row[j]) if j in row else zero for j in cols]
+             for row in map(rows.__getitem__, rs)], len(cols))
         pivset = set(pivots)
         for free in range(len(cols)):
             if free in pivset:
@@ -261,10 +267,19 @@ def rref(m: QMatrix):
     return QMatrix(a), pivots
 
 
+def narrow(x):
+    """An int or Fraction `x` as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def kernel_basis(rows, ncols: int):
-    """Basis of the right kernel of sparse rational `rows` over `ncols`
-    columns, as sparse vectors (one per free column, unit in it)."""
-    return _kernel(rows, ncols, Fraction(0), Fraction(1))
+    """Basis of the right kernel of sparse rational `rows` (int or
+    Fraction entries) over `ncols` columns, as sparse vectors, one per
+    free column, unit in it.  Only the dense block that the reduced
+    echelon form takes holds Fractions; an integral kernel entry comes
+    back as an int."""
+    return [{j: narrow(x) for j, x in v.items()}
+            for v in _kernel(rows, ncols, Fraction(0), 1, Fraction)]
 
 
 def solve(m: QMatrix, rhs):
@@ -430,7 +445,8 @@ def expr_kernel_basis(m: ExprMatrix):
     zero = m.ctx.zero()
     rows = [{j: x for j, x in enumerate(r) if x} for r in m.rows]
     return [tuple(v.get(j, zero) for j in range(m.ncols))
-            for v in _kernel(rows, m.ncols, zero, m.ctx.one())]
+            for v in _kernel(rows, m.ncols, zero, m.ctx.one(),
+                             lambda x: x)]
 
 
 def expr_solve(m: ExprMatrix, rhs):

@@ -3,11 +3,14 @@
 Products are stored as structure constants over a fixed basis.  The
 left-symmetry check and the restricted cochain complex (`RestrictedComplex`)
 live here; its membership rows, coboundary columns and restricted basis
-vectors are sparse {position: Fraction} dicts.  `restricted_dims` is the
-one way from a restricted complex to its dimensions: it splits each
-matrix into the connected blocks of its nonzero pattern, writes out only
-a block as a dense matrix, and ranks every block by both eliminations.
-Everything is exact Fraction arithmetic.  The rest of the point case runs
+vectors are sparse {position: entry} dicts.  An entry is an int when its
+value is integral; a Fraction comes only from a non-integral structure
+constant or from a kernel pivot (`exactlinalg.kernel_basis` divides).
+`restricted_dims` is the one way from a restricted complex to its
+dimensions: it splits each matrix into the connected blocks of its
+nonzero pattern, writes out only a block as a dense `QMatrix` (Fraction
+entries), and ranks every block by both eliminations.
+Everything is exact rational arithmetic.  The rest of the point case runs
 on the point chart `algebroid.ChartAlgebroid.point(alg)`: its
 `commutator_algebroid` is the commutator algebra, def-ii of
 `presym.check_presymplectic` is the invariance of a pairing, and
@@ -23,7 +26,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exactlinalg import (QMatrix, blocks, kernel_basis, rank,
+from .exactlinalg import (QMatrix, blocks, kernel_basis, narrow, rank,
                           rank_second_opinion)
 from .report import CheckReport, Recorder
 
@@ -188,7 +191,9 @@ class RestrictedComplex:
     key, scalar, direction) where the direction is None for a scalar
     multiple and a frame index for a scalar times that frame's action,
     and then spread over the coefficient basis, into sparse rows
-    (membership) and sparse columns (coboundary).
+    (membership) and sparse columns (coboundary).  Integral structure
+    constants are kept as ints, so on integral input every entry of
+    both operators is an int.
     """
 
     def __init__(self, rank: int, constants=None, ncoeffs: int = 1,
@@ -202,6 +207,7 @@ class RestrictedComplex:
         self._product = {}
         bracket = {}
         for (a, b, k), v in (constants or {}).items():
+            v = narrow(v)
             self._product.setdefault((a, b), []).append((k, v))
             bracket[(a, b, k)] = bracket.get((a, b, k), 0) + v
             bracket[(b, a, k)] = bracket.get((b, a, k), 0) - v
@@ -276,23 +282,26 @@ class RestrictedComplex:
 
     def membership_matrix(self, degree: int):
         """Constraint rows whose kernel is the restricted subspace: the
-        nonzero ones, each a sparse {full-space position: Fraction}."""
+        nonzero ones, each a sparse {full-space position: entry}, an int
+        where the entry is integral."""
         rows = {}
         for (row, col), v in self._spread(
                 self._membership_terms(degree)).items():
             if v:
-                rows.setdefault(row, {})[col] = Fraction(v)
+                rows.setdefault(row, {})[col] = v
         return [rows[i] for i in sorted(rows)]
 
     def restricted_basis(self, degree: int):
         """Basis vectors of the restricted subspace, each a sparse
-        {full-space position: Fraction}."""
+        {full-space position: entry}: ints where integral, a Fraction
+        where a kernel pivot divides (`exactlinalg.kernel_basis`)."""
         return kernel_basis(self.membership_matrix(degree),
                             self.space_dim(degree))
 
     def coboundary_matrix(self, degree: int, vectors):
         """Columns: the coboundary of each given sparse full-space vector
-        ({position: Fraction}), as a sparse {row position: Fraction}."""
+        ({position: entry}), as a sparse {row position: entry}, an int
+        where the entry is integral."""
         delta = {}
         for (row, col), v in self._spread(
                 self._coboundary_terms(degree)).items():
@@ -304,7 +313,7 @@ class RestrictedComplex:
             for j, c in vec.items():
                 for row, v in delta.get(j, ()):
                     col[row] = col.get(row, 0) + c * v
-            cols.append({row: x for row, x in col.items() if x})
+            cols.append({row: narrow(x) for row, x in col.items() if x})
         return cols
 
 

@@ -19,10 +19,10 @@ import pytest
 from psalib.algebroid import ChartAlgebroid
 from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
                                _poly_to_coords, chart_coboundary)
-from psalib.exactlinalg import QMatrix, rank
+from psalib.exactlinalg import QMatrix, kernel_basis, rank
 from psalib.exprcore import ChartContext
 from psalib.lsa import (FiniteAlgebra, RestrictedComplex, cochain_keys,
-                        sorted_sign)
+                        restricted_dims, sorted_sign)
 
 
 def units(n):
@@ -185,6 +185,60 @@ def test_degree1_membership_rows_carry_the_bracket_sign():
             if any(vec):
                 want.append(sparse(vec))
     assert cx.membership_matrix(1) == want
+
+
+# -- entry types ----------------------------------------------------------------
+
+
+def _int_cases():
+    flat = [pytest.param(n, t, id=f"flat-n{n}-t{t}")
+            for n in (1, 2, 3) for t in (0, 1, 2, 3)]
+    points = [pytest.param(alg, None, id=name) for name, alg in (
+        ("abelian-2", FiniteAlgebra(2, {})),
+        ("abelian-3", FiniteAlgebra(3, {})),
+        ("lsa2", point_algebras()["lsa2"]))]
+    return flat + points
+
+
+def _complex(n_or_alg, t):
+    if t is None:
+        return RestrictedComplex.point(n_or_alg)
+    return flat_case(n_or_alg, t).cx
+
+
+@pytest.mark.parametrize("n_or_alg,t", _int_cases())
+def test_integral_entries_are_ints(n_or_alg, t):
+    """Membership rows, restricted basis vectors and coboundary columns
+    hold an int wherever the entry is integral, and the restricted basis
+    is the kernel of the same rows taken over Fractions, vector for
+    vector."""
+    cx = _complex(n_or_alg, t)
+    for degree in (1, 2, 3):
+        rows = cx.membership_matrix(degree)
+        basis = cx.restricted_basis(degree)
+        cols = cx.coboundary_matrix(degree, basis)
+        for vec in rows + basis + cols:
+            for x in vec.values():
+                assert type(x) is int or (type(x) is Fraction
+                                          and x.denominator != 1), (degree, x)
+        as_fractions = [{j: Fraction(x) for j, x in row.items()}
+                        for row in rows]
+        assert basis == kernel_basis(as_fractions, cx.space_dim(degree))
+
+
+def test_non_integral_constants_stay_exact():
+    """lsa2 with its structure constants halved is isomorphic to lsa2 by
+    x -> 2x, so both eliminations give lsa2's triples; its membership
+    rows carry the non-integral constant as a Fraction."""
+    half = FiniteAlgebra(2, {key: v / 2 for key, v in
+                             point_algebras()["lsa2"].constants.items()})
+    cx = RestrictedComplex.point(half)
+    assert Fraction(-1, 2) in cx.membership_matrix(1)[0].values()
+    for degree in (1, 2, 3):
+        want = restricted_dims(RestrictedComplex.point(
+            point_algebras()["lsa2"]), degree)["bareiss"]
+        assert restricted_dims(cx, degree) == {"bareiss": want,
+                                               "gauss": want}, degree
 
 
 # -- the permutation sign ------------------------------------------------------

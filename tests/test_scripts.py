@@ -57,6 +57,14 @@ def test_cohomology_table_output_is_pinned(truncate, want):
     assert proc.stderr == b""
 
 
+def test_cohomology_table_runs_from_a_source_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--truncate", "2"],
+                          capture_output=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == TABLE_T2.encode()
+
+
 def _verify_fixtures(*names):
     env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
     return subprocess.run([sys.executable,
