@@ -561,3 +561,89 @@ def test_recorded_ids_are_exactly_the_anchors(reports):
         seen |= {c.check_id for c in run_suites(
             bundle, applicable_suites(bundle), name).checks}
     assert seen == set(ANCHORS)
+
+
+# (check id, status, witness) of the three frame-triple scans of
+# check_presymplectic on r2n_structure(1) with one entry raised by 1, for
+# every entry of its anchor, table and pairing: witnesses at a component
+# after the first, in a formal slot, and the degenerate-pairing skip
+R2N_BUMPS = {
+    ("anchor", (0, 0)): [("presym.def-ii", "pass", None),
+                         ("presym.def-i", "pass", None),
+                         ("presym.cyclic-T", "pass", None)],
+    ("anchor", (0, 1)): [("presym.def-ii", "pass", None),
+                         ("presym.def-i", "pass", None),
+                         ("presym.cyclic-T", "pass", None)],
+    ("anchor", (1, 0)): [("presym.def-ii", "pass", None),
+                         ("presym.def-i", "pass", None),
+                         ("presym.cyclic-T", "pass", None)],
+    ("anchor", (1, 1)): [("presym.def-ii", "pass", None),
+                         ("presym.def-i", "pass", None),
+                         ("presym.cyclic-T", "pass", None)],
+    ("table", (0, 0, 0)): [
+        ("presym.def-ii", "fail", "(e1,e1,e2): residual -1"),
+        ("presym.def-i", "fail", "(f e1,e1,e2): component d1: 1/2*d(f,x2)"),
+        ("presym.cyclic-T", "pass", None)],
+    ("table", (0, 0, 1)): [
+        ("presym.def-ii", "fail", "(e1,e1,e1): residual 1"),
+        ("presym.def-i", "fail", "(f e1,e1,e1): component d1: -d(f,x2)"),
+        ("presym.cyclic-T", "pass", None)],
+    ("table", (0, 1, 0)): [
+        ("presym.def-ii", "fail", "(e2,e2,e1): residual -1"),
+        ("presym.def-i", "fail", "(e1,e2,e2): component d1: -1"),
+        ("presym.cyclic-T", "pass", None)],
+    ("table", (0, 1, 1)): [
+        ("presym.def-ii", "fail", "(e1,e1,e2): residual -1"),
+        ("presym.def-i", "fail", "(f e1,e1,e2): component d1: -d(f,x2)"),
+        ("presym.cyclic-T", "pass", None)],
+    ("table", (1, 0, 0)): [
+        ("presym.def-ii", "fail", "(e1,e2,e2): residual -1"),
+        ("presym.def-i", "fail", "(f e1,e2,e2): component d1: 1/6*d(f,x2)"),
+        ("presym.cyclic-T", "pass", None)],
+    ("table", (1, 0, 1)): [
+        ("presym.def-ii", "fail", "(e1,e1,e2): residual 1"),
+        ("presym.def-i", "fail", "(e1,e2,e1): component d2: 1"),
+        ("presym.cyclic-T", "pass", None)],
+    ("table", (1, 1, 0)): [
+        ("presym.def-ii", "fail", "(e2,e2,e2): residual -1"),
+        ("presym.def-i", "fail",
+         "(f e1,e2,e2): component d1: -1/2*d(f,x1)"),
+        ("presym.cyclic-T", "pass", None)],
+    ("table", (1, 1, 1)): [
+        ("presym.def-ii", "fail", "(e2,e2,e1): residual 1"),
+        ("presym.def-i", "fail",
+         "(f e1,e2,e2): component d1: -2/3*d(f,x2)"),
+        ("presym.cyclic-T", "pass", None)],
+    ("pairing", (0, 0)): [
+        ("presym.def-ii", "fail", "(e1,e1,e1), formal f in slot 1: residual "
+         "2*d(f,x1) + 2*d(f,x2)"),
+        ("presym.def-i", "fail", "(f e1,e1,e1): component d1: "
+         "-1/3*d2(f,x1,x2) - 2/3*d2(f,x2,x2)"),
+        ("presym.cyclic-T", "fail", "(f e1,e1,e2): 2*d(f,x2)")],
+    ("pairing", (0, 1)): [
+        ("presym.def-ii", "fail",
+         "(e1,e2,e2), formal f in slot 1: residual 3*d(f,x2)"),
+        ("presym.def-i", "fail",
+         "(f e1,e2,e1): component d1: -1/12*d2(f,x1,x2)"),
+        ("presym.cyclic-T", "fail", "(f e1,e1,e2): -5/4*d(f,x1)")],
+    ("pairing", (1, 0)): [
+        ("presym.def-i", "skipped", "not evaluated: pairing is degenerate"),
+        ("presym.def-ii", "skipped", "not evaluated: pairing is degenerate"),
+        ("presym.cyclic-T", "skipped",
+         "not evaluated: pairing is degenerate")],
+    ("pairing", (1, 1)): [
+        ("presym.def-ii", "fail",
+         "(e1,e2,e2), formal f in slot 1: residual -2*d(f,x1)"),
+        ("presym.def-i", "fail", "(f e2,e2,e1): component d1: "
+         "1/3*d2(f,x1,x1) - 1/3*d2(f,x1,x2)"),
+        ("presym.cyclic-T", "fail", "(f e2,e1,e2): -2*d(f,x1)")],
+}
+
+
+@pytest.mark.parametrize("part, idx", list(R2N_BUMPS))
+def test_r2n_single_bump_scan_witnesses(part, idx):
+    rep = check_presymplectic(bumped(fixtures.r2n_structure(1), part, idx))
+    got = [(c.check_id, c.status, c.witness) for c in rep.checks
+           if c.check_id in ("presym.def-i", "presym.def-ii",
+                             "presym.cyclic-T")]
+    assert got == R2N_BUMPS[(part, idx)]
