@@ -12,6 +12,7 @@ the extension itself is exercised, not assumed.
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 from .exprcore import ChartContext, DiffExpr, differentiate
 from .lsa import sorted_sign
@@ -31,7 +32,7 @@ __all__ = [
 def nonzero_entries(seq) -> tuple:
     """(index, entry) for each nonzero entry of a sequence of DiffExpr:
     what the section products walk in place of the whole sequence."""
-    return tuple((i, x) for i, x in enumerate(seq) if not x.is_zero())
+    return tuple((i, x) for i, x in enumerate(seq) if x.num)
 
 
 class ChartAlgebroid:
@@ -102,7 +103,7 @@ class ChartAlgebroid:
         n = len(self.ctx.coords)
         out = [self.ctx.zero()] * n
         for a, ua in enumerate(u):
-            if ua.is_zero():
+            if not ua.num:
                 continue
             for i in range(n):
                 out[i] = out[i] + ua * self.anchor[a][i]
@@ -121,13 +122,13 @@ class ChartAlgebroid:
         coords = self.ctx.coords
         partials = {}
         for a, ua in enumerate(u):
-            if ua.is_zero():
+            if not ua.num:
                 continue
             for i, rho in self._anchor_nz[a]:
                 df = partials.get(i)
                 if df is None:
                     df = partials[i] = differentiate(f, coords[i])
-                if not df.is_zero():
+                if df.num:
                     out = out + ua * rho * df
         return out
 
@@ -140,7 +141,7 @@ class ChartAlgebroid:
         coords = self.ctx.coords
         for i, rho in self._anchor_nz[a]:
             df = differentiate(f, coords[i])
-            if not df.is_zero():
+            if df.num:
                 out = out + rho * df
         return out
 
@@ -150,11 +151,11 @@ class ChartAlgebroid:
             raise ValueError("not a bracket structure")
         out = list(self.zero_section())
         for a, ua in enumerate(u):
-            if ua.is_zero():
+            if not ua.num:
                 continue
             cells = self._table_nz[a]
             for b, vb in enumerate(v):
-                if vb.is_zero():
+                if not vb.num:
                     continue
                 for k, x in cells[b]:
                     out[k] = out[k] + ua * vb * x
@@ -173,11 +174,11 @@ class ChartAlgebroid:
             raise ValueError("not a product structure")
         out = list(self.zero_section())
         for a, ua in enumerate(u):
-            if ua.is_zero():
+            if not ua.num:
                 continue
             cells = self._table_nz[a]
             for b, vb in enumerate(v):
-                if vb.is_zero():
+                if not vb.num:
                     continue
                 for k, x in cells[b]:
                     out[k] = out[k] + ua * vb * x
@@ -232,14 +233,29 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
     frames = [lifted.frame_section(a) for a in range(r)]
 
     def jacobi():
+        # the frames, then the formal slots f e_c, by position; each inner
+        # bracket [secs[i], secs[j]] is evaluated once, so the memo holds
+        # at most 3 r^2 sections: [e_a,e_b], [e_b,f e_c] and [f e_c,e_a]
+        secs = frames + [tuple(f * x for x in s) for s in frames]
+        inner = {}
+
+        def residual(i, j, k):
+            total = None
+            for p, q, o in ((i, j, k), (j, k, i), (k, i, j)):
+                b = inner.get((p, q))
+                if b is None:
+                    b = inner[(p, q)] = lifted.bracket(secs[p], secs[q])
+                t = lifted.bracket(b, secs[o])
+                total = t if total is None else tuple(map(add, total, t))
+            return total
+
         for a, b, c in itertools.combinations(range(r), 3):
             yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
-                   _jacobi_residual(lifted, frames[a], frames[b], frames[c]))
+                   residual(a, b, c))
         # one formal scalar slot; covers the anchor-derivation interplay
         for a, b, c in itertools.product(range(r), repeat=3):
-            scaled = tuple(f * x for x in frames[c])
             yield (f"({names[a]},{names[b]},f*{names[c]}): residual = ",
-                   _jacobi_residual(lifted, frames[a], frames[b], scaled))
+                   residual(a, b, r + c))
 
     def leibniz():
         for a, b in itertools.product(range(r), repeat=2):
@@ -266,13 +282,6 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
     rec.scan("algebroid.leibniz", leibniz(), names)
     rec.scan("algebroid.anchor-morphism", anchor_morphism(), alg.ctx.coords)
     return rec.report
-
-
-def _jacobi_residual(alg: ChartAlgebroid, x, y, z):
-    s = alg.bracket(alg.bracket(x, y), z)
-    s = tuple(p + q for p, q in zip(s, alg.bracket(alg.bracket(y, z), x)))
-    return tuple(p + q for p, q in zip(
-        s, alg.bracket(alg.bracket(z, x), y)))
 
 
 def check_left_symmetric_algebroid(alg: ChartAlgebroid,

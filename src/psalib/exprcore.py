@@ -904,7 +904,7 @@ class DiffExpr:
         return self._hash
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
 
     # -- printing ------------------------------------------------------------
 

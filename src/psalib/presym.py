@@ -55,6 +55,14 @@ term is ChartAlgebroid.frame_apply.  extended() lifts the anchor, table,
 pairing and inverse pairing into the extended context once
 (ChartContext.lift), so the extended structure never mixes expressions
 of two contexts and the shared zero and one keep their shortcuts.
+Zero tests in these loops read DiffExpr.num, the numerator, directly.
+
+The def-i, def-ii and cyclic-T scans of check_presymplectic hand
+Recorder.scan only their nonzero residuals (def-i through components,
+and only for a residual with a nonzero component), so a label is
+formatted only for an instance that fails: on a passing input the scans
+build no label at all.  The enumeration order, and so every witness, is
+that of the full scan.
 """
 
 import itertools
@@ -204,22 +212,22 @@ class PreSymStructure:
         if b is not None and b < self.rank:
             for a, w in self._pairing_cols[b]:
                 ua = u[a]
-                if not ua.is_zero():
+                if ua.num:
                     acc = acc + ua * w
             return acc
         a = self._basis_pos(u)
         if a is not None and a < self.rank:
             for b, w in self._pairing_nz[a]:
                 vb = v[b]
-                if not vb.is_zero():
+                if vb.num:
                     acc = acc + vb * w
             return acc
         for a, row in enumerate(self._pairing_nz):
             ua = u[a]
-            if ua.is_zero():
+            if not ua.num:
                 continue
             for b, w in row:
-                if not v[b].is_zero():
+                if v[b].num:
                     acc = acc + ua * v[b] * w
         return acc
 
@@ -248,12 +256,13 @@ class PreSymStructure:
         when both arguments are basis sections of this structure (see
         add_basis); the basis is fixed and small, so the memo is bounded
         by its square.  Any other pair is computed afresh."""
-        i, j = self._basis_pos(u), self._basis_pos(v)
-        if i is None or j is None:
+        if (type(u) is not _BasisSection or type(v) is not _BasisSection
+                or u.owner is not self or v.owner is not self):
             return fn(u, v)
-        out = memo.get((i, j))
+        key = (u.pos, v.pos)
+        out = memo.get(key)
         if out is None:
-            out = memo[(i, j)] = fn(u, v)
+            out = memo[key] = fn(u, v)
         return out
 
     def star(self, u, v):
@@ -270,18 +279,18 @@ class PreSymStructure:
             return tuple(self._frame_star(a, v))
         out = [self.ctx.zero()] * self.rank
         for a, ua in enumerate(u):
-            if ua.is_zero():
+            if not ua.num:
                 continue
             for k, x in enumerate(self._frame_star(a, v)):
-                if not x.is_zero():
+                if x.num:
                     out[k] = out[k] + ua * x
             if not ua.is_constant():
                 # (f e_a) * v picks up -1/2 (e_a, v) D f
                 pav = self.ctx.zero()
                 for b, w in self._pairing_nz[a]:
-                    if not v[b].is_zero():
+                    if v[b].num:
                         pav = pav + v[b] * w
-                if not pav.is_zero():
+                if pav.num:
                     hp = self._half * pav
                     for k, x in self._d(ua)[1]:
                         out[k] = out[k] - hp * x
@@ -293,17 +302,17 @@ class PreSymStructure:
         cells = self._table_nz[a]
         w_a = self.pairing.rows[a]
         for b, vb in enumerate(v):
-            if vb.is_zero():
+            if not vb.num:
                 continue
             for k, x in cells[b]:
                 out[k] = out[k] + vb * x
             if vb.is_constant():
                 continue
             der = self._prod.frame_apply(a, vb)
-            if not der.is_zero():
+            if der.num:
                 out[b] = out[b] + der
             w_ab = w_a[b]
-            if not w_ab.is_zero():
+            if w_ab.num:
                 hw = self._half * w_ab
                 for k, x in self._d(vb)[1]:
                     out[k] = out[k] + hw * x
@@ -384,9 +393,9 @@ def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
         subtracted = (E._associator(v, u, w),)
     for y in subtracted:
         for k, x in enumerate(y):
-            if not x.is_zero():
+            if x.num:
                 out[k] = out[k] - x
-    if not t.is_zero():
+    if t.num:
         sixth = E._sixth
         for k, x in E._d(t)[1]:
             out[k] = out[k] - sixth * x
@@ -399,7 +408,7 @@ def _def_ii_residual(E: PreSymStructure, u, v, w) -> DiffExpr:
     lhs = E._act(u, E._pair(v, w))
     s = list(E._times(u, v))
     p = E._pair(u, v)
-    if not p.is_zero():
+    if p.num:
         for k, x in E._d(p)[1]:
             s[k] = s[k] - E._half * x
     rhs = E._pair(s, w) + E._pair(v, E._bracket(u, w))
@@ -466,15 +475,18 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
 
     def def_ii():
         for u, v, w in itertools.product(range(r), repeat=3):
-            yield (f"(e{u+1},e{v+1},e{w+1}): residual ",
-                   _def_ii_residual(ext, frames[u], frames[v], frames[w]))
+            res = _def_ii_residual(ext, frames[u], frames[v], frames[w])
+            if res.num:
+                yield f"(e{u+1},e{v+1},e{w+1}): residual ", res
         for slot in range(3):
             for idx in itertools.product(range(r), repeat=3):
                 args = [frames[a] for a in idx]
                 args[slot] = f_slots[idx[slot]]
-                u, v, w = idx
-                yield (f"(e{u+1},e{v+1},e{w+1}), formal f in slot "
-                       f"{slot+1}: residual ", _def_ii_residual(ext, *args))
+                res = _def_ii_residual(ext, *args)
+                if res.num:
+                    u, v, w = idx
+                    yield (f"(e{u+1},e{v+1},e{w+1}), formal f in slot "
+                           f"{slot+1}: residual ", res)
 
     def def_i():
         for tag_u, tag_w, us, ws, pairs in (
@@ -486,9 +498,11 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
             for u, v in pairs:
                 for w in range(r):
                     x, y, z = us[u], frames[v], ws[w]
-                    yield from components(
-                        f"({tag_u}e{u+1},e{v+1},{tag_w}e{w+1}): ",
-                        _def_i_residual(ext, x, y, z, T(x, y, z)), E.names)
+                    res = _def_i_residual(ext, x, y, z, T(x, y, z))
+                    if any(res):
+                        yield from components(
+                            f"({tag_u}e{u+1},e{v+1},{tag_w}e{w+1}): ", res,
+                            E.names)
 
     def scalar_left():
         for a in range(r):
@@ -546,14 +560,14 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
                 (lhs[k] - ext._half * rhs[k] for k in range(r)), E.names)
 
     def cyclic_t():
-        for u, v, w in itertools.combinations(range(r), 3):
-            x, y, z = frames[u], frames[v], frames[w]
-            yield (f"(e{u+1},e{v+1},e{w+1}): ",
-                   T(x, y, z) + T(y, z, x) + T(z, x, y))
-        for u, v, w in itertools.product(range(r), repeat=3):
-            x, y, z = f_slots[u], frames[v], frames[w]
-            yield (f"(f e{u+1},e{v+1},e{w+1}): ",
-                   T(x, y, z) + T(y, z, x) + T(z, x, y))
+        for tag, us, triples in (
+                ("", frames, itertools.combinations(range(r), 3)),
+                ("f ", f_slots, itertools.product(range(r), repeat=3))):
+            for u, v, w in triples:
+                x, y, z = us[u], frames[v], frames[w]
+                res = T(x, y, z) + T(y, z, x) + T(z, x, y)
+                if res.num:
+                    yield f"({tag}e{u+1},e{v+1},e{w+1}): ", res
 
     rec.scan("presym.D-reproducing", d_reproducing())
     rec.scan("presym.def-ii", def_ii())

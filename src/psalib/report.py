@@ -93,11 +93,13 @@ def section_str(coeffs, names) -> str:
 
 
 def components(label: str, vec, names):
-    """One scan case per component of a section residual, so that the
-    witness names the first nonzero one:
-    label + "component {name}: {value}".  vec may be a generator, and
-    then no component after the first nonzero one is computed."""
-    return ((f"{label}component {name}: ", x) for name, x in zip(names, vec))
+    """One scan case per nonzero component of a section residual, so that
+    the witness names the first nonzero one:
+    label + "component {name}: {value}".  A zero component yields no case
+    and builds no label.  vec may be a generator, and then no component
+    after the first nonzero one is computed."""
+    return ((f"{label}component {name}: ", x)
+            for name, x in zip(names, vec) if x)
 
 
 class Recorder:
@@ -115,12 +117,14 @@ class Recorder:
     def scan(self, check_id: str, cases, names=()) -> bool:
         """Record check_id from the first nonzero residual in cases.
 
-        cases yields (label, residual) pairs, one per instance of the
-        identity, in a fixed enumeration order; the scan stops at the
-        first nonzero residual and its witness is:
+        cases yields (label, residual) pairs in a fixed enumeration order;
+        the scan stops at the first nonzero residual and its witness is:
           a scalar (chart expression or exact number): label + residual;
           a tuple of coefficients over names: label + section_str;
           a bool (True: the instance fails): the label alone.
+        A case with a zero residual is skipped, so a suite may yield only
+        its nonzero residuals and build a label only for those (see
+        components): then an instance that passes costs no formatting.
         The time spent producing the cases is the check's wall time.
         """
         t0 = time.perf_counter()

@@ -45,3 +45,31 @@ def test_skip_records_every_id_with_one_reason():
     assert [(c.check_id, c.status, c.witness) for c in rec.report.checks] \
         == [("presym.def-i", "skipped", "not evaluated: r"),
             ("presym.def-ii", "skipped", "not evaluated: r")]
+
+
+def test_components_yields_only_nonzero_components():
+    ctx = ChartContext(coords=("x",))
+    x, z = ctx.expr("x"), ctx.zero()
+    names = ("e1", "e2", "e3", "e4")
+    assert list(components("(e1) ", (z, x, z, -x), names)) == [
+        ("(e1) component e2: ", x), ("(e1) component e4: ", -x)]
+    assert list(components("(e1) ", (z, z), names)) == []
+
+    consumed = []
+
+    def vec():
+        for name, value in zip(names, (z, z, x, x)):
+            consumed.append(name)
+            yield value
+
+    cases = components("(e1) ", vec(), names)
+    assert next(cases) == ("(e1) component e3: ", x)
+    assert consumed == ["e1", "e2", "e3"]
+
+    rec = Recorder("t")
+    assert rec.scan("presym.def-i", [("(e1,e2,e1): ", (z, z))])
+    assert not rec.scan("presym.def-ii", components(
+        "(e1,e2,e1): ", (z, z, Fraction(-1, 2) * x, x), names))
+    assert [(c.check_id, c.status, c.witness) for c in rec.report.checks] \
+        == [("presym.def-i", "pass", None),
+            ("presym.def-ii", "fail", "(e1,e2,e1): component e3: -1/2*x")]
