@@ -239,15 +239,16 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
         secs = frames + [tuple(f * x for x in s) for s in frames]
         inner = {}
 
+        def outer(i, j, k):
+            """[[secs[i], secs[j]], secs[k]]"""
+            b = inner.get((i, j))
+            if b is None:
+                b = inner[(i, j)] = lifted.bracket(secs[i], secs[j])
+            return lifted.bracket(b, secs[k])
+
         def residual(i, j, k):
-            total = None
-            for p, q, o in ((i, j, k), (j, k, i), (k, i, j)):
-                b = inner.get((p, q))
-                if b is None:
-                    b = inner[(p, q)] = lifted.bracket(secs[p], secs[q])
-                t = lifted.bracket(b, secs[o])
-                total = t if total is None else tuple(map(add, total, t))
-            return total
+            s = tuple(map(add, outer(i, j, k), outer(j, k, i)))
+            return tuple(map(add, s, outer(k, i, j)))
 
         for a, b, c in itertools.combinations(range(r), 3):
             yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
