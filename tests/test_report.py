@@ -39,6 +39,24 @@ def test_scan_stops_at_first_nonzero_and_writes_each_witness_shape():
     ]
 
 
+def test_bool_cases_record_verdicts_that_are_not_residual_scans():
+    """A check with no residual (a rank count, a singular matrix, a failed
+    solve) hands scan at most one (witness, True) case: none records pass
+    with no witness, one records fail with its label as the witness."""
+    rec = Recorder("t")
+
+    def rank_case(got, need):
+        if got != need:
+            yield f"spanning sections have rank {got}, need {need}", True
+
+    assert rec.scan("dirac.half-rank", rank_case(2, 2))
+    assert not rec.scan("dirac.half-rank", rank_case(1, 2))
+    assert [(c.check_id, c.status, c.witness) for c in rec.report.checks] \
+        == [("dirac.half-rank", "pass", None),
+            ("dirac.half-rank", "fail",
+             "spanning sections have rank 1, need 2")]
+
+
 def test_skip_records_every_id_with_one_reason():
     rec = Recorder("t")
     rec.skip("not evaluated: r", "presym.def-i", "presym.def-ii")

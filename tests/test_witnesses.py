@@ -8,6 +8,7 @@ instances or formats its witnesses shows up here.  Between them the
 inputs fail every check id a bump can fail and reach every skip reason.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -173,6 +174,9 @@ INPUTS = {
         lsa2_bumped(0, 1, 0)),
     "dim-3 Jacobi failure": lambda: check_left_symmetric(
         jacobi_breaking_dim3()),
+    "lsa2 at 1/2 with e2*e2 = 1/3*e1": lambda: check_left_symmetric(
+        FiniteAlgebra(2, {(0, 1, 1): Fraction(1, 2),
+                          (1, 1, 0): Fraction(1, 3)})),
     # algebroid
     "bisection [e1,e2] += e1": lambda: check_lie_algebroid(
         bumped_lie(fixtures.bisection_data()[0], 0, 1, 0)),
@@ -242,6 +246,9 @@ EXPECTED = {
     "dim-3 Jacobi failure": [
         ("lsa.left-symmetric", "fail", "(e1,e2,e1): residual = -1*e3"),
         ("lsa.subadjacent-jacobi", "fail", "(e1,e2,e3): residual = -4*e1"),
+    ],
+    "lsa2 at 1/2 with e2*e2 = 1/3*e1": [
+        ("lsa.left-symmetric", "fail", "(e1,e2,e2): residual = -1/3*e1"),
     ],
     "bisection [e1,e2] += e1": [
         ("algebroid.bracket-skew", "fail", "[e1,e2] + [e2,e1] = (1)*e1"),
