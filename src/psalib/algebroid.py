@@ -12,16 +12,17 @@ the extension itself is exercised, not assumed.
 from __future__ import annotations
 
 import itertools
-from operator import add
+from operator import add, sub
 
 from .exprcore import ChartContext, DiffExpr, differentiate
-from .lsa import sorted_sign
+from .lsa import FiniteAlgebra, sorted_sign
 from .report import CheckReport, Recorder
 
 __all__ = [
     "ChartAlgebroid",
     "FormField",
     "check_lie_algebroid",
+    "check_left_symmetric",
     "check_left_symmetric_algebroid",
     "de_rham_d",
     "check_2cocycle",
@@ -145,10 +146,10 @@ class ChartAlgebroid:
                 out = out + rho * df
         return out
 
-    def bracket(self, u, v):
-        """Section bracket: frame table + Leibniz terms on both slots."""
-        if self.kind != "lie":
-            raise ValueError("not a bracket structure")
+    def _walk(self, u, v):
+        """The frame table on (u, v) plus the derivation on the right slot:
+        the product of a product structure, and the bracket of a bracket
+        structure less its left-slot term."""
         out = list(self.zero_section())
         for a, ua in enumerate(u):
             if not ua.num:
@@ -162,6 +163,13 @@ class ChartAlgebroid:
         for b, vb in enumerate(v):
             if not vb.is_constant():
                 out[b] = out[b] + self.anchor_apply(u, vb)
+        return out
+
+    def bracket(self, u, v):
+        """Section bracket: frame table + Leibniz terms on both slots."""
+        if self.kind != "lie":
+            raise ValueError("not a bracket structure")
+        out = self._walk(u, v)
         for a, ua in enumerate(u):
             if not ua.is_constant():
                 out[a] = out[a] - self.anchor_apply(v, ua)
@@ -172,20 +180,7 @@ class ChartAlgebroid:
         (the left slot is scalar-linear)."""
         if self.kind != "lsa":
             raise ValueError("not a product structure")
-        out = list(self.zero_section())
-        for a, ua in enumerate(u):
-            if not ua.num:
-                continue
-            cells = self._table_nz[a]
-            for b, vb in enumerate(v):
-                if not vb.num:
-                    continue
-                for k, x in cells[b]:
-                    out[k] = out[k] + ua * vb * x
-        for b, vb in enumerate(v):
-            if not vb.is_constant():
-                out[b] = out[b] + self.anchor_apply(u, vb)
-        return tuple(out)
+        return tuple(self._walk(u, v))
 
     def commutator_algebroid(self) -> "ChartAlgebroid":
         """The bracket structure x*y - y*x of a product structure."""
@@ -282,6 +277,42 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
     rec.scan("algebroid.jacobi", jacobi(), names)
     rec.scan("algebroid.leibniz", leibniz(), names)
     rec.scan("algebroid.anchor-morphism", anchor_morphism(), alg.ctx.coords)
+    return rec.report
+
+
+def check_left_symmetric(alg: FiniteAlgebra, artifact: str = "algebra"
+                         ) -> CheckReport:
+    """A finite algebra on its point chart:
+    associator symmetry in the first two slots, plus the Jacobi identity
+    of the commutator (which left-symmetry implies; checked
+    independently).  Every residual is a constant, so each component is
+    reported as its exact rational."""
+    rec = Recorder(artifact)
+    point = ChartAlgebroid.point(alg)
+    prod, br = point.product, point.commutator_algebroid().bracket
+    d, names = point.rank, point.names
+    e = [point.frame_section(a) for a in range(d)]
+
+    def constants(vec):
+        return tuple(x.constant_value() for x in vec)
+
+    def assoc(x, y, z):
+        return map(sub, prod(x, prod(y, z)), prod(prod(x, y), z))
+
+    def assoc_sym():
+        for a, b, c in itertools.product(range(d), repeat=3):
+            yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
+                   constants(map(sub, assoc(e[a], e[b], e[c]),
+                                 assoc(e[b], e[a], e[c]))))
+
+    def jacobi():
+        for a, b, c in itertools.combinations(range(d), 3):
+            s = map(add, br(br(e[a], e[b]), e[c]), br(br(e[b], e[c]), e[a]))
+            yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
+                   constants(map(add, s, br(br(e[c], e[a]), e[b]))))
+
+    rec.scan("lsa.left-symmetric", assoc_sym(), names)
+    rec.scan("lsa.subadjacent-jacobi", jacobi(), names)
     return rec.report
 
 

@@ -16,12 +16,11 @@ import sys
 from types import SimpleNamespace
 
 from .algebroid import ChartAlgebroid, check_2cocycle, check_lie_algebroid, \
-    check_left_symmetric_algebroid
+    check_left_symmetric, check_left_symmetric_algebroid
 from .exactclass import TruncatedComplex, canonical_splitting, \
     check_exact, twisted_product
 from .exprcore import ExprError
-from .lsa import RestrictedComplex, check_left_symmetric, cochain_dim, \
-    restricted_dims
+from .lsa import RestrictedComplex, cochain_dim, restricted_dims
 from .parakahler import check_star_equals_nabla
 from .presym import check_presymplectic, presym_from_symplectic, \
     pseudo_semidirect, symplectic_from_presym

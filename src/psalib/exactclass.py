@@ -168,10 +168,9 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
     def surjective():
         got = expr_rank(anchor_m)
         if got != n:
-            return False, f"anchor rank {got}, need {n}"
-        return True, None
+            yield f"anchor rank {got}, need {n}", True
 
-    rec.run("exact.anchor-surjective", surjective)
+    rec.scan("exact.anchor-surjective", surjective())
     try:
         rs, singular = rho_star_matrix(E), None
     except SingularMatrixError as exc:
@@ -240,11 +239,10 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
     def phi_in_image():
         if missing is not None:
             i, j = missing
-            return False, (f"sigma(d{i+1}) * sigma(d{j+1}) - "
-                           f"sigma(nabla) is outside the dual-anchor image")
-        return True, None
+            yield (f"sigma(d{i+1}) * sigma(d{j+1}) - "
+                   f"sigma(nabla) is outside the dual-anchor image", True)
 
-    if not rec.run("exact.phi-in-image", phi_in_image):
+    if not rec.scan("exact.phi-in-image", phi_in_image()):
         rec.skip("not evaluated: no obstruction tensor",
                  "exact.phi-13-antisymmetry", "exact.phi-pair-symmetry",
                  "exact.phi-closed")

@@ -2,13 +2,13 @@
 
 QMatrix holds Fraction entries.  rank clears each row's denominators and
 runs integer-preserving Bareiss elimination on Python ints with
-deterministic first-nonzero pivoting; a second, independently coded
-elimination (Gauss-Jordan over Fraction, largest-pivot strategy) is
-exposed so results can be cross-checked without sharing code paths.
-ExprMatrix holds DiffExpr entries; inversion is cofactor-based with
-subset-memoized Laplace determinants, sized for the small matrices that
-occur here.  Reduced echelon forms, kernels and solutions over both
-fields come from one first-nonzero-pivot Gauss-Jordan.
+deterministic first-nonzero pivoting.  Every other elimination, over both
+fields, is one first-nonzero-pivot Gauss-Jordan over the field itself
+(`_gauss_jordan`): reduced echelon forms, kernels, solutions, the
+symbolic rank `expr_rank`, and `rank_second_opinion`, the rank that
+cross-checks Bareiss `rank` without sharing its code.  ExprMatrix holds
+DiffExpr entries; inversion is cofactor-based with subset-memoized
+Laplace determinants, sized for the small matrices that occur here.
 
 `blocks` splits a sparse matrix ({column: entry} rows) into the connected
 blocks of its nonzero pattern: up to a permutation it is block-diagonal
@@ -145,29 +145,9 @@ def rank(m: QMatrix) -> int:
 
 
 def rank_second_opinion(m: QMatrix) -> int:
-    """Independent rank oracle: Gauss-Jordan with largest-|pivot| strategy."""
-    a = [list(r) for r in m.rows]
-    n, w = m.nrows, m.ncols
-    r = 0
-    for col in range(w):
-        piv, best = None, Fraction(0)
-        for i in range(r, n):
-            if abs(a[i][col]) > best:
-                best = abs(a[i][col])
-                piv = i
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == n:
-            break
-    return r
+    """Independent rank oracle: Gauss-Jordan over Fraction, coded apart
+    from the Bareiss `rank`."""
+    return len(_gauss_jordan(m.rows, m.ncols)[1])
 
 
 def _gauss_jordan(rows, ncols: int):

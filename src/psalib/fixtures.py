@@ -1,6 +1,6 @@
-"""Built-in example structures, one builder per registry name.
+"""Built-in example structures, one table entry per registry name.
 
-Each builder returns a Bundle ready for the checking pipelines and for
+`build` returns a Bundle ready for the checking pipelines and for
 definition-file emission.  These are the worked structures the test
 suite pins down entry by entry.
 """
@@ -125,85 +125,40 @@ def twist_r2_data():
     return conn, PhiTensor(ctx, comps)
 
 
-def _bundle_r2n() -> Bundle:
-    return Bundle(name="r2n",
-                  description="flat 2n-dim chart, zero products, standard "
-                  "pairing (n = 1)",
-                  structure=r2n_structure(1))
-
-
-def _bundle_sphere() -> Bundle:
-    return Bundle(name="sphere",
-                  description="unit-sphere leaf chart with the area "
-                  "pairing",
-                  structure=sphere_structure())
-
-
-def _bundle_prolongation() -> Bundle:
-    lie, form = prolongation_so3_data()
-    return Bundle(name="prolongation-so3",
-                  description="rank-6 bracket structure over the rotation "
-                  "coadjoint chart with its canonical 2-form",
-                  algebroid=lie, form=form)
-
-
-def _bundle_bisection() -> Bundle:
-    lie, form = bisection_data()
-    return Bundle(name="bisection",
-                  description="cotangent bracket structure of the "
-                  "bivector (1+x^2) dx^dy",
-                  algebroid=lie, form=form)
-
-
-def _bundle_lsa2() -> Bundle:
-    return Bundle(name="lsa2",
-                  description="two-dim left-symmetric point algebra "
-                  "e1*e2 = e2",
-                  algebra=lsa2_algebra())
-
-
-def _bundle_semidirect() -> Bundle:
-    return Bundle(name="semidirect-lsa2",
-                  description="doubled structure of the lsa2 point "
-                  "algebra with its dual frame",
-                  structure=lsa2_semidirect())
-
-
-def _bundle_parakahler() -> Bundle:
-    E, P = parakahler_lsa2_data()
-    return Bundle(name="parakahler-lsa2",
-                  description="doubled lsa2 structure with the block "
-                  "reflection product operator",
-                  structure=E, paracomplex=P)
-
-
-def _bundle_twist() -> Bundle:
-    conn, phi = twist_r2_data()
-    return Bundle(name="twist-r2",
-                  description="flat two-dim chart twisted by a closed "
-                  "obstruction tensor built from a formal function",
-                  connection=conn, phi=phi)
-
-
-_BUILDERS = {
-    "r2n": _bundle_r2n,
-    "sphere": _bundle_sphere,
-    "prolongation-so3": _bundle_prolongation,
-    "bisection": _bundle_bisection,
-    "lsa2": _bundle_lsa2,
-    "semidirect-lsa2": _bundle_semidirect,
-    "parakahler-lsa2": _bundle_parakahler,
-    "twist-r2": _bundle_twist,
+# name -> (description, a function that builds the Bundle fields)
+_TABLE = {
+    "r2n": ("flat 2n-dim chart, zero products, standard pairing (n = 1)",
+            lambda: {"structure": r2n_structure(1)}),
+    "sphere": ("unit-sphere leaf chart with the area pairing",
+               lambda: {"structure": sphere_structure()}),
+    "prolongation-so3": (
+        "rank-6 bracket structure over the rotation coadjoint chart with "
+        "its canonical 2-form",
+        lambda: dict(zip(("algebroid", "form"), prolongation_so3_data()))),
+    "bisection": ("cotangent bracket structure of the bivector (1+x^2) "
+                  "dx^dy",
+                  lambda: dict(zip(("algebroid", "form"), bisection_data()))),
+    "lsa2": ("two-dim left-symmetric point algebra e1*e2 = e2",
+             lambda: {"algebra": lsa2_algebra()}),
+    "semidirect-lsa2": ("doubled structure of the lsa2 point algebra with "
+                        "its dual frame",
+                        lambda: {"structure": lsa2_semidirect()}),
+    "parakahler-lsa2": (
+        "doubled lsa2 structure with the block reflection product operator",
+        lambda: dict(zip(("structure", "paracomplex"),
+                         parakahler_lsa2_data()))),
+    "twist-r2": ("flat two-dim chart twisted by a closed obstruction tensor "
+                 "built from a formal function",
+                 lambda: dict(zip(("connection", "phi"), twist_r2_data()))),
 }
 
-REGISTRY_NAMES = ("r2n", "sphere", "prolongation-so3", "bisection", "lsa2",
-                  "semidirect-lsa2", "parakahler-lsa2", "twist-r2")
+REGISTRY_NAMES = tuple(_TABLE)
 
 
 def build(name: str) -> Bundle:
     try:
-        builder = _BUILDERS[name]
+        description, fields = _TABLE[name]
     except KeyError:
         raise KeyError(f"unknown fixture '{name}'; known: "
                        f"{', '.join(REGISTRY_NAMES)}")
-    return builder()
+    return Bundle(name=name, description=description, **fields())

@@ -1,8 +1,8 @@
 """Finite-dimensional algebras at a point: products and cochains.
 
-Products are stored as structure constants over a fixed basis.  The
-left-symmetry check and the restricted cochain complex (`RestrictedComplex`)
-live here; its membership rows, coboundary columns and restricted basis
+Products are stored as structure constants over a fixed basis
+(`FiniteAlgebra`).  The restricted cochain complex (`RestrictedComplex`)
+lives here; its membership rows, coboundary columns and restricted basis
 vectors are sparse {position: entry} dicts.  An entry is an int when its
 value is integral; a Fraction comes only from a non-integral structure
 constant or from a kernel pivot (`exactlinalg.kernel_basis` divides).
@@ -11,7 +11,8 @@ dimensions: it splits each matrix into the connected blocks of its
 nonzero pattern, writes out only a block as a dense `QMatrix` (Fraction
 entries), and ranks every block by both eliminations.
 Everything is exact rational arithmetic.  The rest of the point case runs
-on the point chart `algebroid.ChartAlgebroid.point(alg)`: its
+on the point chart `algebroid.ChartAlgebroid.point(alg)`:
+`algebroid.check_left_symmetric` checks left-symmetry there, its
 `commutator_algebroid` is the commutator algebra, def-ii of
 `presym.check_presymplectic` is the invariance of a pairing, and
 `presym.presym_from_symplectic` on a Lie point chart such as that
@@ -28,12 +29,10 @@ from fractions import Fraction
 
 from .exactlinalg import (QMatrix, blocks, kernel_basis, narrow, rank,
                           rank_second_opinion)
-from .report import CheckReport, Recorder
 
 __all__ = [
     "FiniteAlgebra",
     "RestrictedComplex",
-    "check_left_symmetric",
     "sorted_sign",
     "cochain_keys",
     "cochain_dim",
@@ -43,7 +42,8 @@ __all__ = [
 
 class FiniteAlgebra:
     """A bilinear product on a finite-dimensional space, as structure
-    constants: product(e_a, e_b) = sum_k c[a][b][k] e_k."""
+    constants: e_a * e_b = sum_k c[a][b][k] e_k.  Its products and its
+    checks run on its point chart, `algebroid.ChartAlgebroid.point`."""
 
     def __init__(self, dim: int, constants, names=None):
         self.dim = dim
@@ -57,77 +57,6 @@ class FiniteAlgebra:
             f"e{i+1}" for i in range(dim))
         if len(self.names) != dim:
             raise ValueError("wrong number of basis names")
-
-    def basis_product(self, a: int, b: int) -> tuple:
-        return tuple(self.constants.get((a, b, k), Fraction(0))
-                     for k in range(self.dim))
-
-    def product(self, u, v) -> tuple:
-        out = [Fraction(0)] * self.dim
-        for a, ua in enumerate(u):
-            if not ua:
-                continue
-            for b, vb in enumerate(v):
-                if not vb:
-                    continue
-                for k in range(self.dim):
-                    c = self.constants.get((a, b, k))
-                    if c:
-                        out[k] += ua * vb * c
-        return tuple(out)
-
-    def commutator(self, u, v) -> tuple:
-        uv = self.product(u, v)
-        vu = self.product(v, u)
-        return tuple(x - y for x, y in zip(uv, vu))
-
-    def basis_vector(self, a: int) -> tuple:
-        return tuple(Fraction(1 if i == a else 0) for i in range(self.dim))
-
-    def associator(self, u, v, w) -> tuple:
-        left = self.product(u, self.product(v, w))
-        right = self.product(self.product(u, v), w)
-        return tuple(x - y for x, y in zip(left, right))
-
-    def __repr__(self):
-        entries = []
-        for a in range(self.dim):
-            for b in range(self.dim):
-                p = self.basis_product(a, b)
-                if any(p):
-                    s = " + ".join(f"{v}*{self.names[k]}"
-                                   for k, v in enumerate(p) if v)
-                    entries.append(f"{self.names[a]}*{self.names[b]} = {s}")
-        return f"FiniteAlgebra(dim={self.dim}, {'; '.join(entries) or '0'})"
-
-
-def check_left_symmetric(alg: FiniteAlgebra, artifact: str = "algebra"
-                         ) -> CheckReport:
-    """Associator symmetry in the first two slots, plus the Jacobi identity
-    of the commutator (which left-symmetry implies; checked independently)."""
-    rec = Recorder(artifact)
-    d, names = alg.dim, alg.names
-    e = [alg.basis_vector(i) for i in range(d)]
-
-    def assoc_sym():
-        for a, b, c in itertools.product(range(d), repeat=3):
-            left = alg.associator(e[a], e[b], e[c])
-            right = alg.associator(e[b], e[a], e[c])
-            yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
-                   tuple(x - y for x, y in zip(left, right)))
-
-    def jacobi():
-        for a, b, c in itertools.combinations(range(d), 3):
-            s = alg.commutator(alg.commutator(e[a], e[b]), e[c])
-            s = tuple(x + y for x, y in zip(
-                s, alg.commutator(alg.commutator(e[b], e[c]), e[a])))
-            s = tuple(x + y for x, y in zip(
-                s, alg.commutator(alg.commutator(e[c], e[a]), e[b])))
-            yield f"({names[a]},{names[b]},{names[c]}): residual = ", s
-
-    rec.scan("lsa.left-symmetric", assoc_sym(), names)
-    rec.scan("lsa.subadjacent-jacobi", jacobi(), names)
-    return rec.report
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .algebroid import ChartAlgebroid
 from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_kernel_basis,
-                          expr_rank, expr_solve, invert)
+                          expr_solve, invert)
 from .exprcore import ChartContext, DiffExpr
 from .presym import PreSymStructure, Subbundle, check_dirac
 from .report import CheckReport, Recorder, components
@@ -142,17 +142,13 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
     minus_vecs = expr_kernel_basis(P.matrix.add(eye))
 
     def eigen_split():
+        # P o P = id holds, so ker(P - 1) + ker(P + 1) is the whole space
+        # and two halves of rank r/2 always span rank r
         if 2 * len(plus_vecs) != r or 2 * len(minus_vecs) != r:
-            return False, (f"eigenbundle ranks {len(plus_vecs)} and "
-                           f"{len(minus_vecs)}, need {r // 2} each")
-        stacked = ExprMatrix(ctx, [list(v) for v in plus_vecs] +
-                             [list(v) for v in minus_vecs])
-        got = expr_rank(stacked)
-        if got != r:
-            return False, f"eigenbundles together span rank {got}, need {r}"
-        return True, None
+            yield (f"eigenbundle ranks {len(plus_vecs)} and "
+                   f"{len(minus_vecs)}, need {r // 2} each", True)
 
-    if not rec.run("para.eigen-split", eigen_split):
+    if not rec.scan("para.eigen-split", eigen_split()):
         rec.skip("not evaluated: eigenbundles do not split the structure",
                  "para.eigen-dirac-plus", "para.eigen-dirac-minus")
         return rec.report, None, None
@@ -202,15 +198,15 @@ def check_metric(E: PreSymStructure, P: ParaComplexOp,
             m = MetricField(E.ctx, g)
             m.inverse
         except SingularMatrixError as exc:
-            return False, f"determinant {exc.determinant}"
-        metric_holder.append(m)
-        return True, None
+            yield f"determinant {exc.determinant}", True
+        else:
+            metric_holder.append(m)
 
     # g - g^T is antisymmetric, so its first nonzero entry lies above
     # the diagonal
     ok = rec.scan("para.metric-symmetric", _entry_cases(
         "g[{a}][{b}] - g[{b}][{a}] = ", g.sub(g.transpose())))
-    ok = rec.run("para.metric-nondegenerate", nondegenerate) and ok
+    ok = rec.scan("para.metric-nondegenerate", nondegenerate()) and ok
     rec.scan("para.metric-P-anti", _entry_cases(
         "g(P e{a}, P e{b}) + g(e{a}, e{b}) = ",
         P.matrix.transpose().matmul(g).matmul(P.matrix).add(g)))
@@ -314,7 +310,7 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
     try:
         nabla = levi_civita(L, g)
     except (SingularMatrixError, ValueError) as exc:
-        rec.run("para.levi-civita-agreement", lambda: (False, str(exc)))
+        rec.scan("para.levi-civita-agreement", [(str(exc), True)])
         return rec.report, None
     r = L.rank
     frames = [L.frame_section(a) for a in range(r)]

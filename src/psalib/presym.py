@@ -437,10 +437,9 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
         try:
             E.inverse_pairing
         except SingularMatrixError as exc:
-            return False, f"pairing determinant vanishes: {exc.determinant}"
-        return True, None
+            yield f"pairing determinant vanishes: {exc.determinant}", True
 
-    if not rec.run("presym.pairing-nondegenerate", nondegenerate):
+    if not rec.scan("presym.pairing-nondegenerate", nondegenerate()):
         # D and the section product are undefined without the inverse
         rec.skip("not evaluated: pairing is degenerate", "presym.def-i",
                  "presym.def-ii", "presym.scalar-left", "presym.scalar-right",
@@ -724,10 +723,9 @@ def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
     def half_rank():
         got = expr_rank(mat)
         if got != k:
-            return False, f"spanning sections have rank {got}, need {k}"
-        return True, None
+            yield f"spanning sections have rank {got}, need {k}", True
 
-    ok = rec.run("dirac.half-rank", half_rank)
+    ok = rec.scan("dirac.half-rank", half_rank())
     ok = rec.scan("dirac.isotropic", (
         (f"({F.names[i]},{F.names[j]}) = ",
          E.pairing_value(secs[i], secs[j]))

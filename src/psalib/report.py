@@ -5,8 +5,8 @@ checks, each pass/fail/skipped with an optional witness (the indices and
 residual expression that broke an identity).  Serialization is
 deterministic: checks sort by id, keys are emitted in a fixed order, and
 only the wall_ms fields vary between runs.  Suites record their checks
-through a Recorder, whose scan method turns a stream of residuals into a
-verdict and a witness.
+through a Recorder, whose scan method turns a stream of cases into a
+verdict and a witness: every verdict passes through it.
 """
 
 from __future__ import annotations
@@ -105,10 +105,12 @@ def components(label: str, vec, names):
 class Recorder:
     """Collects checks for one artifact, timing each one.
 
-    A check that verifies an identity instance by instance goes through
-    scan; run is for verdicts that are not residual scans (a singular
-    matrix, a rank count, a failed solve), skip for checks that cannot be
-    evaluated.
+    Every verdict goes through scan.  A check that verifies an identity
+    instance by instance yields its residuals.  A verdict that is not a
+    residual scan (a singular matrix, a rank count, a failed solve) is
+    at most one (witness, True) case, yielded by a generator that does
+    the work first, so that the check's wall time covers it.  skip
+    records checks that cannot be evaluated.
     """
 
     def __init__(self, artifact: str):
@@ -141,14 +143,6 @@ class Recorder:
         self.add(check_id, "pass" if witness is None else "fail", witness,
                  ms)
         return witness is None
-
-    def run(self, check_id: str, fn) -> bool:
-        """fn() -> (ok, witness_or_None); records pass/fail with timing."""
-        t0 = time.perf_counter()
-        ok, witness = fn()
-        ms = (time.perf_counter() - t0) * 1000.0
-        self.add(check_id, "pass" if ok else "fail", witness, ms)
-        return ok
 
     def add(self, check_id: str, status: str, witness: str | None = None,
             wall_ms: float = 0.0) -> None:

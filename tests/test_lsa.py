@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psalib import exactlinalg, lsa
-from psalib.algebroid import ChartAlgebroid, FormField
+from psalib.algebroid import ChartAlgebroid, FormField, check_left_symmetric
 from psalib.exactclass import (ChartCochain, FlatConnection, TruncatedComplex,
                                chart_coboundary)
 from psalib.exprcore import ChartContext
@@ -22,7 +22,6 @@ from psalib.presym import (PreSymStructure, check_presymplectic,
 from psalib.lsa import (
     FiniteAlgebra,
     RestrictedComplex,
-    check_left_symmetric,
     cochain_keys,
     restricted_dims,
 )

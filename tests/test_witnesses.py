@@ -15,6 +15,7 @@ import pytest
 
 from psalib import fixtures, parakahler
 from psalib.algebroid import (ChartAlgebroid, check_2cocycle,
+                              check_left_symmetric,
                               check_left_symmetric_algebroid,
                               check_lie_algebroid)
 from psalib.cli import applicable_suites, run_suites
@@ -23,7 +24,7 @@ from psalib.exactclass import (FlatConnection, PhiTensor, Splitting,
                                splitting_equivalence, twisted_product)
 from psalib.exprcore import ChartContext
 from psalib.identities import ANCHORS
-from psalib.lsa import FiniteAlgebra, check_left_symmetric
+from psalib.lsa import FiniteAlgebra
 from psalib.parakahler import (MetricField, ParaComplexOp, check_levi_civita,
                                check_metric, check_star_equals_nabla,
                                metric_from)
