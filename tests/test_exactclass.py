@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psalib.algebroid import ChartAlgebroid
 from psalib.exactclass import (ChartCochain, FlatConnection, PhiTensor,
                                Splitting, TruncatedComplex,
                                canonical_splitting, chart_coboundary,
@@ -82,6 +83,21 @@ def test_connection_validation():
     flat = FlatConnection(ctx)
     assert flat.is_zero()
     assert all(c.is_zero() for c in flat.curvature_residual(0, 1, 1))
+
+
+def test_curvature_residual_components_on_curved_connection():
+    # gamma[0][0] = (y, 0): R(d1,d2)d1 = -d_y(y) d1 = -d1, and R is
+    # antisymmetric in its first two slots; every other component is 0
+    ctx = ChartContext(coords=("x", "y"))
+    z, y = ctx.zero(), ctx.expr("y")
+    curved = FlatConnection(ctx, [[[y, z], [z, z]], [[z, z], [z, z]]])
+    want = {(0, 1, 0): (-1, 0), (1, 0, 0): (1, 0)}
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                got = curved.curvature_residual(i, j, k)
+                assert [c.constant_value() for c in got] == \
+                    list(want.get((i, j, k), (0, 0)))
 
 
 def test_phi_tensor_constructor_enforces_symmetries():
@@ -272,6 +288,69 @@ def test_chart_coboundary_with_nonflat_coordinates_squares_to_zero():
     want = ctx.expr("2*x - x^3")
     assert (d1.components[((0,), 0)] - want).is_zero()
     assert chart_coboundary(alg, d1).is_zero()
+
+
+def _assert_components(ctx, cochain, want):
+    """cochain's components are exactly want's, given as expression text."""
+    assert set(cochain.components) == set(want)
+    for key, text in want.items():
+        assert (cochain.components[key] - ctx.expr(text)).is_zero(), key
+
+
+def test_chart_coboundary_pinned_on_pulled_back_flat_connection():
+    # Gamma^y_xx = 6x is the zero connection pulled back by
+    # (x, y, z) -> (x, y + x^3, z): torsion-free and flat, so delta^2 = 0
+    ctx = ChartContext(coords=("x", "y", "z"))
+    e = ctx.expr
+    gamma = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    gamma[0][0][1] = e("6*x")
+    conn = FlatConnection(ctx, gamma)
+    cases = [
+        ({((), 0): "x^2*y", ((), 1): "y*z - x", ((), 2): "x*z"},
+         {((0,), 0): "-6*x*y*z + 6*x^2 + 2*x*y", ((0,), 1): "-1",
+          ((0,), 2): "z", ((1,), 0): "x^2", ((1,), 1): "z", ((2,), 1): "y",
+          ((2,), 2): "x"}),
+        ({((0,), 1): "x*y", ((1,), 0): "z^2", ((2,), 1): "x + y",
+          ((0,), 2): "y"},
+         {((0, 1), 1): "-x", ((0, 1), 2): "-1", ((0, 2), 0): "-6*x^2 - 6*x*y",
+          ((0, 2), 1): "1", ((1, 2), 0): "-2*z", ((1, 2), 1): "1"}),
+        ({((0, 1), 1): "x*z", ((0, 2), 0): "y^2", ((1, 2), 2): "x^3",
+          ((1, 2), 1): "y"},
+         {((0, 1, 2), 0): "-6*x*y - 2*y", ((0, 1, 2), 1): "x",
+          ((0, 1, 2), 2): "3*x^2"}),
+    ]
+    for degree, (comps, want) in enumerate(cases, start=1):
+        phi = ChartCochain(ctx, 3, degree,
+                           {k: e(v) for k, v in comps.items()})
+        d = chart_coboundary(conn, phi)
+        _assert_components(ctx, d, want)
+        assert chart_coboundary(conn, d).is_zero()
+
+
+def test_chart_coboundary_pinned_with_product_and_bracket_terms():
+    # a product table with non-constant entries and a nonzero commutator
+    # (no axiom holds), so the anchor, product and bracket terms are live
+    ctx = ChartContext(coords=("x", "y"))
+    e = ctx.expr
+    alg = ChartAlgebroid(ctx, ("e1", "e2"), [[1, e("y")], [0, e("x")]],
+                         [[[e("x"), 0], [e("y^2"), 1]],
+                          [[0, e("x*y")], [2, 0]]], kind="lsa")
+    cases = [
+        ({((), 0): "x^2*y", ((), 1): "y^2 - x"},
+         {((0,), 0): "-x^3*y + x^2*y + 2*x*y",
+          ((0,), 1): "-x^2*y^3 + y^2 + x - 1",
+          ((1,), 0): "-x*y^3 + x^3 + x^2*y",
+          ((1,), 1): "-2*x^2*y + 2*x*y"}),
+        ({((0,), 0): "x*y", ((0,), 1): "y^3", ((1,), 0): "x^2",
+          ((1,), 1): "x + y"},
+         {((0, 1), 0): "x*y^4 + x^3*y - x*y^3 - x^3 - 2*x^2 + 2*x",
+          ((0, 1), 1): "-y^5 - x^2*y^2 + x^2*y - 2*x*y^2 + 2*x*y - 2*x - y "
+                       "+ 1"}),
+    ]
+    for degree, (comps, want) in enumerate(cases, start=1):
+        phi = ChartCochain(ctx, 2, degree,
+                           {k: e(v) for k, v in comps.items()})
+        _assert_components(ctx, chart_coboundary(alg, phi), want)
 
 
 @settings(max_examples=20, deadline=None)

@@ -121,6 +121,17 @@ def test_lsa2_metric_is_the_block_swap():
     assert g2 is not None
 
 
+def test_metric_from_rejects_non_symmetric_and_degenerate_metrics():
+    E = point_lsa2_semidirect()
+    eye = ExprMatrix.identity(E.ctx, 4)
+    # P = id gives g = the skew pairing itself
+    with pytest.raises(ValueError, match="symmetric"):
+        metric_from(E, ParaComplexOp(E.ctx, eye))
+    # P = 0 gives g = 0: symmetric, but degenerate
+    with pytest.raises(ValueError, match="degenerate"):
+        metric_from(E, ParaComplexOp(E.ctx, eye.sub(eye)))
+
+
 def test_pairing_anti_invariance_matches_mixed_slot_identity():
     # with P squaring to the identity, (Px,Py) = -(x,y) is the same
     # condition as (Px,y) + (x,Py) = 0; exhibit agreement on a passing
