@@ -193,21 +193,6 @@ class ChartAlgebroid:
                               kind="lie")
 
 
-def _vector_field_bracket(ctx: ChartContext, X, Y):
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i on chart components."""
-    n = len(ctx.coords)
-    out = []
-    for i in range(n):
-        acc = ctx.zero()
-        for j, cj in enumerate(ctx.coords):
-            if not X[j].is_zero():
-                acc = acc + X[j] * differentiate(Y[i], cj)
-            if not Y[j].is_zero():
-                acc = acc - Y[j] * differentiate(X[i], cj)
-        out.append(acc)
-    return tuple(out)
-
-
 def _with_fresh_func(ctx: ChartContext):
     name = ctx.fresh_func_name("f")
     ext = ctx.extended((name,))
@@ -262,10 +247,13 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
                    tuple(x - y for x, y in zip(lhs, want)))
 
     def anchor_morphism():
+        # the bracket of chart vector fields is that of the coordinate
+        # frame (exactclass imports this module, so it is imported here)
+        from .exactclass import FlatConnection
+        fields = FlatConnection(alg.ctx).commutator_algebroid()
         for a, b in itertools.product(range(r), repeat=2):
             lhs = alg.anchor_of(alg.table[a][b])
-            rhs = _vector_field_bracket(alg.ctx, alg.anchor[a],
-                                        alg.anchor[b])
+            rhs = fields.bracket(alg.anchor[a], alg.anchor[b])
             yield (f"rho[{names[a]},{names[b]}] - "
                    f"[rho {names[a]}, rho {names[b]}] = ",
                    tuple(x - y for x, y in zip(lhs, rhs)))

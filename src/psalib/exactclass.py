@@ -21,13 +21,14 @@ finitely computable.
 
 import itertools
 from fractions import Fraction
+from operator import sub
 
-from .algebroid import ChartAlgebroid
+from .algebroid import ChartAlgebroid, FormField, de_rham_d
 from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_rank,
                           expr_solve, kernel_basis)
 # unused here; perfbench's test_tracer_wraps_every_binding_and_restores_them
 from .exactlinalg import rank  # noqa: F401
-from .exprcore import ChartContext, DiffExpr, differentiate
+from .exprcore import ChartContext, DiffExpr
 from .lsa import RestrictedComplex, cochain_keys, sorted_sign
 from .presym import PreSymStructure, pseudo_semidirect
 from .report import CheckReport, Recorder, components
@@ -63,19 +64,12 @@ class FlatConnection(ChartAlgebroid):
                      for k in range(self.rank))
 
     def curvature_residual(self, i: int, j: int, k: int):
-        """Component list of the curvature applied to (d_i, d_j, d_k)."""
-        g, coords = self.table, self.ctx.coords
-        out = []
-        for ell in range(self.rank):
-            acc = differentiate(g[j][k][ell], coords[i]) \
-                - differentiate(g[i][k][ell], coords[j])
-            for m in range(self.rank):
-                if not g[j][k][m].is_zero():
-                    acc = acc + g[j][k][m] * g[i][m][ell]
-                if not g[i][k][m].is_zero():
-                    acc = acc - g[i][k][m] * g[j][m][ell]
-            out.append(acc)
-        return tuple(out)
+        """Component list of the curvature applied to (d_i, d_j, d_k):
+        d_i*(d_j*d_k) - d_j*(d_i*d_k).  Coordinate vector fields commute,
+        so there is no bracket term."""
+        e, prod = self.frame_section, self.product
+        return tuple(map(sub, prod(e(i), prod(e(j), e(k))),
+                         prod(e(j), prod(e(i), e(k)))))
 
 
 class Splitting:
@@ -234,9 +228,11 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
                  "exact.phi-closed")
         return rec.report
 
-    comps, missing = _phi_residuals(E, conn, secs)
+    solved = []
 
     def phi_in_image():
+        comps, missing = _phi_residuals(E, conn, secs)
+        solved.append(comps)
         if missing is not None:
             i, j = missing
             yield (f"sigma(d{i+1}) * sigma(d{j+1}) - "
@@ -248,6 +244,7 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
                  "exact.phi-closed")
         return rec.report
 
+    comps = solved[0]
     triples = list(itertools.product(range(n), repeat=3))
 
     def phi_closed():
@@ -419,9 +416,10 @@ class ChartCochain:
 
 
 def chart_coboundary(alg: ChartAlgebroid, phi: ChartCochain) -> ChartCochain:
-    """Degree-raising operator: anchor transport of each antisymmetric
-    slot, minus products absorbed into the last slot, plus bracket
-    contractions of slot pairs."""
+    """Degree-raising operator, a coboundary with values in the dual: for
+    each last slot y, the differential (`de_rham_d`) of phi(., y) over the
+    commutator structure, minus the products absorbed into the last slot,
+    sum_t (-1)^t phi(..., x_t * y)."""
     if alg.kind != "lsa":
         raise ValueError("expects a product (kind 'lsa') structure")
     if alg.rank != phi.dim:
@@ -429,52 +427,19 @@ def chart_coboundary(alg: ChartAlgebroid, phi: ChartCochain) -> ChartCochain:
     ctx, dim, q = alg.ctx, phi.dim, phi.degree
     comm = alg.commutator_algebroid()
     comps = {}
-    for subset in itertools.combinations(range(dim), q):
-        for last in range(dim):
-            acc = ctx.zero()
+    for last in range(dim):
+        d = de_rham_d(comm, FormField(ctx, dim, q - 1, {
+            subset: v for (subset, y), v in phi.components.items()
+            if y == last})).components
+        for subset in itertools.combinations(range(dim), q):
+            acc = d.get(subset, ctx.zero())
             for t, i in enumerate(subset):
                 rest = subset[:t] + subset[t + 1:]
-                inner = phi.value_frame(rest + (last,))
-                if not inner.is_zero():
-                    term = alg.anchor_apply(alg.frame_section(i), inner)
-                    acc = acc + term if t % 2 == 0 else acc - term
-                # product of slot i into the last slot
-                cell = alg.table[i][last]
-                prod_term = ctx.zero()
-                hit = False
-                for m in range(dim):
-                    if cell[m].is_zero():
-                        continue
+                for m, x in alg._table_nz[i][last]:
                     base = phi.value_frame(rest + (m,))
-                    if not base.is_zero():
-                        prod_term = prod_term + cell[m] * base
-                        hit = True
-                if hit:
-                    acc = acc - prod_term if t % 2 == 0 else acc + prod_term
-            for t in range(len(subset)):
-                for u in range(t + 1, len(subset)):
-                    i, j = subset[t], subset[u]
-                    rest = tuple(x for x in subset if x != i and x != j)
-                    cell = comm.table[i][j]
-                    br = ctx.zero()
-                    hit = False
-                    for m in range(dim):
-                        if cell[m].is_zero():
-                            continue
-                        sub_key, sgn = sorted_sign((m,) + rest)
-                        if sgn == 0:
-                            continue
-                        base = phi.components.get((sub_key, last))
-                        if base is None:
-                            continue
-                        v = cell[m] * base
-                        br = br + v if sgn > 0 else br - v
-                        hit = True
-                    if hit:
-                        sign = 1 if (t + u) % 2 == 0 else -1
-                        acc = acc + br if sign > 0 else acc - br
-            if not acc.is_zero():
-                comps[(subset, last)] = acc
+                    if base.num:
+                        acc = acc - x * base if t % 2 == 0 else acc + x * base
+            comps[(subset, last)] = acc
     return ChartCochain(ctx, dim, q + 1, comps)
 
 

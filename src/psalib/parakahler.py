@@ -138,21 +138,24 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
         degenerate = None
         rec.scan("para.integrable", integrable())
 
-    plus_vecs = expr_kernel_basis(P.matrix.sub(eye))
-    minus_vecs = expr_kernel_basis(P.matrix.add(eye))
+    kernels = []
 
     def eigen_split():
         # P o P = id holds, so ker(P - 1) + ker(P + 1) is the whole space
         # and two halves of rank r/2 always span rank r
-        if 2 * len(plus_vecs) != r or 2 * len(minus_vecs) != r:
-            yield (f"eigenbundle ranks {len(plus_vecs)} and "
-                   f"{len(minus_vecs)}, need {r // 2} each", True)
+        kernels.extend((expr_kernel_basis(P.matrix.sub(eye)),
+                        expr_kernel_basis(P.matrix.add(eye))))
+        plus_dim, minus_dim = map(len, kernels)
+        if 2 * plus_dim != r or 2 * minus_dim != r:
+            yield (f"eigenbundle ranks {plus_dim} and {minus_dim}, "
+                   f"need {r // 2} each", True)
 
     if not rec.scan("para.eigen-split", eigen_split()):
         rec.skip("not evaluated: eigenbundles do not split the structure",
                  "para.eigen-dirac-plus", "para.eigen-dirac-minus")
         return rec.report, None, None
 
+    plus_vecs, minus_vecs = kernels
     half = r // 2
     plus = Subbundle(plus_vecs, names=[f"p{i+1}" for i in range(half)])
     minus = Subbundle(minus_vecs, names=[f"m{i+1}" for i in range(half)])
@@ -170,19 +173,13 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
 
 
 def metric_from(E: PreSymStructure, P: ParaComplexOp) -> MetricField:
-    """g(x, y) = (x, P y), the pairing twisted by the product structure."""
-    g = E.pairing.matmul(P.matrix)
-    for a in range(E.rank):
-        for b in range(a + 1, E.rank):
-            if not (g.rows[a][b] - g.rows[b][a]).is_zero():
-                raise ValueError(
-                    f"induced metric is not symmetric at ({a+1},{b+1})")
-    m = MetricField(E.ctx, g)
-    try:
-        m.inverse
-    except SingularMatrixError as exc:
-        raise ValueError(f"induced metric is degenerate: {exc}") from exc
-    return m
+    """g(x, y) = (x, P y), the pairing twisted by the product structure:
+    check_metric's metric, or ValueError naming its first failed check."""
+    report, metric = check_metric(E, P)
+    if metric is None:
+        c = report.failures()[0]
+        raise ValueError(f"no induced metric: {c.check_id}: {c.witness}")
+    return metric
 
 
 def check_metric(E: PreSymStructure, P: ParaComplexOp,
@@ -225,13 +222,8 @@ def levi_civita(L: ChartAlgebroid, g: MetricField) -> ChartAlgebroid:
         raise ValueError("expects a bracket (kind 'lie') structure")
     if g.rank != L.rank:
         raise ValueError("metric rank mismatch")
-    return _levi_civita_koszul(L, g)
-
-
-def _levi_civita_koszul(L: ChartAlgebroid, g: MetricField):
     r = L.rank
-    ctx = L.ctx
-    half = ctx.number(Fraction(1, 2))
+    half = L.ctx.number(Fraction(1, 2))
     frames = [L.frame_section(a) for a in range(r)]
     ginv = g.inverse
     gamma = []

@@ -159,6 +159,11 @@ def _names(df: dict, section: str):
 def realize(df: dict, name: str = "", description: str = "") -> Bundle:
     """Build domain objects from parsed sections, validating dependencies."""
     b = Bundle(name=name, description=description)
+    for section, known in (("chart", ("coords", "funcs")),
+                           ("frame", ("names",))):
+        for key in df.get(section, ()):
+            if key not in known:
+                raise PsaError(f"[{section}]: unknown key '{key}'")
     chart = df.get("chart", {})
     coords = tuple(_split_top(chart["coords"])) if "coords" in chart else ()
     funcs = tuple(_split_top(chart["funcs"])) if "funcs" in chart else ()

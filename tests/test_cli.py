@@ -197,8 +197,14 @@ def test_bad_chart_names_exit_two(tmp_path, command, coords):
      "[bracket]\ne1 e2 = 1, 0, 0\n", "[frame]: duplicate name 'e1'"),
     ("[algebra]\nnames = e1, e2, e1\ne1 e2 = 1, 0, 0\n",
      "[algebra]: duplicate name 'e1'"),
+    # a misspelt key would otherwise be ignored and the file checked as if
+    # it were absent
+    ("[chart]\ncoords = x\ncoordz = z\n[frame]\nnames = e1\n[anchor]\n"
+     "e1 = 1\n[bracket]\n", "[chart]: unknown key 'coordz'"),
+    ("[chart]\ncoords = x\n[frame]\nnames = e1\nnmes = a\n[anchor]\n"
+     "e1 = 1\n[bracket]\n", "[frame]: unknown key 'nmes'"),
 ], ids=["splitting-without-coords", "frame-repeated-name",
-        "algebra-repeated-name"])
+        "algebra-repeated-name", "chart-unknown-key", "frame-unknown-key"])
 def test_ill_formed_sections_exit_two(capsys, tmp_path, command, text,
                                       message):
     p = tmp_path / "bad.psa"

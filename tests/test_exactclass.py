@@ -1,12 +1,14 @@
 """Exactness checks, obstruction-tensor extraction, twists, splitting
 equivalence, and the truncated restricted complex."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psalib import exactclass
 from psalib.algebroid import ChartAlgebroid
 from psalib.exactclass import (ChartCochain, FlatConnection, PhiTensor,
                                Splitting, TruncatedComplex,
@@ -148,6 +150,22 @@ def test_twist_r2_check_exact_full_pass():
     assert rep.passed()
     ids = {c.check_id for c in rep.checks}
     assert "exact.sequence" in ids and "exact.phi-closed" in ids
+
+
+def test_phi_in_image_times_its_solves(monkeypatch):
+    # the obstruction tensor is solved inside the check, so its wall time
+    # covers the solves
+    ctx, conn, phi, E = twist_r2()
+
+    def slow_solve(*args):
+        time.sleep(0.02)
+        return solve(*args)
+
+    solve = exactclass.expr_solve
+    monkeypatch.setattr(exactclass, "expr_solve", slow_solve)
+    rep = check_exact(E, conn, sigma=canonical_splitting(E))
+    assert rep.passed()
+    assert rep.find("exact.phi-in-image").wall_ms >= 20
 
 
 def test_twisted_product_zero_phi_is_pseudo_semidirect():

@@ -1,8 +1,11 @@
 """Product structures, induced metrics, Levi-Civita connections, and the
 restriction of the metric connection to the eigenbundles."""
 
+import time
+
 import pytest
 
+from psalib import parakahler
 from psalib.algebroid import ChartAlgebroid, FormField, check_2cocycle
 from psalib.exactlinalg import ExprMatrix
 from psalib.exprcore import ChartContext
@@ -104,6 +107,21 @@ def test_shear_perturbation_fails_integrability():
     assert by_id["para.pairing-anti-invariance"].status == "pass"
     assert by_id["para.integrable"].status == "fail"
     assert by_id["para.integrable"].witness
+
+
+def test_eigen_split_times_its_kernel_solves(monkeypatch):
+    # the eigenbundles are solved inside the check, so its wall time
+    # covers the solves
+    def slow_kernel(m):
+        time.sleep(0.02)
+        return kernel(m)
+
+    kernel = parakahler.expr_kernel_basis
+    monkeypatch.setattr(parakahler, "expr_kernel_basis", slow_kernel)
+    E = point_lsa2_semidirect()
+    report, plus, minus = check_paracomplex(E, block_reflection(E))
+    assert report.passed()
+    assert report.find("para.eigen-split").wall_ms >= 20
 
 
 def test_lsa2_metric_is_the_block_swap():
