@@ -14,9 +14,13 @@ the reshuffled tensor is coboundary-closed, and changing the splitting
 shifts the reshuffle by the coboundary of a symmetric 2-tensor.
 `ChartCochain` and `chart_coboundary` are the one symbolic cochain and
 coboundary, on a chart as at a point (over `ChartAlgebroid.point`).  The
-degree-truncated restricted cochain complex at the end (`TruncatedComplex`,
-ranked by `lsa.restricted_dims`) makes the classifying dimensions
-finitely computable.
+coboundary is built on `algebroid.de_rham_d`: for each last slot, the
+differential of that slot's form over the commutator structure, minus the
+products absorbed into the last slot.  It is coded apart from
+`lsa.RestrictedComplex._coboundary_terms`, which `tests/test_complex.py`
+compares it with.  The degree-truncated restricted cochain complex at
+the end (`TruncatedComplex`, ranked by `lsa.restricted_dims`) makes the
+classifying dimensions finitely computable.
 """
 
 import itertools
