@@ -231,12 +231,16 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
             return tuple(map(add, s, outer(k, i, j)))
 
         for a, b, c in itertools.combinations(range(r), 3):
-            yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
-                   residual(a, b, c))
+            res = residual(a, b, c)
+            if any(res):
+                yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
+                       res)
         # one formal scalar slot; covers the anchor-derivation interplay
         for a, b, c in itertools.product(range(r), repeat=3):
-            yield (f"({names[a]},{names[b]},f*{names[c]}): residual = ",
-                   residual(a, b, r + c))
+            res = residual(a, b, r + c)
+            if any(res):
+                yield (f"({names[a]},{names[b]},f*{names[c]}): residual = ",
+                       res)
 
     def leibniz():
         for a, b in itertools.product(range(r), repeat=2):
@@ -418,7 +422,7 @@ def de_rham_d(alg: ChartAlgebroid, form: FormField) -> FormField:
             rest = key[:i] + key[i + 1:]
             base = form.value_frame(rest)
             if not base.is_zero():
-                term = alg.anchor_apply(alg.frame_section(key[i]), base)
+                term = alg.frame_apply(key[i], base)
                 total = total + (term if i % 2 == 0 else -term)
         for i in range(k + 1):
             for j in range(i + 1, k + 1):

@@ -604,11 +604,10 @@ class TruncatedComplex:
         exprs = [self._mono_expr(mono) for mono in self.monomials]
         action = []
         for a in range(self.dim):
-            frame = self.conn.frame_section(a)
             action.append([
                 (col, row, v) for col, e in enumerate(exprs)
-                for row, v in _poly_to_coords(self.conn.anchor_apply(
-                    frame, e), self.mono_index).items()])
+                for row, v in _poly_to_coords(self.conn.frame_apply(a, e),
+                                              self.mono_index).items()])
         return action
 
     def space_dim(self, degree: int) -> int:

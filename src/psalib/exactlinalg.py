@@ -4,11 +4,11 @@ QMatrix holds Fraction entries.  rank clears each row's denominators and
 runs integer-preserving Bareiss elimination on Python ints with
 deterministic first-nonzero pivoting.  Every other elimination, over both
 fields, is one first-nonzero-pivot Gauss-Jordan over the field itself
-(`_gauss_jordan`): reduced echelon forms, kernels, solutions, the
-symbolic rank `expr_rank`, and `rank_second_opinion`, the rank that
-cross-checks Bareiss `rank` without sharing its code.  ExprMatrix holds
-DiffExpr entries; inversion is cofactor-based with subset-memoized
-Laplace determinants, sized for the small matrices that occur here.
+(`_gauss_jordan`): kernels, solutions, the symbolic rank `expr_rank`,
+and `rank_second_opinion`, the rank that cross-checks Bareiss `rank`
+without sharing its code.  ExprMatrix holds DiffExpr entries; inversion
+is cofactor-based with subset-memoized Laplace determinants, sized for
+the small matrices that occur here.
 
 `blocks` splits a sparse matrix ({column: entry} rows) into the connected
 blocks of its nonzero pattern: up to a permutation it is block-diagonal
@@ -16,9 +16,10 @@ over them, so its rank is the sum of the block ranks and its kernel the
 direct sum of the block kernels.  `kernel_basis` takes sparse rows and
 returns sparse vectors, and `lsa.restricted_dims` ranks its sparse
 matrices block by block: only a block is ever written out dense.  The
-sparse rows and vectors hold ints where an entry is integral;
-`kernel_basis` converts to Fraction only inside the dense block its
-reduced echelon form takes, and every QMatrix still holds Fractions.
+sparse rows and vectors hold ints where an entry is integral.
+`kernel_basis` reduces each dense block on its int and Fraction entries
+as given, so a Fraction appears only where a pivot does not divide an
+entry; every QMatrix still holds Fractions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "blocks",
     "kernel_basis",
     "narrow",
-    "rref",
     "solve",
     "invert",
     "expr_rank",
@@ -67,10 +67,6 @@ class QMatrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
-
-    @staticmethod
-    def zeros(n, m):
-        return QMatrix([[0] * m for _ in range(n)])
 
     @staticmethod
     def identity(n):
@@ -152,8 +148,10 @@ def rank_second_opinion(m: QMatrix) -> int:
 
 def _gauss_jordan(rows, ncols: int):
     """Reduced row echelon form by Gauss-Jordan with first-nonzero pivots,
-    over any field whose only falsy element is zero (Fraction, DiffExpr).
-    Returns (rows, pivot column list)."""
+    over any field whose only falsy element is zero: Fraction, DiffExpr,
+    or ints and Fractions mixed, which `_quotient` divides exactly.  A
+    unit pivot row is not divided, and only its nonzero entries update
+    the other rows.  Returns (rows, pivot column list)."""
     a = [list(r) for r in rows]
     n = len(a)
     pivots = []
@@ -167,17 +165,28 @@ def _gauss_jordan(rows, ncols: int):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
+        prow = a[r]
+        p = prow[col]
+        if p != 1:
+            prow[:] = [_quotient(x, p) if x else x for x in prow]
         for i in range(n):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][col]
+            if f and i != r:
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], prow)]
         pivots.append(col)
         r += 1
         if r == n:
             break
     return a, pivots
+
+
+def _quotient(x, p):
+    """x / p, exactly: of two ints, an int when p divides x and a Fraction
+    when it does not (int / int would be a float); otherwise x / p."""
+    if type(x) is int and type(p) is int:
+        q, rem = divmod(x, p)
+        return Fraction(x, p) if rem else q
+    return x / p
 
 
 def blocks(rows, ncols: int):
@@ -195,27 +204,34 @@ def blocks(rows, ncols: int):
         return c
 
     for row in rows:
-        for j in row:
-            parent[find(j)] = find(next(iter(row)))
+        if row:
+            cols = iter(row)
+            root = find(next(cols))
+            for j in cols:
+                parent[find(j)] = root
     out = {}
     for j in range(ncols):
-        out.setdefault(find(j), ([], []))[1].append(j)
+        root = find(j)
+        block = out.get(root)
+        if block is None:
+            block = out[root] = ([], [])
+        block[1].append(j)
     for i, row in enumerate(rows):
         if row:
             out[find(next(iter(row)))][0].append(i)
     return list(out.values())
 
 
-def _kernel(rows, ncols: int, zero, one, field):
+def _kernel(rows, ncols: int, zero, one):
     """Right kernel basis of sparse `rows` (as `blocks` takes them), one
     sparse vector per free column, unit in it, in free-column order.  The
     reduced echelon form is taken block by block, each block dense with
-    its entries converted by `field`; it is unique, so each vector is the
-    one the whole-matrix form gives."""
+    its entries as given; it is unique, so each vector is the one the
+    whole-matrix form gives."""
     basis = []
     for rs, cols in blocks(rows, ncols):
         red, pivots = _gauss_jordan(
-            [[field(row[j]) if j in row else zero for j in cols]
+            [[row.get(j, zero) for j in cols]
              for row in map(rows.__getitem__, rs)], len(cols))
         pivset = set(pivots)
         for free in range(len(cols)):
@@ -241,12 +257,6 @@ def _solve_augmented(aug, ncols: int, zero):
     return tuple(x)
 
 
-def rref(m: QMatrix):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    a, pivots = _gauss_jordan(m.rows, m.ncols)
-    return QMatrix(a), pivots
-
-
 def narrow(x):
     """An int or Fraction `x` as an int when it is integral."""
     return x.numerator if x.denominator == 1 else x
@@ -255,29 +265,17 @@ def narrow(x):
 def kernel_basis(rows, ncols: int):
     """Basis of the right kernel of sparse rational `rows` (int or
     Fraction entries) over `ncols` columns, as sparse vectors, one per
-    free column, unit in it.  Only the dense block that the reduced
-    echelon form takes holds Fractions; an integral kernel entry comes
-    back as an int."""
+    free column, unit in it.  Each block is reduced on its entries as
+    given: a Fraction appears only where a pivot does not divide, and an
+    integral kernel entry comes back as an int."""
     return [{j: narrow(x) for j, x in v.items()}
-            for v in _kernel(rows, ncols, Fraction(0), 1, Fraction)]
+            for v in _kernel(rows, ncols, 0, 1)]
 
 
 def solve(m: QMatrix, rhs):
     """One solution of m x = rhs, or None if inconsistent."""
     aug = QMatrix([list(r) + [rhs[i]] for i, r in enumerate(m.rows)])
     return _solve_augmented(aug, m.ncols, Fraction(0))
-
-
-def qinvert(m: QMatrix) -> QMatrix:
-    if m.nrows != m.ncols:
-        raise ValueError("not square")
-    n = m.nrows
-    aug = QMatrix([list(m.rows[i]) + [1 if j == i else 0 for j in range(n)]
-                   for i in range(n)])
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError(Fraction(0))
-    return QMatrix([r[n:] for r in red.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +423,7 @@ def expr_kernel_basis(m: ExprMatrix):
     zero = m.ctx.zero()
     rows = [{j: x for j, x in enumerate(r) if x} for r in m.rows]
     return [tuple(v.get(j, zero) for j in range(m.ncols))
-            for v in _kernel(rows, m.ncols, zero, m.ctx.one(),
-                             lambda x: x)]
+            for v in _kernel(rows, m.ncols, zero, m.ctx.one())]
 
 
 def expr_solve(m: ExprMatrix, rhs):

@@ -17,10 +17,8 @@ from psalib.exactlinalg import (
     expr_solve,
     invert,
     kernel_basis,
-    qinvert,
     rank,
     rank_second_opinion,
-    rref,
     solve,
 )
 from psalib.exprcore import ChartContext
@@ -42,12 +40,48 @@ def dense_kernel(m):
     return dense(kernel_basis(sparse_rows(m), m.ncols), m.ncols)
 
 
+def reference_rref(m):
+    """(rows, pivot columns) of the reduced row echelon form of a QMatrix,
+    by dense Gauss-Jordan over Fraction with first-nonzero pivots.  It is
+    written apart from `exactlinalg._gauss_jordan`, and divides and
+    updates every entry, so the kernels and solutions are checked against
+    an elimination that shares none of their code."""
+    a = [list(row) for row in m.rows]
+    pivots = []
+    for col in range(m.ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m.nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][col]
+        a[r] = [x / p for x in a[r]]
+        for i in range(m.nrows):
+            if i != r:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def reference_inverse(m):
+    """The inverse of a square QMatrix read off the reference form of
+    [m | I], or None when m is singular."""
+    n = m.nrows
+    red, pivots = reference_rref(QMatrix(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m.rows)]))
+    if pivots[:n] != list(range(n)):
+        return None
+    return QMatrix([row[n:] for row in red])
+
+
 def test_rank_known():
     m = QMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert rank(m) == 2
     assert rank_second_opinion(m) == 2
     assert rank(QMatrix.identity(4)) == 4
-    assert rank(QMatrix.zeros(3, 5)) == 0
+    assert rank(QMatrix([[0] * 5] * 3)) == 0
 
 
 def test_kernel_known():
@@ -64,12 +98,11 @@ def test_solve_and_inconsistent():
     assert solve(bad, (Fraction(1), Fraction(3))) is None
 
 
-def test_qinvert():
+def test_reference_inverse():
     m = QMatrix([[2, 1], [1, 1]])
-    inv = qinvert(m)
+    inv = reference_inverse(m)
     assert m.matmul(inv) == QMatrix.identity(2)
-    with pytest.raises(SingularMatrixError):
-        qinvert(QMatrix([[1, 2], [2, 4]]))
+    assert reference_inverse(QMatrix([[1, 2], [2, 4]])) is None
 
 
 # mostly zeros, with denominators that make row lcms non-trivial
@@ -157,12 +190,19 @@ def test_rank_updates_rows_with_zero_pivot_entry():
 @settings(max_examples=80, deadline=None)
 @given(qmatrices())
 def test_solve_property(m):
-    red, pivots = rref(m)
     x = tuple(Fraction(k + 1) for k in range(m.ncols))
     rhs = m.mulvec(x)
     got = solve(m, rhs)
     assert got is not None
     assert m.mulvec(got) == rhs
+    # the particular solution: free columns 0, pivot columns read off the
+    # reference form of [m | rhs]
+    red, pivots = reference_rref(QMatrix(
+        [list(row) + [b] for row, b in zip(m.rows, rhs)]))
+    want = [Fraction(0)] * m.ncols
+    for r, pc in enumerate(pivots):
+        want[pc] = red[r][m.ncols]
+    assert got == tuple(want)
 
 
 @st.composite
@@ -189,8 +229,8 @@ def submatrix(m, rows, cols):
 
 
 def rref_kernel(m):
-    """The kernel read off the whole-matrix reduced echelon form."""
-    red, pivots = rref(m)
+    """The kernel read off the whole-matrix reference echelon form."""
+    red, pivots = reference_rref(m)
     basis = []
     for free in range(m.ncols):
         if free in pivots:
@@ -198,7 +238,7 @@ def rref_kernel(m):
         v = [Fraction(0)] * m.ncols
         v[free] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red.rows[r][free]
+            v[pc] = -red[r][free]
         basis.append(tuple(v))
     return basis
 
@@ -243,9 +283,46 @@ def test_blocks_are_the_components_and_keep_rank_and_kernel(m):
 
 def test_blocks_of_an_empty_and_a_zero_matrix():
     assert blocks([], 0) == []
+    assert blocks([{}], 0) == []
     assert blocks([{}, {}], 3) == [([], [0]), ([], [1]), ([], [2])]
-    assert dense_kernel(QMatrix.zeros(2, 2)) == rref_kernel(
-        QMatrix.zeros(2, 2))
+    zero = QMatrix([[0, 0], [0, 0]])
+    assert dense_kernel(zero) == rref_kernel(zero)
+
+
+def test_blocks_skip_empty_rows():
+    rows = [{}, {2: 1, 0: 3}, {}, {1: -2}, {}, {4: 1, 2: 5}]
+    assert blocks(rows, 5) == [([1, 5], [0, 2, 4]), ([3], [1]), ([], [3])]
+
+
+# sparse-matrix entries: mostly zero, often a unit, sometimes a non-unit
+sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 1, 2, -3, 4])
+sparse_mixed = st.one_of(sparse_ints, st.builds(
+    Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3])))
+
+
+@st.composite
+def int_and_mixed_matrices(draw):
+    """Up to 8 x 8 dense rows, either all ints or ints mixed with
+    Fractions (some of them integral), with some whole rows zeroed."""
+    n, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = draw(st.sampled_from([sparse_ints, sparse_mixed]))
+    rows = draw(st.lists(st.lists(entries, min_size=w, max_size=w),
+                         min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        rows[i] = [0] * w
+    return QMatrix(rows), [{j: x for j, x in enumerate(row) if x}
+                           for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_and_mixed_matrices())
+def test_kernel_basis_matches_reference_and_keeps_ints(case):
+    m, rows = case
+    basis = kernel_basis(rows, m.ncols)
+    assert dense(basis, m.ncols) == rref_kernel(m)
+    for v in basis:
+        for x in v.values():
+            assert type(x) is (int if x.denominator == 1 else Fraction)
 
 
 def restricted_complexes():
@@ -338,6 +415,22 @@ def test_expr_rank_kernel_solve():
     assert expr_solve(m, (c.expr("1"), c.expr("1"))) is None
 
 
+def test_expr_elimination_with_zero_and_unit_pivots():
+    # column 0 needs a row swap past a zero, its pivot is the unit 1, the
+    # pivot of column 2 is y, and the last row reduces to zero
+    c = sctx()
+    x, y = c.expr("x"), c.expr("y")
+    zero, one = c.zero(), c.one()
+    m = ExprMatrix(c, [[zero, zero, y, one],
+                       [one, x, zero, y],
+                       [x, x * x, zero, x * y]])
+    assert expr_rank(m) == 2
+    assert expr_kernel_basis(m) == [(-x, one, zero, zero),
+                                    (-y, zero, -one / y, one)]
+    assert expr_solve(m, (one, one, x)) == (one, zero, one / y, zero)
+    assert expr_solve(m, (one, one, one)) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                 min_size=3, max_size=3))
@@ -347,9 +440,8 @@ def test_cofactor_inverse_matches_rational_inverse(rows):
     qm = QMatrix(rows)
     c = sctx()
     em = ExprMatrix(c, rows)
-    try:
-        qi = qinvert(qm)
-    except SingularMatrixError:
+    qi = reference_inverse(qm)
+    if qi is None:
         assert determinant(em).is_zero()
         return
     ei = invert(em)
