@@ -247,8 +247,9 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
             lhs = lifted.bracket(frames[a], tuple(f * x for x in frames[b]))
             want = list(f * x for x in lifted.table[a][b])
             want[b] = want[b] + lifted.anchor_apply(frames[a], f)
-            yield (f"[{names[a]}, f*{names[b]}]: residual = ",
-                   tuple(x - y for x, y in zip(lhs, want)))
+            res = tuple(map(sub, lhs, want))
+            if any(res):
+                yield f"[{names[a]}, f*{names[b]}]: residual = ", res
 
     def anchor_morphism():
         # the bracket of chart vector fields is that of the coordinate
@@ -258,14 +259,16 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
         for a, b in itertools.product(range(r), repeat=2):
             lhs = alg.anchor_of(alg.table[a][b])
             rhs = fields.bracket(alg.anchor[a], alg.anchor[b])
-            yield (f"rho[{names[a]},{names[b]}] - "
-                   f"[rho {names[a]}, rho {names[b]}] = ",
-                   tuple(x - y for x, y in zip(lhs, rhs)))
+            res = tuple(map(sub, lhs, rhs))
+            if any(res):
+                yield (f"rho[{names[a]},{names[b]}] - "
+                       f"[rho {names[a]}, rho {names[b]}] = ", res)
 
     rec.scan("algebroid.bracket-skew", (
-        (f"[{names[a]},{names[b]}] + [{names[b]},{names[a]}] = ",
-         tuple(x + y for x, y in zip(alg.table[a][b], alg.table[b][a])))
-        for a in range(r) for b in range(a, r)), names)
+        (f"[{names[a]},{names[b]}] + [{names[b]},{names[a]}] = ", res)
+        for a in range(r) for b in range(a, r)
+        if any(res := tuple(map(add, alg.table[a][b], alg.table[b][a])))),
+        names)
     rec.scan("algebroid.jacobi", jacobi(), names)
     rec.scan("algebroid.leibniz", leibniz(), names)
     rec.scan("algebroid.anchor-morphism", anchor_morphism(), alg.ctx.coords)
@@ -293,15 +296,19 @@ def check_left_symmetric(alg: FiniteAlgebra, artifact: str = "algebra"
 
     def assoc_sym():
         for a, b, c in itertools.product(range(d), repeat=3):
-            yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
-                   constants(map(sub, assoc(e[a], e[b], e[c]),
-                                 assoc(e[b], e[a], e[c]))))
+            res = constants(map(sub, assoc(e[a], e[b], e[c]),
+                                assoc(e[b], e[a], e[c])))
+            if any(res):
+                yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
+                       res)
 
     def jacobi():
         for a, b, c in itertools.combinations(range(d), 3):
             s = map(add, br(br(e[a], e[b]), e[c]), br(br(e[b], e[c]), e[a]))
-            yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
-                   constants(map(add, s, br(br(e[c], e[a]), e[b]))))
+            res = constants(map(add, s, br(br(e[c], e[a]), e[b])))
+            if any(res):
+                yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
+                       res)
 
     rec.scan("lsa.left-symmetric", assoc_sym(), names)
     rec.scan("lsa.subadjacent-jacobi", jacobi(), names)
@@ -326,15 +333,17 @@ def check_left_symmetric_algebroid(alg: ChartAlgebroid,
             lhs = lifted.product(frames[a], tuple(f * x for x in frames[b]))
             want = list(f * x for x in lifted.table[a][b])
             want[b] = want[b] + lifted.anchor_apply(frames[a], f)
-            yield (f"{names[a]} * f*{names[b]}: residual = ",
-                   tuple(x - y for x, y in zip(lhs, want)))
+            res = tuple(map(sub, lhs, want))
+            if any(res):
+                yield f"{names[a]} * f*{names[b]}: residual = ", res
 
     def scalar_right():
         for a, b in itertools.product(range(r), repeat=2):
             lhs = lifted.product(tuple(f * x for x in frames[a]), frames[b])
             want = tuple(f * x for x in lifted.table[a][b])
-            yield (f"f*{names[a]} * {names[b]}: residual = ",
-                   tuple(x - y for x, y in zip(lhs, want)))
+            res = tuple(map(sub, lhs, want))
+            if any(res):
+                yield f"f*{names[a]} * {names[b]}: residual = ", res
 
     def assoc(x, y, z):
         return tuple(p - q for p, q in zip(
@@ -347,10 +356,10 @@ def check_left_symmetric_algebroid(alg: ChartAlgebroid,
                            (tuple(f * x for x in frames[c]),
                             " (formal scalar on the third slot)")):
                 x, y = frames[a], frames[b]
-                yield (f"({names[a]},{names[b]},{names[c]}){tag}: "
-                       f"residual = ",
-                       tuple(p - q for p, q in zip(assoc(x, y, z),
-                                                   assoc(y, x, z))))
+                res = tuple(map(sub, assoc(x, y, z), assoc(y, x, z)))
+                if any(res):
+                    yield (f"({names[a]},{names[b]},{names[c]}){tag}: "
+                           f"residual = ", res)
 
     rec.scan("algebroid.lsa.scalar-left", scalar_left(), names)
     rec.scan("algebroid.lsa.scalar-right", scalar_right(), names)
@@ -448,9 +457,9 @@ def check_2cocycle(alg: ChartAlgebroid, form: FormField,
 
     rec.scan("form.skew", (
         (f"w({alg.names[a]},{alg.names[b]}) + w({alg.names[b]},"
-         f"{alg.names[a]}) = ",
-         form.value_frame((a, b)) + form.value_frame((b, a)))
-        for a in range(r) for b in range(a, r)))
+         f"{alg.names[a]}) = ", res)
+        for a in range(r) for b in range(a, r)
+        if (res := form.value_frame((a, b)) + form.value_frame((b, a)))))
 
     def closed():
         for key, v in de_rham_d(alg, form).components.items():

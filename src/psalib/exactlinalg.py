@@ -68,25 +68,6 @@ class QMatrix:
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
 
-    @staticmethod
-    def identity(n):
-        return QMatrix([[1 if i == j else 0 for j in range(n)]
-                        for i in range(n)])
-
-    def transpose(self):
-        return QMatrix(list(zip(*self.rows))) if self.rows else QMatrix([])
-
-    def mulvec(self, v):
-        return tuple(sum(r[j] * v[j] for j in range(self.ncols))
-                     for r in self.rows)
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose().rows
-        return QMatrix([[sum(r[k] * c[k] for k in range(self.ncols))
-                         for c in ot] for r in self.rows])
-
     def __eq__(self, other):
         return isinstance(other, QMatrix) and self.rows == other.rows
 

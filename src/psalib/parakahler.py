@@ -78,10 +78,11 @@ class MetricField:
 
 def _entry_cases(template: str, matrix: ExprMatrix):
     """(template with the 1-based row a and column b filled in, entry)
-    over the entries of a residual matrix, row by row."""
+    over the nonzero entries of a residual matrix, row by row."""
     for a, row in enumerate(matrix.rows):
         for b, x in enumerate(row):
-            yield template.format(a=a + 1, b=b + 1), x
+            if x:
+                yield template.format(a=a + 1, b=b + 1), x
 
 
 def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
@@ -310,8 +311,10 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
     def agreement():
         other = _levi_civita_linear(L, g)
         for a, b, c in itertools.product(range(r), repeat=3):
-            yield (f"coefficient ({a+1},{b+1},{c+1}) differs between "
-                   f"solves: ", nabla.table[a][b][c] - other.table[a][b][c])
+            res = nabla.table[a][b][c] - other.table[a][b][c]
+            if res:
+                yield (f"coefficient ({a+1},{b+1},{c+1}) differs between "
+                       f"solves: ", res)
 
     def torsion_free():
         for a, b in itertools.combinations(range(r), 2):
@@ -327,8 +330,9 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
             lhs = L.anchor_apply(frames[a], g.matrix.rows[b][c])
             gb = nabla.product(frames[a], frames[b])
             gc = nabla.product(frames[a], frames[c])
-            yield (f"rho(e{a+1}) g(e{b+1},e{c+1}) defect: ",
-                   lhs - g.value(gb, frames[c]) - g.value(frames[b], gc))
+            res = lhs - g.value(gb, frames[c]) - g.value(frames[b], gc)
+            if res:
+                yield f"rho(e{a+1}) g(e{b+1},e{c+1}) defect: ", res
 
     rec.scan("para.levi-civita-agreement", agreement())
     rec.scan("para.torsion-free", torsion_free())
@@ -380,10 +384,10 @@ def check_star_equals_nabla(E: PreSymStructure, P: ParaComplexOp,
                                   E.names)
 
     rec.scan("para.eigen-g-isotropic", (
-        (f"{tag} eigenbundle sections {i+1},{j+1}: g = ",
-         g.value(secs[i], secs[j]))
+        (f"{tag} eigenbundle sections {i+1},{j+1}: g = ", res)
         for tag, secs in (("+1", plus.sections), ("-1", minus.sections))
-        for i in range(len(secs)) for j in range(i, len(secs))))
+        for i in range(len(secs)) for j in range(i, len(secs))
+        if (res := g.value(secs[i], secs[j]))))
     rec.scan("para.nabla-P-commute", nabla_P())
     rec.scan("para.star-equals-nabla-plus", star_match(plus.sections))
     rec.scan("para.star-equals-nabla-minus", star_match(minus.sections))

@@ -27,9 +27,16 @@ check_presymplectic appends the formal-function slots f e_a of its
 extended structure.  star keeps e * e' for basis sections e, e' keyed by
 their basis positions, so the memo holds at most (2r)^2 entries for a
 frame of rank r, and each product the def-i, def-ii and cyclic-T loops
-share is computed once; bracket keeps [e, e'] the same way.  The pairing
-walks the support of its arguments: with a frame on either side it is
-one row or column of the pairing matrix.
+share is computed once; bracket keeps [e, e'] the same way.  A memoised
+product or bracket that vanishes is stored as the structure's one
+shared zero section, an immutable tuple of the context's zero, and star,
+e_a * v and the pairing return at once when an argument is that tuple:
+on a flat chart, whose frame table is empty, most frame products are
+zero.  A general section times a basis section reads each e_a * v from
+the memo.  The pairing walks the support of its arguments: with a frame
+on either side it is one row or column of the pairing matrix, and the
+table of 1/2 W_ab that the D corrections of star multiply by is built
+once per structure.
 
 On a skew pairing, u*v - v*u = [u, v] on every section: the
 -1/2 (W_ab + W_ba) D terms that the two scalar extension identities add
@@ -39,13 +46,24 @@ bracket, and because the section product is additive in its left slot,
 (u,v,w) - (v,u,w) = u*(v*w) - v*(u*w) - [u,v]*w, three fresh products
 where the two associators take four.  A structure whose pairing is not
 skew (check_presymplectic reports it, and still runs the other checks)
-keeps the four-term definitions.  Intermediate sections such as
-u*(v*w) are recomputed on every call, and D's cache (by its scalar) is
-the only memo keyed by a value.  Measured: memoising e_a * X by (a, X)
-raised the peak resident memory of a check on the rank-8 flat chart and
-on prolongation-so3 by 3.5% and saved no def-i time beyond the nonzero
-lists below, and memoising the anchor action by (frame, scalar) raised
-the prolongation-so3 peak by 0.8-1.6%.
+keeps the four-term definitions.
+
+The identity loops compute each loop-invariant piece once.  def-ii's
+section u*v - 1/2 D(u,v) depends on (u, v) only, so each group of its
+scan (the frame triples, then f e_a in slot 1, 2 and 3) builds it once
+per (u, v) and pairs it with the r values of w.  Every other
+intermediate section, such as u*(v*w), is recomputed where it is used,
+and D's cache (by its scalar) is the only memo keyed by a value; each
+other memo is keyed by basis positions and lives as long as its
+structure.  Measured in-process on a 2-vCPU Xeon (minimum of 15 checks,
+three alternations with the code before the hoist): def-ii took 25 -> 15 ms
+on the rank-8 flat chart and 19 -> 12 ms on prolongation-so3, while the
+tracemalloc peak of the check stayed within 0.5%.  Rejected: caching
+the 1/6 D(T) entries by T raised that peak by 12% (rank 8) and 20%
+(prolongation-so3); memoising e_a * X by (a, X) raised the peak
+resident memory by 3.5% and saved no def-i time, and memoising the
+anchor action by (frame, scalar) raised the prolongation-so3 peak by
+0.8-1.6%.
 
 The products walk nonzero entries only: every frame-table cell (shared
 with ChartAlgebroid), every pairing row and column, and every cached D
@@ -57,12 +75,12 @@ pairing and inverse pairing into the extended context once
 of two contexts and the shared zero and one keep their shortcuts.
 Zero tests in these loops read DiffExpr.num, the numerator, directly.
 
-The def-i, def-ii and cyclic-T scans of check_presymplectic hand
-Recorder.scan only their nonzero residuals (def-i through components,
-and only for a residual with a nonzero component), so a label is
-formatted only for an instance that fails: on a passing input the scans
-build no label at all.  The enumeration order, and so every witness, is
-that of the full scan.
+Every scan of check_presymplectic and check_dirac, as of every other
+suite, hands Recorder.scan only its nonzero residuals (def-i through
+components, and only for a residual with a nonzero component), so a
+label is formatted only for an instance that fails: on a passing input
+the scans build no label at all.  The enumeration order, and so every
+witness, is that of the full scan.
 """
 
 import itertools
@@ -117,6 +135,13 @@ class PreSymStructure:
             for a in range(self.rank) for b in range(a, self.rank))
         self._half = ctx.number(Fraction(1, 2))
         self._sixth = ctx.number(Fraction(1, 6))
+        # 1/2 W_ab by row a, and its nonzero (b, value) entries
+        self._half_pairing = tuple(tuple(self._half * w for w in row)
+                                   for row in pairing.rows)
+        self._half_nz = tuple(nonzero_entries(row)
+                              for row in self._half_pairing)
+        # every vanishing memoised product or bracket is this one tuple
+        self._zero = (ctx.zero(),) * self.rank
         self._inv_pairing = None
         self._inv_nz = None
         self._comm = None
@@ -208,6 +233,8 @@ class PreSymStructure:
         pairing, a frame e_a on the left that of row a with v; otherwise
         the rows of u's support meet the support of v."""
         acc = self.ctx.zero()
+        if u is self._zero or v is self._zero:
+            return acc
         b = self._basis_pos(v)
         if b is not None and b < self.rank:
             for a, w in self._pairing_cols[b]:
@@ -262,7 +289,10 @@ class PreSymStructure:
         key = (u.pos, v.pos)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = fn(u, v)
+            out = fn(u, v)
+            if not any(out):
+                out = self._zero
+            memo[key] = out
         return out
 
     def star(self, u, v):
@@ -274,33 +304,40 @@ class PreSymStructure:
         return self._basis_memo(self._basis_products, self._star, u, v)
 
     def _star(self, u, v):
+        zero = self._zero
+        if u is zero or v is zero:
+            return zero
         a = self._basis_pos(u)
         if a is not None and a < self.rank:
-            return tuple(self._frame_star(a, v))
+            return self._frame_star(a, v)
         out = [self.ctx.zero()] * self.rank
         for a, ua in enumerate(u):
             if not ua.num:
                 continue
-            for k, x in enumerate(self._frame_star(a, v)):
-                if x.num:
-                    out[k] = out[k] + ua * x
+            # e_a * v, memoised when v is a basis section
+            ea_v = self._times(self._frames[a], v)
+            if ea_v is not zero:
+                for k, x in enumerate(ea_v):
+                    if x.num:
+                        out[k] = out[k] + ua * x
             if not ua.is_constant():
                 # (f e_a) * v picks up -1/2 (e_a, v) D f
-                pav = self.ctx.zero()
-                for b, w in self._pairing_nz[a]:
+                hp = self.ctx.zero()
+                for b, hw in self._half_nz[a]:
                     if v[b].num:
-                        pav = pav + v[b] * w
-                if pav.num:
-                    hp = self._half * pav
+                        hp = hp + v[b] * hw
+                if hp.num:
                     for k, x in self._d(ua)[1]:
                         out[k] = out[k] - hp * x
         return tuple(out)
 
     def _frame_star(self, a: int, v):
         """e_a * v with the transport and D corrections."""
+        if v is self._zero:
+            return v
         out = [self.ctx.zero()] * self.rank
         cells = self._table_nz[a]
-        w_a = self.pairing.rows[a]
+        hw_a = self._half_pairing[a]
         for b, vb in enumerate(v):
             if not vb.num:
                 continue
@@ -311,12 +348,11 @@ class PreSymStructure:
             der = self._prod.frame_apply(a, vb)
             if der.num:
                 out[b] = out[b] + der
-            w_ab = w_a[b]
-            if w_ab.num:
-                hw = self._half * w_ab
+            hw = hw_a[b]
+            if hw.num:
                 for k, x in self._d(vb)[1]:
                     out[k] = out[k] + hw * x
-        return out
+        return tuple(out)
 
     def bracket(self, u, v):
         """The commutator bracket [u, v] (memoised on basis sections)."""
@@ -392,6 +428,8 @@ def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
         out = list(E._associator(u, v, w))
         subtracted = (E._associator(v, u, w),)
     for y in subtracted:
+        if y is E._zero:
+            continue
         for k, x in enumerate(y):
             if x.num:
                 out[k] = out[k] - x
@@ -402,15 +440,25 @@ def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
     return tuple(out)
 
 
-def _def_ii_residual(E: PreSymStructure, u, v, w) -> DiffExpr:
-    """rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w]), on normalised
-    sections."""
-    lhs = E._act(u, E._pair(v, w))
-    s = list(E._times(u, v))
+def _def_ii_left(E: PreSymStructure, u, v):
+    """u*v - 1/2 D(u,v), the section that def-ii pairs with w, on
+    normalised sections."""
+    s = E._times(u, v)
     p = E._pair(u, v)
-    if p.num:
-        for k, x in E._d(p)[1]:
-            s[k] = s[k] - E._half * x
+    if not p.num:
+        return s
+    s = list(s)
+    half = E._half
+    for k, x in E._d(p)[1]:
+        s[k] = s[k] - half * x
+    return tuple(s)
+
+
+def _def_ii_residual(E: PreSymStructure, u, v, w, s) -> DiffExpr:
+    """rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w]), on normalised
+    sections, given s = _def_ii_left(E, u, v), which does not depend on
+    w."""
+    lhs = E._act(u, E._pair(v, w))
     rhs = E._pair(s, w) + E._pair(v, E._bracket(u, w))
     return lhs - rhs
 
@@ -429,9 +477,9 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
     rec = Recorder(artifact)
     r = E.rank
     rec.scan("presym.pairing-skew", (
-        (f"(e{a+1},e{b+1}) + (e{b+1},e{a+1}) = ",
-         E.pairing.rows[a][b] + E.pairing.rows[b][a])
-        for a in range(r) for b in range(a, r)))
+        (f"(e{a+1},e{b+1}) + (e{b+1},e{a+1}) = ", res)
+        for a in range(r) for b in range(a, r)
+        if (res := E.pairing.rows[a][b] + E.pairing.rows[b][a])))
 
     def nondegenerate():
         try:
@@ -468,24 +516,28 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
     def d_reproducing():
         df = ext.D(f)
         for b in range(r):
-            yield (f"(Df,e{b+1}) - rho(e{b+1})(f) = ",
-                   ext.pairing_value(df, frames[b])
+            res = (ext.pairing_value(df, frames[b])
                    - ext.anchor_apply(frames[b], f))
+            if res:
+                yield f"(Df,e{b+1}) - rho(e{b+1})(f) = ", res
 
     def def_ii():
-        for u, v, w in itertools.product(range(r), repeat=3):
-            res = _def_ii_residual(ext, frames[u], frames[v], frames[w])
-            if res.num:
-                yield f"(e{u+1},e{v+1},e{w+1}): residual ", res
-        for slot in range(3):
-            for idx in itertools.product(range(r), repeat=3):
-                args = [frames[a] for a in idx]
-                args[slot] = f_slots[idx[slot]]
-                res = _def_ii_residual(ext, *args)
-                if res.num:
-                    u, v, w = idx
-                    yield (f"(e{u+1},e{v+1},e{w+1}), formal f in slot "
-                           f"{slot+1}: residual ", res)
+        # the frame triples, then f e_a in slot 1, 2 and 3; the section
+        # u*v - 1/2 D(u,v) is built once per (u, v), before its r values
+        # of w
+        for tag, us, vs, ws in (
+                ("", frames, frames, frames),
+                (", formal f in slot 1", f_slots, frames, frames),
+                (", formal f in slot 2", frames, f_slots, frames),
+                (", formal f in slot 3", frames, frames, f_slots)):
+            for u, v in itertools.product(range(r), repeat=2):
+                x, y = us[u], vs[v]
+                s = _def_ii_left(ext, x, y)
+                for w in range(r):
+                    res = _def_ii_residual(ext, x, y, ws[w], s)
+                    if res.num:
+                        yield (f"(e{u+1},e{v+1},e{w+1}){tag}: residual ",
+                               res)
 
     def def_i():
         for tag_u, tag_w, us, ws, pairs in (
@@ -727,9 +779,9 @@ def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
 
     ok = rec.scan("dirac.half-rank", half_rank())
     ok = rec.scan("dirac.isotropic", (
-        (f"({F.names[i]},{F.names[j]}) = ",
-         E.pairing_value(secs[i], secs[j]))
-        for i in range(k) for j in range(i, k))) and ok
+        (f"({F.names[i]},{F.names[j]}) = ", res)
+        for i in range(k) for j in range(i, k)
+        if (res := E.pairing_value(secs[i], secs[j])))) and ok
 
     span_t = mat.transpose()
     induced_table = [[None] * k for _ in range(k)]
@@ -739,11 +791,11 @@ def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
             for j in range(k):
                 prod = E.star(secs[i], secs[j])
                 coeffs = expr_solve(span_t, list(prod))
-                if coeffs is not None:
+                if coeffs is None:
+                    yield (f"{F.names[i]} * {F.names[j]} = "
+                           f"{E.section_str(prod)} leaves the span", True)
+                else:
                     induced_table[i][j] = tuple(coeffs)
-                yield (f"{F.names[i]} * {F.names[j]} = "
-                       f"{E.section_str(prod)} leaves the span",
-                       coeffs is None)
 
     if not (rec.scan("dirac.closed", closed()) and ok):
         rec.skip("not evaluated: no induced product",

@@ -2,7 +2,9 @@
 pseudo-semidirect products, closed isotropic subbundles."""
 
 import functools
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from psalib.algebroid import (
 from psalib.cli import _presym_builder, applicable_suites, run_suites
 from psalib.exprcore import ChartContext, DiffExpr
 from psalib.psafile import load_path
+from psalib.report import Recorder
 from psalib.presym import (
     PreSymStructure,
     Subbundle,
@@ -557,6 +560,145 @@ def test_short_forms_match_definitions_on_fixtures(name):
 def test_short_forms_match_definitions_on_perturbed_inputs(path):
     _assert_short_forms_match_definitions(
         _presym_builder(load_path(str(path)))())
+
+
+# ---------------------------------------------------------------------------
+# def-ii's hoisted section and the shared zero section
+
+
+def _r2n_bumped(part, idx):
+    """r2n_structure(1) with one anchor, table or pairing entry raised
+    by 1."""
+    E = fixtures.r2n_structure(1)
+    parts = {"anchor": [list(row) for row in E.anchor],
+             "table": [[list(cell) for cell in row] for row in E.table],
+             "pairing": [list(row) for row in E.pairing.rows]}
+    cell = parts[part]
+    for i in idx[:-1]:
+        cell = cell[i]
+    cell[idx[-1]] = cell[idx[-1]] + 1
+    return PreSymStructure(E.ctx, E.names, parts["anchor"], parts["table"],
+                           parts["pairing"])
+
+
+_DEF_II_INPUTS = {
+    "r2n-2": lambda: fixtures.r2n_structure(2),
+    "sphere": fixtures.sphere_structure,
+    "prolongation-so3": lambda: _fixture_structure("prolongation-so3"),
+    **{f"r2n-1 {part} {idx} += 1": functools.partial(_r2n_bumped, part, idx)
+       for part, shape in (("anchor", (2, 2)), ("table", (2, 2, 2)),
+                           ("pairing", (2, 2)))
+       for idx in itertools.product(*map(range, shape))},
+}
+
+
+def _def_ii_by_definition(E, u, v, w):
+    """rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w]) through the public
+    operations, on plain tuples, which no memo or shortcut recognises."""
+    u, v, w = tuple(u), tuple(v), tuple(w)
+    half = E.ctx.number(Fraction(1, 2))
+    s = tuple(x - half * d for x, d in
+              zip(E.star(u, v), E.D(E.pairing_value(u, v))))
+    return (E.anchor_apply(u, E.pairing_value(v, w))
+            - E.pairing_value(s, w) - E.pairing_value(v, E.bracket(u, w)))
+
+
+@pytest.mark.parametrize("name", list(_DEF_II_INPUTS))
+def test_def_ii_loop_residuals_match_definition(monkeypatch, name):
+    """The def-ii scan, driven past its first failure, builds
+    u*v - 1/2 D(u,v) once per (u, v) of each group and shares it among the
+    r values of w; every residual it computes equals the definition, in
+    the enumeration order: the frame triples, then f e_a in slot 1, 2
+    and 3."""
+    lefts, residuals = [], []
+    left, residual = presym._def_ii_left, presym._def_ii_residual
+    scan = Recorder.scan
+
+    def recording_left(ext, u, v):
+        s = left(ext, u, v)
+        lefts.append(s)
+        return s
+
+    def recording_residual(ext, u, v, w, s):
+        res = residual(ext, u, v, w, s)
+        residuals.append((ext, u, v, w, s, res))
+        return res
+
+    def draining_scan(self, check_id, cases, names=()):
+        if check_id == "presym.def-ii":
+            cases = list(cases)
+        return scan(self, check_id, cases, names)
+
+    monkeypatch.setattr(presym, "_def_ii_left", recording_left)
+    monkeypatch.setattr(presym, "_def_ii_residual", recording_residual)
+    monkeypatch.setattr(Recorder, "scan", draining_scan)
+    E = _DEF_II_INPUTS[name]()
+    status = check_presymplectic(E).find("presym.def-ii").status
+    r = E.rank
+    if status == "skipped":
+        # a degenerate pairing has no D
+        assert not lefts and not residuals
+        return
+    got = []
+    for i, (ext, u, v, w, s, res) in enumerate(residuals):
+        slot = next((k + 1 for k, x in enumerate((u, v, w)) if x.pos >= r),
+                    0)
+        got.append((slot, u.pos % r, v.pos % r, w.pos % r))
+        assert s is lefts[i // r]
+        assert res == _def_ii_by_definition(ext, u, v, w)
+    assert got == [(slot,) + t for slot in range(4)
+                   for t in itertools.product(range(r), repeat=3)]
+    assert len(lefts) == 4 * r * r
+    assert (status == "pass") == (not any(t[-1] for t in residuals))
+
+
+def test_vanishing_basis_products_are_one_shared_zero(monkeypatch):
+    made = []
+    extended = PreSymStructure.extended
+
+    def recording(self, stem="f"):
+        out = extended(self, stem)
+        made.append(out[0])
+        return out
+
+    monkeypatch.setattr(PreSymStructure, "extended", recording)
+    assert check_presymplectic(fixtures.r2n_structure(2)).passed()
+    ext, = made
+    # the frame products of a flat chart vanish
+    assert ext.star(0, 1) is ext._basis_products[(0, 1)] is ext._zero
+    vanishing = [out for memo in (ext._basis_products, ext._basis_brackets)
+                 for out in memo.values() if not any(out)]
+    assert len(vanishing) > 1
+    assert all(out is ext._zero for out in vanishing)
+    zero = ext.ctx.zero()
+    assert len(ext._zero) == ext.rank
+    assert all(x is zero for x in ext._zero)
+    assert zero.num == {} and zero.den == {(): 1}
+
+
+# tracemalloc peak in bytes of check_presymplectic on a fresh structure,
+# after a warm-up check and gc.collect(), measured before the identity
+# loops hoisted their loop-invariant sections.  A value-keyed cache (of
+# the 1/6 D(T) entries, say) buys time with memory: that one raised the
+# prolongation-so3 peak by 17%.
+PEAK_BEFORE_HOIST = {"r2n-4": 616_820, "prolongation-so3": 731_832}
+
+
+@pytest.mark.parametrize("name", list(PEAK_BEFORE_HOIST))
+def test_presym_check_peak_memory(name):
+    build = {"r2n-4": lambda: fixtures.r2n_structure(4),
+             "prolongation-so3":
+             lambda: _fixture_structure("prolongation-so3")}[name]
+    check_presymplectic(build())
+    E = build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert check_presymplectic(E).passed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * PEAK_BEFORE_HOIST[name]
 
 
 def test_public_entry_points_accept_indices_and_numbers():
