@@ -56,14 +56,14 @@ intermediate section, such as u*(v*w), is recomputed where it is used,
 and D's cache (by its scalar) is the only memo keyed by a value; each
 other memo is keyed by basis positions and lives as long as its
 structure.  Measured in-process on a 2-vCPU Xeon (minimum of 15 checks,
-three alternations with the code before the hoist): def-ii took 25 -> 15 ms
-on the rank-8 flat chart and 19 -> 12 ms on prolongation-so3, while the
-tracemalloc peak of the check stayed within 0.5%.  Rejected: caching
-the 1/6 D(T) entries by T raised that peak by 12% (rank 8) and 20%
-(prolongation-so3); memoising e_a * X by (a, X) raised the peak
-resident memory by 3.5% and saved no def-i time, and memoising the
-anchor action by (frame, scalar) raised the prolongation-so3 peak by
-0.8-1.6%.
+three alternations with the code before the hoist; BENCH_23.json):
+def-ii took 13.7 -> 7.7 ms on the rank-8 flat chart and 10.9 -> 6.4 ms
+on prolongation-so3, while the tracemalloc peak of the check stayed
+within 0.5%.  Rejected: caching the 1/6 D(T) entries by T raised that
+peak by 12% (rank 8) and 20% (prolongation-so3); memoising e_a * X by
+(a, X) raised the peak resident memory by 3.5% and saved no def-i time,
+and memoising the anchor action by (frame, scalar) raised the
+prolongation-so3 peak by 0.8-1.6%.
 
 The products walk nonzero entries only: every frame-table cell (shared
 with ChartAlgebroid), every pairing row and column, and every cached D

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from psalib import fixtures
+from psalib.cli import applicable_suites, run_suites
 from psalib.exprcore import ChartContext
 from psalib.report import Recorder, components
 
@@ -91,3 +93,22 @@ def test_components_yields_only_nonzero_components():
     assert [(c.check_id, c.status, c.witness) for c in rec.report.checks] \
         == [("presym.def-i", "pass", None),
             ("presym.def-ii", "fail", "(e1,e2,e1): component e3: -1/2*x")]
+
+
+def test_fixture_scans_receive_only_nonzero_residuals(monkeypatch):
+    """Every suite yields only the residuals that can be a witness, so on
+    the passing registry fixtures scan sees no case at all, and no label
+    is formatted for an instance that passes."""
+    seen = []
+    scan = Recorder.scan
+
+    def recording(self, check_id, cases, names=()):
+        cases = list(cases)
+        seen.extend((check_id, label) for label, _ in cases)
+        return scan(self, check_id, cases, names)
+
+    monkeypatch.setattr(Recorder, "scan", recording)
+    for name in fixtures.REGISTRY_NAMES:
+        bundle = fixtures.build(name)
+        assert run_suites(bundle, applicable_suites(bundle), name).passed()
+    assert seen == []
