@@ -361,7 +361,12 @@ def determinant(m: ExprMatrix) -> DiffExpr:
         memo[(depth, cols)] = total
         return total
 
-    return sub_det(0, tuple(range(n)))
+    try:
+        return sub_det(0, tuple(range(n)))
+    finally:
+        # sub_det closes over its own name: release that cycle, and with
+        # it the memo, without waiting for the collector
+        del sub_det
 
 
 def invert(m: ExprMatrix) -> ExprMatrix:

@@ -61,19 +61,39 @@ def-ii took 13.7 -> 7.7 ms on the rank-8 flat chart and 10.9 -> 6.4 ms
 on prolongation-so3, while the tracemalloc peak of the check stayed
 within 0.5%.  Rejected: caching the 1/6 D(T) entries by T raised that
 peak by 12% (rank 8) and 20% (prolongation-so3); memoising e_a * X by
-(a, X) raised the peak resident memory by 3.5% and saved no def-i time,
-and memoising the anchor action by (frame, scalar) raised the
-prolongation-so3 peak by 0.8-1.6%.
+(a, X) raised the peak resident memory by 3.5% and saved no def-i time.
+
+D's cache entry for f holds D f together with the r frame derivatives
+rho(e_a)(f) it is built from, and the scalar is differentiated about
+once per check.  e_a * v needs D(v_b) where 1/2 W_ab is nonzero and then
+reads rho(e_a)(v_b) from v_b's entry; elsewhere it, and the anchor
+action of a frame, read the entry if v_b already has one and otherwise
+differentiate v_b along e_a alone and cache nothing.  D's minus sign is
+folded into the cached rows of -W^-1, whose unit entries are the
+context's one, so D f holds those derivatives themselves rather than
+copies; D f is stored dense.  In one check, ChartAlgebroid.frame_apply
+ran on a non-constant scalar 484 times on the rank-8 flat chart and 808
+times on prolongation-so3 (2008 and 2259 times when every call
+differentiated afresh), and the tracemalloc peak of the check read 612
+and 686 KB (617 and 734 KB before).  On the sphere, whose D entries are
+rational and share nothing with the derivatives, it rose from 169 to
+193 KB.  Rejected: memoising the anchor action by (frame, scalar), even
+with the sign fold, read 653 and 764 KB.
+
+Basis sections name their structure by a private token, not by the
+structure itself, so no section refers back to it: a structure, the
+extended structure of its check, and their memos are freed by reference
+counting once the last reference to them goes.
 
 The products walk nonzero entries only: every frame-table cell (shared
-with ChartAlgebroid), every pairing row and column, and every cached D
-image carries the list of its nonzero (k, value) entries, built once.  A
-frame e_a on the left of star goes straight to e_a * v, whose transport
-term is ChartAlgebroid.frame_apply.  extended() lifts the anchor, table,
-pairing and inverse pairing into the extended context once
-(ChartContext.lift), so the extended structure never mixes expressions
-of two contexts and the shared zero and one keep their shortcuts.
-Zero tests in these loops read DiffExpr.num, the numerator, directly.
+with ChartAlgebroid) and every pairing row and column carries the list
+of its nonzero (k, value) entries, built once, and the loops over a
+dense D image skip its zero entries.  A frame e_a on the left of star
+goes straight to e_a * v.  extended() lifts the anchor, table, pairing
+and inverse pairing into the extended context once (ChartContext.lift),
+so the extended structure never mixes expressions of two contexts and
+the shared zero and one keep their shortcuts.  Zero tests in these loops
+read DiffExpr.num, the numerator, directly.
 
 Every scan of check_presymplectic and check_dirac, as of every other
 suite, hands Recorder.scan only its nonzero residuals (def-i through
@@ -143,10 +163,13 @@ class PreSymStructure:
         # every vanishing memoised product or bracket is this one tuple
         self._zero = (ctx.zero(),) * self.rank
         self._inv_pairing = None
-        self._inv_nz = None
+        self._neg_inv_nz = None
         self._comm = None
-        # f -> (D f, its nonzero (k, value) entries)
+        # f -> (D f, (rho(e_1)(f), ..., rho(e_r)(f)))
         self._d_cache: dict[DiffExpr, tuple] = {}
+        # the owner of this structure's basis sections; a token rather
+        # than the structure, so that no section refers back to it
+        self._token = object()
         self._basis: tuple = ()
         self._basis_products: dict[tuple[int, int], tuple] = {}
         self._basis_brackets: dict[tuple[int, int], tuple] = {}
@@ -189,13 +212,13 @@ class PreSymStructure:
         added = []
         for pos, x in enumerate(sections, start):
             sec = _BasisSection(self._section(x))
-            sec.owner, sec.pos = self, pos
+            sec.owner, sec.pos = self._token, pos
             added.append(sec)
         self._basis = self._basis + tuple(added)
         return tuple(added)
 
     def _basis_pos(self, x):
-        if type(x) is _BasisSection and x.owner is self:
+        if type(x) is _BasisSection and x.owner is self._token:
             return x.pos
         return None
 
@@ -218,11 +241,21 @@ class PreSymStructure:
 
     def _act(self, u, f: DiffExpr) -> DiffExpr:
         """anchor_apply on a normalised section; a frame of this structure
-        goes through ChartAlgebroid.frame_apply."""
+        goes through _frame_apply."""
         a = self._basis_pos(u)
         if a is not None and a < self.rank:
-            return self._prod.frame_apply(a, f)
+            return self._frame_apply(a, f)
         return self._prod.anchor_apply(u, f)
+
+    def _frame_apply(self, a: int, f: DiffExpr) -> DiffExpr:
+        """rho(e_a)(f), read from D's cache when f has an entry there and
+        computed alone (and not cached) otherwise."""
+        if f.is_constant():
+            return self.ctx.zero()
+        cached = self._d_cache.get(f)
+        if cached is not None:
+            return cached[1][a]
+        return self._prod.frame_apply(a, f)
 
     def pairing_value(self, u, v) -> DiffExpr:
         return self._pair(self._section(u), self._section(v))
@@ -263,17 +296,25 @@ class PreSymStructure:
         return self._d(f)[0]
 
     def _d(self, f: DiffExpr):
-        """(D f, its nonzero (k, value) entries), computed once per f."""
+        """(D f, the frame derivatives rho(e_a)(f) it is built from),
+        computed once per f.  The rows of -W^-1 carry D's sign, and an
+        entry equal to 1 is the context's one, so a unit entry leaves the
+        derivative itself in D f."""
         cached = self._d_cache.get(f)
         if cached is None:
-            if self._inv_nz is None:
-                self._inv_nz = tuple(nonzero_entries(row)
-                                     for row in self.inverse_pairing.rows)
-            rhs = [self._prod.frame_apply(a, f) for a in range(self.rank)]
+            rows = self._neg_inv_nz
+            if rows is None:
+                one = self.ctx.one()
+                neg = ([-x for x in row] for row in self.inverse_pairing.rows)
+                rows = self._neg_inv_nz = tuple(
+                    nonzero_entries(one if x.is_one() else x for x in row)
+                    for row in neg)
+            ders = tuple(self._prod.frame_apply(a, f)
+                         for a in range(self.rank))
             zero = self.ctx.zero()
-            out = tuple(-sum((x * rhs[j] for j, x in row), zero)
-                        for row in self._inv_nz)
-            cached = self._d_cache[f] = (out, nonzero_entries(out))
+            out = tuple(sum((x * ders[j] for j, x in row), zero)
+                        for row in rows)
+            cached = self._d_cache[f] = (out, ders)
         return cached
 
     # -- products on sections ------------------------------------------------
@@ -284,7 +325,8 @@ class PreSymStructure:
         add_basis); the basis is fixed and small, so the memo is bounded
         by its square.  Any other pair is computed afresh."""
         if (type(u) is not _BasisSection or type(v) is not _BasisSection
-                or u.owner is not self or v.owner is not self):
+                or u.owner is not self._token
+                or v.owner is not self._token):
             return fn(u, v)
         key = (u.pos, v.pos)
         out = memo.get(key)
@@ -327,8 +369,9 @@ class PreSymStructure:
                     if v[b].num:
                         hp = hp + v[b] * hw
                 if hp.num:
-                    for k, x in self._d(ua)[1]:
-                        out[k] = out[k] - hp * x
+                    for k, x in enumerate(self._d(ua)[0]):
+                        if x.num:
+                            out[k] = out[k] - hp * x
         return tuple(out)
 
     def _frame_star(self, a: int, v):
@@ -345,13 +388,19 @@ class PreSymStructure:
                 out[k] = out[k] + vb * x
             if vb.is_constant():
                 continue
-            der = self._prod.frame_apply(a, vb)
-            if der.num:
-                out[b] = out[b] + der
             hw = hw_a[b]
             if hw.num:
-                for k, x in self._d(vb)[1]:
-                    out[k] = out[k] + hw * x
+                # D(v_b) and rho(e_a)(v_b) come from one cache entry
+                dv, ders = self._d(vb)
+                der = ders[a]
+            else:
+                dv, der = None, self._frame_apply(a, vb)
+            if der.num:
+                out[b] = out[b] + der
+            if dv is not None:
+                for k, x in enumerate(dv):
+                    if x.num:
+                        out[k] = out[k] + hw * x
         return tuple(out)
 
     def bracket(self, u, v):
@@ -435,8 +484,9 @@ def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
                 out[k] = out[k] - x
     if t.num:
         sixth = E._sixth
-        for k, x in E._d(t)[1]:
-            out[k] = out[k] - sixth * x
+        for k, x in enumerate(E._d(t)[0]):
+            if x.num:
+                out[k] = out[k] - sixth * x
     return tuple(out)
 
 
@@ -449,8 +499,9 @@ def _def_ii_left(E: PreSymStructure, u, v):
         return s
     s = list(s)
     half = E._half
-    for k, x in E._d(p)[1]:
-        s[k] = s[k] - half * x
+    for k, x in enumerate(E._d(p)[0]):
+        if x.num:
+            s[k] = s[k] - half * x
     return tuple(s)
 
 

@@ -1,10 +1,12 @@
 """Rational and symbolic matrix kernels, ranks, and inverses."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psalib import fixtures
 from psalib.exactclass import FlatConnection, TruncatedComplex
 from psalib.exactlinalg import (
     ExprMatrix,
@@ -409,6 +411,22 @@ def test_invert_reports_vanishing_determinant():
     with pytest.raises(SingularMatrixError) as e:
         invert(m)
     assert e.value.determinant.is_zero()
+
+
+@pytest.mark.parametrize("build", [lambda: fixtures.r2n_structure(4),
+                                   fixtures.sphere_structure],
+                         ids=["r2n-4", "sphere"])
+def test_invert_leaves_no_cyclic_garbage(build):
+    # determinant's memoising closure is released on return, so its memo
+    # and minors are freed by reference counting
+    pairing = build().pairing
+    gc.collect()
+    gc.disable()
+    try:
+        invert(pairing)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_skew_inverse_relation():

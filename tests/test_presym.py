@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from psalib.algebroid import (
     check_lie_algebroid,
 )
 from psalib.cli import _presym_builder, applicable_suites, run_suites
+from psalib.exactlinalg import invert
 from psalib.exprcore import ChartContext, DiffExpr
 from psalib.psafile import load_path
 from psalib.report import Recorder
@@ -699,6 +701,80 @@ def test_presym_check_peak_memory(name):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * PEAK_BEFORE_HOIST[name]
+
+
+_BUILDS = {"r2n-4": lambda: fixtures.r2n_structure(4),
+               "prolongation-so3":
+               lambda: _fixture_structure("prolongation-so3"),
+               "sphere": fixtures.sphere_structure}
+
+
+@pytest.mark.parametrize("name", list(_BUILDS))
+def test_check_frees_structure_by_reference_counting(name, monkeypatch):
+    # basis sections name their structure by a token, so neither the
+    # structure nor the extended one its check builds is part of a cycle
+    refs = []
+    extended = PreSymStructure.extended
+
+    def recording(self, stem="f"):
+        out = extended(self, stem)
+        refs.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(PreSymStructure, "extended", recording)
+    E = _BUILDS[name]()
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_presymplectic(E).passed()
+        refs.append(weakref.ref(E))
+        del E
+        assert len(refs) == 2
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+# frame_apply calls on non-constant scalars in one check_presymplectic:
+# D's cache keeps the frame derivatives it computes, and the transport
+# term of e_a * v reads them back (2008 and 2259 calls when each call
+# differentiated afresh)
+FRAME_APPLY_LIMIT = {"r2n-4": 500, "prolongation-so3": 850}
+
+
+@pytest.mark.parametrize("name", list(FRAME_APPLY_LIMIT))
+def test_check_differentiates_each_scalar_about_once(name, monkeypatch):
+    E = _BUILDS[name]()
+    calls = []
+    frame_apply = ChartAlgebroid.frame_apply
+
+    def counting(self, a, f):
+        if not f.is_constant():
+            calls.append((a, f))
+        return frame_apply(self, a, f)
+
+    monkeypatch.setattr(ChartAlgebroid, "frame_apply", counting)
+    assert check_presymplectic(E).passed()
+    assert len(calls) <= FRAME_APPLY_LIMIT[name]
+
+
+@pytest.mark.parametrize("name", list(_BUILDS))
+def test_D_is_minus_inverse_pairing_on_frame_derivatives(name):
+    E = _BUILDS[name]()
+    ext, f = E.extended()
+    ctx, r = ext.ctx, ext.rank
+    c = ctx.coords
+    scalars = [f, ctx.expr(f"{c[0]}^2*{c[-1]}"), ctx.expr(f"{c[0]} + 3")]
+    if name == "sphere":
+        scalars += [ctx.expr("x*z/y"), ctx.expr("f/y^2")]
+    inv = invert(ext.pairing).rows
+    for g in scalars:
+        ders = [ext._prod.frame_apply(a, g) for a in range(r)]
+        want = tuple(-sum((inv[k][j] * ders[j] for j in range(r)),
+                          ctx.zero()) for k in range(r))
+        assert ext.D(g) == want, (name, str(g))
+        # a second call reads the cache entry
+        assert ext.D(g) == want
 
 
 def test_public_entry_points_accept_indices_and_numbers():
