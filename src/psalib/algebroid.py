@@ -26,7 +26,6 @@ __all__ = [
     "check_left_symmetric_algebroid",
     "de_rham_d",
     "check_2cocycle",
-    "lie_derivative",
 ]
 
 
@@ -397,26 +396,6 @@ class FormField:
             return self.ctx.zero()
         return got if sign == 1 else -got
 
-    def value(self, sections) -> DiffExpr:
-        """Multilinear evaluation on coefficient tuples."""
-        if len(sections) != self.degree:
-            raise ValueError("wrong slot count")
-        total = self.ctx.zero()
-        for idx in itertools.product(range(self.rank), repeat=self.degree):
-            coeff = self.ctx.one()
-            dead = False
-            for s, i in zip(sections, idx):
-                if s[i].is_zero():
-                    dead = True
-                    break
-                coeff = coeff * s[i]
-            if dead:
-                continue
-            base = self.value_frame(idx)
-            if not base.is_zero():
-                total = total + coeff * base
-        return total
-
 
 def de_rham_d(alg: ChartAlgebroid, form: FormField) -> FormField:
     """Chart-level differential: anchor terms on omitted slots plus bracket
@@ -468,20 +447,3 @@ def check_2cocycle(alg: ChartAlgebroid, form: FormField,
     rec.scan("form.closed", closed())
     return rec.report
 
-
-def lie_derivative(alg: ChartAlgebroid, x, xi):
-    """Covector derivative along a section: the pairing with any y gives
-    anchor(x) <xi, y> - <xi, [x, y]>."""
-    if alg.kind != "lie":
-        raise ValueError("lie_derivative needs a bracket structure")
-    out = []
-    for b in range(alg.rank):
-        term = alg.anchor_apply(x, xi[b]) if not xi[b].is_constant() else \
-            alg.ctx.zero()
-        br = alg.bracket(x, alg.frame_section(b))
-        acc = term
-        for k in range(alg.rank):
-            if not br[k].is_zero() and not xi[k].is_zero():
-                acc = acc - xi[k] * br[k]
-        out.append(acc)
-    return tuple(out)

@@ -24,7 +24,7 @@ from .lsa import RestrictedComplex, cochain_dim, restricted_dims
 from .parakahler import check_star_equals_nabla
 from .presym import check_presymplectic, presym_from_symplectic, \
     pseudo_semidirect, symplectic_from_presym
-from .psafile import Bundle, PsaError, emit, load_path
+from .psafile import Bundle, emit, load_path
 from .report import CheckReport
 from . import fixtures
 
@@ -111,38 +111,26 @@ def run_suites(b: Bundle, suites, artifact: str) -> CheckReport:
 
 
 def cmd_check(args) -> int:
-    try:
-        b = load_path(args.file)
-    except (PsaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    b = load_path(args.file)
     avail = applicable_suites(b)
     if b.paracomplex is not None and _presym_builder(b) is None:
-        print("error: [paracomplex] needs a [star] table, a [connection] "
-              "with [phi], or a [bracket] with a [form]", file=sys.stderr)
-        return 2
+        raise ValueError("[paracomplex] needs a [star] table, a [connection] "
+                         "with [phi], or a [bracket] with a [form]")
     if not avail:
-        print(f"error: no suite applies to {args.file}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no suite applies to {args.file}")
     if args.suite == "all":
         selected = avail
     elif args.suite in avail:
         selected = [args.suite]
     else:
-        print(f"error: suite '{args.suite}' is not applicable to "
-              f"{args.file}; applicable: {', '.join(avail)}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"suite '{args.suite}' is not applicable to "
+                         f"{args.file}; applicable: {', '.join(avail)}")
     with contextlib.ExitStack() as stack:
         # the report file is opened before any check runs, so an
         # unwritable path fails before any work is done
-        try:
-            report = None if args.json is None else stack.enter_context(
-                open(args.json, "w", encoding="utf-8"))
-            combined = run_suites(b, selected, args.file)
-        except (OSError, ValueError, ExprError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = None if args.json is None else stack.enter_context(
+            open(args.json, "w", encoding="utf-8"))
+        combined = run_suites(b, selected, args.file)
         if report is not None:
             report.write(combined.to_json())
     for line in combined.text_lines():
@@ -188,28 +176,17 @@ def derive_bundle(b: Bundle, direction: str) -> Bundle:
 
 
 def cmd_derive(args) -> int:
-    try:
-        b = load_path(args.file)
-        out = derive_bundle(b, args.direction)
-    except (PsaError, OSError, ValueError, ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit_to(args.output, out)
+    return _emit_to(args.output,
+                    derive_bundle(load_path(args.file), args.direction))
 
 
 def cmd_cohomology(args) -> int:
-    try:
-        b = load_path(args.file)
-    except (PsaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    b = load_path(args.file)
     if args.degree not in (1, 2, 3) and not args.full:
-        print("error: --degree must be 1, 2, or 3 (pass --full to "
-              "evaluate other degrees)", file=sys.stderr)
-        return 2
+        raise ValueError("--degree must be 1, 2, or 3 (pass --full to "
+                         "evaluate other degrees)")
     if args.truncate < 0:
-        print("error: --truncate must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--truncate must be >= 0")
     if b.algebra is not None:
         where = f"point algebra, dim {b.algebra.dim}"
         rank, ncoeffs = b.algebra.dim, 1
@@ -220,26 +197,20 @@ def cmd_cohomology(args) -> int:
         rank = b.connection.rank
         ncoeffs = math.comb(rank + args.truncate, rank)
     else:
-        print("error: cohomology needs an [algebra] or a "
-              "[connection] section", file=sys.stderr)
-        return 2
+        raise ValueError("cohomology needs an [algebra] or a [connection] "
+                         "section")
     # the restricted bases of degree and degree - 1 and the coboundary
     # rows of degree + 1 are all built
     size = max((cochain_dim(rank, d, ncoeffs)
                 for d in (args.degree - 1, args.degree, args.degree + 1)
                 if d >= 1), default=0)
     if size > COCHAIN_BUDGET:
-        print(f"error: this complex needs a {size}-dimensional cochain "
-              f"space, above the budget of {COCHAIN_BUDGET}; lower "
-              f"--truncate or --degree", file=sys.stderr)
-        return 2
-    try:
-        cx = (RestrictedComplex.point(b.algebra) if b.algebra is not None
-              else TruncatedComplex(b.connection, args.truncate))
-        dims = restricted_dims(cx, args.degree)
-    except (ValueError, ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"this complex needs a {size}-dimensional cochain "
+                         f"space, above the budget of {COCHAIN_BUDGET}; "
+                         f"lower --truncate or --degree")
+    cx = (RestrictedComplex.point(b.algebra) if b.algebra is not None
+          else TruncatedComplex(b.connection, args.truncate))
+    dims = restricted_dims(cx, args.degree)
     print(f"complex: {where}")
     ker, im, h = dims["bareiss"]
     print(f"degree {args.degree}: ker = {ker}  im = {im}  h = {h}")
@@ -255,19 +226,13 @@ def cmd_cohomology(args) -> int:
 def cmd_examples(args) -> int:
     if not args.name:
         if args.output is not None:
-            print("error: -o/--output needs a fixture NAME", file=sys.stderr)
-            return 2
+            raise ValueError("-o/--output needs a fixture NAME")
         width = max(len(n) for n in fixtures.REGISTRY_NAMES)
         for name in fixtures.REGISTRY_NAMES:
             b = fixtures.build(name)
             print(f"{name:<{width}}  {b.description}")
         return 0
-    try:
-        b = fixtures.build(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    return _emit_to(args.output, b)
+    return _emit_to(args.output, fixtures.build(args.name))
 
 
 def _emit_to(output, b: Bundle) -> int:
@@ -277,12 +242,8 @@ def _emit_to(output, b: Bundle) -> int:
     if output is None:
         sys.stdout.write(text)
         return 0
-    try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(output, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return 0
 
 
@@ -444,8 +405,16 @@ def read_argv(argv):
 
 
 def main(argv=None) -> int:
+    """Run one command line; every input error of every command leaves
+    here, as one `error:` line on stderr and exit 2.  PsaError is a
+    ValueError; an exception of any other type is a defect and keeps its
+    traceback."""
     handler, args = read_argv(sys.argv[1:] if argv is None else argv)
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, ValueError, ExprError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

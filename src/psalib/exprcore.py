@@ -34,7 +34,6 @@ __all__ = [
     "DerivativeOrderError",
     "parse_expr",
     "differentiate",
-    "is_zero",
     "evaluate",
 ]
 
@@ -288,10 +287,6 @@ def _mmul(m1: tuple, m2: tuple) -> tuple:
     out.extend(m1[i:])
     out.extend(m2[j:])
     return tuple(out)
-
-
-def _mtotdeg(m: tuple) -> int:
-    return sum(e for _, e in m)
 
 
 def _graded_lex(p: dict):
@@ -882,14 +877,6 @@ class DiffExpr:
             terms.append((tuple(exp), c))
         return terms, self.den[()]
 
-    def total_degree(self) -> int:
-        """Total degree of a polynomial expression (zero polynomial: -1)."""
-        if not self.is_polynomial():
-            raise ExprError("total_degree needs a polynomial")
-        if not self.num:
-            return -1
-        return max(_mtotdeg(m) for m in self.num)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.number(other)
@@ -1146,11 +1133,6 @@ def differentiate(e: DiffExpr, coord: str) -> DiffExpr:
         return DiffExpr(ctx, *_const_over(dn, den[()], (den,)))
     num = _psub(_pmul(dn, den), _pmul(e.num, dd))
     return DiffExpr(ctx, *_reduce(num, _pmul(den, den)))
-
-
-def is_zero(e: DiffExpr) -> bool:
-    """Exact zero decision (the canonical form makes this a lookup)."""
-    return e.is_zero()
 
 
 def evaluate(e: DiffExpr, coord_values: dict, func_polys: dict | None = None

@@ -159,6 +159,6 @@ def build(name: str) -> Bundle:
     try:
         description, fields = _TABLE[name]
     except KeyError:
-        raise KeyError(f"unknown fixture '{name}'; known: "
-                       f"{', '.join(REGISTRY_NAMES)}")
+        raise ValueError(f"unknown fixture '{name}'; known: "
+                         f"{', '.join(REGISTRY_NAMES)}") from None
     return Bundle(name=name, description=description, **fields())

@@ -3,9 +3,9 @@
 Each check id maps to the identity it verifies, written out as the formula
 or property itself so a failing report line is self-explanatory.  Notation
 in the strings: * is the product, [ , ] the bracket, ( , ) the skew pairing,
-rho the anchor, D the pairing-gradient operator, L the dual Lie derivative,
-R* the dual of right multiplication, P the product structure operator,
-g the induced metric, nabla the connection, delta the cochain coboundary.
+rho the anchor, D the pairing-gradient operator, P the product structure
+operator, g the induced metric, nabla the connection, delta the cochain
+coboundary.
 """
 
 from __future__ import annotations

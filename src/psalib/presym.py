@@ -55,13 +55,9 @@ per (u, v) and pairs it with the r values of w.  Every other
 intermediate section, such as u*(v*w), is recomputed where it is used,
 and D's cache (by its scalar) is the only memo keyed by a value; each
 other memo is keyed by basis positions and lives as long as its
-structure.  Measured in-process on a 2-vCPU Xeon (minimum of 15 checks,
-three alternations with the code before the hoist; BENCH_23.json):
-def-ii took 13.7 -> 7.7 ms on the rank-8 flat chart and 10.9 -> 6.4 ms
-on prolongation-so3, while the tracemalloc peak of the check stayed
-within 0.5%.  Rejected: caching the 1/6 D(T) entries by T raised that
-peak by 12% (rank 8) and 20% (prolongation-so3); memoising e_a * X by
-(a, X) raised the peak resident memory by 3.5% and saved no def-i time.
+structure.  Rejected: caching the 1/6 D(T) entries by T, which raises
+the tracemalloc peak of the check; memoising e_a * X by (a, X), which
+raises the peak resident memory and saves no def-i time (BENCH_23.json).
 
 D's cache entry for f holds D f together with the r frame derivatives
 rho(e_a)(f) it is built from, and the scalar is differentiated about
@@ -71,14 +67,9 @@ action of a frame, read the entry if v_b already has one and otherwise
 differentiate v_b along e_a alone and cache nothing.  D's minus sign is
 folded into the cached rows of -W^-1, whose unit entries are the
 context's one, so D f holds those derivatives themselves rather than
-copies; D f is stored dense.  In one check, ChartAlgebroid.frame_apply
-ran on a non-constant scalar 484 times on the rank-8 flat chart and 808
-times on prolongation-so3 (2008 and 2259 times when every call
-differentiated afresh), and the tracemalloc peak of the check read 612
-and 686 KB (617 and 734 KB before).  On the sphere, whose D entries are
-rational and share nothing with the derivatives, it rose from 169 to
-193 KB.  Rejected: memoising the anchor action by (frame, scalar), even
-with the sign fold, read 653 and 764 KB.
+copies; D f is stored dense.  Rejected: memoising the anchor action by
+(frame, scalar), which, even with the sign fold, peaks higher than
+keeping the derivatives in D's entry (BENCH_24.json).
 
 Basis sections name their structure by a private token, not by the
 structure itself, so no section refers back to it: a structure, the

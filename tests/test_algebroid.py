@@ -9,7 +9,6 @@ from psalib.algebroid import (
     check_left_symmetric_algebroid,
     check_lie_algebroid,
     de_rham_d,
-    lie_derivative,
 )
 from psalib.exprcore import ChartContext
 
@@ -155,14 +154,6 @@ def test_form_antisymmetry_access():
         FormField(ctx, 2, 2, {(1, 0): ctx.one()})
 
 
-def test_form_multilinear_value():
-    ctx = ChartContext(coords=("x", "y"))
-    w = FormField(ctx, 2, 2, {(0, 1): ctx.one()})
-    u = (ctx.expr("x"), ctx.expr("y"))
-    v = (ctx.one(), ctx.expr("x"))
-    assert w.value((u, v)) == ctx.expr("x^2 - y")
-
-
 def test_de_rham_on_tangent_chart_matches_classical():
     alg = tangent_r2()
     ctx = alg.ctx
@@ -191,18 +182,3 @@ def test_2cocycle_check_positive_and_negative():
     rep = check_2cocycle(alg, wiggly)
     assert rep.find("form.closed").status == "fail"
     assert rep.find("form.closed").witness
-
-
-def test_lie_derivative_tangent_chart():
-    alg = tangent_r2()
-    ctx = alg.ctx
-    xi = (ctx.expr("x*y"), ctx.expr("y^2"))
-    out = lie_derivative(alg, alg.frame_section(0), xi)
-    assert out[0] == ctx.expr("y")
-    assert out[1].is_zero()
-    # function-coefficient direction: extra transport term
-    x = (ctx.expr("y"), ctx.zero())
-    out = lie_derivative(alg, x, xi)
-    # component b: y d1(xi_b) + xi_1 d_b(y)
-    assert out[0] == ctx.expr("y^2")
-    assert out[1] == ctx.expr("x*y")

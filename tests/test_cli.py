@@ -16,7 +16,7 @@ import psalib
 from psalib import cli, fixtures
 from psalib.cli import main
 from psalib.exactclass import FlatConnection
-from psalib.exprcore import ChartContext
+from psalib.exprcore import ChartContext, ExprError
 from psalib.psafile import Bundle, emit, load_path
 from psalib.report import CheckReport
 
@@ -109,6 +109,29 @@ def test_unwritable_output_path_exits_two(capsys, fixture_file, tmp_path,
                   f"'{target}'\n"
     assert out == ""
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", [["check"],
+                                     ["cohomology", "--degree", "1"],
+                                     ["derive", "--direction", "to-bracket"]])
+def test_every_command_turns_an_expression_error_into_exit_two(
+        capsys, monkeypatch, command):
+    """`main` is the one exit for input errors: an ExprError from loading
+    is one `error:` line and exit 2 under every command that loads."""
+    def boom(path):
+        raise ExprError("boom")
+    monkeypatch.setattr(cli, "load_path", boom)
+    code, out, err = run(capsys, command[0], "any.psa", *command[1:])
+    assert (code, out, err) == (2, "", "error: boom\n")
+
+
+def test_examples_broken_stdout_exits_two(capsys, monkeypatch):
+    def broken(text):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sys.stdout, "write", broken)
+    code, _, err = run(capsys, "examples", "r2n")
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_check_deeply_nested_entry_exits_two(tmp_path):
