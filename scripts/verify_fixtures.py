@@ -16,7 +16,7 @@ from psalib.report import CheckReport
 
 def verify(name: str, verbose: bool) -> CheckReport:
     bundle = fixtures.build(name)
-    combined = run_suites(bundle, applicable_suites(bundle), name)
+    combined = run_suites(bundle, applicable_suites(bundle))
     if verbose:
         for check in combined.checks:
             mark = {"pass": "ok", "fail": "FAIL", "skipped": "--"}[check.status]

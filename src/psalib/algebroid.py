@@ -16,7 +16,7 @@ from operator import add, sub
 
 from .exprcore import ChartContext, DiffExpr, differentiate
 from .lsa import FiniteAlgebra, sorted_sign
-from .report import CheckReport, Recorder
+from .report import CheckReport
 
 __all__ = [
     "ChartAlgebroid",
@@ -91,9 +91,6 @@ class ChartAlgebroid:
 
     # -- sections ---------------------------------------------------------
 
-    def zero_section(self):
-        return tuple(self.ctx.zero() for _ in range(self.rank))
-
     def frame_section(self, a: int):
         return tuple(self.ctx.one() if i == a else self.ctx.zero()
                      for i in range(self.rank))
@@ -149,7 +146,7 @@ class ChartAlgebroid:
         """The frame table on (u, v) plus the derivation on the right slot:
         the product of a product structure, and the bracket of a bracket
         structure less its left-slot term."""
-        out = list(self.zero_section())
+        out = [self.ctx.zero()] * self.rank
         for a, ua in enumerate(u):
             if not ua.num:
                 continue
@@ -198,12 +195,11 @@ def _with_fresh_func(ctx: ChartContext):
     return ext, ext.function(name)
 
 
-def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
-                        ) -> CheckReport:
+def check_lie_algebroid(alg: ChartAlgebroid) -> CheckReport:
     """Skewness and Jacobi on frame triples, the scalar Leibniz rule and
     Jacobi with a formal function slot, and the anchor acting as a bracket
     morphism to chart vector fields."""
-    rec = Recorder(artifact)
+    rec = CheckReport()
     if alg.kind != "lie":
         raise ValueError("check_lie_algebroid needs a bracket structure")
     r, names = alg.rank, alg.names
@@ -271,17 +267,16 @@ def check_lie_algebroid(alg: ChartAlgebroid, artifact: str = "algebroid"
     rec.scan("algebroid.jacobi", jacobi(), names)
     rec.scan("algebroid.leibniz", leibniz(), names)
     rec.scan("algebroid.anchor-morphism", anchor_morphism(), alg.ctx.coords)
-    return rec.report
+    return rec
 
 
-def check_left_symmetric(alg: FiniteAlgebra, artifact: str = "algebra"
-                         ) -> CheckReport:
+def check_left_symmetric(alg: FiniteAlgebra) -> CheckReport:
     """A finite algebra on its point chart:
     associator symmetry in the first two slots, plus the Jacobi identity
     of the commutator (which left-symmetry implies; checked
     independently).  Every residual is a constant, so each component is
     reported as its exact rational."""
-    rec = Recorder(artifact)
+    rec = CheckReport()
     point = ChartAlgebroid.point(alg)
     prod, br = point.product, point.commutator_algebroid().bracket
     d, names = point.rank, point.names
@@ -311,15 +306,13 @@ def check_left_symmetric(alg: FiniteAlgebra, artifact: str = "algebra"
 
     rec.scan("lsa.left-symmetric", assoc_sym(), names)
     rec.scan("lsa.subadjacent-jacobi", jacobi(), names)
-    return rec.report
+    return rec
 
 
-def check_left_symmetric_algebroid(alg: ChartAlgebroid,
-                                   artifact: str = "algebroid"
-                                   ) -> CheckReport:
+def check_left_symmetric_algebroid(alg: ChartAlgebroid) -> CheckReport:
     """The two scalar rules of a left-symmetric product over a chart and
     associator symmetry on frame triples with a formal function slot."""
-    rec = Recorder(artifact)
+    rec = CheckReport()
     if alg.kind != "lsa":
         raise ValueError("needs a product structure")
     r, names = alg.rank, alg.names
@@ -363,7 +356,7 @@ def check_left_symmetric_algebroid(alg: ChartAlgebroid,
     rec.scan("algebroid.lsa.scalar-left", scalar_left(), names)
     rec.scan("algebroid.lsa.scalar-right", scalar_right(), names)
     rec.scan("algebroid.lsa.left-symmetric", left_symmetric(), names)
-    return rec.report
+    return rec
 
 
 class FormField:
@@ -429,9 +422,8 @@ def de_rham_d(alg: ChartAlgebroid, form: FormField) -> FormField:
     return FormField(alg.ctx, alg.rank, k + 1, comp)
 
 
-def check_2cocycle(alg: ChartAlgebroid, form: FormField,
-                   artifact: str = "form") -> CheckReport:
-    rec = Recorder(artifact)
+def check_2cocycle(alg: ChartAlgebroid, form: FormField) -> CheckReport:
+    rec = CheckReport()
     r = alg.rank
 
     rec.scan("form.skew", (
@@ -445,5 +437,5 @@ def check_2cocycle(alg: ChartAlgebroid, form: FormField,
             yield f"({','.join(alg.names[i] for i in key)}): residual = ", v
 
     rec.scan("form.closed", closed())
-    return rec.report
+    return rec
 

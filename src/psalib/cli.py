@@ -72,27 +72,25 @@ def applicable_suites(b: Bundle):
     return out
 
 
-def run_suites(b: Bundle, suites, artifact: str) -> CheckReport:
+def run_suites(b: Bundle, suites) -> CheckReport:
     """Run the named suites in order into one report.  The skew-pairing
     structure is built once, when a suite first needs it, and shared, so
     its memoised products, D and inverse pairing carry over."""
-    out = CheckReport(artifact)
+    out = CheckReport()
     E = None
     for suite in suites:
         if suite in ("presym", "exact", "parakahler") and E is None:
             E = _presym_builder(b)()
         if suite == "lsa":
-            out.extend(check_left_symmetric(b.algebra, artifact=artifact))
+            out.extend(check_left_symmetric(b.algebra))
         elif suite == "algebroid" and b.algebroid.kind == "lie":
-            out.extend(check_lie_algebroid(b.algebroid, artifact=artifact))
+            out.extend(check_lie_algebroid(b.algebroid))
             if b.form is not None:
-                out.extend(check_2cocycle(b.algebroid, b.form,
-                                          artifact=artifact))
+                out.extend(check_2cocycle(b.algebroid, b.form))
         elif suite == "algebroid":
-            out.extend(check_left_symmetric_algebroid(b.algebroid,
-                                                      artifact=artifact))
+            out.extend(check_left_symmetric_algebroid(b.algebroid))
         elif suite == "presym":
-            out.extend(check_presymplectic(E, artifact=artifact))
+            out.extend(check_presymplectic(E))
         elif suite == "exact":
             sigma = b.splitting
             if sigma is None:
@@ -100,11 +98,9 @@ def run_suites(b: Bundle, suites, artifact: str) -> CheckReport:
                     sigma = canonical_splitting(E)
                 except ValueError:
                     sigma = None
-            out.extend(check_exact(E, b.connection, sigma,
-                                   artifact=artifact))
+            out.extend(check_exact(E, b.connection, sigma))
         elif suite == "parakahler":
-            out.extend(check_star_equals_nabla(E, b.paracomplex,
-                                               artifact=artifact))
+            out.extend(check_star_equals_nabla(E, b.paracomplex))
         else:
             raise ValueError(f"unknown suite '{suite}'")
     return out
@@ -130,9 +126,9 @@ def cmd_check(args) -> int:
         # unwritable path fails before any work is done
         report = None if args.json is None else stack.enter_context(
             open(args.json, "w", encoding="utf-8"))
-        combined = run_suites(b, selected, args.file)
+        combined = run_suites(b, selected)
         if report is not None:
-            report.write(combined.to_json())
+            report.write(combined.to_json(args.file))
     for line in combined.text_lines():
         print(line)
     npass = sum(1 for c in combined.checks if c.status == "pass")

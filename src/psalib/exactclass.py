@@ -35,7 +35,7 @@ from .exactlinalg import rank  # noqa: F401
 from .exprcore import ChartContext, DiffExpr
 from .lsa import RestrictedComplex, cochain_keys, sorted_sign
 from .presym import PreSymStructure, pseudo_semidirect
-from .report import CheckReport, Recorder, components
+from .report import CheckReport, components
 
 __all__ = [
     "FlatConnection", "Splitting", "PhiTensor", "ChartCochain",
@@ -129,8 +129,8 @@ def _sigma_sections(E: PreSymStructure, sigma: Splitting):
                   for x in row) for row in sigma.sigma]
 
 
-def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
-                artifact: str = "exact") -> CheckReport:
+def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None
+                ) -> CheckReport:
     """Surjective anchor, kernel filled by the anchor's pairing-dual,
     products covering the connection; with a splitting, also the
     obstruction tensor identities and its coboundary closedness.
@@ -144,7 +144,7 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
             len(sigma.sigma) != n or
             any(len(row) != E.rank for row in sigma.sigma)):
         raise ValueError("splitting block rank mismatch: need n x rank")
-    rec = Recorder(artifact)
+    rec = CheckReport()
     numbers = range(1, n + 1)
 
     def torsion_free():
@@ -212,7 +212,7 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
     else:
         rec.scan("exact.anchor-compatible", anchor_compatible())
     if sigma is None:
-        return rec.report
+        return rec
 
     secs = _sigma_sections(E, sigma)
 
@@ -232,7 +232,7 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
         rec.skip(f"not evaluated: {reason}", "exact.phi-in-image",
                  "exact.phi-13-antisymmetry", "exact.phi-pair-symmetry",
                  "exact.phi-closed")
-        return rec.report
+        return rec
 
     solved = []
 
@@ -248,7 +248,7 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
         rec.skip("not evaluated: no obstruction tensor",
                  "exact.phi-13-antisymmetry", "exact.phi-pair-symmetry",
                  "exact.phi-closed")
-        return rec.report
+        return rec
 
     comps = solved[0]
     triples = list(itertools.product(range(n), repeat=3))
@@ -269,7 +269,7 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None,
         for i, j, k in triples
         if (res := comps[i][j][k] - comps[i][k][j] + comps[k][i][j])))
     rec.scan("exact.phi-closed", phi_closed())
-    return rec.report
+    return rec
 
 
 def _phi_residuals(E: PreSymStructure, conn: FlatConnection, secs):
@@ -456,19 +456,15 @@ def twist_residual(conn: FlatConnection, phi: PhiTensor) -> ChartCochain:
     return chart_coboundary(conn, phi.tilde())
 
 
-def twisted_product(conn: FlatConnection, phi: PhiTensor, names=None,
-                    dual_names=None) -> PreSymStructure:
+def twisted_product(conn: FlatConnection, phi: PhiTensor) -> PreSymStructure:
     """Pseudo-semidirect product of the connection's tangent structure
-    (its frame renamed to names when given) with the obstruction
-    components added to the conormal block."""
+    with the dual frame c1..cn, the obstruction components added to the
+    conormal block."""
     n = conn.rank
     if phi.dim != n:
         raise ValueError("tensor dimension mismatch")
-    alg = conn if names is None else ChartAlgebroid(
-        conn.ctx, names, conn.anchor, conn.table, kind="lsa")
-    if dual_names is None:
-        dual_names = tuple(f"c{i + 1}" for i in range(n))
-    base = pseudo_semidirect(alg, dual_names=dual_names)
+    base = pseudo_semidirect(
+        conn, dual_names=tuple(f"c{i + 1}" for i in range(n)))
     table = [[list(cell) for cell in row] for row in base.table]
     for i in range(n):
         for j in range(n):
@@ -480,8 +476,8 @@ def twisted_product(conn: FlatConnection, phi: PhiTensor, names=None,
                            base.pairing)
 
 
-def splitting_equivalence(E1: PreSymStructure, E2: PreSymStructure, theta,
-                          artifact: str = "equiv") -> CheckReport:
+def splitting_equivalence(E1: PreSymStructure, E2: PreSymStructure, theta
+                          ) -> CheckReport:
     """Does x + xi |-> x + theta(x) + xi intertwine the two structures?
 
     Both inputs must be exact over the same chart with the block frame
@@ -500,7 +496,7 @@ def splitting_equivalence(E1: PreSymStructure, E2: PreSymStructure, theta,
         for j in range(i + 1, n):
             if not (th[i][j] - th[j][i]).is_zero():
                 raise ValueError("theta must be symmetric")
-    rec = Recorder(artifact)
+    rec = CheckReport()
 
     def image(u):
         """Push a frame-coefficient vector of E1 through the map."""
@@ -537,7 +533,7 @@ def splitting_equivalence(E1: PreSymStructure, E2: PreSymStructure, theta,
         if (res := E2.pairing_value(mapped[a], mapped[b])
             - E1.pairing.rows[a][b])))
     rec.scan("equiv.star", star_ok())
-    return rec.report
+    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,6 @@ class QMatrix:
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
 
-    def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"QMatrix({[list(map(str, r)) for r in self.rows]})"
-
 
 def rank(m: QMatrix) -> int:
     """Rank by integer-preserving Bareiss elimination, first-nonzero pivots.
@@ -326,12 +317,6 @@ class ExprMatrix:
                 and self.nrows == other.nrows and self.ncols == other.ncols
                 and all(a == b for r1, r2 in zip(self.rows, other.rows)
                         for a, b in zip(r1, r2)))
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"ExprMatrix({[[str(x) for x in r] for r in self.rows]})"
 
 
 def determinant(m: ExprMatrix) -> DiffExpr:

@@ -14,7 +14,7 @@ from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_kernel_basis,
                           expr_solve, invert)
 from .exprcore import ChartContext, DiffExpr
 from .presym import PreSymStructure, Subbundle, check_dirac
-from .report import CheckReport, Recorder, components
+from .report import CheckReport, components
 
 __all__ = [
     "ParaComplexOp", "MetricField", "check_paracomplex",
@@ -85,11 +85,10 @@ def _entry_cases(template: str, matrix: ExprMatrix):
                 yield template.format(a=a + 1, b=b + 1), x
 
 
-def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
-                      artifact: str = "para"):
+def check_paracomplex(E: PreSymStructure, P: ParaComplexOp):
     """(report, plus bundle, minus bundle); the square-to-identity check
     runs first and gates the rest."""
-    rec = Recorder(artifact)
+    rec = CheckReport()
     r = E.rank
     if P.rank != r:
         raise ValueError("operator rank does not match the structure")
@@ -102,7 +101,7 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
                  "para.pairing-anti-invariance", "para.integrable",
                  "para.eigen-split", "para.eigen-dirac-plus",
                  "para.eigen-dirac-minus")
-        return rec.report, None, None
+        return rec, None, None
 
     def integrable():
         ext, f = E.extended()
@@ -154,7 +153,7 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
     if not rec.scan("para.eigen-split", eigen_split()):
         rec.skip("not evaluated: eigenbundles do not split the structure",
                  "para.eigen-dirac-plus", "para.eigen-dirac-minus")
-        return rec.report, None, None
+        return rec, None, None
 
     plus_vecs, minus_vecs = kernels
     half = r // 2
@@ -170,7 +169,7 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp,
     else:
         rec.scan("para.eigen-dirac-plus", dirac(plus))
         rec.scan("para.eigen-dirac-minus", dirac(minus))
-    return rec.report, plus, minus
+    return rec, plus, minus
 
 
 def metric_from(E: PreSymStructure, P: ParaComplexOp) -> MetricField:
@@ -183,11 +182,10 @@ def metric_from(E: PreSymStructure, P: ParaComplexOp) -> MetricField:
     return metric
 
 
-def check_metric(E: PreSymStructure, P: ParaComplexOp,
-                 artifact: str = "para"):
+def check_metric(E: PreSymStructure, P: ParaComplexOp):
     """Symmetry, nondegeneracy, anti-invariance, and recovery of the
     pairing; returns the metric when it exists."""
-    rec = Recorder(artifact)
+    rec = CheckReport()
     g = E.pairing.matmul(P.matrix)
     metric_holder = []
 
@@ -212,7 +210,7 @@ def check_metric(E: PreSymStructure, P: ParaComplexOp,
         "g(e{a}, P e{b}) - (e{a}, e{b}) = ",
         g.matmul(P.matrix).sub(E.pairing)))
     metric = metric_holder[0] if (ok and metric_holder) else None
-    return rec.report, metric
+    return rec, metric
 
 
 def levi_civita(L: ChartAlgebroid, g: MetricField) -> ChartAlgebroid:
@@ -295,16 +293,15 @@ def _levi_civita_linear(L: ChartAlgebroid, g: MetricField):
     return ChartAlgebroid(L.ctx, L.names, L.anchor, gamma, kind="lsa")
 
 
-def check_levi_civita(L: ChartAlgebroid, g: MetricField,
-                      artifact: str = "para"):
+def check_levi_civita(L: ChartAlgebroid, g: MetricField):
     """Builds the connection by both routes and verifies the defining
     residuals; returns (report, connection or None)."""
-    rec = Recorder(artifact)
+    rec = CheckReport()
     try:
         nabla = levi_civita(L, g)
     except (SingularMatrixError, ValueError) as exc:
         rec.scan("para.levi-civita-agreement", [(str(exc), True)])
-        return rec.report, None
+        return rec, None
     r = L.rank
     frames = [L.frame_section(a) for a in range(r)]
 
@@ -337,34 +334,31 @@ def check_levi_civita(L: ChartAlgebroid, g: MetricField,
     rec.scan("para.levi-civita-agreement", agreement())
     rec.scan("para.torsion-free", torsion_free())
     rec.scan("para.metric-compatible", metric_compat())
-    return rec.report, nabla
+    return rec, nabla
 
 
-def check_star_equals_nabla(E: PreSymStructure, P: ParaComplexOp,
-                            artifact: str = "para") -> CheckReport:
+def check_star_equals_nabla(E: PreSymStructure, P: ParaComplexOp
+                            ) -> CheckReport:
     """Metric connection of the commutator structure restricted to each
     eigenbundle agrees with the product; includes the commutation of the
     connection with P and g-isotropy of the eigenbundles.  The full
     product-structure suite of the CLI."""
     rest = ("para.eigen-g-isotropic", "para.nabla-P-commute",
             "para.star-equals-nabla-plus", "para.star-equals-nabla-minus")
-    rec = Recorder(artifact)
-    para_report, plus, minus = check_paracomplex(E, P, artifact=artifact)
-    rec.report.extend(para_report)
-    if plus is None or minus is None or not para_report.passed():
+    rec, plus, minus = check_paracomplex(E, P)
+    if plus is None or minus is None or not rec.passed():
         rec.skip("not evaluated: product structure checks failed", *rest)
-        return rec.report
-    metric_report, g = check_metric(E, P, artifact=artifact)
-    rec.report.extend(metric_report)
+        return rec
+    metric_report, g = check_metric(E, P)
+    rec.extend(metric_report)
     if g is None:
         rec.skip("not evaluated: no induced metric", *rest)
-        return rec.report
-    lc_report, nabla = check_levi_civita(E.commutator_algebroid(), g,
-                                         artifact=artifact)
-    rec.report.extend(lc_report)
+        return rec
+    lc_report, nabla = check_levi_civita(E.commutator_algebroid(), g)
+    rec.extend(lc_report)
     if nabla is None:
         rec.skip("not evaluated: no metric connection", *rest)
-        return rec.report
+        return rec
     r = E.rank
     frames = [E.frame_section(a) for a in range(r)]
 
@@ -391,4 +385,4 @@ def check_star_equals_nabla(E: PreSymStructure, P: ParaComplexOp,
     rec.scan("para.nabla-P-commute", nabla_P())
     rec.scan("para.star-equals-nabla-plus", star_match(plus.sections))
     rec.scan("para.star-equals-nabla-minus", star_match(minus.sections))
-    return rec.report
+    return rec

@@ -87,7 +87,7 @@ the shared zero and one keep their shortcuts.  Zero tests in these loops
 read DiffExpr.num, the numerator, directly.
 
 Every scan of check_presymplectic and check_dirac, as of every other
-suite, hands Recorder.scan only its nonzero residuals (def-i through
+suite, hands CheckReport.scan only its nonzero residuals (def-i through
 components, and only for a residual with a nonzero component), so a
 label is formatted only for an instance that fails: on a passing input
 the scans build no label at all.  The enumeration order, and so every
@@ -101,7 +101,7 @@ from .algebroid import ChartAlgebroid, FormField, de_rham_d, nonzero_entries
 from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_rank,
                           expr_solve, invert)
 from .exprcore import ChartContext, DiffExpr
-from .report import CheckReport, Recorder, components, section_str
+from .report import CheckReport, components, section_str
 
 __all__ = [
     "PreSymStructure", "Subbundle", "tensor_T",
@@ -183,9 +183,6 @@ class PreSymStructure:
         if self._comm is None:
             self._comm = self._prod.commutator_algebroid()
         return self._comm
-
-    def zero_section(self):
-        return self._prod.zero_section()
 
     def frame_section(self, a: int):
         if 0 <= a < self.rank:
@@ -505,8 +502,7 @@ def _def_ii_residual(E: PreSymStructure, u, v, w, s) -> DiffExpr:
     return lhs - rhs
 
 
-def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
-                        ) -> CheckReport:
+def check_presymplectic(E: PreSymStructure) -> CheckReport:
     """The defining identities on frame triples with formal-function slots.
 
     Both sides of identity (i) are antisymmetric in the first two slots,
@@ -516,7 +512,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
     evaluated once per triple of basis sections and shared by (i) and
     the cyclic identity.
     """
-    rec = Recorder(artifact)
+    rec = CheckReport()
     r = E.rank
     rec.scan("presym.pairing-skew", (
         (f"(e{a+1},e{b+1}) + (e{b+1},e{a+1}) = ", res)
@@ -535,7 +531,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
                  "presym.def-ii", "presym.scalar-left", "presym.scalar-right",
                  "presym.bracket-leibniz", "presym.star-with-D",
                  "presym.cyclic-T", "presym.D-reproducing")
-        return rec.report
+        return rec
 
     # the frames and the formal slots f e_a are the extended structure's
     # basis, so star memoises every product of two of them
@@ -670,7 +666,7 @@ def check_presymplectic(E: PreSymStructure, artifact: str = "presym"
     rec.scan("presym.bracket-leibniz", bracket_leibniz())
     rec.scan("presym.star-with-D", star_with_d())
     rec.scan("presym.cyclic-T", cyclic_t())
-    return rec.report
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +799,13 @@ class Subbundle:
             raise ValueError("need one name per section")
 
 
-def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
+def check_dirac(E: PreSymStructure, F: Subbundle):
     """Isotropy, half rank, closure under the product; on closure, the
     induced structure with its verification report."""
     k, r = len(F.sections), E.rank
     if 2 * k != r:
         raise ValueError(f"subbundle rank {k} is not half of {r}")
-    rec = Recorder(artifact)
+    rec = CheckReport()
     ctx = E.ctx
     secs = [tuple(E._expr(x) for x in s) for s in F.sections]
     mat = ExprMatrix(ctx, secs)
@@ -842,16 +838,16 @@ def check_dirac(E: PreSymStructure, F: Subbundle, artifact: str = "dirac"):
     if not (rec.scan("dirac.closed", closed()) and ok):
         rec.skip("not evaluated: no induced product",
                  "dirac.induced-left-symmetric")
-        return rec.report, None
+        return rec, None
 
     induced = ChartAlgebroid(ctx, F.names, [E.anchor_of(s) for s in secs],
                              induced_table, kind="lsa")
 
     def induced_ok():
         from .algebroid import check_left_symmetric_algebroid
-        sub = check_left_symmetric_algebroid(induced, artifact=artifact)
+        sub = check_left_symmetric_algebroid(induced)
         for c in sub.failures():
             yield f"{c.check_id}: {c.witness}", True
 
     rec.scan("dirac.induced-left-symmetric", induced_ok())
-    return rec.report, induced
+    return rec, induced

@@ -4,9 +4,11 @@ Every verification suite produces a CheckReport: a flat list of named
 checks, each pass/fail/skipped with an optional witness (the indices and
 residual expression that broke an identity).  Serialization is
 deterministic: checks sort by id, keys are emitted in a fixed order, and
-only the wall_ms fields vary between runs.  Suites record their checks
-through a Recorder, whose scan method turns a stream of cases into a
-verdict and a witness: every verdict passes through it.
+only the wall_ms fields vary between runs.  A suite records its checks
+straight into the report it returns, through CheckReport.scan, which
+turns a stream of cases into a verdict and a witness: every verdict
+passes through it.  The artifact a report names is given only when it
+is written out (to_dict, to_json).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from .identities import anchor_for
 
-__all__ = ["Check", "CheckReport", "Recorder", "components", "section_str"]
+__all__ = ["Check", "CheckReport", "components", "section_str"]
 
 
 class Check:
@@ -33,10 +35,18 @@ class Check:
 
 
 class CheckReport:
-    """The checks run on one artifact, in the order they ran."""
+    """The checks recorded by one suite or one run, in the order they ran,
+    each one timed.
 
-    def __init__(self, artifact: str):
-        self.artifact = artifact
+    Every verdict goes through scan.  A check that verifies an identity
+    instance by instance yields its residuals.  A verdict that is not a
+    residual scan (a singular matrix, a rank count, a failed solve) is
+    at most one (witness, True) case, yielded by a generator that does
+    the work first, so that the check's wall time covers it.  skip
+    records checks that cannot be evaluated.
+    """
+
+    def __init__(self):
         self.checks: list[Check] = []
 
     def passed(self) -> bool:
@@ -54,9 +64,47 @@ class CheckReport:
                 return c
         raise KeyError(check_id)
 
-    def to_dict(self) -> dict:
+    def scan(self, check_id: str, cases, names=()) -> bool:
+        """Record check_id from the first nonzero residual in cases.
+
+        cases yields (label, residual) pairs in a fixed enumeration order;
+        the scan stops at the first nonzero residual and its witness is:
+          a scalar (chart expression or exact number): label + residual;
+          a tuple of coefficients over names: label + section_str;
+          a bool (True: the instance fails): the label alone.
+        A case with a zero residual is skipped, so a suite may yield only
+        its nonzero residuals and build a label only for those (see
+        components): then an instance that passes costs no formatting.
+        The time spent producing the cases is the check's wall time.
+        """
+        t0 = time.perf_counter()
+        witness = None
+        for label, res in cases:
+            if isinstance(res, tuple):
+                if any(res):
+                    witness = label + section_str(res, names)
+                    break
+            elif res:
+                witness = label if isinstance(res, bool) else f"{label}{res}"
+                break
+        ms = (time.perf_counter() - t0) * 1000.0
+        self._add(check_id, "pass" if witness is None else "fail", witness,
+                  ms)
+        return witness is None
+
+    def skip(self, reason: str, *check_ids: str) -> None:
+        """Record each of check_ids as skipped, with the same reason."""
+        for check_id in check_ids:
+            self._add(check_id, "skipped", reason)
+
+    def _add(self, check_id: str, status: str, witness: str | None,
+             wall_ms: float = 0.0) -> None:
+        self.checks.append(
+            Check(check_id, anchor_for(check_id), status, witness, wall_ms))
+
+    def to_dict(self, artifact: str) -> dict:
         return {
-            "artifact": self.artifact,
+            "artifact": artifact,
             "checks": [
                 {
                     "id": c.check_id,
@@ -69,8 +117,8 @@ class CheckReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=True,
+    def to_json(self, artifact: str) -> str:
+        return json.dumps(self.to_dict(artifact), indent=2, ensure_ascii=True,
                           separators=(",", ": ")) + "\n"
 
     def text_lines(self) -> list[str]:
@@ -100,56 +148,3 @@ def components(label: str, vec, names):
     after the first nonzero one is computed."""
     return ((f"{label}component {name}: ", x)
             for name, x in zip(names, vec) if x)
-
-
-class Recorder:
-    """Collects checks for one artifact, timing each one.
-
-    Every verdict goes through scan.  A check that verifies an identity
-    instance by instance yields its residuals.  A verdict that is not a
-    residual scan (a singular matrix, a rank count, a failed solve) is
-    at most one (witness, True) case, yielded by a generator that does
-    the work first, so that the check's wall time covers it.  skip
-    records checks that cannot be evaluated.
-    """
-
-    def __init__(self, artifact: str):
-        self.report = CheckReport(artifact)
-
-    def scan(self, check_id: str, cases, names=()) -> bool:
-        """Record check_id from the first nonzero residual in cases.
-
-        cases yields (label, residual) pairs in a fixed enumeration order;
-        the scan stops at the first nonzero residual and its witness is:
-          a scalar (chart expression or exact number): label + residual;
-          a tuple of coefficients over names: label + section_str;
-          a bool (True: the instance fails): the label alone.
-        A case with a zero residual is skipped, so a suite may yield only
-        its nonzero residuals and build a label only for those (see
-        components): then an instance that passes costs no formatting.
-        The time spent producing the cases is the check's wall time.
-        """
-        t0 = time.perf_counter()
-        witness = None
-        for label, res in cases:
-            if isinstance(res, tuple):
-                if any(res):
-                    witness = label + section_str(res, names)
-                    break
-            elif res:
-                witness = label if isinstance(res, bool) else f"{label}{res}"
-                break
-        ms = (time.perf_counter() - t0) * 1000.0
-        self.add(check_id, "pass" if witness is None else "fail", witness,
-                 ms)
-        return witness is None
-
-    def add(self, check_id: str, status: str, witness: str | None = None,
-            wall_ms: float = 0.0) -> None:
-        self.report.checks.append(
-            Check(check_id, anchor_for(check_id), status, witness, wall_ms))
-
-    def skip(self, reason: str, *check_ids: str) -> None:
-        """Record each of check_ids as skipped, with the same reason."""
-        for check_id in check_ids:
-            self.add(check_id, "skipped", reason)

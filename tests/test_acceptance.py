@@ -573,15 +573,13 @@ def test_splitting_shift_adds_exact_term_and_equivalence():
     conn, phi = fixtures.twist_r2_data()
     ctx = conn.ctx
     z, one, f = ctx.zero(), ctx.one(), ctx.expr("f")
-    E = twisted_product(conn, phi, names=("t1", "t2"),
-                        dual_names=("c1", "c2"))
+    E = twisted_product(conn, phi)
     shifted = Splitting([[one, z, f, z], [z, one, z, z]])
     phi2 = extract_phi(E, conn, shifted)
     theta = ChartCochain(ctx, 2, 2, {((0,), 0): f})
     dtheta = chart_coboundary(conn, theta)
     assert phi2.tilde().sub(phi.tilde().add(dtheta)).is_zero()
-    E2 = twisted_product(conn, phi2, names=("t1", "t2"),
-                         dual_names=("c1", "c2"))
+    E2 = twisted_product(conn, phi2)
     rep = splitting_equivalence(E2, E, [[f, z], [z, z]])
     assert rep.passed(), [c.check_id for c in rep.failures()]
     # the shear matters: without it the structures differ

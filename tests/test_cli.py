@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import psalib
-from psalib import cli, fixtures
+from psalib import cli, fixtures, lsa
 from psalib.cli import main
 from psalib.exactclass import FlatConnection
 from psalib.exprcore import ChartContext, ExprError
@@ -330,9 +330,9 @@ def test_check_builds_the_twisted_product_once(capsys, fixture_file,
     b = load_path(f)
     suites = cli.applicable_suites(b)
     assert {"presym", "exact"} <= set(suites)
-    separate = CheckReport(f)
+    separate = CheckReport()
     for suite in suites:
-        separate.extend(cli.run_suites(b, [suite], f))
+        separate.extend(cli.run_suites(b, [suite]))
     calls = []
     build = cli.twisted_product
 
@@ -346,7 +346,7 @@ def test_check_builds_the_twisted_product_once(capsys, fixture_file,
     assert code == 0
     assert len(calls) == 1
     assert _strip_timing(shared.read_text(encoding="utf-8")) == \
-        _strip_timing(separate.to_json())
+        _strip_timing(separate.to_json(f))
 
 
 def test_json_report_shape(capsys, fixture_file, tmp_path):
@@ -461,6 +461,21 @@ def test_cohomology_point_dims(capsys, fixture_file):
     assert code == 0
     assert "degree 2: ker = 1  im = 0  h = 1" in out
     assert "agree" in out
+
+
+def test_cohomology_disagreeing_eliminations_exit_one(capsys, fixture_file,
+                                                      monkeypatch):
+    """When the Gauss rank differs from the Bareiss one, the command prints
+    both triples and exits 1."""
+    gauss = lsa.rank_second_opinion
+    monkeypatch.setattr(lsa, "rank_second_opinion", lambda m: gauss(m) + 1)
+    code, out, err = run(capsys, "cohomology", fixture_file("lsa2"),
+                         "--degree", "2")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-2:] == [
+        "degree 2: ker = 1  im = 0  h = 1",
+        "eliminations disagree: gauss gives ker = -1  im = 0  h = -1"]
 
 
 def test_cohomology_chart_route(capsys, fixture_file):

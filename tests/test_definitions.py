@@ -7,6 +7,10 @@ itself as a name, an attribute, an imported name or a string constant
 (the benchmark's tracer wraps methods by their name as a string); the
 strings of a module's `__all__` do not count.  Dunders are exempt.  A
 method that shares its name with a used one cannot be told apart from it.
+
+A second scan holds the parameters: every parameter with a default is
+set by some call in the library, the scripts or the benchmark, unless
+DEFAULT_KEPT says what keeps it.
 """
 
 import ast
@@ -34,6 +38,16 @@ TEST_ONLY = {
     "tensor_T": "the paper's tensor T of a pre-symplectic algebroid",
     "associator": "the paper's associator: a pre-symplectic algebroid "
                   "is not left-symmetric",
+}
+
+
+# Defaulted parameters that no call outside the tests sets, each with the
+# ROADMAP item or the test that keeps it.
+DEFAULT_KEPT = {
+    "evaluate(func_polys)": "ROADMAP item 4(a): the random-point oracle "
+                            "instantiates the formal functions",
+    "realize(description)": "the psafile round trip carries a bundle's "
+                            "description through emit and realize",
 }
 
 
@@ -95,6 +109,86 @@ def reached_only_by_tests(trees):
          if not rel.startswith(TESTS)}))
 
 
+def defaulted_parameters(tree):
+    """(callee name, parameter, position or None, line) of every parameter
+    with a default.  The position counts the arguments a call passes, so a
+    method's self is not counted; a keyword-only parameter has none.  An
+    __init__ is called by its class's name."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                callee = cls if child.name == "__init__" else child.name
+                first = len(positional) - len(a.defaults)
+                for i in range(first, len(positional)):
+                    out.append((callee, positional[i].arg, i - bound,
+                                child.lineno))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out.append((callee, arg.arg, None, child.lineno))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def calls(tree):
+    """(callee name, positional count, keywords) of every call; a *args
+    splat counts as every position, a **kwargs splat as every keyword
+    (None)."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            callee = node.func.id
+        elif isinstance(node.func, ast.Attribute):
+            callee = node.func.attr
+        else:
+            continue
+        npos = float("inf") if any(isinstance(x, ast.Starred)
+                                   for x in node.args) else len(node.args)
+        keys = {k.arg for k in node.keywords}
+        out.append((callee, npos, None if None in keys else keys))
+    return out
+
+
+def unset_defaults(trees):
+    """'path:line: callee(parameter)' of each defaulted parameter of a
+    checked module that no call outside the tests sets, by position or by
+    keyword; trees maps path to module.  Callees match by bare name, as
+    in unused_definitions, so a call to any function or method of the
+    same name counts, and so does a call that passes a parameter on
+    unchanged (artifact=artifact).  A function called through a reference
+    (a callback, a monkeypatch, getattr) has no call the scan sees."""
+    seen = {}
+    for rel, tree in trees.items():
+        if rel.startswith(TESTS):
+            continue
+        for callee, npos, keys in calls(tree):
+            seen.setdefault(callee, []).append((npos, keys))
+    out = []
+    for rel, tree in trees.items():
+        if not rel.startswith(CHECKED):
+            continue
+        for callee, param, pos, line in defaulted_parameters(tree):
+            if not any((pos is not None and npos > pos)
+                       or keys is None or param in keys
+                       for npos, keys in seen.get(callee, ())):
+                out.append(f"{rel}:{line}: {callee}({param})")
+    return sorted(out)
+
+
 def scanned_trees():
     return {path.relative_to(ROOT).as_posix():
             ast.parse(path.read_text(encoding="utf-8"))
@@ -141,3 +235,43 @@ def test_the_scan_sees_a_definition_only_tests_name():
     user = ast.parse("from lib import exported\n")
     assert reached_only_by_tests({CHECKED + "lib.py": lib,
                                   TESTS + "t.py": user}) == ["exported"]
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    """A default that no library, script or benchmark call overrides is a
+    knob only the tests turn, or none at all."""
+    assert sorted(entry.rsplit(": ", 1)[1] for entry in
+                  unset_defaults(scanned_trees())) == sorted(DEFAULT_KEPT)
+
+
+def test_the_default_scan_sees_a_parameter_no_call_sets():
+    lib = ast.parse("class C:\n"
+                    "    def __init__(self, a, b=1):\n"
+                    "        pass\n"
+                    "    def m(self, x=0, *, y=None):\n"
+                    "        return helper(x, z=2)\n"
+                    "    @staticmethod\n"
+                    "    def s(p=0):\n"
+                    "        pass\n"
+                    "def helper(w, z=0, tag=''):\n"
+                    "    def inner(q=1):\n"
+                    "        pass\n"
+                    "    return inner()\n"
+                    "def passed_on(k=None):\n"
+                    "    return passed_on(k=k)\n"
+                    "def splat(u=0, v=0):\n"
+                    "    pass\n")
+    script = ast.parse("import lib\n"
+                       "lib.C(0).m(1)\n"
+                       "lib.C.s(2)\n"
+                       "lib.splat(**{})\n")
+    test = ast.parse("from lib import C\n"
+                     "C(0, b=2).m(y=1)\n"
+                     "helper(0, tag='t')\n")
+    assert unset_defaults({CHECKED + "lib.py": lib, "scripts/s.py": script,
+                           TESTS + "t.py": test}) == [
+        CHECKED + "lib.py:10: inner(q)",
+        CHECKED + "lib.py:2: C(b)",
+        CHECKED + "lib.py:4: m(y)",
+        CHECKED + "lib.py:9: helper(tag)",
+    ]

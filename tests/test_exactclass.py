@@ -33,8 +33,7 @@ def twist_r2():
     comps[0][0] = [z, -fy]
     comps[1][0] = [fy, z]
     phi = PhiTensor(ctx, comps)
-    E = twisted_product(conn, phi, names=("t1", "t2"),
-                        dual_names=("c1", "c2"))
+    E = twisted_product(conn, phi)
     return ctx, conn, phi, E
 
 
@@ -128,7 +127,7 @@ def test_rank_one_chart_forces_zero_tensor():
 def test_twist_r2_table_and_suite():
     ctx, conn, phi, E = twist_r2()
     fy = ctx.expr("d(f,y)")
-    assert E.names == ("t1", "t2", "c1", "c2")
+    assert E.names == ("d1", "d2", "c1", "c2")
     nonzero = {(a, b, k): E.table[a][b][k]
                for a in range(4) for b in range(4) for k in range(4)
                if not E.table[a][b][k].is_zero()}
@@ -238,8 +237,7 @@ def test_splitting_equivalence_of_shifted_twists():
     z, one, f = ctx.zero(), ctx.one(), ctx.expr("f")
     phi2 = extract_phi(E, conn, Splitting([[one, z, f, z],
                                            [z, one, z, z]]))
-    E2 = twisted_product(conn, phi2, names=("t1", "t2"),
-                         dual_names=("c1", "c2"))
+    E2 = twisted_product(conn, phi2)
     theta = [[f, z], [z, z]]
     # the shear by theta carries the shifted twist onto the original
     rep = splitting_equivalence(E2, E, theta)

@@ -69,8 +69,9 @@ def reference_rref(m):
     by dense Gauss-Jordan over Fraction with first-nonzero pivots.  It is
     written apart from `exactlinalg._gauss_jordan`, and divides and
     updates every entry, so the kernels and solutions are checked against
-    an elimination that shares none of their code."""
-    a = [list(row) for row in m.rows]
+    an elimination that shares none of their code.  It reads every entry
+    as a Fraction, so int entries divide exactly too."""
+    a = [[Fraction(x) for x in row] for row in m.rows]
     pivots = []
     for col in range(m.ncols):
         r = len(pivots)

@@ -24,7 +24,7 @@ from psalib.cli import _presym_builder, applicable_suites, run_suites
 from psalib.exactlinalg import invert
 from psalib.exprcore import ChartContext, DiffExpr
 from psalib.psafile import load_path
-from psalib.report import Recorder
+from psalib.report import CheckReport
 from psalib.presym import (
     PreSymStructure,
     Subbundle,
@@ -614,7 +614,7 @@ def test_def_ii_loop_residuals_match_definition(monkeypatch, name):
     and 3."""
     lefts, residuals = [], []
     left, residual = presym._def_ii_left, presym._def_ii_residual
-    scan = Recorder.scan
+    scan = CheckReport.scan
 
     def recording_left(ext, u, v):
         s = left(ext, u, v)
@@ -633,7 +633,7 @@ def test_def_ii_loop_residuals_match_definition(monkeypatch, name):
 
     monkeypatch.setattr(presym, "_def_ii_left", recording_left)
     monkeypatch.setattr(presym, "_def_ii_residual", recording_residual)
-    monkeypatch.setattr(Recorder, "scan", draining_scan)
+    monkeypatch.setattr(CheckReport, "scan", draining_scan)
     E = _DEF_II_INPUTS[name]()
     status = check_presymplectic(E).find("presym.def-ii").status
     r = E.rank
@@ -864,7 +864,7 @@ def test_interned_constants_survive_every_suite(monkeypatch):
     monkeypatch.setattr(ChartContext, "__init__", recording_init)
     for name in fixtures.REGISTRY_NAMES:
         b = fixtures.build(name)
-        run_suites(b, applicable_suites(b), name)
+        run_suites(b, applicable_suites(b))
     assert len(made) > len(fixtures.REGISTRY_NAMES)
     for ctx in made:
         assert ctx.zero() is ctx.number(0)
@@ -932,7 +932,7 @@ def test_no_operation_mixes_contexts(monkeypatch):
                 check_lie_algebroid(alg)
             elif alg is not None:
                 check_left_symmetric_algebroid(alg)
-        run_suites(b, applicable_suites(b), name)
+        run_suites(b, applicable_suites(b))
         assert not mixed, (name, mixed[0])
 
 

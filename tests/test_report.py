@@ -1,17 +1,17 @@
-"""Recorder.scan, the residual scan every check suite records through."""
+"""CheckReport.scan, the residual scan every check suite records through."""
 
 from fractions import Fraction
 
 from psalib import fixtures
 from psalib.cli import applicable_suites, run_suites
 from psalib.exprcore import ChartContext
-from psalib.report import Recorder, components
+from psalib.report import CheckReport, components
 
 
 def test_scan_stops_at_first_nonzero_and_writes_each_witness_shape():
     ctx = ChartContext(coords=("x",))
     x, z = ctx.expr("x"), ctx.zero()
-    rec = Recorder("t")
+    rec = CheckReport()
     consumed = []
 
     def cases():
@@ -30,7 +30,7 @@ def test_scan_stops_at_first_nonzero_and_writes_each_witness_shape():
     assert not rec.scan("exact.sequence", [("ok", False), ("broken", True)])
     assert not rec.scan("para.torsion-free", components(
         "(e1, e2) ", (z, -x), ("e1", "e2")))
-    got = [(c.check_id, c.status, c.witness) for c in rec.report.checks]
+    got = [(c.check_id, c.status, c.witness) for c in rec.checks]
     assert got == [
         ("presym.def-i", "fail", "first = x"),
         ("presym.def-ii", "pass", None),
@@ -45,7 +45,7 @@ def test_bool_cases_record_verdicts_that_are_not_residual_scans():
     """A check with no residual (a rank count, a singular matrix, a failed
     solve) hands scan at most one (witness, True) case: none records pass
     with no witness, one records fail with its label as the witness."""
-    rec = Recorder("t")
+    rec = CheckReport()
 
     def rank_case(got, need):
         if got != need:
@@ -53,16 +53,16 @@ def test_bool_cases_record_verdicts_that_are_not_residual_scans():
 
     assert rec.scan("dirac.half-rank", rank_case(2, 2))
     assert not rec.scan("dirac.half-rank", rank_case(1, 2))
-    assert [(c.check_id, c.status, c.witness) for c in rec.report.checks] \
+    assert [(c.check_id, c.status, c.witness) for c in rec.checks] \
         == [("dirac.half-rank", "pass", None),
             ("dirac.half-rank", "fail",
              "spanning sections have rank 1, need 2")]
 
 
 def test_skip_records_every_id_with_one_reason():
-    rec = Recorder("t")
+    rec = CheckReport()
     rec.skip("not evaluated: r", "presym.def-i", "presym.def-ii")
-    assert [(c.check_id, c.status, c.witness) for c in rec.report.checks] \
+    assert [(c.check_id, c.status, c.witness) for c in rec.checks] \
         == [("presym.def-i", "skipped", "not evaluated: r"),
             ("presym.def-ii", "skipped", "not evaluated: r")]
 
@@ -86,11 +86,11 @@ def test_components_yields_only_nonzero_components():
     assert next(cases) == ("(e1) component e3: ", x)
     assert consumed == ["e1", "e2", "e3"]
 
-    rec = Recorder("t")
+    rec = CheckReport()
     assert rec.scan("presym.def-i", [("(e1,e2,e1): ", (z, z))])
     assert not rec.scan("presym.def-ii", components(
         "(e1,e2,e1): ", (z, z, Fraction(-1, 2) * x, x), names))
-    assert [(c.check_id, c.status, c.witness) for c in rec.report.checks] \
+    assert [(c.check_id, c.status, c.witness) for c in rec.checks] \
         == [("presym.def-i", "pass", None),
             ("presym.def-ii", "fail", "(e1,e2,e1): component e3: -1/2*x")]
 
@@ -100,15 +100,15 @@ def test_fixture_scans_receive_only_nonzero_residuals(monkeypatch):
     the passing registry fixtures scan sees no case at all, and no label
     is formatted for an instance that passes."""
     seen = []
-    scan = Recorder.scan
+    scan = CheckReport.scan
 
     def recording(self, check_id, cases, names=()):
         cases = list(cases)
         seen.extend((check_id, label) for label, _ in cases)
         return scan(self, check_id, cases, names)
 
-    monkeypatch.setattr(Recorder, "scan", recording)
+    monkeypatch.setattr(CheckReport, "scan", recording)
     for name in fixtures.REGISTRY_NAMES:
         bundle = fixtures.build(name)
-        assert run_suites(bundle, applicable_suites(bundle), name).passed()
+        assert run_suites(bundle, applicable_suites(bundle)).passed()
     assert seen == []

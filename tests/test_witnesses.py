@@ -567,7 +567,7 @@ def test_recorded_ids_are_exactly_the_anchors(reports):
     for name in fixtures.REGISTRY_NAMES:
         bundle = fixtures.build(name)
         seen |= {c.check_id for c in run_suites(
-            bundle, applicable_suites(bundle), name).checks}
+            bundle, applicable_suites(bundle)).checks}
     assert seen == set(ANCHORS)
 
 
