@@ -48,14 +48,53 @@ where the two associators take four.  A structure whose pairing is not
 skew (check_presymplectic reports it, and still runs the other checks)
 keeps the four-term definitions.
 
+On a skew pairing the formal-function slots f e_a of def-i, def-ii and
+cyclic-T follow from frame-level quantities (check_presymplectic states
+the three lemmas).  The derivations use only the rules the products are
+built from, for a scalar g: (g u)*v = g u*v - 1/2 (u,v) Dg,
+u*(g v) = g u*v + rho(u)(g) v + 1/2 (u,v) Dg, [g u, v] = g [u,v]
+- rho(v)(g) u, [u, g v] = g [u,v] + rho(u)(g) v, D(gh) = g Dh + h Dg,
+rho(g u) = g rho(u), the pairing's C-infinity-bilinearity, and
+(Dg, w) = rho(w)(g), which holds on a skew pairing.
+  def-ii, R(u,v,w) = rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w]).
+In slot 1, (f u)*v - 1/2 D(f (u,v)) = f (u*v - 1/2 D(u,v)) - (u,v) Df
+and (v, [f u, w]) = f (v, [u,w]) - rho(w)(f) (v,u), so
+R(f u,v,w) = f R + rho(w)(f) ((u,v) + (v,u)).  In slot 2, rho(u) of
+f (v,w) adds rho(u)(f) (v,w), and u*(f v) - 1/2 D(f (u,v)) adds
+rho(u)(f) v, whose pairing with w takes it away; in slot 3, rho(u) of
+(v, f w) adds rho(u)(f) (v,w), and so does (v, [u, f w]).
+  T, on a skew pairing ([u,v],w) + (u,v*w) - (v,u*w).  In slot 1,
+([f u, v], w) contributes -rho(v)(f) (u,w) and -(v, (f u)*w) contributes
+1/2 (u,w) (v,Df) = -1/2 (u,w) rho(v)(f), so T(f u,v,w) = f T
+- 3/2 (u,w) rho(v)(f).  Slots 2 and 3 go the same way, and the
+anomalies of the three rotations of (f u, v, w) cancel pairwise.
+  def-i, P(u,v,w) = u*(v*w) - v*(u*w) - [u,v]*w - 1/6 D T(u,v,w).  In
+slot 0 the four terms give f P plus
+-1/2 (u,v*w) Df;
+-rho(v)(f) u*w - 1/2 (v,u*w) Df + 1/2 (u,w) v*Df
++ 1/2 rho(v)(u,w) Df - 1/4 rho(v)(f) D(u,w);
+1/2 ([u,v],w) Df + rho(v)(f) u*w - 1/2 (u,w) D(rho(v)f); and
+-1/6 T Df + 1/4 rho(v)(f) D(u,w) + 1/4 (u,w) D(rho(v)f).
+The u*w and D(u,w) terms cancel, and with T = ([u,v],w) + (u,v*w)
+- (v,u*w) the rest is c0 Df + 1/2 (u,w) SD(v).  In slot 2,
+u*(v*(f w)) - v*(u*(f w)) leaves, besides f times its frame value,
+1/2 ((u,v*w) - (v,u*w) + rho(u)(v,w) - rho(v)(u,w)) Df,
+[rho(u), rho(v)](f) w, 1/2 (v,w) u*Df - 1/2 (u,w) v*Df,
+1/2 (u,w) D(rho(v)f) - 1/2 (v,w) D(rho(u)f) and
+1/4 (rho(v)(f) D(u,w) - rho(u)(f) D(v,w)).  -[u,v]*(f w) adds
+-rho([u,v])(f) w, which completes M(u,v) f, and -1/2 ([u,v],w) Df;
+-1/6 D T(u,v,f w) adds -1/6 T Df, halves the D(rho f) terms into the
+SD terms and cancels the last pair.  f P carries the bare symbol f and
+each anomaly only partials of f, so neither can cancel the other.
+
 The identity loops compute each loop-invariant piece once.  def-ii's
 section u*v - 1/2 D(u,v) depends on (u, v) only, so each group of its
-scan (the frame triples, then f e_a in slot 1, 2 and 3) builds it once
-per (u, v) and pairs it with the r values of w.  Every other
-intermediate section, such as u*(v*w), is recomputed where it is used,
-and D's cache (by its scalar) is the only memo keyed by a value; each
-other memo is keyed by basis positions and lives as long as its
-structure.  Rejected: caching the 1/6 D(T) entries by T, which raises
+scan (the frame triples, and off a skew pairing f e_a in slot 1, 2
+and 3) builds it once per (u, v) and pairs it with the r values of w.
+Every other intermediate section, such as u*(v*w), is recomputed where
+it is used, and D's cache (by its scalar) is the only memo keyed by a
+value; each other memo is keyed by basis positions and lives as long as
+its structure.  Rejected: caching the 1/6 D(T) entries by T, which raises
 the tracemalloc peak of the check; memoising e_a * X by (a, X), which
 raises the peak resident memory and saves no def-i time (BENCH_23.json).
 
@@ -502,6 +541,32 @@ def _def_ii_residual(E: PreSymStructure, u, v, w, s) -> DiffExpr:
     return lhs - rhs
 
 
+def _star_with_d(E: PreSymStructure, a: int, df):
+    """e_a * Df - 1/2 D(Df, e_a), given Df: the star-with-D residual at
+    e_a, and on a skew pairing, where (Df, e_a) = rho(e_a)(f), the
+    section SD(e_a) of def-i's formal-slot anomalies."""
+    out = list(E._frame_star(a, df))
+    p = E._pair(df, E._frames[a])
+    if p.num:
+        half = E._half
+        for k, x in enumerate(E._d(p)[0]):
+            if x.num:
+                out[k] = out[k] - half * x
+    return out
+
+
+def _combination(E: PreSymStructure, terms):
+    """The section sum of c * s over the (scalar c, section s) terms."""
+    out = [E.ctx.zero()] * E.rank
+    for c, s in terms:
+        if not c.num:
+            continue
+        for k, x in enumerate(s):
+            if x.num:
+                out[k] = out[k] + c * x
+    return out
+
+
 def check_presymplectic(E: PreSymStructure) -> CheckReport:
     """The defining identities on frame triples with formal-function slots.
 
@@ -511,6 +576,41 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
     pairs; identity (ii) has no slot symmetry and runs in full.  T is
     evaluated once per triple of basis sections and shared by (i) and
     the cyclic identity.
+
+    On a skew pairing three lemmas decide the formal-slot cases from
+    frame-level quantities.  They use only the rules the products are
+    built from: (g u)*v = g u*v - 1/2 (u,v) Dg and u*(g v) = g u*v +
+    rho(u)(g) v + 1/2 (u,v) Dg; [g u, v] = g [u,v] - rho(v)(g) u and
+    [u, g v] = g [u,v] + rho(u)(g) v; D(gh) = g Dh + h Dg;
+    rho(g u) = g rho(u); and (Dg, w) = rho(w)(g), which holds when the
+    pairing is skew.
+
+    1. def-ii.  With R(u,v,w) its residual,
+       R(f u, v, w) = f R + rho(w)(f) ((u,v) + (v,u)), and in slots 2
+       and 3 the terms in f's derivatives cancel one by one, so every
+       formal case is f R(u,v,w).  The frame triples run first and decide
+       the verdict and the witness; the formal groups are not evaluated.
+    2. cyclic-T.  T(f u,v,w) = f T - 3/2 (u,w) rho(v)(f),
+       T(u,f v,w) = f T + 3/2 (v,w) rho(u)(f) and
+       T(u,v,f w) = f T + 3/2 ((u,w) rho(v)(f) - (v,w) rho(u)(f)).  Over
+       the three rotations of (f u, v, w) these anomalies sum to
+       3/2 (((u,v) + (v,u)) rho(w)(f) - ((u,w) + (w,u)) rho(v)(f)), which
+       is zero, so the cyclic sum is f times its frame value.  That value
+       is antisymmetric in every pair of slots, so the frame triples
+       a < b < c decide it, and the formal group is not evaluated.
+    3. def-i.  With P(u,v,w) its residual, SD(v) = v*Df - 1/2 D(rho(v)f)
+       and M(u,v) = [rho(u), rho(v)] - rho([u,v]):
+       P(f u,v,w) - f P = c0 Df + 1/2 (u,w) SD(v), with
+       c0 = 1/3 T - (u, v*w) + 1/2 rho(v)(u,w); and
+       P(u,v,f w) - f P = c2 Df + 1/2 (v,w) SD(u) - 1/2 (u,w) SD(v)
+       + (M(u,v) f) w, with
+       c2 = (u, v*w) - (v, u*w) + 1/2 (rho(u)(v,w) - rho(v)(u,w)) - 2/3 T.
+       f P carries the bare symbol f and the anomaly only f's partials,
+       so a formal case is nonzero exactly when its frame residual (known
+       from the u < v group, as P is antisymmetric in u, v) or its anomaly
+       is.  The formal cases run in the same order, and only those that
+       fail this screen have their residual evaluated and reported.
+    A non-skew pairing evaluates every formal case.
     """
     rec = CheckReport()
     r = E.rank
@@ -551,6 +651,60 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
             t = t_memo[i] = _tensor_T(ext, u, v, w)
         return t
 
+    skew = ext._skew
+    zero, half = ext.ctx.zero(), ext._half
+    third, two_thirds = (ext.ctx.number(Fraction(k, 3)) for k in (1, 2))
+    W, half_W = ext.pairing.rows, ext._half_pairing
+    # star-with-D's residual at e_a, SD(e_a) on a skew pairing
+    sd_memo = [None] * r
+
+    def sd(a):
+        if sd_memo[a] is None:
+            sd_memo[a] = _star_with_d(ext, a, ext.D(f))
+        return sd_memo[a]
+
+    def frame_t(u, v, w):
+        # T(e_u, e_v, e_w) from the u < v triples; T is antisymmetric in
+        # its first two slots
+        if u == v:
+            return zero
+        if u < v:
+            return T(frames[u], frames[v], frames[w])
+        return -T(frames[v], frames[u], frames[w])
+
+    def pair_times(u, v, w):
+        # (e_u, e_v * e_w)
+        return ext._pair(frames[u], ext._times(frames[v], frames[w]))
+
+    def slot_0_anomaly(u, v, w):
+        # P(f e_u, e_v, e_w) - f P(e_u, e_v, e_w), lemma 3
+        c0 = (third * frame_t(u, v, w) - pair_times(u, v, w)
+              + half * ext._frame_apply(v, W[u][w]))
+        return _combination(ext, ((c0, ext.D(f)), (half_W[u][w], sd(v))))
+
+    m_memo = {}
+
+    def slot_2_anomaly(u, v, w):
+        # P(e_u, e_v, f e_w) - f P(e_u, e_v, e_w) for u < v, lemma 3
+        c2 = (pair_times(u, v, w) - pair_times(v, u, w)
+              + half * (ext._frame_apply(u, W[v][w])
+                        - ext._frame_apply(v, W[u][w]))
+              - two_thirds * frame_t(u, v, w))
+        out = _combination(ext, ((c2, ext.D(f)), (half_W[v][w], sd(u)),
+                                 (-half_W[u][w], sd(v))))
+        m = m_memo.get((u, v))
+        if m is None:
+            # M(e_u, e_v) f = rho(e_u)(rho(e_v) f) - rho(e_v)(rho(e_u) f)
+            # - rho([e_u, e_v]) f
+            ders = ext._d(f)[1]
+            m = ext._frame_apply(u, ders[v]) - ext._frame_apply(v, ders[u])
+            for k, c in enumerate(ext._bracket(frames[u], frames[v])):
+                if c.num:
+                    m = m - c * ders[k]
+            m_memo[(u, v)] = m
+        out[w] = out[w] + m
+        return out
+
     def d_reproducing():
         df = ext.D(f)
         for b in range(r):
@@ -560,14 +714,14 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
                 yield f"(Df,e{b+1}) - rho(e{b+1})(f) = ", res
 
     def def_ii():
-        # the frame triples, then f e_a in slot 1, 2 and 3; the section
-        # u*v - 1/2 D(u,v) is built once per (u, v), before its r values
-        # of w
-        for tag, us, vs, ws in (
-                ("", frames, frames, frames),
-                (", formal f in slot 1", f_slots, frames, frames),
-                (", formal f in slot 2", frames, f_slots, frames),
-                (", formal f in slot 3", frames, frames, f_slots)):
+        # the frame triples, then (off a skew pairing, lemma 1) f e_a in
+        # slot 1, 2 and 3; the section u*v - 1/2 D(u,v) is built once per
+        # (u, v), before its r values of w
+        groups = (("", frames, frames, frames),
+                  (", formal f in slot 1", f_slots, frames, frames),
+                  (", formal f in slot 2", frames, f_slots, frames),
+                  (", formal f in slot 3", frames, frames, f_slots))
+        for tag, us, vs, ws in groups[:1] if skew else groups:
             for u, v in itertools.product(range(r), repeat=2):
                 x, y = us[u], vs[v]
                 s = _def_ii_left(ext, x, y)
@@ -578,14 +732,28 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
                                res)
 
     def def_i():
-        for tag_u, tag_w, us, ws, pairs in (
-                ("", "", frames, frames, itertools.combinations(range(r), 2)),
+        # (e_u, e_v, e_w) for u < v, then (f e_u, e_v, e_w) for every
+        # (u, v), then (e_u, e_v, f e_w) for u < v; on a skew pairing a
+        # formal case is evaluated only when lemma 3 says it is nonzero
+        failing = set()
+        for u, v in itertools.combinations(range(r), 2):
+            for w in range(r):
+                x, y, z = frames[u], frames[v], frames[w]
+                res = _def_i_residual(ext, x, y, z, T(x, y, z))
+                if any(res):
+                    failing.add((u, v, w))
+                    yield from components(f"(e{u+1},e{v+1},e{w+1}): ", res,
+                                          E.names)
+        for tag_u, tag_w, us, ws, pairs, anomaly in (
                 ("f ", "", f_slots, frames,
-                 itertools.product(range(r), repeat=2)),
+                 itertools.product(range(r), repeat=2), slot_0_anomaly),
                 ("", "f ", frames, f_slots,
-                 itertools.combinations(range(r), 2))):
+                 itertools.combinations(range(r), 2), slot_2_anomaly)):
             for u, v in pairs:
                 for w in range(r):
+                    if (skew and (min(u, v), max(u, v), w) not in failing
+                            and not any(x.num for x in anomaly(u, v, w))):
+                        continue
                     x, y, z = us[u], frames[v], ws[w]
                     res = _def_i_residual(ext, x, y, z, T(x, y, z))
                     if any(res):
@@ -639,19 +807,16 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
                 yield from components(f"[e{a+1}, f e{b+1}], ", res, E.names)
 
     def star_with_d():
-        df = ext.D(f)
         for a in range(r):
-            lhs = ext.star(frames[a], df)
-            p = ext.pairing_value(df, frames[a])
-            rhs = ext.D(p) if not p.is_zero() else (ext.ctx.zero(),) * r
-            yield from components(
-                f"e{a+1} * Df - 1/2 D(Df,e{a+1}), ",
-                (lhs[k] - ext._half * rhs[k] for k in range(r)), E.names)
+            yield from components(f"e{a+1} * Df - 1/2 D(Df,e{a+1}), ",
+                                  sd(a), E.names)
 
     def cyclic_t():
-        for tag, us, triples in (
-                ("", frames, itertools.combinations(range(r), 3)),
-                ("f ", f_slots, itertools.product(range(r), repeat=3))):
+        # the frame triples a < b < c, then (off a skew pairing, lemma 2)
+        # f e_a in slot 1
+        groups = (("", frames, itertools.combinations(range(r), 3)),
+                  ("f ", f_slots, itertools.product(range(r), repeat=3)))
+        for tag, us, triples in groups[:1] if skew else groups:
             for u, v, w in triples:
                 x, y, z = us[u], frames[v], frames[w]
                 res = T(x, y, z) + T(y, z, x) + T(z, x, y)

@@ -188,6 +188,23 @@ def test_check_third_derivative_exits_two(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("anchor, pairing", [("d2(g,x,x), 0", "1"),
+                                             ("1, 0", "1 + d2(g,x,x)")])
+def test_star_table_past_the_derivative_cap_exits_two(capsys, tmp_path,
+                                                      anchor, pairing):
+    # the presym suite differentiates a second partial of g once more (the
+    # anchor's while def-i screens its formal-slot cases, the pairing's in
+    # def-ii's frame triples): an input error, which skipping formal-slot
+    # cases must not hide
+    p = tmp_path / "cap.psa"
+    p.write_text("[chart]\ncoords = x, y\nfuncs = g\n[frame]\n"
+                 f"names = d1, d2\n[anchor]\nd1 = {anchor}\nd2 = 0, 1\n"
+                 f"[star]\n[pairing]\nd1 d2 = {pairing}\n", encoding="utf-8")
+    code, _, err = run(capsys, "check", str(p), "--suite", "presym")
+    assert code == 2
+    assert err == "error: third derivative of g exceeds the cap\n"
+
+
 @pytest.mark.parametrize("command", [["check"],
                                      ["cohomology", "--degree", "1"]])
 @pytest.mark.parametrize("coords", ["x, x", "x, d"])

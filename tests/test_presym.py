@@ -21,10 +21,10 @@ from psalib.algebroid import (
     check_lie_algebroid,
 )
 from psalib.cli import _presym_builder, applicable_suites, run_suites
-from psalib.exactlinalg import invert
+from psalib.exactlinalg import SingularMatrixError, invert
 from psalib.exprcore import ChartContext, DiffExpr
 from psalib.psafile import load_path
-from psalib.report import CheckReport
+from psalib.report import CheckReport, components
 from psalib.presym import (
     PreSymStructure,
     Subbundle,
@@ -202,7 +202,8 @@ def test_cyclic_t_is_a_report_check():
 
 def test_t_evaluated_once_per_basis_triple(monkeypatch):
     """def-i and cyclic-T share one evaluation of T on each triple of
-    basis sections."""
+    basis sections, and on a passing skew structure T is evaluated on
+    frame triples only."""
     triples = []
     tensor = presym._tensor_T
 
@@ -214,13 +215,13 @@ def test_t_evaluated_once_per_basis_triple(monkeypatch):
     assert check_presymplectic(fixtures.r2n_structure(2)).passed()
     r = 4
     pairs = r * (r - 1) // 2
-    # def-i: (e_u, e_v, e_w) and (e_u, e_v, f e_w) for u < v, and
-    # (f e_u, e_v, e_w) for all u, v; cyclic-T adds the third rotation
-    # (e_w, e_u, e_v) of u < v < w, and of (f e_u, e_v, e_w) the rotations
-    # (e_v, e_w, f e_u) with v >= w and (e_w, f e_u, e_v)
-    want = (2 * pairs * r + r ** 3 + r * (r - 1) * (r - 2) // 6
-            + r * r * (r + 1) // 2 + r ** 3)
+    # def-i: (e_u, e_v, e_w) for u < v, whose values its formal-slot
+    # screen reads back; cyclic-T adds the third rotation (e_w, e_u, e_v)
+    # of u < v < w.  No formal case fails the screen, and cyclic-T has no
+    # formal group on a skew pairing.
+    want = pairs * r + r * (r - 1) * (r - 2) // 6
     assert len(triples) == len(set(triples)) == want
+    assert max(p for t in triples for p in t) < r
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +611,10 @@ def test_def_ii_loop_residuals_match_definition(monkeypatch, name):
     """The def-ii scan, driven past its first failure, builds
     u*v - 1/2 D(u,v) once per (u, v) of each group and shares it among the
     r values of w; every residual it computes equals the definition, in
-    the enumeration order: the frame triples, then f e_a in slot 1, 2
-    and 3."""
+    the enumeration order: the frame triples, then, on a pairing that is
+    not skew, f e_a in slot 1, 2 and 3.  On a skew pairing each formal
+    case is f times its frame case, so the frame triples are the only
+    group."""
     lefts, residuals = [], []
     left, residual = presym._def_ii_left, presym._def_ii_residual
     scan = CheckReport.scan
@@ -648,10 +651,260 @@ def test_def_ii_loop_residuals_match_definition(monkeypatch, name):
         got.append((slot, u.pos % r, v.pos % r, w.pos % r))
         assert s is lefts[i // r]
         assert res == _def_ii_by_definition(ext, u, v, w)
-    assert got == [(slot,) + t for slot in range(4)
+    groups = 1 if E._skew else 4
+    assert got == [(slot,) + t for slot in range(groups)
                    for t in itertools.product(range(r), repeat=3)]
-    assert len(lefts) == 4 * r * r
+    assert len(lefts) == groups * r * r
     assert (status == "pass") == (not any(t[-1] for t in residuals))
+
+
+# ---------------------------------------------------------------------------
+# the formal-slot lemmas of check_presymplectic and the full enumeration
+
+
+# mostly zero and of low degree: a random rank-4 table of dense
+# quadratic entries makes a single formal-slot residual take minutes
+_POLYS = ("0",) * 8 + ("1", "-2", "x", "y", "x*y", "1/2*y - x")
+
+
+_VALID = (fixtures.sphere_structure,
+          functools.partial(fixtures.r2n_structure, 2))
+
+
+@st.composite
+def _skew_structures(draw):
+    """A structure with polynomial anchor, table and pairing entries over
+    2 or 3 coordinates, of frame rank 2 or 4 (a skew pairing of odd rank
+    is degenerate), whose pairing is skew and nondegenerate; the
+    identities need not hold.  One draw in five is a valid fixture."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(_VALID))()
+    n, r = draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 4)))
+    ctx = ChartContext(coords=("x", "y", "z")[:n])
+    pool = _POLYS + (("1/2*z", "z - x") if n == 3 else ())
+
+    def entry():
+        return ctx.expr(draw(st.sampled_from(pool)))
+
+    anchor = [[entry() for _ in range(n)] for _ in range(r)]
+    table = [[tuple(entry() for _ in range(r)) for _ in range(r)]
+             for _ in range(r)]
+    # rank 2: (e1, e2) = 1 + p; rank 4: (e1, e2) = (e3, e4) = 1 and
+    # polynomials at (e1, e3) and (e1, e4), so the Pfaffian is 1.  A
+    # Pfaffian that is not constant makes single draws take minutes.
+    entries = ({(0, 1): entry() + 1} if r == 2 else
+               {(0, 1): ctx.one(), (2, 3): ctx.one(), (0, 2): entry(),
+                (0, 3): entry()})
+    pairing = [[ctx.zero()] * r for _ in range(r)]
+    for (a, b), w in entries.items():
+        pairing[a][b], pairing[b][a] = w, -w
+    return PreSymStructure(ctx, tuple(f"e{a+1}" for a in range(r)), anchor,
+                           table, pairing)
+
+
+@settings(max_examples=15, deadline=None)
+@given(E=_skew_structures())
+def test_formal_slot_lemmas(E):
+    """The closed forms check_presymplectic's docstring derives, against
+    the residuals its loops evaluate, at every frame triple (u, v, w)
+    with f in each slot."""
+    assert E._skew
+    ext, f = E.extended()
+    ctx, r = ext.ctx, ext.rank
+    frames = [ext.frame_section(a) for a in range(r)]
+    slots = ext.add_basis(tuple(f if k == a else ctx.zero() for k in range(r))
+                          for a in range(r))
+    pair, star, bracket = ext.pairing_value, ext.star, ext.bracket
+    rho, D = ext.anchor_apply, ext.D
+    half, sixth = ctx.number(Fraction(1, 2)), ctx.number(Fraction(1, 6))
+    three_halves = ctx.number(Fraction(3, 2))
+    df = D(f)
+    sd = [[a - half * b for a, b in zip(star(e, df), D(rho(e, f)))]
+          for e in frames]
+
+    def R(x, y, z):
+        return presym._def_ii_residual(ext, x, y, z,
+                                       presym._def_ii_left(ext, x, y))
+
+    def T(x, y, z):
+        return presym._tensor_T(ext, x, y, z)
+
+    def P(x, y, z):
+        return presym._def_i_residual(ext, x, y, z, T(x, y, z))
+
+    for u, v, w in itertools.product(range(r), repeat=3):
+        eu, ev, ew = frames[u], frames[v], frames[w]
+        fu, fv, fw = slots[u], slots[v], slots[w]
+        w_uw, w_vw = pair(eu, ew), pair(ev, ew)
+        rho_u, rho_v = rho(eu, f), rho(ev, f)
+
+        # 1. def-ii: f times the frame residual in each slot
+        frame_r = R(eu, ev, ew)
+        for args in ((fu, ev, ew), (eu, fv, ew), (eu, ev, fw)):
+            assert R(*args) == f * frame_r
+
+        # 2. T's slot anomalies; their cyclic sum vanishes
+        t = T(eu, ev, ew)
+        assert T(fu, ev, ew) == f * t - three_halves * w_uw * rho_v
+        assert T(eu, fv, ew) == f * t + three_halves * w_vw * rho_u
+        assert T(eu, ev, fw) == f * t + three_halves * (w_uw * rho_v
+                                                        - w_vw * rho_u)
+        assert (T(fu, ev, ew) + T(ev, ew, fu) + T(ew, fu, ev)
+                == f * (t + T(ev, ew, eu) + T(ew, eu, ev)))
+
+        # 3. def-i: the slot-0 and slot-2 anomalies
+        frame_p = P(eu, ev, ew)
+        u_vw, v_uw = pair(eu, star(ev, ew)), pair(ev, star(eu, ew))
+        uv_w = pair(bracket(eu, ev), ew)
+        c0 = half * (uv_w + rho(ev, w_uw) - u_vw - v_uw) - sixth * t
+        assert P(fu, ev, ew) == tuple(
+            f * p + c0 * d + half * w_uw * s
+            for p, d, s in zip(frame_p, df, sd[v]))
+        c2 = half * (u_vw - v_uw + rho(eu, w_vw) - rho(ev, w_uw) - uv_w) \
+            - sixth * t
+        want = [f * p + c2 * d + half * w_vw * su - half * w_uw * sv
+                for p, d, su, sv in zip(frame_p, df, sd[u], sd[v])]
+        want[w] = want[w] + (rho(eu, rho_v) - rho(ev, rho_u)
+                             - rho(bracket(eu, ev), f))
+        assert P(eu, ev, fw) == tuple(want)
+
+
+def _full_enumeration(E):
+    """def-ii, def-i and cyclic-T as check_presymplectic scanned them
+    before its formal-slot lemmas: every formal group evaluated.  Returns
+    the report of the three scans and def-i's nonzero cases in order."""
+    ext, f = E.extended()
+    r = ext.rank
+    frames = [ext.frame_section(a) for a in range(r)]
+    f_slots = ext.add_basis(
+        tuple(f if k == a else ext.ctx.zero() for k in range(r))
+        for a in range(r))
+    t_memo = {}
+
+    def T(u, v, w):
+        key = (u.pos, v.pos, w.pos)
+        if key not in t_memo:
+            t_memo[key] = presym._tensor_T(ext, u, v, w)
+        return t_memo[key]
+
+    def def_ii():
+        for tag, us, vs, ws in (
+                ("", frames, frames, frames),
+                (", formal f in slot 1", f_slots, frames, frames),
+                (", formal f in slot 2", frames, f_slots, frames),
+                (", formal f in slot 3", frames, frames, f_slots)):
+            for u, v in itertools.product(range(r), repeat=2):
+                x, y = us[u], vs[v]
+                s = presym._def_ii_left(ext, x, y)
+                for w in range(r):
+                    res = presym._def_ii_residual(ext, x, y, ws[w], s)
+                    if res.num:
+                        yield (f"(e{u+1},e{v+1},e{w+1}){tag}: residual ",
+                               res)
+
+    def def_i():
+        for tag_u, tag_w, us, ws, pairs in (
+                ("", "", frames, frames, itertools.combinations(range(r), 2)),
+                ("f ", "", f_slots, frames,
+                 itertools.product(range(r), repeat=2)),
+                ("", "f ", frames, f_slots,
+                 itertools.combinations(range(r), 2))):
+            for u, v in pairs:
+                for w in range(r):
+                    x, y, z = us[u], frames[v], ws[w]
+                    res = presym._def_i_residual(ext, x, y, z, T(x, y, z))
+                    yield from components(
+                        f"({tag_u}e{u+1},e{v+1},{tag_w}e{w+1}): ", res,
+                        E.names)
+
+    def cyclic_t():
+        for tag, us, triples in (
+                ("", frames, itertools.combinations(range(r), 3)),
+                ("f ", f_slots, itertools.product(range(r), repeat=3))):
+            for u, v, w in triples:
+                x, y, z = us[u], frames[v], frames[w]
+                res = T(x, y, z) + T(y, z, x) + T(z, x, y)
+                if res.num:
+                    yield f"({tag}e{u+1},e{v+1},e{w+1}): ", res
+
+    def_i_cases = list(def_i())
+    rep = CheckReport()
+    rep.scan("presym.def-ii", def_ii())
+    rep.scan("presym.def-i", def_i_cases)
+    rep.scan("presym.cyclic-T", cyclic_t())
+    return rep, def_i_cases
+
+
+_PERTURBED = sorted(INPUTS.glob("perturbed.*.psa"))
+# the bumps whose def-i cases all pass on frame triples
+_FORMAL_ONLY = [p.stem for p in _PERTURBED
+                if p.stem.startswith(("perturbed.anchor.e1.x.",
+                                      "perturbed.anchor.e2.z."))]
+def _load_structure(path):
+    return _presym_builder(load_path(str(path)))()
+
+
+_PARITY_INPUTS = {
+    **{p.stem: functools.partial(_load_structure, p) for p in _PERTURBED},
+    **{name: build for name, build in _DEF_II_INPUTS.items()
+       if name.startswith("r2n-1 ")},
+    **{name: functools.partial(_fixture_structure, name)
+       for name in fixtures.REGISTRY_NAMES},
+}
+
+
+@pytest.mark.parametrize("name", list(_PARITY_INPUTS))
+def test_witnesses_match_full_enumeration(name, monkeypatch):
+    """Every def-ii, def-i and cyclic-T status and witness equals that of
+    the full enumeration, and def-i, drained, yields the same nonzero
+    cases while evaluating a formal-slot residual only for those."""
+    E = _PARITY_INPUTS[name]()
+    try:
+        E.inverse_pairing
+    except SingularMatrixError:
+        rep = check_presymplectic(E)
+        assert {rep.find(c).status for c in
+                ("presym.def-ii", "presym.def-i", "presym.cyclic-T")} \
+            == {"skipped"}
+        return
+    want, want_cases = _full_enumeration(E)
+    r = E.rank
+    drained, formal = [], []
+    residual, scan = presym._def_i_residual, CheckReport.scan
+
+    def recording(ext, u, v, w, t):
+        res = residual(ext, u, v, w, t)
+        if max(u.pos, v.pos, w.pos) >= r:
+            formal.append(any(res))
+        return res
+
+    def draining_scan(self, check_id, cases, names=()):
+        if check_id == "presym.def-i":
+            cases = list(cases)
+            drained.extend(cases)
+        return scan(self, check_id, cases, names)
+
+    monkeypatch.setattr(presym, "_def_i_residual", recording)
+    monkeypatch.setattr(CheckReport, "scan", draining_scan)
+    got = check_presymplectic(E)
+    for c in want.checks:
+        assert (got.find(c.check_id).status, got.find(c.check_id).witness) \
+            == (c.status, c.witness), c.check_id
+    assert drained == want_cases
+    # a flagged case is a failing one (off a skew pairing every formal
+    # case is evaluated)
+    assert all(formal) or not E._skew
+    if name in _FORMAL_ONLY:
+        assert want.find("presym.def-i").status == "fail"
+        assert all(label.startswith("(f ") or ",f e" in label
+                   for label, _ in want_cases)
+
+
+def test_formal_only_def_i_witness_is_kept():
+    assert len(_FORMAL_ONLY) == 8
+    E = _PARITY_INPUTS["perturbed.anchor.e1.x.plus1"]()
+    assert check_presymplectic(E).find("presym.def-i").witness \
+        == "(f e1,e1,e2): component e1: 1/2*z*d(f,x)/y"
 
 
 def test_vanishing_basis_products_are_one_shared_zero(monkeypatch):
@@ -737,8 +990,9 @@ def test_check_frees_structure_by_reference_counting(name, monkeypatch):
 # frame_apply calls on non-constant scalars in one check_presymplectic:
 # D's cache keeps the frame derivatives it computes, and the transport
 # term of e_a * v reads them back (2008 and 2259 calls when each call
-# differentiated afresh)
-FRAME_APPLY_LIMIT = {"r2n-4": 500, "prolongation-so3": 850}
+# differentiated afresh, 484 and 796 while every formal-slot case was
+# evaluated); measured 132 and 136, plus under 10%
+FRAME_APPLY_LIMIT = {"r2n-4": 145, "prolongation-so3": 149}
 
 
 @pytest.mark.parametrize("name", list(FRAME_APPLY_LIMIT))
@@ -755,6 +1009,25 @@ def test_check_differentiates_each_scalar_about_once(name, monkeypatch):
     monkeypatch.setattr(ChartAlgebroid, "frame_apply", counting)
     assert check_presymplectic(E).passed()
     assert len(calls) <= FRAME_APPLY_LIMIT[name]
+
+
+@pytest.mark.parametrize("name", ["r2n-4", "prolongation-so3"])
+def test_passing_check_evaluates_no_formal_slot_residual(name, monkeypatch):
+    """On a passing skew structure def-i's screen flags no formal case,
+    so its residual is evaluated on frame triples only."""
+    E = _BUILDS[name]()
+    r = E.rank
+    positions = []
+    residual = presym._def_i_residual
+
+    def recording(ext, u, v, w, t):
+        positions.append((u.pos, v.pos, w.pos))
+        return residual(ext, u, v, w, t)
+
+    monkeypatch.setattr(presym, "_def_i_residual", recording)
+    assert check_presymplectic(E).passed()
+    assert len(positions) == r * (r - 1) // 2 * r
+    assert all(p < r for t in positions for p in t)
 
 
 @pytest.mark.parametrize("name", list(_BUILDS))
@@ -874,9 +1147,9 @@ def test_interned_constants_survive_every_suite(monkeypatch):
 
 def test_bracket_is_evaluated_once_per_pair_of_basis_sections(monkeypatch):
     """def-ii asks for [u, w] once per triple (u, v, w), and on a skew
-    pairing T and def-i ask for [u, v] once per evaluation, so without
-    the memo every pair of basis sections would be bracketed many times
-    over."""
+    pairing T and def-i ask for [u, v] once per evaluation and def-i's
+    formal-slot screen once per pair u < v, so without the memo every
+    pair of basis sections would be bracketed many times over."""
     E = fixtures.sphere_structure()
     r = E.rank
     evaluated, asked = [], []
@@ -895,18 +1168,19 @@ def test_bracket_is_evaluated_once_per_pair_of_basis_sections(monkeypatch):
     monkeypatch.setattr(PreSymStructure, "_bracket", counting_presym)
     assert check_presymplectic(E).passed()
     pairs = r * (r - 1) // 2
-    # def-ii: r^3 frame triples and r^3 per formal slot; bracket-leibniz
-    # r^2 more
-    def_ii = 4 * r ** 3 + r ** 2
-    # def-i: one residual per triple (e_u, e_v, e_w) and (e_u, e_v, f e_w)
-    # with u < v and (f e_u, e_v, e_w)
-    def_i = 2 * pairs * r + r ** 3
+    # def-ii: the r^3 frame triples (no formal group on a skew pairing);
+    # bracket-leibniz r^2 more
+    def_ii = r ** 3 + r ** 2
+    # def-i: one residual per triple (e_u, e_v, e_w) with u < v (no
+    # formal case fails the screen), and the screen's M(e_u, e_v) f once
+    # per pair u < v
+    def_i = pairs * r + pairs
     # T once per distinct basis triple of def-i and cyclic-T (see
     # test_t_evaluated_once_per_basis_triple)
-    t = def_i + r * (r - 1) * (r - 2) // 6 + r * r * (r + 1) // 2 + r ** 3
+    t = pairs * r + r * (r - 1) * (r - 2) // 6
     assert len(asked) == def_ii + def_i + t
-    # frame with frame, formal slot with frame, frame with formal slot
-    assert len(set(asked)) == len(evaluated) == 3 * r ** 2
+    # frame with frame, and bracket-leibniz's frame with formal slot
+    assert len(set(asked)) == len(evaluated) == 2 * r ** 2
 
 
 def test_no_operation_mixes_contexts(monkeypatch):
