@@ -77,6 +77,13 @@ class ChartAlgebroid:
             [[[lift(x) for x in cell] for cell in row] for row in self.table],
             self.kind)
 
+    def extended(self, stem: str):
+        """This algebroid lifted over its context extended by one fresh
+        function symbol named after stem, and that symbol."""
+        name = self.ctx.fresh_func_name(stem)
+        ext = self.ctx.extended((name,))
+        return self.lifted(ext), ext.function(name)
+
     @staticmethod
     def point(alg) -> "ChartAlgebroid":
         """The product structure of a finite algebra on a point chart."""
@@ -189,10 +196,38 @@ class ChartAlgebroid:
                               kind="lie")
 
 
-def _with_fresh_func(ctx: ChartContext):
-    name = ctx.fresh_func_name("f")
-    ext = ctx.extended((name,))
-    return ext, ext.function(name)
+def scalar_rule(op, act, table, f, frames, slots, correction):
+    """(a, b, residual list) of the scalar extension rule of the section
+    operation op for each pair of frame indices, a outer and b inner;
+    slots[b] is f e_b for the formal function f.  Given the anchor action
+    act, f is in the right slot and the residual is
+    op(e_a, f e_b) - f table[a][b] - act(e_a, f) e_b, with act(e_a, f)
+    evaluated once per a; with act None it is op(f e_a, e_b)
+    - f table[a][b].  A correction(a, b) that is not None is a section
+    the rule adds to f table[a][b]."""
+    for a, e_a in enumerate(frames):
+        da = None if act is None else act(e_a, f)
+        for b, e_b in enumerate(frames):
+            got = op(slots[a], e_b) if da is None else op(e_a, slots[b])
+            want = [f * x for x in table[a][b]]
+            if da is not None:
+                want[b] = want[b] + da
+            extra = None if correction is None else correction(a, b)
+            if extra is not None:
+                want = map(add, want, extra)
+            yield a, b, list(map(sub, got, want))
+
+
+def product_associator(prod, x, y, z):
+    """x*(y*z) - (x*y)*z for the section product prod."""
+    return tuple(map(sub, prod(x, prod(y, z)), prod(prod(x, y), z)))
+
+
+def left_symmetry_residual(prod, x, y, z):
+    """(x,y,z) - (y,x,z) for the associator of the section product prod:
+    zero on a left-symmetric product."""
+    return tuple(map(sub, product_associator(prod, x, y, z),
+                     product_associator(prod, y, x, z)))
 
 
 def check_lie_algebroid(alg: ChartAlgebroid) -> CheckReport:
@@ -203,15 +238,15 @@ def check_lie_algebroid(alg: ChartAlgebroid) -> CheckReport:
     if alg.kind != "lie":
         raise ValueError("check_lie_algebroid needs a bracket structure")
     r, names = alg.rank, alg.names
-    ext, f = _with_fresh_func(alg.ctx)
-    lifted = alg.lifted(ext)
+    lifted, f = alg.extended("f")
     frames = [lifted.frame_section(a) for a in range(r)]
+    slots = [tuple(f * x for x in e) for e in frames]
 
     def jacobi():
         # the frames, then the formal slots f e_c, by position; each inner
         # bracket [secs[i], secs[j]] is evaluated once, so the memo holds
         # at most 3 r^2 sections: [e_a,e_b], [e_b,f e_c] and [f e_c,e_a]
-        secs = frames + [tuple(f * x for x in s) for s in frames]
+        secs = frames + slots
         inner = {}
 
         def outer(i, j, k):
@@ -237,15 +272,6 @@ def check_lie_algebroid(alg: ChartAlgebroid) -> CheckReport:
                 yield (f"({names[a]},{names[b]},f*{names[c]}): residual = ",
                        res)
 
-    def leibniz():
-        for a, b in itertools.product(range(r), repeat=2):
-            lhs = lifted.bracket(frames[a], tuple(f * x for x in frames[b]))
-            want = list(f * x for x in lifted.table[a][b])
-            want[b] = want[b] + lifted.anchor_apply(frames[a], f)
-            res = tuple(map(sub, lhs, want))
-            if any(res):
-                yield f"[{names[a]}, f*{names[b]}]: residual = ", res
-
     def anchor_morphism():
         # the bracket of chart vector fields is that of the coordinate
         # frame (exactclass imports this module, so it is imported here)
@@ -265,7 +291,11 @@ def check_lie_algebroid(alg: ChartAlgebroid) -> CheckReport:
         if any(res := tuple(map(add, alg.table[a][b], alg.table[b][a])))),
         names)
     rec.scan("algebroid.jacobi", jacobi(), names)
-    rec.scan("algebroid.leibniz", leibniz(), names)
+    rec.scan("algebroid.leibniz", (
+        (f"[{names[a]}, f*{names[b]}]: residual = ", tuple(res))
+        for a, b, res in scalar_rule(lifted.bracket, lifted.anchor_apply,
+                                     lifted.table, f, frames, slots, None)
+        if any(res)), names)
     rec.scan("algebroid.anchor-morphism", anchor_morphism(), alg.ctx.coords)
     return rec
 
@@ -285,13 +315,9 @@ def check_left_symmetric(alg: FiniteAlgebra) -> CheckReport:
     def constants(vec):
         return tuple(x.constant_value() for x in vec)
 
-    def assoc(x, y, z):
-        return map(sub, prod(x, prod(y, z)), prod(prod(x, y), z))
-
     def assoc_sym():
         for a, b, c in itertools.product(range(d), repeat=3):
-            res = constants(map(sub, assoc(e[a], e[b], e[c]),
-                                assoc(e[b], e[a], e[c])))
+            res = constants(left_symmetry_residual(prod, e[a], e[b], e[c]))
             if any(res):
                 yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
                        res)
@@ -316,45 +342,26 @@ def check_left_symmetric_algebroid(alg: ChartAlgebroid) -> CheckReport:
     if alg.kind != "lsa":
         raise ValueError("needs a product structure")
     r, names = alg.rank, alg.names
-    ext, f = _with_fresh_func(alg.ctx)
-    lifted = alg.lifted(ext)
+    lifted, f = alg.extended("f")
+    prod = lifted.product
     frames = [lifted.frame_section(a) for a in range(r)]
-
-    def scalar_left():
-        for a, b in itertools.product(range(r), repeat=2):
-            lhs = lifted.product(frames[a], tuple(f * x for x in frames[b]))
-            want = list(f * x for x in lifted.table[a][b])
-            want[b] = want[b] + lifted.anchor_apply(frames[a], f)
-            res = tuple(map(sub, lhs, want))
-            if any(res):
-                yield f"{names[a]} * f*{names[b]}: residual = ", res
-
-    def scalar_right():
-        for a, b in itertools.product(range(r), repeat=2):
-            lhs = lifted.product(tuple(f * x for x in frames[a]), frames[b])
-            want = tuple(f * x for x in lifted.table[a][b])
-            res = tuple(map(sub, lhs, want))
-            if any(res):
-                yield f"f*{names[a]} * {names[b]}: residual = ", res
-
-    def assoc(x, y, z):
-        return tuple(p - q for p, q in zip(
-            lifted.product(x, lifted.product(y, z)),
-            lifted.product(lifted.product(x, y), z)))
+    slots = [tuple(f * x for x in e) for e in frames]
 
     def left_symmetric():
         for a, b, c in itertools.product(range(r), repeat=3):
             for z, tag in ((frames[c], ""),
-                           (tuple(f * x for x in frames[c]),
-                            " (formal scalar on the third slot)")):
-                x, y = frames[a], frames[b]
-                res = tuple(map(sub, assoc(x, y, z), assoc(y, x, z)))
+                           (slots[c], " (formal scalar on the third slot)")):
+                res = left_symmetry_residual(prod, frames[a], frames[b], z)
                 if any(res):
                     yield (f"({names[a]},{names[b]},{names[c]}){tag}: "
                            f"residual = ", res)
 
-    rec.scan("algebroid.lsa.scalar-left", scalar_left(), names)
-    rec.scan("algebroid.lsa.scalar-right", scalar_right(), names)
+    for side, act, label in (("left", lifted.anchor_apply, "{} * f*{}"),
+                             ("right", None, "f*{} * {}")):
+        rec.scan(f"algebroid.lsa.scalar-{side}", (
+            (label.format(names[a], names[b]) + ": residual = ", tuple(res))
+            for a, b, res in scalar_rule(prod, act, lifted.table, f, frames,
+                                         slots, None) if any(res)), names)
     rec.scan("algebroid.lsa.left-symmetric", left_symmetric(), names)
     return rec
 

@@ -237,7 +237,7 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None
     solved = []
 
     def phi_in_image():
-        comps, missing = _phi_residuals(E, conn, secs)
+        comps, missing = _phi_residuals(E, conn, secs, rs)
         solved.append(comps)
         if missing is not None:
             i, j = missing
@@ -272,11 +272,12 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None
     return rec
 
 
-def _phi_residuals(E: PreSymStructure, conn: FlatConnection, secs):
-    """phi(d_i,d_j) solved from the dual-anchor image of the splitting
-    defect; returns (components, first (i,j) outside the image or None)."""
+def _phi_residuals(E: PreSymStructure, conn: FlatConnection, secs,
+                   rs: ExprMatrix):
+    """phi(d_i,d_j) solved from the dual-anchor image rs (rho_star_matrix)
+    of the splitting defect; returns (components, first (i,j) outside the
+    image or None)."""
     n = conn.rank
-    rs = rho_star_matrix(E)
     comps = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -306,7 +307,7 @@ def extract_phi(E: PreSymStructure, conn: FlatConnection, sigma: Splitting
         for j in range(i, n):
             if not E.pairing_value(secs[i], secs[j]).is_zero():
                 raise ValueError("sigma is not isotropic")
-    comps, missing = _phi_residuals(E, conn, secs)
+    comps, missing = _phi_residuals(E, conn, secs, rho_star_matrix(E))
     if missing is not None:
         raise ValueError(
             f"splitting defect at {missing} is outside the dual-anchor image")

@@ -1,8 +1,8 @@
 """Exact linear algebra over Q and over the symbolic scalar field.
 
-QMatrix holds Fraction entries.  rank clears each row's denominators and
-runs integer-preserving Bareiss elimination on Python ints with
-deterministic first-nonzero pivoting.  Every other elimination, over both
+QMatrix holds int and Fraction entries as given.  rank clears each
+row's denominators and runs integer-preserving Bareiss elimination on
+Python ints with deterministic first-nonzero pivoting.  Every other elimination, over both
 fields, is one first-nonzero-pivot Gauss-Jordan over the field itself
 (`_gauss_jordan`): kernels, solutions, the symbolic rank `expr_rank`,
 and `rank_second_opinion`, the rank that cross-checks Bareiss `rank`
@@ -17,9 +17,9 @@ direct sum of the block kernels.  `kernel_basis` takes sparse rows and
 returns sparse vectors, and `lsa.restricted_dims` ranks its sparse
 matrices block by block: only a block is ever written out dense.  The
 sparse rows and vectors hold ints where an entry is integral.
-`kernel_basis` reduces each dense block on its int and Fraction entries
-as given, so a Fraction appears only where a pivot does not divide an
-entry; every QMatrix still holds Fractions.
+`kernel_basis` and `rank_second_opinion` reduce each dense block on its
+int and Fraction entries as given, so a Fraction appears only where a
+pivot does not divide an entry.
 """
 
 from __future__ import annotations
@@ -53,12 +53,13 @@ class SingularMatrixError(Exception):
 
 
 class QMatrix:
-    """Immutable rational matrix."""
+    """Immutable rational matrix.  An int or Fraction entry is kept as
+    given; any other is converted with Fraction."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+        rows = tuple(tuple(x if type(x) in (int, Fraction) else Fraction(x)
                            for x in r) for r in rows)
         if rows:
             w = len(rows[0])
@@ -113,8 +114,9 @@ def rank(m: QMatrix) -> int:
 
 
 def rank_second_opinion(m: QMatrix) -> int:
-    """Independent rank oracle: Gauss-Jordan over Fraction, coded apart
-    from the Bareiss `rank`."""
+    """Independent rank oracle: Gauss-Jordan over the rationals (ints
+    divided exactly by `_quotient`), coded apart from the Bareiss
+    `rank`."""
     return len(_gauss_jordan(m.rows, m.ncols)[1])
 
 

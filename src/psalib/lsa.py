@@ -8,8 +8,9 @@ value is integral; a Fraction comes only from a non-integral structure
 constant or from a kernel pivot (`exactlinalg.kernel_basis` divides).
 `restricted_dims` is the one way from a restricted complex to its
 dimensions: it splits each matrix into the connected blocks of its
-nonzero pattern, writes out only a block as a dense `QMatrix` (Fraction
-entries), and ranks every block by both eliminations.
+nonzero pattern, writes out only a block as a dense `QMatrix` (its int
+and Fraction entries as built), and ranks every block by both
+eliminations.
 Everything is exact rational arithmetic.  The rest of the point case runs
 on the point chart `algebroid.ChartAlgebroid.point(alg)`:
 `algebroid.check_left_symmetric` checks left-symmetry there, its

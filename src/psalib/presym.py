@@ -38,15 +38,16 @@ on either side it is one row or column of the pairing matrix, and the
 table of 1/2 W_ab that the D corrections of star multiply by is built
 once per structure.
 
-On a skew pairing, u*v - v*u = [u, v] on every section: the
+T and def-i are written over the commutator section c = u*v - v*u.  The
+pairing is bilinear, so T(u,v,w) = (c, w) + (u, v*w) - (v, u*w), three
+pairings where the definition takes four; the section product is
+additive in its left slot, so (u,v,w) - (v,u,w) = u*(v*w) - v*(u*w)
+- c*w, three fresh products where the two associators take four.  On a
+skew pairing c = [u, v] on every section, the memoised bracket: the
 -1/2 (W_ab + W_ba) D terms that the two scalar extension identities add
-cancel exactly when W_ab + W_ba = 0.  There T(u,v,w) is evaluated as
-([u,v], w) + (u, v*w) - (v, u*w), three pairings with the memoised
-bracket, and because the section product is additive in its left slot,
-(u,v,w) - (v,u,w) = u*(v*w) - v*(u*w) - [u,v]*w, three fresh products
-where the two associators take four.  A structure whose pairing is not
-skew (check_presymplectic reports it, and still runs the other checks)
-keeps the four-term definitions.
+cancel exactly when W_ab + W_ba = 0.  Off a skew pairing
+(check_presymplectic reports it, and still runs the other checks) c is
+the difference of the two products.
 
 On a skew pairing the formal-function slots f e_a of def-i, def-ii and
 cyclic-T follow from frame-level quantities (check_presymplectic states
@@ -135,8 +136,10 @@ witness, is that of the full scan.
 
 import itertools
 from fractions import Fraction
+from operator import sub
 
-from .algebroid import ChartAlgebroid, FormField, de_rham_d, nonzero_entries
+from .algebroid import (ChartAlgebroid, FormField, de_rham_d, nonzero_entries,
+                        product_associator, scalar_rule)
 from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_rank,
                           expr_solve, invert)
 from .exprcore import ChartContext, DiffExpr
@@ -179,7 +182,8 @@ class PreSymStructure:
         # (a, w) for each nonzero pairing entry w = (e_a, e_b), by column b
         self._pairing_cols = tuple(nonzero_entries(col)
                                    for col in zip(*pairing.rows))
-        # gates the short forms of T and def-i (see the module docstring)
+        # the commutator u*v - v*u is the bracket, and the formal-slot
+        # lemmas of check_presymplectic hold (see the module docstring)
         self._skew = all(
             (pairing.rows[a][b] + pairing.rows[b][a]).is_zero()
             for a in range(self.rank) for b in range(a, self.rank))
@@ -440,13 +444,8 @@ class PreSymStructure:
                                 self.commutator_algebroid().bracket, u, v)
 
     def associator(self, u, v, w):
-        return self._associator(self._section(u), self._section(v),
-                                self._section(w))
-
-    def _associator(self, u, v, w):
-        left = self._times(u, self._times(v, w))
-        right = self._times(self._times(u, v), w)
-        return tuple(x - y for x, y in zip(left, right))
+        return product_associator(self._times, self._section(u),
+                                  self._section(v), self._section(w))
 
     def section_str(self, coeffs) -> str:
         return section_str(coeffs, self.names)
@@ -454,14 +453,13 @@ class PreSymStructure:
     def extended(self, stem: str = "f"):
         """Same structure over a context with one fresh function symbol,
         every entry lifted into that context."""
-        name = self.ctx.fresh_func_name(stem)
-        ext = self.ctx.extended((name,))
-        prod = self._prod.lifted(ext)
+        prod, f = self._prod.extended(stem)
+        ext = prod.ctx
         ps = PreSymStructure(ext, self.names, prod.anchor, prod.table,
                              _lift_rows(ext, self.pairing))
         if self._inv_pairing is not None:
             ps._inv_pairing = _lift_rows(ext, self._inv_pairing)
-        return ps, ext.function(name)
+        return ps, f
 
 
 def _lift_rows(ext: ChartContext, m: ExprMatrix) -> ExprMatrix:
@@ -473,17 +471,20 @@ def tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
     return _tensor_T(E, E._section(u), E._section(v), E._section(w))
 
 
-def _tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
-    """tensor_T on normalised sections.  On a skew pairing the first and
-    third pairings are ([u,v], w), since u*v - v*u = [u,v] there (see the
-    module docstring); otherwise all four are evaluated."""
+def _commutator(E: PreSymStructure, u, v):
+    """u*v - v*u on normalised sections: on a skew pairing the memoised
+    bracket [u, v] (see the module docstring), otherwise the difference
+    of the two products."""
     if E._skew:
-        return (E._pair(E._bracket(u, v), w)
-                + E._pair(u, E._times(v, w))
-                - E._pair(v, E._times(u, w)))
-    return (E._pair(E._times(u, v), w)
+        return E._bracket(u, v)
+    return tuple(map(sub, E._times(u, v), E._times(v, u)))
+
+
+def _tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
+    """tensor_T on normalised sections, as (c, w) + (u, v*w) - (v, u*w)
+    with c = u*v - v*u: the pairing is bilinear."""
+    return (E._pair(_commutator(E, u, v), w)
             + E._pair(u, E._times(v, w))
-            - E._pair(E._times(v, u), w)
             - E._pair(v, E._times(u, w)))
 
 
@@ -491,45 +492,35 @@ def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
     """(u,v,w) - (v,u,w) - 1/6 D T(u,v,w), componentwise, given
     t = T(u,v,w), on normalised sections.
 
-    On a skew pairing the associator difference is
-    u*(v*w) - v*(u*w) - [u,v]*w: the product is additive in its left slot
-    and u*v - v*u = [u,v] exactly when W_ab + W_ba = 0 for all a, b (see
-    the module docstring).  Otherwise both associators are evaluated.
+    The associator difference is u*(v*w) - v*(u*w) - c*w with
+    c = u*v - v*u: the product is additive in its left slot.
     """
-    if E._skew:
-        out = list(E._star(u, E._times(v, w)))
-        subtracted = (E._star(v, E._times(u, w)),
-                      E._star(E._bracket(u, v), w))
-    else:
-        out = list(E._associator(u, v, w))
-        subtracted = (E._associator(v, u, w),)
-    for y in subtracted:
+    out = list(E._star(u, E._times(v, w)))
+    for y in (E._star(v, E._times(u, w)), E._star(_commutator(E, u, v), w)):
         if y is E._zero:
             continue
         for k, x in enumerate(y):
             if x.num:
                 out[k] = out[k] - x
-    if t.num:
-        sixth = E._sixth
-        for k, x in enumerate(E._d(t)[0]):
-            if x.num:
-                out[k] = out[k] - sixth * x
+    return _less_d(E, out, E._sixth, t)
+
+
+def _less_d(E: PreSymStructure, s, c: DiffExpr, p: DiffExpr):
+    """The section s - c Dp for scalars c and p, as a tuple: s itself
+    when s is a tuple and p is zero."""
+    if not p.num:
+        return tuple(s)
+    out = list(s)
+    for k, x in enumerate(E._d(p)[0]):
+        if x.num:
+            out[k] = out[k] - c * x
     return tuple(out)
 
 
 def _def_ii_left(E: PreSymStructure, u, v):
     """u*v - 1/2 D(u,v), the section that def-ii pairs with w, on
     normalised sections."""
-    s = E._times(u, v)
-    p = E._pair(u, v)
-    if not p.num:
-        return s
-    s = list(s)
-    half = E._half
-    for k, x in enumerate(E._d(p)[0]):
-        if x.num:
-            s[k] = s[k] - half * x
-    return tuple(s)
+    return _less_d(E, E._times(u, v), E._half, E._pair(u, v))
 
 
 def _def_ii_residual(E: PreSymStructure, u, v, w, s) -> DiffExpr:
@@ -545,14 +536,8 @@ def _star_with_d(E: PreSymStructure, a: int, df):
     """e_a * Df - 1/2 D(Df, e_a), given Df: the star-with-D residual at
     e_a, and on a skew pairing, where (Df, e_a) = rho(e_a)(f), the
     section SD(e_a) of def-i's formal-slot anomalies."""
-    out = list(E._frame_star(a, df))
-    p = E._pair(df, E._frames[a])
-    if p.num:
-        half = E._half
-        for k, x in enumerate(E._d(p)[0]):
-            if x.num:
-                out[k] = out[k] - half * x
-    return out
+    return _less_d(E, E._frame_star(a, df), E._half,
+                   E._pair(df, E._frames[a]))
 
 
 def _combination(E: PreSymStructure, terms):
@@ -761,50 +746,18 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
                             f"({tag_u}e{u+1},e{v+1},{tag_w}e{w+1}): ", res,
                             E.names)
 
-    def scalar_left():
-        for a in range(r):
-            da = ext.anchor_apply(frames[a], f)
-            for b in range(r):
-                lhs = ext.star(frames[a], f_slots[b])
-                w_ab = ext.pairing.rows[a][b]
-                df = ext.D(f) if not w_ab.is_zero() else None
-                res = []
-                for k in range(r):
-                    rhs = f * ext.table[a][b][k]
-                    if k == b:
-                        rhs = rhs + da
-                    if df is not None:
-                        rhs = rhs + ext._half * w_ab * df[k]
-                    res.append(lhs[k] - rhs)
-                yield from components(f"e{a+1} * (f e{b+1}), ", res, E.names)
+    def d_term(sign):
+        # +-1/2 (e_a, e_b) Df: the D term of e_a * (f e_b), and with the
+        # minus sign that of (f e_a) * e_b
+        def correction(a, b):
+            c = half_W[a][b]
+            return [sign * c * x for x in ext.D(f)] if c.num else None
+        return correction
 
-    def scalar_right():
-        for a in range(r):
-            for b in range(r):
-                lhs = ext.star(f_slots[a], frames[b])
-                w_ab = ext.pairing.rows[a][b]
-                df = ext.D(f) if not w_ab.is_zero() else None
-                res = []
-                for k in range(r):
-                    rhs = f * ext.table[a][b][k]
-                    if df is not None:
-                        rhs = rhs - ext._half * w_ab * df[k]
-                    res.append(lhs[k] - rhs)
-                yield from components(f"(f e{a+1}) * e{b+1}, ", res, E.names)
-
-    def bracket_leibniz():
-        comm = ext.commutator_algebroid()
-        for a in range(r):
-            da = ext.anchor_apply(frames[a], f)
-            for b in range(r):
-                lhs = ext.bracket(frames[a], f_slots[b])
-                res = []
-                for k in range(r):
-                    rhs = f * comm.table[a][b][k]
-                    if k == b:
-                        rhs = rhs + da
-                    res.append(lhs[k] - rhs)
-                yield from components(f"[e{a+1}, f e{b+1}], ", res, E.names)
+    def scalar_cases(label, op, act, table, correction):
+        for a, b, res in scalar_rule(op, act, table, f, frames, f_slots,
+                                     correction):
+            yield from components(label.format(a + 1, b + 1), res, E.names)
 
     def star_with_d():
         for a in range(r):
@@ -826,9 +779,13 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
     rec.scan("presym.D-reproducing", d_reproducing())
     rec.scan("presym.def-ii", def_ii())
     rec.scan("presym.def-i", def_i())
-    rec.scan("presym.scalar-left", scalar_left())
-    rec.scan("presym.scalar-right", scalar_right())
-    rec.scan("presym.bracket-leibniz", bracket_leibniz())
+    rec.scan("presym.scalar-left", scalar_cases(
+        "e{} * (f e{}), ", ext.star, ext.anchor_apply, ext.table, d_term(1)))
+    rec.scan("presym.scalar-right", scalar_cases(
+        "(f e{}) * e{}, ", ext.star, None, ext.table, d_term(-1)))
+    rec.scan("presym.bracket-leibniz", scalar_cases(
+        "[e{}, f e{}], ", ext.bracket, ext.anchor_apply,
+        ext.commutator_algebroid().table, None))
     rec.scan("presym.star-with-D", star_with_d())
     rec.scan("presym.cyclic-T", cyclic_t())
     return rec

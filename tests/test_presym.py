@@ -672,12 +672,13 @@ _VALID = (fixtures.sphere_structure,
 
 
 @st.composite
-def _skew_structures(draw):
+def _structures(draw, skew):
     """A structure with polynomial anchor, table and pairing entries over
     2 or 3 coordinates, of frame rank 2 or 4 (a skew pairing of odd rank
-    is degenerate), whose pairing is skew and nondegenerate; the
-    identities need not hold.  One draw in five is a valid fixture."""
-    if draw(st.integers(0, 4)) == 0:
+    is degenerate), whose pairing is nondegenerate, and skew if skew is
+    true; the identities need not hold.  With skew, one draw in five is
+    a valid fixture."""
+    if skew and draw(st.integers(0, 4)) == 0:
         return draw(st.sampled_from(_VALID))()
     n, r = draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 4)))
     ctx = ChartContext(coords=("x", "y", "z")[:n])
@@ -698,12 +699,16 @@ def _skew_structures(draw):
     pairing = [[ctx.zero()] * r for _ in range(r)]
     for (a, b), w in entries.items():
         pairing[a][b], pairing[b][a] = w, -w
+    if not skew:
+        # the minor that (e2, e2) multiplies is a skew matrix of odd
+        # rank, so the determinant does not change; no pool entry is -1
+        pairing[1][1] = entry() + 1
     return PreSymStructure(ctx, tuple(f"e{a+1}" for a in range(r)), anchor,
                            table, pairing)
 
 
 @settings(max_examples=15, deadline=None)
-@given(E=_skew_structures())
+@given(E=_structures(True))
 def test_formal_slot_lemmas(E):
     """The closed forms check_presymplectic's docstring derives, against
     the residuals its loops evaluate, at every frame triple (u, v, w)
@@ -768,6 +773,36 @@ def test_formal_slot_lemmas(E):
                              - rho(bracket(eu, ev), f))
         assert P(eu, ev, fw) == tuple(want)
 
+
+
+@settings(max_examples=15, deadline=None)
+@given(E=st.booleans().flatmap(_structures))
+def test_commutator_forms_match_definitions(E):
+    """_tensor_T, and _def_i_residual without its D term (t = 0), are
+    written over the commutator u*v - v*u; on every triple of basis
+    sections with at most one formal slot f e_a, the cases
+    check_presymplectic evaluates, they equal the definitions, written
+    here from the public products, on a skew pairing or not."""
+    ext, f = E.extended()
+    ctx, r = ext.ctx, ext.rank
+    frames = [ext.frame_section(a) for a in range(r)]
+    slots = ext.add_basis(tuple(f if k == a else ctx.zero() for k in range(r))
+                          for a in range(r))
+    triples = [t for formal in (None, 0, 1, 2)
+               for t in itertools.product(*(slots if i == formal else frames
+                                            for i in range(3)))]
+    pair, star = ext.pairing_value, ext.star
+
+    def associator(x, y, z):
+        return [p - q for p, q in zip(star(x, star(y, z)),
+                                      star(star(x, y), z))]
+
+    for u, v, w in triples:
+        assert presym._tensor_T(ext, u, v, w) == (
+            pair(star(u, v), w) + pair(u, star(v, w))
+            - pair(star(v, u), w) - pair(v, star(u, w)))
+        assert presym._def_i_residual(ext, u, v, w, ctx.zero()) == tuple(
+            p - q for p, q in zip(associator(u, v, w), associator(v, u, w)))
 
 def _full_enumeration(E):
     """def-ii, def-i and cyclic-T as check_presymplectic scanned them

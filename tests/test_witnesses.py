@@ -655,3 +655,72 @@ def test_r2n_single_bump_scan_witnesses(part, idx):
            if c.check_id in ("presym.def-i", "presym.def-ii",
                              "presym.cyclic-T")]
     assert got == R2N_BUMPS[(part, idx)]
+
+
+# The six scalar-rule checks cannot fail on any structure the library
+# builds: each verifies that a section operation extends its frame table
+# by the scalar rules it is built from.  Each case below breaks one
+# operation, so that the check must fail, and pins its witness.
+
+
+def _without_derivation(op):
+    """op without the right-slot derivation: a non-constant coefficient
+    v_b of the right argument no longer adds rho(u)(v_b) e_b."""
+    def broken(self, u, v):
+        out = list(op(self, u, v))
+        for b, vb in enumerate(v):
+            if not vb.is_constant():
+                out[b] = out[b] - self.anchor_apply(u, vb)
+        return tuple(out)
+    return broken
+
+
+def _with_stray_term(op):
+    """op plus the square of each non-constant coefficient of the left
+    argument, on the first frame element: no scalar rule has such a
+    term."""
+    def broken(self, u, v):
+        out = list(op(self, u, v))
+        for x in u:
+            if not x.is_constant():
+                out[0] = out[0] + x * x
+        return tuple(out)
+    return broken
+
+
+SCALAR_RULE_BREAKS = {
+    "algebroid.leibniz": (
+        ChartAlgebroid, "bracket", _without_derivation,
+        lambda: check_lie_algebroid(
+            fixtures.sphere_structure().commutator_algebroid()),
+        "[e1, f*e1]: residual = (x*d(f,y) - y*d(f,x))*e1"),
+    "algebroid.lsa.scalar-left": (
+        ChartAlgebroid, "product", _without_derivation,
+        lambda: check_left_symmetric_algebroid(fixtures.twist_r2_data()[0]),
+        "d1 * f*d1: residual = (-d(f0,x))*d1"),
+    "algebroid.lsa.scalar-right": (
+        ChartAlgebroid, "product", _with_stray_term,
+        lambda: check_left_symmetric_algebroid(fixtures.twist_r2_data()[0]),
+        "f*d1 * d1: residual = (f0^2)*d1"),
+    "presym.scalar-left": (
+        PreSymStructure, "star", _without_derivation,
+        lambda: check_presymplectic(fixtures.sphere_structure()),
+        "e1 * (f e1), component e1: x*d(f,y) - y*d(f,x)"),
+    "presym.scalar-right": (
+        PreSymStructure, "star", _with_stray_term,
+        lambda: check_presymplectic(fixtures.sphere_structure()),
+        "(f e1) * e1, component e1: f^2"),
+    "presym.bracket-leibniz": (
+        PreSymStructure, "bracket", _without_derivation,
+        lambda: check_presymplectic(fixtures.sphere_structure()),
+        "[e1, f e1], component e1: x*d(f,y) - y*d(f,x)"),
+}
+
+
+@pytest.mark.parametrize("check_id", list(SCALAR_RULE_BREAKS))
+def test_scalar_rule_checks_fail_on_a_broken_operation(check_id,
+                                                       monkeypatch):
+    cls, method, breaking, run, witness = SCALAR_RULE_BREAKS[check_id]
+    monkeypatch.setattr(cls, method, breaking(getattr(cls, method)))
+    check = run().find(check_id)
+    assert (check.status, check.witness) == ("fail", witness)
