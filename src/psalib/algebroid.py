@@ -170,6 +170,23 @@ class ChartAlgebroid:
                 out = out + rho * df
         return out
 
+    def frame_derivatives(self, f: DiffExpr):
+        """rho(e_a)(f) for every frame e_a, each partial of f taken once:
+        frame_apply on each frame would take it again for every anchor row
+        that reaches its coordinate."""
+        zero = self.ctx.zero()
+        if f.is_constant():
+            return (zero,) * self.rank
+        coords = self.ctx.coords
+        partials = {}
+        for row in self._anchor_nz:
+            for i, _ in row:
+                if i not in partials:
+                    partials[i] = differentiate(f, coords[i])
+        return tuple(sum((rho * partials[i] for i, rho in row
+                          if partials[i].num), zero)
+                     for row in self._anchor_nz)
+
     def _walk(self, u, v):
         """The frame table on (u, v) plus the derivation on the right slot:
         the product of a product structure, and the bracket of a bracket

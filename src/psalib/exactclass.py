@@ -45,7 +45,7 @@ from .exactlinalg import (ExprMatrix, SingularMatrixError, expr_rank,
                           expr_solve, kernel_basis)
 # unused here; perfbench's test_tracer_wraps_every_binding_and_restores_them
 from .exactlinalg import rank  # noqa: F401
-from .exprcore import ChartContext, DiffExpr
+from .exprcore import ChartContext, DiffExpr, ExprError
 from .lsa import RestrictedComplex, cochain_keys, sorted_sign
 from .presym import PreSymStructure, pseudo_semidirect
 from .report import CheckReport, components
@@ -576,11 +576,12 @@ def _poly_to_coords(e: DiffExpr, index: dict):
     """Exact coordinates of a polynomial chart expression in the monomial
     basis, ints where integral; raises if a monomial falls outside the
     truncation."""
-    if not e.is_polynomial():
-        raise ValueError(f"non-polynomial coefficient: {e}")
-    if not e.free_of_funcs():
-        raise ValueError(f"non-coordinate symbol in {e}")
-    terms, den = e.coordinate_terms()
+    try:
+        terms, den = e.coordinate_terms()
+    except ExprError:
+        if not e.is_polynomial():
+            raise ValueError(f"non-polynomial coefficient: {e}") from None
+        raise ValueError(f"non-coordinate symbol in {e}") from None
     out = {}
     for exp, coeff in terms:
         if exp not in index:

@@ -7,14 +7,21 @@ equality and `is_zero` are exact decisions, never heuristics.
 
 The representation is packed into plain ints.  Each indeterminate has an id
 from one process-wide intern table, a monomial is a tuple of (id, exponent)
-pairs sorted by id, and numerator and denominator are integer polynomials:
-coprime, with no common integer factor, and the denominator's leading
-coefficient positive (a polynomial has a constant denominator).  Sums put
+pairs sorted by id, and a value is an integer Laurent polynomial (the
+numerator, whose exponents may be negative) over an integer polynomial
+that no variable divides (the denominator): coprime, with no common
+integer factor, and the denominator's leading coefficient positive.  So
+n/(c*y^k) is stored as n*y^-k over the integer c: a monomial denominator
+costs the arithmetic nothing beyond the constant-denominator paths, and a
+polynomial has a constant denominator and no negative exponent.  Sums put
 two quotients over the lcm of their denominators and cancel against their
 gcd only; products cancel each numerator against the other denominator.
-gcds come from a primitive PRS over the integers.  The canonical
-graded-lex order over the variables' keys is consulted only where it
-chooses an output or a representative.  A value prints with a monic
+A gcd runs only where a denominator has two or more terms (or a divisor's
+numerator does, once its monomial content is split off), and it comes
+from a primitive PRS over the integers, on polynomials only.  The
+canonical graded-lex order over the variables' keys is consulted only
+where it chooses an output or a representative.  A value prints and
+evaluates with its negative exponents multiplied back out, with a monic
 denominator and rational coefficients, and `Fraction` appears only where
 numbers enter or leave: parsing, `number()`, `constant_value()` and
 `evaluate()`.
@@ -275,7 +282,8 @@ def _mmul(m1: tuple, m2: tuple) -> tuple:
         v1, e1 = m1[i]
         v2, e2 = m2[j]
         if v1 == v2:
-            out.append((v1, e1 + e2))
+            if e1 + e2:
+                out.append((v1, e1 + e2))
             i += 1
             j += 1
         elif v1 < v2:
@@ -395,6 +403,38 @@ def _pprimitive(p: dict) -> dict:
 
 def _pvars(p: dict) -> set:
     return {v for m in p for v, _ in m}
+
+
+def _mcontent(p: dict) -> tuple:
+    """The monomial content of a nonzero Laurent polynomial p: each
+    variable to its least exponent over p's monomials, 0 where one lacks
+    it.  p over its content is a polynomial that no variable divides."""
+    first, *rest = p
+    low = dict(first)
+    for m in rest:
+        md = dict(m)
+        for v in low.keys() | md.keys():
+            low[v] = min(low.get(v, 0), md.get(v, 0))
+    return tuple(sorted((v, e) for v, e in low.items() if e))
+
+
+def _mdiv(p: dict, m: tuple) -> dict:
+    """p divided by the monomial m."""
+    return _pmul(p, {tuple((v, -e) for v, e in m): 1})
+
+
+def _cleared(num: dict, den: dict) -> tuple[dict, dict]:
+    """num/den with num's negative exponents multiplied out of both: the
+    quotient of two polynomials, as it prints and evaluates."""
+    low: dict = {}
+    for m in num:
+        for v, e in m:
+            if e < low.get(v, 0):
+                low[v] = e
+    if not low:
+        return num, den
+    neg = tuple(sorted(low.items()))
+    return _mdiv(num, neg), _mdiv(den, neg)
 
 
 def _pmainvar(p: dict, q: dict) -> int:
@@ -582,7 +622,7 @@ def _pdiff(p: dict, cpos: int) -> dict:
             dv = _var_derivative(v, cpos)
             if dv is None:
                 continue
-            if e > 1:
+            if e != 1:
                 base = m[:idx] + ((v, e - 1),) + m[idx + 1:]
             else:
                 base = m[:idx] + m[idx + 1:]
@@ -641,17 +681,14 @@ def _const_over(num: dict, d: int, dens=()) -> tuple[dict, dict]:
 
 
 def _finish(num: dict, den: dict) -> tuple[dict, dict]:
-    """The canonical form of num/den for num and den coprime over Q: no
-    common integer factor, and den's canonical leading coefficient
-    positive."""
+    """The canonical form of num/den for num and den coprime over Q and
+    den a polynomial no variable divides: no common integer factor, and
+    den's canonical leading coefficient positive."""
     if not num:
         return {}, _P_ONE
-    if len(den) == 1:
-        (m, lc), = den.items()
-        if not m:
-            return _const_over(num, lc)
-    else:
-        lc = den[_plead(den)]
+    if _is_const(den):
+        return _const_over(num, den[()])
+    lc = den[_plead(den)]
     c = gcd(*num.values(), *den.values())
     if lc < 0:
         c = -c
@@ -662,11 +699,16 @@ def _finish(num: dict, den: dict) -> tuple[dict, dict]:
 
 
 def _cancel(p: dict, q: dict) -> tuple[dict, dict]:
-    """p and q divided by their gcd."""
-    g = _pgcd(p, q)
-    if _is_const(g):
-        return p, q
-    return _pdivexact(p, g), _pdivexact(q, g)
+    """A Laurent polynomial p and a polynomial q no variable divides,
+    divided by their gcd.  p's monomial content cannot be shared with q,
+    so it is split off first and the gcd is one of polynomials."""
+    m = _mcontent(p)
+    pp = _mdiv(p, m)
+    if len(pp) > 1:
+        g = _pgcd(pp, q)
+        if not _is_const(g):
+            return _pmul({m: 1}, _pdivexact(pp, g)), _pdivexact(q, g)
+    return p, q
 
 
 def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
@@ -711,9 +753,12 @@ def _qsum(n1: dict, d1: dict, n2: dict, d2: dict, combine
 class DiffExpr:
     """A canonical quotient of two integer polynomials.  Immutable.
 
-    num and den are coprime, share no integer factor, and den's leading
-    coefficient in the canonical order is positive; a polynomial has a
-    constant den.  It prints with a monic denominator.
+    num is a Laurent polynomial (exponents of either sign) and den a
+    polynomial no variable divides, so a monomial denominator lives in
+    num's negative exponents and den is a constant.  num and den are
+    coprime, share no integer factor, and den's leading coefficient in
+    the canonical order is positive.  It prints with its negative
+    exponents multiplied out and a monic denominator.
     """
 
     __slots__ = ("ctx", "num", "den", "_hash")
@@ -818,7 +863,10 @@ class DiffExpr:
             raise ZeroDivisionError("division by the zero expression")
         if not self.num:
             return ctx._zero
-        return DiffExpr(ctx, *_qmul(self.num, self.den, o.den, o.num))
+        # 1/o = (o.den/m) / (o.num/m), m the monomial content of o.num
+        m = _mcontent(o.num)
+        return DiffExpr(ctx, *_qmul(self.num, self.den, _mdiv(o.den, m),
+                                    _mdiv(o.num, m)))
 
     def __rtruediv__(self, other):
         o, _ = self._operand(other)
@@ -857,7 +905,8 @@ class DiffExpr:
         return Fraction(self.num.get((), 0), self.den[()])
 
     def is_polynomial(self) -> bool:
-        return len(self.den) == 1 and () in self.den
+        return _is_const(self.den) and all(
+            e > 0 for m in self.num for _, e in m)
 
     def free_of_funcs(self) -> bool:
         return all(_VAR_KEYS[v][0] == _KIND_COORD for v in
@@ -866,16 +915,20 @@ class DiffExpr:
     def coordinate_terms(self):
         """A polynomial in the coordinates alone as ([(exponent of each
         coordinate, integer coefficient), ...], integer denominator)."""
-        if not self.is_polynomial() or not self.free_of_funcs():
+        den = self.den
+        if not _is_const(den):
             raise ExprError(f"not a coordinate polynomial: {self}")
         n = len(self.ctx.coords)
         terms = []
         for m, c in self.num.items():
             exp = [0] * n
             for v, e in m:
-                exp[_VAR_KEYS[v][1]] = e
+                key = _VAR_KEYS[v]
+                if key[0] != _KIND_COORD or e < 0:
+                    raise ExprError(f"not a coordinate polynomial: {self}")
+                exp[key[1]] = e
             terms.append((tuple(exp), c))
-        return terms, self.den[()]
+        return terms, den[()]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -896,18 +949,18 @@ class DiffExpr:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        den = self.den
+        num, den = _cleared(self.num, self.den)
         if len(den) == 1 and () in den:
-            return _format_poly(self.ctx, self.num, den[()])
+            return _format_poly(self.ctx, num, den[()])
         lc = den[_plead(den)]
-        num = _format_poly(self.ctx, self.num, lc)
-        if len(self.num) > 1:
-            num = f"({num})"
+        head = _format_poly(self.ctx, num, lc)
+        if len(num) > 1:
+            head = f"({head})"
         text = _format_poly(self.ctx, den, lc)
         (m, _), *more = den.items()
         if more or len(m) > 1 or m[0][1] > 1:
             text = f"({text})"
-        return f"{num}/{text}"
+        return f"{head}/{text}"
 
     __repr__ = __str__
 
@@ -1182,7 +1235,8 @@ def evaluate(e: DiffExpr, coord_values: dict, func_polys: dict | None = None
             total += term
         return total
 
-    den = eval_poly(e.den)
+    num, den = _cleared(e.num, e.den)
+    den = eval_poly(den)
     if den == 0:
         raise ZeroDivisionError("denominator vanishes at the point")
-    return eval_poly(e.num) / den
+    return eval_poly(num) / den

@@ -100,9 +100,10 @@ the tracemalloc peak of the check; memoising e_a * X by (a, X), which
 raises the peak resident memory and saves no def-i time (BENCH_23.json).
 
 D's cache entry for f holds D f together with the r frame derivatives
-rho(e_a)(f) it is built from, and the scalar is differentiated about
-once per check.  e_a * v needs D(v_b) where 1/2 W_ab is nonzero and then
-reads rho(e_a)(v_b) from v_b's entry; elsewhere it, and the anchor
+rho(e_a)(f) it is built from, which take each partial of f once
+(ChartAlgebroid.frame_derivatives), and the scalar is differentiated
+about once per check.  e_a * v needs D(v_b) where 1/2 W_ab is nonzero
+and then reads rho(e_a)(v_b) from v_b's entry; elsewhere it, and the anchor
 action of a frame, read the entry if v_b already has one and otherwise
 differentiate v_b along e_a alone and cache nothing.  D's minus sign is
 folded into the cached rows of -W^-1, whose unit entries are the
@@ -340,8 +341,7 @@ class PreSymStructure:
                 rows = self._neg_inv_nz = tuple(
                     nonzero_entries(one if x.is_one() else x for x in row)
                     for row in neg)
-            ders = tuple(self._prod.frame_apply(a, f)
-                         for a in range(self.rank))
+            ders = self._prod.frame_derivatives(f)
             zero = self.ctx.zero()
             out = tuple(sum((x * ders[j] for j, x in row), zero)
                         for row in rows)

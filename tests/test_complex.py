@@ -241,6 +241,21 @@ def test_non_integral_constants_stay_exact():
                                                "gauss": want}, degree
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1/x2", "non-polynomial coefficient: x1/x2"),
+    ("x1 + 1/(x1 + x2)", "non-polynomial coefficient: "),
+    ("f*x1", "non-coordinate symbol in x1*f"),
+])
+def test_poly_to_coords_names_what_is_not_a_coefficient(text, message):
+    cx = flat_case(2, 2).cx
+    e = cx.ctx.extended(("f",)).expr(text)
+    with pytest.raises(ValueError) as err:
+        _poly_to_coords(e, cx.mono_index)
+    assert str(err.value).startswith(message)
+    assert _poly_to_coords(cx.ctx.expr("x1*x2/2 + 3"), cx.mono_index) == {
+        cx.mono_index[(1, 1)]: Fraction(1, 2), cx.mono_index[(0, 0)]: 3}
+
+
 # -- the permutation sign ------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ and a canonical nonzero must evaluate to nonzero at some point.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from psalib.exprcore import (
     ChartContext,
     DerivativeOrderError,
+    DiffExpr,
     ExprError,
     ExprSyntaxError,
     MAX_NESTING,
@@ -301,11 +303,73 @@ def test_chain_of_canonical_operations_stays_reduced():
     assert (t * c.expr("2*y")) == c.expr("x")
 
 
+def assert_canonical(e: DiffExpr) -> None:
+    """The stored form: den a polynomial that no variable divides, with a
+    positive leading coefficient (in the order printing uses) and no
+    integer factor shared with num, whose exponents may be negative."""
+    num, den = e.num, e.den
+    assert all(k > 0 for m in den for _, k in m)
+    assert not set.intersection(*({v for v, _ in m} for m in den))
+    assert gcd(*num.values(), *den.values()) == 1
+    lead = str(DiffExpr(e.ctx, den, {(): 1}))
+    assert not lead.startswith("-")
+
+
+def ctx3():
+    return ChartContext(coords=("x", "y", "z"), funcs=("f",))
+
+
+@pytest.mark.parametrize("ctx, text, printed", [
+    (ctx2(), "1/(2*y)", "1/2/y"),
+    (ctx2(), "x/(y^2*(x + y))", "x/(x*y^2 + y^3)"),
+    (ctx3(), "(-x^2*d(f,x) - x*y*d(f,y) - y^2*d(f,x))/(y^2)",
+     "(-x^2*d(f,x) - x*y*d(f,y) - y^2*d(f,x))/(y^2)"),
+    (ctx3(), "-x*z*d(f,x)/(y^2)", "-x*z*d(f,x)/(y^2)"),
+], ids=["scalar", "mixed", "witness-sum", "witness-term"])
+def test_monomial_denominators_live_in_the_numerator(ctx, text, printed):
+    e = ctx.expr(text)
+    assert str(e) == printed
+    assert parse_expr(printed, ctx) == e
+    assert_canonical(e)
+    # the y^k of the denominator is a negative exponent of the numerator
+    yid = next(iter(ctx.coordinate("y").num))[0][0]
+    assert min(k for m in e.num for v, k in m if v == yid) < 0
+
+
+def test_monomial_denominator_is_a_constant():
+    c = ctx2()
+    e = c.expr("1/(2*y)")
+    assert e.den == {(): 2} and len(e.num) == 1
+    assert c.expr("x/y").den == {(): 1}
+    assert c.expr("x/(y^2*(x + y))").den == c.expr("x + y").num
+
+
+def test_evaluation_at_a_pole_raises():
+    c = ctx2()
+    for text in ("x/y", "1/(x*y^2)", "x/(y^2*(x + y))"):
+        with pytest.raises(ZeroDivisionError):
+            evaluate(c.expr(text), {"x": Fraction(1), "y": Fraction(0)})
+    assert evaluate(c.expr("x/y^2"),
+                    {"x": Fraction(3), "y": Fraction(2)}) == Fraction(3, 4)
+
+
 def test_total_degree_and_predicates():
     c = ctx2()
     assert c.expr("x/y").is_polynomial() is False
+    assert c.expr("x*y + 1/2").is_polynomial() is True
     assert c.expr("f + x").free_of_funcs() is False
     assert c.expr("x*y^3").free_of_funcs() is True
+
+
+@pytest.mark.parametrize("text", ["x/y", "x + 1/y^2", "f*x", "1/(x + y)"])
+def test_coordinate_terms_rejects_all_but_coordinate_polynomials(text):
+    c = ctx2()
+    e = c.expr(text)
+    with pytest.raises(ExprError) as err:
+        e.coordinate_terms()
+    assert str(err.value) == f"not a coordinate polynomial: {e}"
+    assert c.expr("x*y^3/2 + y").coordinate_terms() == (
+        [((1, 3), 1), ((0, 1), 2)], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +383,13 @@ small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
 
 def trees():
-    """Expression trees over x, y, a function symbol f and rational
-    constants, with the four operations."""
+    """Expression trees over x, y, monomials x^i*y^j, a function symbol f
+    and rational constants, with the four operations; a monomial divisor
+    goes into the numerator's negative exponents."""
     atoms = st.one_of(small_fractions.map(lambda q: ("num", q)),
-                      st.sampled_from([("x",), ("y",), ("f",)]))
+                      st.sampled_from([("x",), ("y",), ("f",)]),
+                      st.tuples(st.just("mono"), st.integers(0, 2),
+                                st.integers(1, 3)))
 
     def combine(children):
         return st.one_of(
@@ -341,6 +408,8 @@ def build(tree, ctx):
         return ctx.coordinate(head)
     if head == "f":
         return ctx.function("f")
+    if head == "mono":
+        return ctx.coordinate("x") ** tree[1] * ctx.coordinate("y") ** tree[2]
     if head == "neg":
         return -build(tree[1], ctx)
     a, b = build(tree[1], ctx), build(tree[2], ctx)
@@ -364,6 +433,10 @@ def jet(tree, x, y, f):
         return y, Fraction(0), Fraction(1)
     if head == "f":
         return f
+    if head == "mono":
+        i, j = tree[1], tree[2]
+        return (x ** i * y ** j, i * x ** max(i - 1, 0) * y ** j,
+                j * x ** i * y ** (j - 1))
     if head == "neg":
         v, dx, dy = jet(tree[1], x, y, f)
         return -v, -dx, -dy
@@ -394,6 +467,9 @@ def test_operations_and_derivatives_match_dual_number_evaluation(
     except ZeroDivisionError:
         return  # a divisor was the zero expression
     assert parse_expr(str(e), _FCTX) == e
+    ders = [differentiate(e, "x"), differentiate(e, "y")]
+    for d in [e] + ders:
+        assert_canonical(d)
     e_ext = build(tree, _FEXT)
     assert e_ext == e and hash(e_ext) == hash(e)
     assert (e_ext - e).is_zero() and e_ext + e == 2 * e
@@ -403,5 +479,5 @@ def test_operations_and_derivatives_match_dual_number_evaluation(
         return  # the tree divides by zero at this point
     point, inst = {"x": x, "y": y}, {"f": fpoly}
     assert evaluate(e, point, inst) == value
-    assert evaluate(differentiate(e, "x"), point, inst) == dx
-    assert evaluate(differentiate(e, "y"), point, inst) == dy
+    assert evaluate(ders[0], point, inst) == dx
+    assert evaluate(ders[1], point, inst) == dy

@@ -4,6 +4,7 @@ pseudo-semidirect products, closed isotropic subbundles."""
 import functools
 import gc
 import itertools
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psalib import fixtures, presym
+from psalib import exprcore, fixtures, presym
 from psalib.algebroid import (
     ChartAlgebroid,
     FormField,
@@ -1026,7 +1027,9 @@ def test_check_frees_structure_by_reference_counting(name, monkeypatch):
 # D's cache keeps the frame derivatives it computes, and the transport
 # term of e_a * v reads them back (2008 and 2259 calls when each call
 # differentiated afresh, 484 and 796 while every formal-slot case was
-# evaluated); measured 132 and 136, plus under 10%
+# evaluated); measured 132 and 136, plus under 10%.  Since D's cache
+# builds its entry through frame_derivatives, 28 and 16 calls remain;
+# DIFFERENTIATE_LIMIT below bounds the partials both of them take.
 FRAME_APPLY_LIMIT = {"r2n-4": 145, "prolongation-so3": 149}
 
 
@@ -1044,6 +1047,62 @@ def test_check_differentiates_each_scalar_about_once(name, monkeypatch):
     monkeypatch.setattr(ChartAlgebroid, "frame_apply", counting)
     assert check_presymplectic(E).passed()
     assert len(calls) <= FRAME_APPLY_LIMIT[name]
+
+
+def _count_calls(monkeypatch, module, name):
+    """The argument tuples of every call of module.name from now on,
+    wherever a psalib module bound the function."""
+    fn, calls = getattr(module, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod in list(sys.modules.values()):
+        if (mod.__name__.startswith("psalib")
+                and getattr(mod, name, None) is fn):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+# differentiate calls in one check_presymplectic: D's cache entry takes
+# each partial of its scalar once for all frames (frame_apply on each
+# frame took the sphere's 82); measured 220, 87 and 69, plus under 10%
+DIFFERENTIATE_LIMIT = {"r2n-4": 241, "prolongation-so3": 95, "sphere": 75}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIATE_LIMIT))
+def test_check_takes_each_partial_about_once(name, monkeypatch):
+    E = _BUILDS[name]()
+    calls = _count_calls(monkeypatch, exprcore, "differentiate")
+    assert check_presymplectic(E).passed()
+    assert len(calls) <= DIFFERENTIATE_LIMIT[name]
+
+
+# The sphere's pairing has Pfaffian y, so every quotient in its check
+# and in those of its star and anchor bumps has a monomial denominator,
+# which exprcore keeps as negative exponents of the numerator: no
+# polynomial gcd runs.  A pairing bump to y + x still needs one.
+_MONOMIAL_DENOMINATORS = {
+    "sphere": fixtures.sphere_structure,
+    **{p.stem: functools.partial(_load_structure, p) for p in _PERTURBED
+       if p.stem.startswith(("perturbed.star.", "perturbed.anchor."))},
+}
+
+
+@pytest.mark.parametrize("name", list(_MONOMIAL_DENOMINATORS))
+def test_monomial_denominators_take_no_gcd(name, monkeypatch):
+    E = _MONOMIAL_DENOMINATORS[name]()
+    calls = _count_calls(monkeypatch, exprcore, "_pgcd")
+    check_presymplectic(E)
+    assert calls == []
+
+
+def test_polynomial_denominator_takes_a_gcd(monkeypatch):
+    E = _load_structure(INPUTS / "perturbed.pairing.e1e2.plusx.psa")
+    calls = _count_calls(monkeypatch, exprcore, "_pgcd")
+    check_presymplectic(E)
+    assert calls
 
 
 @pytest.mark.parametrize("name", ["r2n-4", "prolongation-so3"])
