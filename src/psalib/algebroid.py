@@ -68,15 +68,14 @@ class ChartAlgebroid:
         self.names = tuple(names)
         self.rank = len(self.names)
         n = len(ctx.coords)
-        self.anchor = tuple(
-            tuple(self._expr(x) for x in row) for row in anchor)
+        self.anchor = tuple(tuple(map(ctx.number, row)) for row in anchor)
         if len(self.anchor) != self.rank or any(
                 len(r) != n for r in self.anchor):
             raise ValueError("anchor shape must be rank x #coords")
         # (coordinate position, entry) for each nonzero anchor entry, by row
         self._anchor_nz = tuple(nonzero_entries(row) for row in self.anchor)
         self.table = tuple(
-            tuple(tuple(self._expr(x) for x in cell) for cell in row)
+            tuple(tuple(map(ctx.number, cell)) for cell in row)
             for row in table)
         if len(self.table) != self.rank or any(
                 len(row) != self.rank or any(len(c) != self.rank
@@ -88,23 +87,6 @@ class ChartAlgebroid:
             tuple(nonzero_entries(cell) for cell in row) for row in self.table)
         self.kind = kind
 
-    def lifted(self, ext: ChartContext) -> "ChartAlgebroid":
-        """The same algebroid over a context that extends this one's, its
-        anchor and table entries lifted into it (ChartContext.lift)."""
-        lift = ext.lift
-        return ChartAlgebroid(
-            ext, self.names,
-            [[lift(x) for x in row] for row in self.anchor],
-            [[[lift(x) for x in cell] for cell in row] for row in self.table],
-            self.kind)
-
-    def extended(self, stem: str):
-        """This algebroid lifted over its context extended by one fresh
-        function symbol named after stem, and that symbol."""
-        name = self.ctx.fresh_func_name(stem)
-        ext = self.ctx.extended((name,))
-        return self.lifted(ext), ext.function(name)
-
     @staticmethod
     def point(alg) -> "ChartAlgebroid":
         """The product structure of a finite algebra on a point chart."""
@@ -114,12 +96,12 @@ class ChartAlgebroid:
         return ChartAlgebroid(ChartContext(coords=()), alg.names, [[]] * d,
                               table, kind="lsa")
 
-    def _expr(self, x) -> DiffExpr:
-        return x if isinstance(x, DiffExpr) else self.ctx.number(x)
-
     # -- sections ---------------------------------------------------------
 
     def frame_section(self, a: int):
+        if not 0 <= a < self.rank:
+            raise IndexError(f"frame index {a} out of range for rank "
+                             f"{self.rank}")
         return tuple(self.ctx.one() if i == a else self.ctx.zero()
                      for i in range(self.rank))
 
@@ -278,8 +260,8 @@ def check_lie_algebroid(alg: ChartAlgebroid) -> CheckReport:
     if alg.kind != "lie":
         raise ValueError("check_lie_algebroid needs a bracket structure")
     r, names = alg.rank, alg.names
-    lifted, f = alg.extended("f")
-    frames = [lifted.frame_section(a) for a in range(r)]
+    f = alg.ctx.formal_function()
+    frames = [alg.frame_section(a) for a in range(r)]
     slots = [tuple(f * x for x in e) for e in frames]
 
     def jacobi(formal):
@@ -293,8 +275,8 @@ def check_lie_algebroid(alg: ChartAlgebroid) -> CheckReport:
             """[[secs[i], secs[j]], secs[k]]"""
             b = inner.get((i, j))
             if b is None:
-                b = inner[(i, j)] = lifted.bracket(secs[i], secs[j])
-            return lifted.bracket(b, secs[k])
+                b = inner[(i, j)] = alg.bracket(secs[i], secs[j])
+            return alg.bracket(b, secs[k])
 
         def residual(i, j, k):
             s = tuple(map(add, outer(i, j, k), outer(j, k, i)))
@@ -341,8 +323,8 @@ def check_lie_algebroid(alg: ChartAlgebroid) -> CheckReport:
     rec.scan("algebroid.jacobi", jacobi(not (skew and morphic)), names)
     rec.scan("algebroid.leibniz", (
         (f"[{names[a]}, f*{names[b]}]: residual = ", tuple(res))
-        for a, b, res in scalar_rule(lifted.bracket, lifted.anchor_apply,
-                                     lifted.table, f, frames, slots, None)
+        for a, b, res in scalar_rule(alg.bracket, alg.anchor_apply,
+                                     alg.table, f, frames, slots, None)
         if any(res)), names)
     rec.extend(morphism)
     return rec
@@ -390,9 +372,9 @@ def check_left_symmetric_algebroid(alg: ChartAlgebroid) -> CheckReport:
     if alg.kind != "lsa":
         raise ValueError("needs a product structure")
     r, names = alg.rank, alg.names
-    lifted, f = alg.extended("f")
-    prod = lifted.product
-    frames = [lifted.frame_section(a) for a in range(r)]
+    f = alg.ctx.formal_function()
+    prod = alg.product
+    frames = [alg.frame_section(a) for a in range(r)]
     slots = [tuple(f * x for x in e) for e in frames]
 
     def left_symmetric():
@@ -404,11 +386,11 @@ def check_left_symmetric_algebroid(alg: ChartAlgebroid) -> CheckReport:
                     yield (f"({names[a]},{names[b]},{names[c]}){tag}: "
                            f"residual = ", res)
 
-    for side, act, label in (("left", lifted.anchor_apply, "{} * f*{}"),
+    for side, act, label in (("left", alg.anchor_apply, "{} * f*{}"),
                              ("right", None, "f*{} * {}")):
         rec.scan(f"algebroid.lsa.scalar-{side}", (
             (label.format(names[a], names[b]) + ": residual = ", tuple(res))
-            for a, b, res in scalar_rule(prod, act, lifted.table, f, frames,
+            for a, b, res in scalar_rule(prod, act, alg.table, f, frames,
                                          slots, None) if any(res)), names)
     rec.scan("algebroid.lsa.left-symmetric", left_symmetric(), names)
     return rec
@@ -428,7 +410,7 @@ class FormField:
             key = tuple(key)
             if len(key) != degree or list(key) != sorted(set(key)):
                 raise ValueError(f"non-canonical form key {key}")
-            v = v if isinstance(v, DiffExpr) else ctx.number(v)
+            v = ctx.number(v)
             if not v.is_zero():
                 comp[key] = v
         self.components = comp

@@ -138,8 +138,7 @@ def rho_star_matrix(E: PreSymStructure) -> ExprMatrix:
 
 
 def _sigma_sections(E: PreSymStructure, sigma: Splitting):
-    return [tuple(x if isinstance(x, DiffExpr) else E.ctx.number(x)
-                  for x in row) for row in sigma.sigma]
+    return [tuple(map(E.ctx.number, row)) for row in sigma.sigma]
 
 
 def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None
@@ -206,20 +205,17 @@ def check_exact(E: PreSymStructure, conn: FlatConnection, sigma=None
                    True)
 
     def anchor_compatible(formal):
-        # (e_a, e_b) over E, or with formal over E extended by f and
-        # followed by (e_a, f e_b) (the module docstring)
-        S, C = E, conn
-        if formal:
-            S, f = E.extended()
-            C = conn.lifted(S.ctx)
-        frames = [S.frame_section(a) for a in range(E.rank)]
+        # (e_a, e_b), and with formal followed by (e_a, f e_b) (the module
+        # docstring)
+        f = E.ctx.formal_function()
+        frames = [E.frame_section(a) for a in range(E.rank)]
         for a, b in itertools.product(range(E.rank), repeat=2):
             cases = [("", frames[b])]
             if formal:
                 cases.append(("f ", tuple(f * c for c in frames[b])))
             for tag, v in cases:
-                got = S.anchor_of(S.star(frames[a], v))
-                want = C.product(S.anchor[a], S.anchor_of(v))
+                got = E.anchor_of(E.star(frames[a], v))
+                want = conn.product(E.anchor[a], E.anchor_of(v))
                 yield from components(f"rho(e{a+1} * {tag}e{b+1}) ",
                                       (x - y for x, y in zip(got, want)),
                                       numbers)
@@ -346,8 +342,8 @@ class PhiTensor:
         self.ctx = ctx
         self.dim = len(comps)
         self.comps = tuple(
-            tuple(tuple(x if isinstance(x, DiffExpr) else ctx.number(x)
-                        for x in cell) for cell in row) for row in comps)
+            tuple(tuple(map(ctx.number, cell)) for cell in row)
+            for row in comps)
         n = self.dim
         if any(len(row) != n or any(len(c) != n for c in row)
                for row in self.comps):
@@ -406,8 +402,7 @@ class ChartCochain:
                 raise ValueError(f"component key {key} is not canonical")
             if len(subset) != degree - 1:
                 raise ValueError(f"component key {key} has wrong arity")
-            if not isinstance(val, DiffExpr):
-                val = ctx.number(val)
+            val = ctx.number(val)
             if not val.is_zero():
                 comps[(subset, last)] = val
         self.components = comps
@@ -424,19 +419,6 @@ class ChartCochain:
         if val is None:
             return self.ctx.zero()
         return val if sign > 0 else -val
-
-    def add(self, other: "ChartCochain") -> "ChartCochain":
-        comps = dict(self.components)
-        for key, val in other.components.items():
-            comps[key] = comps.get(key, self.ctx.zero()) + val
-        return ChartCochain(self.ctx, self.dim, self.degree, comps)
-
-    def scale(self, c) -> "ChartCochain":
-        comps = {k: v * c for k, v in self.components.items()}
-        return ChartCochain(self.ctx, self.dim, self.degree, comps)
-
-    def sub(self, other: "ChartCochain") -> "ChartCochain":
-        return self.add(other.scale(-1))
 
     def is_zero(self) -> bool:
         return not self.components
@@ -508,8 +490,7 @@ def splitting_equivalence(E1: PreSymStructure, E2: PreSymStructure, theta
     n = len(ctx.coords)
     if E1.rank != 2 * n or E2.rank != 2 * n:
         raise ValueError("need rank 2n structures")
-    th = [[x if isinstance(x, DiffExpr) else ctx.number(x) for x in row]
-          for row in theta]
+    th = [list(map(ctx.number, row)) for row in theta]
     if len(th) != n or any(len(r) != n for r in th):
         raise ValueError("theta must be n x n")
     for i in range(n):

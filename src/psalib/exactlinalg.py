@@ -262,11 +262,7 @@ class ExprMatrix:
     __slots__ = ("ctx", "rows", "nrows", "ncols")
 
     def __init__(self, ctx: ChartContext, rows):
-        conv = []
-        for r in rows:
-            conv.append(tuple(
-                x if isinstance(x, DiffExpr) else ctx.number(x) for x in r))
-        rows = tuple(conv)
+        rows = tuple(tuple(map(ctx.number, r)) for r in rows)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):

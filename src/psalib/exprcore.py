@@ -82,7 +82,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # (kind, coordinate position) for a coordinate, (kind, name) for a function
 # symbol, and (kind, name, i) or (kind, name, i, j) with i <= j for its
 # formal partials; its id is its position in _VAR_KEYS.  Every context
-# shares the ids, so a base chart and its extended() contexts mix freely.
+# shares the ids, so a context can build a symbol it does not declare
+# (formal_function) and contexts of one chart mix freely (join).
 # Ids follow interning order; the canonical order is that of the keys.
 _VAR_KEYS: list = []
 _VAR_IDS: dict = {}
@@ -107,6 +108,10 @@ class ChartContext:
     Formal partial derivatives stop at order 2; differentiating past
     that raises DerivativeOrderError rather than silently inventing
     higher-order symbols.
+
+    The declared function symbols govern parsing only: formal_function
+    is a symbol of this context that it does not declare, and the
+    identity checks differentiate and print it like a declared one.
     """
 
     def __init__(self, coords=(), funcs=()):
@@ -166,39 +171,24 @@ class ChartContext:
         return f"d{'' if kind == _KIND_D1 else '2'}({name}," + ",".join(
             self.coords[i] for i in key[2:]) + ")"
 
-    def extended(self, extra_funcs) -> "ChartContext":
-        """A context with the same chart plus additional function symbols."""
-        return ChartContext(self.coords, self.funcs + tuple(extra_funcs))
-
-    def lift(self, x: "DiffExpr") -> "DiffExpr":
-        """x, an expression of a context this one extends (or of this
-        one), as an expression of this context: its zero and one become
-        this context's shared constants, so the shortcuts of the
-        arithmetic fire and no operation has to join two contexts."""
-        if x.ctx is self:
-            return x
-        if self.join(x.ctx) is not self:
-            raise ExprError("lifting into a context that lacks symbols")
-        if not x.num:
-            return self._zero
-        if x.is_one():
-            return self._one
-        return DiffExpr(self, x.num, x.den)
-
-    def fresh_func_name(self, stem: str = "f") -> str:
-        if stem not in self.coords and stem not in self.funcs:
-            return stem
-        k = 0
-        while True:
-            name = f"{stem}{k}"
-            if name not in self.coords and name not in self.funcs:
-                return name
-            k += 1
+    def formal_function(self) -> "DiffExpr":
+        """The formal function symbol of this chart's identity checks: the
+        first of f, f0, f1, ... that names no coordinate and no declared
+        function.  It is an expression of this context: a symbol's id is
+        interned by name, and funcs governs parsing only."""
+        name, k = "f", 0
+        while name in self.coords or name in self.funcs:
+            name, k = f"f{k}", k + 1
+        return self._atom((_KIND_FUNC, name))
 
     # -- expression constructors ------------------------------------------
 
     def number(self, value) -> "DiffExpr":
+        """A number as an expression of this context; a DiffExpr is
+        returned as it is."""
         if type(value) is not int:
+            if isinstance(value, DiffExpr):
+                return value
             q = Fraction(value)
             if q.denominator != 1:
                 return DiffExpr(self, {(): q.numerator},
@@ -230,8 +220,9 @@ class ChartContext:
 
     def join(self, other: "ChartContext") -> "ChartContext":
         """The context of a result that mixes expressions of self and
-        other: the same chart, and whichever knows more symbols (a base
-        chart mixes with its extended() contexts)."""
+        other: the same chart, and whichever declares more symbols (a
+        context of a chart mixes with one that declares further function
+        symbols of it)."""
         if other is self:
             return self
         got = self._joins.get(other)

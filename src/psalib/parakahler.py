@@ -123,14 +123,10 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp):
         return rec, None, None
 
     def integrable(formal):
-        # (e_a, e_b) over E, or with formal over E extended by f and
-        # followed by f on slot 1 and on slot 2 (the module docstring)
-        S, Q = E, P
-        if formal:
-            S, f = E.extended()
-            Q = ParaComplexOp(S.ctx, [[S.ctx.lift(x) for x in row]
-                                      for row in P.matrix.rows])
-        frames = [S.frame_section(a) for a in range(r)]
+        # (e_a, e_b), and with formal followed by f on slot 1 and on slot 2
+        # (the module docstring)
+        f = ctx.formal_function()
+        frames = [E.frame_section(a) for a in range(r)]
         for a, b in itertools.product(range(r), repeat=2):
             cases = [("", frames[a], frames[b])]
             if formal:
@@ -139,14 +135,14 @@ def check_paracomplex(E: PreSymStructure, P: ParaComplexOp):
                           ("f on slot 2, ", frames[a],
                            tuple(f * x for x in frames[b]))]
             for tag, u, v in cases:
-                lhs = Q.apply(S.star(u, v))
-                rhs1 = S.star(Q.apply(u), v)
-                rhs2 = S.star(u, Q.apply(v))
-                rhs3 = Q.apply(S.star(Q.apply(u), Q.apply(v)))
+                lhs = P.apply(E.star(u, v))
+                rhs1 = E.star(P.apply(u), v)
+                rhs2 = E.star(u, P.apply(v))
+                rhs3 = P.apply(E.star(P.apply(u), P.apply(v)))
                 yield from components(
                     f"({tag}e{a+1}, e{b+1}) ",
                     (lhs[k] - rhs1[k] - rhs2[k] + rhs3[k] for k in range(r)),
-                    S.names)
+                    E.names)
 
     anti = rec.scan("para.pairing-anti-invariance", _entry_cases(
         "(P e{a}, P e{b}) + (e{a}, e{b}) = ",

@@ -121,11 +121,11 @@ The products walk nonzero entries only: every frame-table cell (shared
 with ChartAlgebroid) and every pairing row and column carries the list
 of its nonzero (k, value) entries, built once, and the loops over a
 dense D image skip its zero entries.  A frame e_a on the left of star
-goes straight to e_a * v.  extended() lifts the anchor, table, pairing
-and inverse pairing into the extended context once (ChartContext.lift),
-so the extended structure never mixes expressions of two contexts and
-the shared zero and one keep their shortcuts.  Zero tests in these loops
-read DiffExpr.num, the numerator, directly.
+goes straight to e_a * v.  extended() builds its structure over the same
+context and the formal symbol f is an expression of that context
+(ChartContext.formal_function), so no product mixes expressions of two
+contexts and the shared zero and one keep their shortcuts.  Zero tests
+in these loops read DiffExpr.num, the numerator, directly.
 
 Every scan of check_presymplectic and check_dirac, as of every other
 suite, hands CheckReport.scan only its nonzero residuals (def-i through
@@ -211,9 +211,6 @@ class PreSymStructure:
         self._frames = self.add_basis(
             self._prod.frame_section(a) for a in range(self.rank))
 
-    def _expr(self, x) -> DiffExpr:
-        return x if isinstance(x, DiffExpr) else self.ctx.number(x)
-
     # -- derived pieces -----------------------------------------------------
 
     @property
@@ -261,7 +258,7 @@ class PreSymStructure:
             return self.frame_section(x)
         if isinstance(x, tuple) and all(isinstance(c, DiffExpr) for c in x):
             return x
-        return tuple(self._expr(c) for c in x)
+        return tuple(map(self.ctx.number, x))
 
     def anchor_of(self, u):
         return self._prod.anchor_of(self._section(u))
@@ -450,20 +447,15 @@ class PreSymStructure:
     def section_str(self, coeffs) -> str:
         return section_str(coeffs, self.names)
 
-    def extended(self, stem: str = "f"):
-        """Same structure over a context with one fresh function symbol,
-        every entry lifted into that context."""
-        prod, f = self._prod.extended(stem)
-        ext = prod.ctx
-        ps = PreSymStructure(ext, self.names, prod.anchor, prod.table,
-                             _lift_rows(ext, self.pairing))
-        if self._inv_pairing is not None:
-            ps._inv_pairing = _lift_rows(ext, self._inv_pairing)
-        return ps, f
-
-
-def _lift_rows(ext: ChartContext, m: ExprMatrix) -> ExprMatrix:
-    return ExprMatrix(ext, [[ext.lift(x) for x in row] for row in m.rows])
+    def extended(self):
+        """A fresh structure over the same context, sharing this one's
+        pairing inverse, and the context's formal function symbol: the
+        formal basis sections, memos and D entries of a check live on it
+        and go with it."""
+        ps = PreSymStructure(self.ctx, self.names, self.anchor, self.table,
+                             self.pairing)
+        ps._inv_pairing = self._inv_pairing
+        return ps, self.ctx.formal_function()
 
 
 def tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
@@ -929,7 +921,7 @@ def check_dirac(E: PreSymStructure, F: Subbundle):
         raise ValueError(f"subbundle rank {k} is not half of {r}")
     rec = CheckReport()
     ctx = E.ctx
-    secs = [tuple(E._expr(x) for x in s) for s in F.sections]
+    secs = [tuple(map(ctx.number, s)) for s in F.sections]
     mat = ExprMatrix(ctx, secs)
 
     def half_rank():

@@ -248,7 +248,7 @@ def test_non_integral_constants_stay_exact():
 ])
 def test_poly_to_coords_names_what_is_not_a_coefficient(text, message):
     cx = flat_case(2, 2).cx
-    e = cx.ctx.extended(("f",)).expr(text)
+    e = ChartContext(cx.ctx.coords, ("f",)).expr(text)
     with pytest.raises(ValueError) as err:
         _poly_to_coords(e, cx.mono_index)
     assert str(err.value).startswith(message)

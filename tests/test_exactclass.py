@@ -228,8 +228,9 @@ def test_splitting_shift_adds_coboundary_of_theta():
     phi2 = extract_phi(E, conn, shifted)
     theta = ChartCochain(ctx, 2, 2, {((0,), 0): f})
     dtheta = chart_coboundary(conn, theta)
-    want = phi.tilde().add(dtheta)
-    assert phi2.tilde().sub(want).is_zero()
+    got, base, d = (c.components for c in (phi2.tilde(), phi.tilde(), dtheta))
+    assert all(got.get(k, z) == base.get(k, z) + d.get(k, z)
+               for k in got.keys() | base.keys() | d.keys())
 
 
 def test_splitting_equivalence_of_shifted_twists():

@@ -139,20 +139,26 @@ def test_mixing_charts_rejected():
         a.expr("x") + b.expr("y")
 
 
-def test_lift_into_an_extended_context():
+def test_formal_function_is_a_fresh_symbol_of_the_context():
     base = ChartContext(coords=("x", "y"))
-    ext = base.extended(("f",))
-    e = base.expr("x^2/(1 + y)")
-    assert ext.lift(base.zero()) is ext.zero()
-    assert ext.lift(base.one()) is ext.one()
-    assert ext.lift(e - e) is ext.zero() and ext.lift(e / e) is ext.one()
-    got = ext.lift(e)
-    assert got.ctx is ext and got == e and str(got) == str(e)
-    assert ext.lift(got) is got
+    f = base.formal_function()
+    assert f.ctx is base and str(f) == "f"
+    assert str(differentiate(f * base.expr("x"), "x")) == "x*d(f,x) + f"
+    assert f == ChartContext(coords=("x", "y"), funcs=("f",)).expr("f")
+    assert str(ChartContext(coords=("x",), funcs=("f",))
+               .formal_function()) == "f0"
+    assert str(ChartContext(coords=("f", "f0"), funcs=("f1",))
+               .formal_function()) == "f2"
     with pytest.raises(ExprError):
-        base.lift(ext.expr("f"))
-    with pytest.raises(ExprError):
-        ext.lift(ChartContext(coords=("x",)).expr("x"))
+        base.expr("f")
+
+
+def test_number_returns_an_expression_as_it_is():
+    c = ChartContext(coords=("x",))
+    e = c.expr("x/2")
+    assert c.number(e) is e
+    assert c.number(Fraction(1, 2)) == c.expr("1/2")
+    assert c.number(0) is c.zero() and c.number(1) is c.one()
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +383,7 @@ def test_coordinate_terms_rejects_all_but_coordinate_polynomials(text):
 
 
 _FCTX = ChartContext(coords=("x", "y"), funcs=("f",))
-_FEXT = _FCTX.extended(("h",))
+_FEXT = ChartContext(coords=("x", "y"), funcs=("f", "h"))
 
 small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 

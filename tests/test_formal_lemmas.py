@@ -23,7 +23,7 @@ from psalib.algebroid import ChartAlgebroid, check_lie_algebroid
 from psalib.exactclass import (FlatConnection, check_exact, rho_star_matrix,
                                twisted_product)
 from psalib.exactlinalg import ExprMatrix, invert
-from psalib.exprcore import ChartContext
+from psalib.exprcore import ChartContext, differentiate
 from psalib.parakahler import ParaComplexOp, check_paracomplex
 from psalib.presym import PreSymStructure, pseudo_semidirect
 from psalib.report import CheckReport, components
@@ -67,18 +67,18 @@ def _one_check(check_id, cases, names=()):
 def jacobi_reference(alg):
     """algebroid.jacobi: the frame triples a < b < c, then
     (e_a, e_b, f e_c) for every (a, b, c)."""
-    lifted, f = alg.extended("f")
+    f = alg.ctx.formal_function()
     r, names = alg.rank, alg.names
-    frames = [lifted.frame_section(a) for a in range(r)]
+    frames = [alg.frame_section(a) for a in range(r)]
     secs = frames + [tuple(f * x for x in e) for e in frames]
 
     def cases():
         for a, b, c in itertools.combinations(range(r), 3):
             yield (f"({names[a]},{names[b]},{names[c]}): residual = ",
-                   jacobiator(lifted, secs[a], secs[b], secs[c]))
+                   jacobiator(alg, secs[a], secs[b], secs[c]))
         for a, b, c in itertools.product(range(r), repeat=3):
             yield (f"({names[a]},{names[b]},f*{names[c]}): residual = ",
-                   jacobiator(lifted, secs[a], secs[b], secs[r + c]))
+                   jacobiator(alg, secs[a], secs[b], secs[r + c]))
 
     return _one_check("algebroid.jacobi", cases(), names)
 
@@ -86,10 +86,8 @@ def jacobi_reference(alg):
 def integrable_reference(E, P):
     """para.integrable: for each (a, b), the frame case, then f on slot 1
     and f on slot 2."""
-    ext, f = E.extended()
-    Q = ParaComplexOp(ext.ctx, [[ext.ctx.lift(x) for x in row]
-                                for row in P.matrix.rows])
-    frames = [ext.frame_section(a) for a in range(E.rank)]
+    f = E.ctx.formal_function()
+    frames = [E.frame_section(a) for a in range(E.rank)]
 
     def cases():
         for a, b in itertools.product(range(E.rank), repeat=2):
@@ -99,7 +97,7 @@ def integrable_reference(E, P):
                               ("f on slot 1, ", fa, frames[b]),
                               ("f on slot 2, ", frames[a], fb)):
                 yield from components(f"({tag}e{a+1}, e{b+1}) ",
-                                      integrability(ext, Q, u, v), ext.names)
+                                      integrability(E, P, u, v), E.names)
 
     return _one_check("para.integrable", cases())
 
@@ -107,9 +105,8 @@ def integrable_reference(E, P):
 def anchor_compatible_reference(E, conn):
     """exact.anchor-compatible: for each (a, b), the frame case, then
     f e_b in the right slot."""
-    ext, f = E.extended()
-    C = conn.lifted(ext.ctx)
-    frames = [ext.frame_section(a) for a in range(E.rank)]
+    f = E.ctx.formal_function()
+    frames = [E.frame_section(a) for a in range(E.rank)]
     numbers = range(1, len(E.ctx.coords) + 1)
 
     def cases():
@@ -117,7 +114,7 @@ def anchor_compatible_reference(E, conn):
             for tag, v in (("", frames[b]),
                            ("f ", tuple(f * x for x in frames[b]))):
                 yield from components(f"rho(e{a+1} * {tag}e{b+1}) ",
-                                      anchor_defect(ext, C, frames[a], v),
+                                      anchor_defect(E, conn, frames[a], v),
                                       numbers)
 
     return _one_check("exact.anchor-compatible", cases())
@@ -351,11 +348,11 @@ def test_jacobi_formal_slot_anomaly(alg):
     """J(u,v,f w) = f J(u,v,w) + (rho([u,v]) - [rho(u), rho(v)])(f) w
     - rho(u)(f) ([v,w] + [w,v]) on every frame triple; on a skew table
     the last term is zero."""
-    lifted, f = alg.extended("f")
+    f = alg.ctx.formal_function()
     r = alg.rank
-    frames = [lifted.frame_section(a) for a in range(r)]
-    rho, br = lifted.anchor_apply, lifted.bracket
-    skew = all(lifted.table[a][b][k] == -lifted.table[b][a][k]
+    frames = [alg.frame_section(a) for a in range(r)]
+    rho, br = alg.anchor_apply, alg.bracket
+    skew = all(alg.table[a][b][k] == -alg.table[b][a][k]
                for a, b, k in _entries(r, r, r))
     for a, b, c in _entries(r, r, r):
         u, v, w = frames[a], frames[b], frames[c]
@@ -365,8 +362,8 @@ def test_jacobi_formal_slot_anomaly(alg):
         if skew:
             assert not any(sym)
         want = [f * j + anomaly * wk - rho(u, f) * s
-                for j, wk, s in zip(jacobiator(lifted, u, v, w), w, sym)]
-        assert list(jacobiator(lifted, u, v, fw)) == want
+                for j, wk, s in zip(jacobiator(alg, u, v, w), w, sym)]
+        assert list(jacobiator(alg, u, v, fw)) == want
 
 
 def _unit_upper(draw, ctx, r):
@@ -422,11 +419,9 @@ def test_integrability_formal_slot_anomalies(EP):
     E, P = EP
     ext, f = E.extended()
     ctx, r = ext.ctx, ext.rank
-    Q = ParaComplexOp(ctx, [[ctx.lift(x) for x in row]
-                            for row in P.matrix.rows])
     half = ctx.number(Fraction(1, 2))
     pair, df = ext.pairing_value, ext.D(f)
-    pdf = Q.apply(df)
+    pdf = P.apply(df)
     frames = [ext.frame_section(a) for a in range(r)]
     M, W = P.matrix, E.pairing
     gated = not any(itertools.chain(
@@ -434,18 +429,18 @@ def test_integrability_formal_slot_anomalies(EP):
         *M.transpose().matmul(W).matmul(M).add(W).rows))
     for a, b in _entries(r, r):
         u, v = frames[a], frames[b]
-        pu, pv = Q.apply(u), Q.apply(v)
-        n = integrability(ext, Q, u, v)
+        pu, pv = P.apply(u), P.apply(v)
+        n = integrability(ext, P, u, v)
         c = half * (pair(u, v) + pair(pu, pv))
         d = half * (pair(pu, v) + pair(u, pv))
         slot_1 = [-c * x + d * y for x, y in zip(pdf, df)]
         extra = ext.anchor_apply(pu, f)
         slot_2 = [c * x - d * y + extra * (p - q)
-                  for x, y, p, q in zip(pdf, df, Q.apply(pv), v)]
+                  for x, y, p, q in zip(pdf, df, P.apply(pv), v)]
         fu, fv = (tuple(f * x for x in s) for s in (u, v))
-        assert integrability(ext, Q, fu, v) == [
+        assert integrability(ext, P, fu, v) == [
             f * x + y for x, y in zip(n, slot_1)]
-        assert integrability(ext, Q, u, fv) == [
+        assert integrability(ext, P, u, fv) == [
             f * x + y for x, y in zip(n, slot_2)]
         if gated:
             assert not any(slot_1) and not any(slot_2)
@@ -481,11 +476,10 @@ def test_anchor_compatible_formal_slot_anomaly(Ec):
     E, conn = Ec
     ext, f = E.extended()
     ctx, r = ext.ctx, ext.rank
-    C = conn.lifted(ctx)
     half = ctx.number(Fraction(1, 2))
     df = ext.D(f)
     rs = rho_star_matrix(ext)
-    partials = [ctx.expr(f"d({f},{x})") for x in ctx.coords]
+    partials = [differentiate(f, x) for x in ctx.coords]
     assert list(df) == [sum((p * x for p, x in zip(partials, row)),
                             ctx.zero()) for row in rs.rows]
     rho_df = ext.anchor_of(df)
@@ -494,8 +488,8 @@ def test_anchor_compatible_formal_slot_anomaly(Ec):
         u, v = frames[a], frames[b]
         fv = tuple(f * x for x in v)
         w = half * ext.pairing_value(u, v)
-        assert anchor_defect(ext, C, u, fv) == [
-            f * x + w * y for x, y in zip(anchor_defect(ext, C, u, v),
+        assert anchor_defect(ext, conn, u, fv) == [
+            f * x + w * y for x, y in zip(anchor_defect(ext, conn, u, v),
                                           rho_df)]
     if check_exact(E, conn).find("exact.sequence").status == "pass":
         assert not any(rho_df)
