@@ -3,7 +3,8 @@
 A value is a quotient of multivariate polynomials over Q.  The indeterminates
 are chart coordinates, formal function symbols, and formal partial derivatives
 of those symbols up to second order.  Everything is kept canonical, so
-equality and `is_zero` are exact decisions, never heuristics.
+equality and `is_zero` are exact decisions, never heuristics.  Values of
+two ChartContexts mix only when both declare the same coordinates.
 
 The representation is packed into plain ints.  Each indeterminate has an id
 from one process-wide intern table, a monomial is a tuple of (id, exponent)
@@ -83,7 +84,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # symbol, and (kind, name, i) or (kind, name, i, j) with i <= j for its
 # formal partials; its id is its position in _VAR_KEYS.  Every context
 # shares the ids, so a context can build a symbol it does not declare
-# (formal_function) and contexts of one chart mix freely (join).
+# (formal_function), and a coordinate id means the same in every context
+# that declares the same coordinate tuple.
 # Ids follow interning order; the canonical order is that of the keys.
 _VAR_KEYS: list = []
 _VAR_IDS: dict = {}
@@ -112,6 +114,12 @@ class ChartContext:
     The declared function symbols govern parsing only: formal_function
     is a symbol of this context that it does not declare, and the
     identity checks differentiate and print it like a declared one.
+
+    Expressions of two contexts mix when the contexts are one object or
+    declare the same coordinate tuple, whatever function symbols each
+    declares.  The result takes the left operand's context, unless an
+    operand is returned as it is (e + 0, 0 + e, e * 1, 1 * e).  Mixing
+    any other two raises ExprError, and such expressions are never equal.
     """
 
     def __init__(self, coords=(), funcs=()):
@@ -129,7 +137,6 @@ class ChartContext:
         self.coords = coords
         self.funcs = funcs
         self._coord_pos = {name: i for i, name in enumerate(coords)}
-        self._joins: dict = {}
         # zero() and one() hand out these two objects; nothing may mutate
         # them, and their hashes are computed once here
         self._zero = DiffExpr(self, {}, _P_ONE)
@@ -217,28 +224,6 @@ class ChartContext:
 
     def expr(self, text: str) -> "DiffExpr":
         return parse_expr(text, self)
-
-    def join(self, other: "ChartContext") -> "ChartContext":
-        """The context of a result that mixes expressions of self and
-        other: the same chart, and whichever declares more symbols (a
-        context of a chart mixes with one that declares further function
-        symbols of it)."""
-        if other is self:
-            return self
-        got = self._joins.get(other)
-        if got is None:
-            if self.coords != other.coords:
-                raise ExprError("mixing expressions from different charts")
-            sa, sb = set(self.funcs), set(other.funcs)
-            if sb <= sa:
-                got = self
-            elif sa <= sb:
-                got = other
-            else:
-                raise ExprError(
-                    "mixing expressions with unrelated function symbols")
-            self._joins[other] = got
-        return got
 
     def __repr__(self):
         return f"ChartContext(coords={self.coords}, funcs={self.funcs})"
@@ -417,14 +402,9 @@ def _mdiv(p: dict, m: tuple) -> dict:
 def _cleared(num: dict, den: dict) -> tuple[dict, dict]:
     """num/den with num's negative exponents multiplied out of both: the
     quotient of two polynomials, as it prints and evaluates."""
-    low: dict = {}
-    for m in num:
-        for v, e in m:
-            if e < low.get(v, 0):
-                low[v] = e
-    if not low:
+    neg = tuple((v, e) for v, e in _mcontent(num) if e < 0) if num else ()
+    if not neg:
         return num, den
-    neg = tuple(sorted(low.items()))
     return _mdiv(num, neg), _mdiv(den, neg)
 
 
@@ -483,31 +463,17 @@ def _pdivexact(p: dict, d: dict) -> dict:
     """Exact division over the integers; raises if d does not divide p."""
     if not p:
         return {}
-    if d is _P_ONE:
+    if d == _P_ONE:
         return p
     if not d:
         raise ZeroDivisionError("polynomial division by zero")
     if len(d) == 1:
         (dm, dc), = d.items()
-        dd = dict(dm)
-        out = {}
-        for m, c in p.items():
-            qc, rem = divmod(c, dc)
-            if rem:
-                raise ExprError("inexact polynomial division")
-            if dd:
-                md = dict(m)
-                for v, e in dd.items():
-                    r = md.get(v, 0) - e
-                    if r < 0:
-                        raise ExprError("inexact polynomial division")
-                    if r:
-                        md[v] = r
-                    else:
-                        del md[v]
-                m = tuple(sorted(md.items()))
-            out[m] = qc
-        return out
+        q = _mdiv(p, dm)
+        if any(c % dc for c in q.values()) or any(
+                e < 0 for m in q for _, e in m):
+            raise ExprError("inexact polynomial division")
+        return {m: c // dc for m, c in q.items()}
     v = max(_pvars(d), key=_VAR_KEYS.__getitem__)
     pu = _puni(p, v)
     du = _puni(d, v)
@@ -703,11 +669,9 @@ def _cancel(p: dict, q: dict) -> tuple[dict, dict]:
 
 
 def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
-    """The canonical form of num/den."""
+    """The canonical form of num/den for a non-constant den."""
     if not num:
         return {}, _P_ONE
-    if _is_const(den):
-        return _const_over(num, den[()])
     return _finish(*_cancel(num, den))
 
 
@@ -763,17 +727,20 @@ class DiffExpr:
     # -- arithmetic --------------------------------------------------------
 
     def _operand(self, other):
-        """(other as an expression, the result's context), or (None, None)
-        for an operand of another type."""
+        """other as an expression that mixes with self, or None for an
+        operand of another type.  Raises ExprError for an expression of
+        another chart (see ChartContext)."""
         if isinstance(other, DiffExpr):
-            ctx = self.ctx
-            return other, (ctx if other.ctx is ctx else ctx.join(other.ctx))
+            if other.ctx is self.ctx or other.ctx.coords == self.ctx.coords:
+                return other
+            raise ExprError("mixing expressions from different charts")
         if isinstance(other, (int, Fraction)):
-            return self.ctx.number(other), self.ctx
-        return None, None
+            return self.ctx.number(other)
+        return None
 
-    def _sum(self, o: "DiffExpr", ctx: ChartContext, combine) -> "DiffExpr":
+    def _sum(self, o: "DiffExpr", combine) -> "DiffExpr":
         """self + o or self - o, as combine is _padd or _psub."""
+        ctx = self.ctx
         d1, d2 = self.den, o.den
         if d1 is _P_ONE and d2 is _P_ONE:
             return DiffExpr(ctx, combine(self.num, o.num), _P_ONE)
@@ -787,17 +754,16 @@ class DiffExpr:
         return DiffExpr(ctx, *_qsum(self.num, d1, o.num, d2, combine))
 
     def __add__(self, other):
-        if type(other) is DiffExpr and other.ctx is self.ctx:
-            o, ctx = other, self.ctx
-        else:
-            o, ctx = self._operand(other)
+        o = other
+        if type(o) is not DiffExpr or o.ctx is not self.ctx:
+            o = self._operand(other)
             if o is None:
                 return NotImplemented
-        if not o.num and ctx is self.ctx:
+        if not o.num:
             return self
-        if not self.num and ctx is o.ctx:
+        if not self.num:
             return o
-        return self._sum(o, ctx, _padd)
+        return self._sum(o, _padd)
 
     __radd__ = __add__
 
@@ -807,34 +773,33 @@ class DiffExpr:
         return DiffExpr(self.ctx, _pneg(self.num), self.den)
 
     def __sub__(self, other):
-        if type(other) is DiffExpr and other.ctx is self.ctx:
-            o, ctx = other, self.ctx
-        else:
-            o, ctx = self._operand(other)
+        o = other
+        if type(o) is not DiffExpr or o.ctx is not self.ctx:
+            o = self._operand(other)
             if o is None:
                 return NotImplemented
-        if not o.num and ctx is self.ctx:
+        if not o.num:
             return self
-        return self._sum(o, ctx, _psub)
+        return self._sum(o, _psub)
 
     def __rsub__(self, other):
-        o, _ = self._operand(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o.__sub__(self)
 
     def __mul__(self, other):
-        if type(other) is DiffExpr and other.ctx is self.ctx:
-            o, ctx = other, self.ctx
-        else:
-            o, ctx = self._operand(other)
+        o = other
+        if type(o) is not DiffExpr or o.ctx is not self.ctx:
+            o = self._operand(other)
             if o is None:
                 return NotImplemented
+        ctx = self.ctx
         if not self.num or not o.num:
             return ctx._zero
-        if o is o.ctx._one and ctx is self.ctx:
+        if o is o.ctx._one:
             return self
-        if self is self.ctx._one and ctx is o.ctx:
+        if self is ctx._one:
             return o
         d1, d2 = self.den, o.den
         if d1 is _P_ONE and d2 is _P_ONE:
@@ -847,20 +812,20 @@ class DiffExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o, ctx = self._operand(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by the zero expression")
         if not self.num:
-            return ctx._zero
+            return self.ctx._zero
         # 1/o = (o.den/m) / (o.num/m), m the monomial content of o.num
         m = _mcontent(o.num)
-        return DiffExpr(ctx, *_qmul(self.num, self.den, _mdiv(o.den, m),
-                                    _mdiv(o.num, m)))
+        return DiffExpr(self.ctx, *_qmul(self.num, self.den,
+                                         _mdiv(o.den, m), _mdiv(o.num, m)))
 
     def __rtruediv__(self, other):
-        o, _ = self._operand(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o.__truediv__(self)
@@ -922,11 +887,13 @@ class DiffExpr:
         return terms, den[()]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.number(other)
-        if not isinstance(other, DiffExpr):
+        try:
+            o = self._operand(other)
+        except ExprError:
+            return False  # expressions of another chart
+        if o is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         if self._hash is None:

@@ -444,9 +444,6 @@ class PreSymStructure:
         return product_associator(self._times, self._section(u),
                                   self._section(v), self._section(w))
 
-    def section_str(self, coeffs) -> str:
-        return section_str(coeffs, self.names)
-
     def extended(self):
         """A fresh structure over the same context, sharing this one's
         pairing inverse, and the context's formal function symbol: the
@@ -945,7 +942,8 @@ def check_dirac(E: PreSymStructure, F: Subbundle):
                 coeffs = expr_solve(span_t, list(prod))
                 if coeffs is None:
                     yield (f"{F.names[i]} * {F.names[j]} = "
-                           f"{E.section_str(prod)} leaves the span", True)
+                           f"{section_str(prod, E.names)} leaves the span",
+                           True)
                 else:
                     induced_table[i][j] = tuple(coeffs)
 

@@ -18,6 +18,11 @@ from psalib.exprcore import (
     ExprError,
     ExprSyntaxError,
     MAX_NESTING,
+    _KIND_COORD,
+    _mmul,
+    _pdivexact,
+    _pmul,
+    _var_id,
     differentiate,
     evaluate,
     parse_expr,
@@ -139,6 +144,40 @@ def test_mixing_charts_rejected():
         a.expr("x") + b.expr("y")
 
 
+def test_contexts_of_one_chart_mix_whatever_functions_they_declare():
+    a = ChartContext(coords=("x", "y"), funcs=("f",))
+    b = ChartContext(coords=("x", "y"), funcs=("g",))
+    both = ChartContext(coords=("x", "y"), funcs=("f", "g"))
+    s = a.expr("x*f + d(f,y)/y") + b.expr("g^2/(x + 1) - d2(g,x,y)")
+    t = both.expr("x*f + d(f,y)/y + g^2/(x + 1) - d2(g,x,y)")
+    assert s == t and str(s) == str(t)
+    assert s.ctx is a
+    assert b.expr("g") * a.expr("f") == both.expr("f*g")
+
+
+def test_same_coordinates_in_another_order_do_not_mix():
+    xy = ChartContext(coords=("x", "y"))
+    yx = ChartContext(coords=("y", "x"))
+    for op in (lambda u, v: u + v, lambda u, v: u - v,
+               lambda u, v: u * v, lambda u, v: u / v):
+        with pytest.raises(ExprError):
+            op(xy.expr("x"), yx.expr("x"))
+
+
+def test_expressions_of_different_charts_are_never_equal():
+    # a coordinate's id is its position, so equal numerators of two
+    # charts can name different coordinates
+    assert (ChartContext(coords=("x",)).expr("x")
+            == ChartContext(coords=("y",)).expr("y")) is False
+    xy = ChartContext(coords=("x", "y"))
+    yx = ChartContext(coords=("y", "x"))
+    assert (xy.expr("x") == yx.expr("y")) is False
+    assert (xy.expr("x") == yx.expr("x")) is False
+    assert xy.expr("x") != yx.expr("x")
+    assert xy.expr("x") == ChartContext(coords=("x", "y"),
+                                        funcs=("f",)).expr("x")
+
+
 def test_formal_function_is_a_fresh_symbol_of_the_context():
     base = ChartContext(coords=("x", "y"))
     f = base.formal_function()
@@ -159,6 +198,35 @@ def test_number_returns_an_expression_as_it_is():
     assert c.number(e) is e
     assert c.number(Fraction(1, 2)) == c.expr("1/2")
     assert c.number(0) is c.zero() and c.number(1) is c.one()
+
+
+# ---------------------------------------------------------------------------
+# exact monomial division
+
+_IDS = [_var_id((_KIND_COORD, i)) for i in range(3)]  # one chart's coordinates
+
+
+def _monomial(exps):
+    return tuple(sorted((v, e) for v, e in zip(_IDS, exps) if e))
+
+
+_monomials = st.tuples(*[st.integers(0, 3)] * 3).map(_monomial)
+_coeffs = st.integers(-6, 6).filter(bool)
+
+
+@given(st.dictionaries(_monomials, _coeffs, max_size=6), _monomials, _coeffs)
+def test_division_by_a_monomial_round_trips(p, m, c):
+    d = {m: c}
+    assert _pdivexact(_pmul(p, d), d) == p
+
+
+def test_inexact_division_by_a_monomial_raises():
+    x, y = ((_IDS[0], 1),), ((_IDS[1], 1),)
+    with pytest.raises(ExprError, match="inexact"):
+        _pdivexact({x: 2}, {x: 3})  # a coefficient remainder
+    with pytest.raises(ExprError, match="inexact"):
+        _pdivexact({x: 1}, {y: 1})  # an exponent goes negative
+    assert _pdivexact({_mmul(x, y): 6, x: 3}, {x: 3}) == {y: 2, (): 1}
 
 
 # ---------------------------------------------------------------------------
