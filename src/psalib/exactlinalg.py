@@ -279,8 +279,6 @@ class ExprMatrix:
                                 for i in range(n)])
 
     def transpose(self):
-        if not self.rows:
-            return self
         return ExprMatrix(self.ctx, list(zip(*self.rows)))
 
     def matmul(self, other: "ExprMatrix") -> "ExprMatrix":
@@ -361,10 +359,6 @@ def invert(m: ExprMatrix) -> ExprMatrix:
     if det.is_zero():
         raise SingularMatrixError(det)
     n = m.nrows
-    if n == 0:
-        return m
-    if n == 1:
-        return ExprMatrix(m.ctx, [[m.ctx.one() / det]])
     out = []
     for i in range(n):
         row = []

@@ -14,12 +14,13 @@ pairing yields a bracket structure with a closed 2-form, and a bracket
 structure with a closed nondegenerate 2-form determines the product
 table uniquely through the pairing's inverse.
 
-Sections are normalised once.  The public entry points (pairing_value,
-star, bracket, associator, tensor_T, anchor_apply) accept frame indices
-and tuples of numbers and turn them into tuples of DiffExpr; every
-internal path already holds such tuples and calls the private forms
-(_pair, _times, _bracket, _tensor_T, the residual helpers), which skip
-that step.
+A section is a tuple of DiffExpr, one per frame element: a frame_section,
+a basis section of add_basis, or a result of an operation.  Each section
+operation has one name, and callers outside and inside the module call
+the same one (star, bracket, pairing_value, associator, tensor_T,
+anchor_of, anchor_apply); none of them converts its arguments.  A frame
+index or a number is not a section: frame_section(a) is e_a, and
+ctx.number turns a number into a scalar.
 
 Products of basis sections are memoised.  Every structure's frame
 sections are built once and form the start of its basis;
@@ -252,25 +253,21 @@ class PreSymStructure:
         return None
 
     def _section(self, x):
-        if type(x) is _BasisSection:
-            return x
-        if isinstance(x, int):
-            return self.frame_section(x)
-        if isinstance(x, tuple) and all(isinstance(c, DiffExpr) for c in x):
-            return x
-        return tuple(map(self.ctx.number, x))
+        """x as a tuple of DiffExpr: a tuple (a basis section among them)
+        as it is, any other sequence of DiffExpr copied into one."""
+        return x if isinstance(x, tuple) else tuple(x)
 
     def anchor_of(self, u):
-        return self._prod.anchor_of(self._section(u))
+        return self._prod.anchor_of(u)
 
     def anchor_apply(self, u, f: DiffExpr) -> DiffExpr:
         """rho(u)(f); f is differentiated only along the chart directions
         that the anchor of u reaches (see ChartAlgebroid.anchor_apply)."""
-        return self._prod.anchor_apply(self._section(u), f)
+        return self._prod.anchor_apply(u, f)
 
     def _act(self, u, f: DiffExpr) -> DiffExpr:
-        """anchor_apply on a normalised section; a frame of this structure
-        goes through _frame_apply."""
+        """anchor_apply, except that a frame of this structure goes
+        through _frame_apply, which reads D's cache."""
         a = self._basis_pos(u)
         if a is not None and a < self.rank:
             return self._frame_apply(a, f)
@@ -287,13 +284,10 @@ class PreSymStructure:
         return self._prod.frame_apply(a, f)
 
     def pairing_value(self, u, v) -> DiffExpr:
-        return self._pair(self._section(u), self._section(v))
-
-    def _pair(self, u, v) -> DiffExpr:
-        """(u, v) on normalised sections.  A frame e_b of this structure
-        on the right leaves the dot product of u with column b of the
-        pairing, a frame e_a on the left that of row a with v; otherwise
-        the rows of u's support meet the support of v."""
+        """(u, v).  A frame e_b of this structure on the right leaves the
+        dot product of u with column b of the pairing, a frame e_a on the
+        left that of row a with v; otherwise the rows of u's support meet
+        the support of v."""
         acc = self.ctx.zero()
         if u is self._zero or v is self._zero:
             return acc
@@ -348,10 +342,10 @@ class PreSymStructure:
     # -- products on sections ------------------------------------------------
 
     def _basis_memo(self, memo: dict, fn, u, v):
-        """fn(u, v) on normalised sections, memoised under basis positions
-        when both arguments are basis sections of this structure (see
-        add_basis); the basis is fixed and small, so the memo is bounded
-        by its square.  Any other pair is computed afresh."""
+        """fn(u, v), memoised under basis positions when both arguments
+        are basis sections of this structure (see add_basis); the basis is
+        fixed and small, so the memo is bounded by its square.  Any other
+        pair is computed afresh."""
         if (type(u) is not _BasisSection or type(v) is not _BasisSection
                 or u.owner is not self._token
                 or v.owner is not self._token):
@@ -367,10 +361,6 @@ class PreSymStructure:
 
     def star(self, u, v):
         """The section product u * v (memoised on basis sections)."""
-        return self._times(self._section(u), self._section(v))
-
-    def _times(self, u, v):
-        """star on normalised sections."""
         return self._basis_memo(self._basis_products, self._star, u, v)
 
     def _star(self, u, v):
@@ -385,7 +375,7 @@ class PreSymStructure:
             if not ua.num:
                 continue
             # e_a * v, memoised when v is a basis section
-            ea_v = self._times(self._frames[a], v)
+            ea_v = self.star(self._frames[a], v)
             if ea_v is not zero:
                 for k, x in enumerate(ea_v):
                     if x.num:
@@ -433,16 +423,11 @@ class PreSymStructure:
 
     def bracket(self, u, v):
         """The commutator bracket [u, v] (memoised on basis sections)."""
-        return self._bracket(self._section(u), self._section(v))
-
-    def _bracket(self, u, v):
-        """bracket on normalised sections."""
         return self._basis_memo(self._basis_brackets,
                                 self.commutator_algebroid().bracket, u, v)
 
     def associator(self, u, v, w):
-        return product_associator(self._times, self._section(u),
-                                  self._section(v), self._section(w))
+        return product_associator(self.star, u, v, w)
 
     def extended(self):
         """A fresh structure over the same context, sharing this one's
@@ -455,37 +440,31 @@ class PreSymStructure:
         return ps, self.ctx.formal_function()
 
 
-def tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
-    """(u*v, w) + (u, v*w) - (v*u, w) - (v, u*w)."""
-    return _tensor_T(E, E._section(u), E._section(v), E._section(w))
-
-
 def _commutator(E: PreSymStructure, u, v):
-    """u*v - v*u on normalised sections: on a skew pairing the memoised
-    bracket [u, v] (see the module docstring), otherwise the difference
-    of the two products."""
+    """u*v - v*u: on a skew pairing the memoised bracket [u, v] (see the
+    module docstring), otherwise the difference of the two products."""
     if E._skew:
-        return E._bracket(u, v)
-    return tuple(map(sub, E._times(u, v), E._times(v, u)))
+        return E.bracket(u, v)
+    return tuple(map(sub, E.star(u, v), E.star(v, u)))
 
 
-def _tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
-    """tensor_T on normalised sections, as (c, w) + (u, v*w) - (v, u*w)
-    with c = u*v - v*u: the pairing is bilinear."""
-    return (E._pair(_commutator(E, u, v), w)
-            + E._pair(u, E._times(v, w))
-            - E._pair(v, E._times(u, w)))
+def tensor_T(E: PreSymStructure, u, v, w) -> DiffExpr:
+    """(u*v, w) + (u, v*w) - (v*u, w) - (v, u*w), as (c, w) + (u, v*w)
+    - (v, u*w) with c = u*v - v*u: the pairing is bilinear."""
+    return (E.pairing_value(_commutator(E, u, v), w)
+            + E.pairing_value(u, E.star(v, w))
+            - E.pairing_value(v, E.star(u, w)))
 
 
 def _def_i_residual(E: PreSymStructure, u, v, w, t: DiffExpr):
     """(u,v,w) - (v,u,w) - 1/6 D T(u,v,w), componentwise, given
-    t = T(u,v,w), on normalised sections.
+    t = T(u,v,w).
 
     The associator difference is u*(v*w) - v*(u*w) - c*w with
     c = u*v - v*u: the product is additive in its left slot.
     """
-    out = list(E._star(u, E._times(v, w)))
-    for y in (E._star(v, E._times(u, w)), E._star(_commutator(E, u, v), w)):
+    out = list(E._star(u, E.star(v, w)))
+    for y in (E._star(v, E.star(u, w)), E._star(_commutator(E, u, v), w)):
         if y is E._zero:
             continue
         for k, x in enumerate(y):
@@ -507,17 +486,15 @@ def _less_d(E: PreSymStructure, s, c: DiffExpr, p: DiffExpr):
 
 
 def _def_ii_left(E: PreSymStructure, u, v):
-    """u*v - 1/2 D(u,v), the section that def-ii pairs with w, on
-    normalised sections."""
-    return _less_d(E, E._times(u, v), E._half, E._pair(u, v))
+    """u*v - 1/2 D(u,v), the section that def-ii pairs with w."""
+    return _less_d(E, E.star(u, v), E._half, E.pairing_value(u, v))
 
 
 def _def_ii_residual(E: PreSymStructure, u, v, w, s) -> DiffExpr:
-    """rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w]), on normalised
-    sections, given s = _def_ii_left(E, u, v), which does not depend on
-    w."""
-    lhs = E._act(u, E._pair(v, w))
-    rhs = E._pair(s, w) + E._pair(v, E._bracket(u, w))
+    """rho(u)(v,w) - (u*v - 1/2 D(u,v), w) - (v, [u,w]), given
+    s = _def_ii_left(E, u, v), which does not depend on w."""
+    lhs = E._act(u, E.pairing_value(v, w))
+    rhs = E.pairing_value(s, w) + E.pairing_value(v, E.bracket(u, w))
     return lhs - rhs
 
 
@@ -526,7 +503,7 @@ def _star_with_d(E: PreSymStructure, a: int, df):
     e_a, and on a skew pairing, where (Df, e_a) = rho(e_a)(f), the
     section SD(e_a) of def-i's formal-slot anomalies."""
     return _less_d(E, E._frame_star(a, df), E._half,
-                   E._pair(df, E._frames[a]))
+                   E.pairing_value(df, E._frames[a]))
 
 
 def _combination(E: PreSymStructure, terms):
@@ -622,7 +599,7 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
         i = (u.pos * nb + v.pos) * nb + w.pos
         t = t_memo[i]
         if t is None:
-            t = t_memo[i] = _tensor_T(ext, u, v, w)
+            t = t_memo[i] = tensor_T(ext, u, v, w)
         return t
 
     skew = ext._skew
@@ -648,7 +625,7 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
 
     def pair_times(u, v, w):
         # (e_u, e_v * e_w)
-        return ext._pair(frames[u], ext._times(frames[v], frames[w]))
+        return ext.pairing_value(frames[u], ext.star(frames[v], frames[w]))
 
     def slot_0_anomaly(u, v, w):
         # P(f e_u, e_v, e_w) - f P(e_u, e_v, e_w), lemma 3
@@ -672,7 +649,7 @@ def check_presymplectic(E: PreSymStructure) -> CheckReport:
             # - rho([e_u, e_v]) f
             ders = ext._d(f)[1]
             m = ext._frame_apply(u, ders[v]) - ext._frame_apply(v, ders[u])
-            for k, c in enumerate(ext._bracket(frames[u], frames[v])):
+            for k, c in enumerate(ext.bracket(frames[u], frames[v])):
                 if c.num:
                     m = m - c * ders[k]
             m_memo[(u, v)] = m
@@ -800,7 +777,8 @@ def symplectic_from_presym(E: PreSymStructure):
 def presym_from_symplectic(lie: ChartAlgebroid, form: FormField
                            ) -> PreSymStructure:
     """Solve w(e_a * e_b, .) = rho(e_a)w(e_b, .) + 1/2 rho(.)w(e_a, e_b)
-    - w(e_b, [e_a, .]) for the product table; unique by nondegeneracy."""
+    - w(e_b, [e_a, .]) for the product table; unique by nondegeneracy.
+    The structure keeps the inverse of w that the solve used."""
     if lie.kind != "lie":
         raise ValueError("input must be a bracket (kind 'lie') structure")
     if form.degree != 2 or form.rank != lie.rank:
@@ -838,7 +816,9 @@ def presym_from_symplectic(lie: ChartAlgebroid, form: FormField
             col = inv.mulvec(rhs)
             row.append(tuple(-x for x in col))
         table.append(row)
-    return PreSymStructure(ctx, lie.names, lie.anchor, table, omega)
+    E = PreSymStructure(ctx, lie.names, lie.anchor, table, omega)
+    E._inv_pairing = inv
+    return E
 
 
 def pseudo_semidirect(A: ChartAlgebroid, dual_names=None) -> PreSymStructure:

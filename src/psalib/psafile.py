@@ -409,8 +409,7 @@ def emit(b: Bundle) -> str:
             raise PsaError("cannot emit a paracomplex without a frame")
         cols = map(b.paracomplex.column, range(b.paracomplex.rank))
         section("paracomplex", [f"{nm} = {_fmt_list(col)}"
-                                for nm, col in zip(carrier.names, cols)
-                                if any(col)])
+                                for nm, col in zip(carrier.names, cols)])
 
     while out and out[-1] == "":
         out.pop()

@@ -106,7 +106,9 @@ def table_lines(E, n, completed):
     lines = []
     for l in range(r):
         for m in range(r):
-            lines.append((f"e{l+1}*e{m+1}", E.star(l, m), zero_sec))
+            lines.append((f"e{l+1}*e{m+1}",
+                          E.star(E.frame_section(l), E.frame_section(m)),
+                          zero_sec))
     for l in range(r):
         for m in range(r):
             got_lf = E.star(basis(l, one), basis(m, f))
@@ -272,12 +274,13 @@ def test_sphere_product_and_commutator():
                          [[z2, (c1, c2)], [(-c1, -c2), z2]], kind="lie")
     form = FormField(ctx, 2, 2, {(0, 1): e("y")})
     E = presym_from_symplectic(lie, form)
-    for got, want in zip(E.star(0, 1), (e("-z/(2*y)"), e("-x/(2*y)"))):
+    e1, e2 = E.frame_section(0), E.frame_section(1)
+    for got, want in zip(E.star(e1, e2), (e("-z/(2*y)"), e("-x/(2*y)"))):
         assert (got - want).is_zero()
-    for got, want in zip(E.star(1, 0), (e("z/(2*y)"), e("x/(2*y)"))):
+    for got, want in zip(E.star(e2, e1), (e("z/(2*y)"), e("x/(2*y)"))):
         assert (got - want).is_zero()
     # the product's commutator pushes forward to the vector-field bracket
-    comm = E.bracket(0, 1)
+    comm = E.bracket(e1, e2)
     for j in range(3):
         img = comm[0] * X[j] + comm[1] * Y[j]
         assert (img - br[j]).is_zero()
@@ -530,7 +533,7 @@ def test_double_of_dim2_algebra_dirac_halves_and_induced_product():
     # frame products in the double reproduce it too, with no dual part
     for a in range(2):
         for b in range(2):
-            got = E.star(a, b)
+            got = E.star(E.frame_section(a), E.frame_section(b))
             for k in range(4):
                 expect = ctx.number(want.get((a, b, k), 0)) if k < 2 else z
                 assert (got[k] - expect).is_zero()

@@ -35,7 +35,6 @@ TEST_ONLY = {
     "evaluate": "ROADMAP item 4(a): the random-point oracle",
     "metric_from": "the paper's pseudo-Riemannian metric (x, P y) of a "
                    "para-complex structure",
-    "tensor_T": "the paper's tensor T of a pre-symplectic algebroid",
     "associator": "the paper's associator: a pre-symplectic algebroid "
                   "is not left-symmetric",
 }

@@ -405,6 +405,16 @@ def test_invert_symbolic_and_involution():
     assert invert(inv) == m
 
 
+def test_invert_and_transpose_small_sizes():
+    # the adjugate of a 1x1 matrix is the determinant of a 0x0 minor, 1
+    c = sctx()
+    x = c.expr("x")
+    assert invert(ExprMatrix(c, [[x]])) == ExprMatrix(c, [[c.one() / x]])
+    empty = ExprMatrix(c, [])
+    assert invert(empty) == empty
+    assert empty.transpose() == empty
+
+
 def test_invert_reports_vanishing_determinant():
     c = sctx()
     m = ExprMatrix(c, [[c.expr("x"), c.expr("x*y")],

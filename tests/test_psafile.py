@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from psalib import fixtures
+from psalib.parakahler import ParaComplexOp
 from psalib.psafile import PsaError, emit, load_path, parse, realize
 
 BENCH_INPUTS = sorted((Path(__file__).resolve().parent.parent / "perfbench"
@@ -36,6 +37,26 @@ def test_emit_parse_realize_round_trip(source):
     text = emit(b)
     b2 = realize_text(text, name=b.name, description=b.description)
     assert emit(b2) == text
+
+
+def test_zero_paracomplex_column_round_trips():
+    # realize reads one column per frame name, so emit writes a zero one
+    b = fixtures.build("parakahler-lsa2")
+    rows = b.paracomplex.matrix.rows
+    b.paracomplex = ParaComplexOp(b.paracomplex.ctx,
+                                  [row[:-1] + (0,) for row in rows])
+    text = emit(b)
+    assert "\nf2 = 0, 0, 0, 0\n" in text
+    b2 = realize_text(text, name=b.name, description=b.description)
+    assert b2.paracomplex.matrix == b.paracomplex.matrix
+    assert emit(b2) == text
+
+
+def test_splitting_round_trips():
+    text = ("[chart]\ncoords = x, y\n\n[frame]\nnames = e1, e2\n\n"
+            "[anchor]\ne1 = 1, 0\ne2 = 0, 1\n\n[star]\n\n"
+            "[pairing]\ne1 e2 = 1\n\n[splitting]\nx = 1, 0\ny = 0, x\n")
+    assert emit(realize_text(text)) == text
 
 
 def test_round_trip_preserves_structure_data():
