@@ -8,7 +8,9 @@ fields, is one first-nonzero-pivot Gauss-Jordan over the field itself
 and `rank_second_opinion`, the rank that cross-checks Bareiss `rank`
 without sharing its code.  ExprMatrix holds DiffExpr entries; inversion
 is cofactor-based with subset-memoized Laplace determinants, sized for
-the small matrices that occur here.
+the small matrices that occur here.  `invert` takes a skew matrix W
+through its Pfaffian minors over Pf(W) (`invert_skew`), so the only new
+denominator is Pf(W), of half the degree of det W = Pf(W)^2.
 
 `blocks` splits a sparse matrix ({column: entry} rows) into the connected
 blocks of its nonzero pattern: up to a permutation it is block-diagonal
@@ -40,6 +42,8 @@ __all__ = [
     "narrow",
     "solve",
     "invert",
+    "invert_adjugate",
+    "invert_skew",
     "expr_rank",
     "expr_kernel_basis",
     "expr_solve",
@@ -351,6 +355,22 @@ def determinant(m: ExprMatrix) -> DiffExpr:
 
 
 def invert(m: ExprMatrix) -> ExprMatrix:
+    """Inverse of a square matrix: a skew one by its Pfaffian minors
+    (`invert_skew`), any other by its adjugate (`invert_adjugate`).
+    Raises SingularMatrixError with the vanishing determinant if the
+    matrix is not invertible over the scalar field."""
+    if m.nrows == m.ncols and _is_skew(m):
+        return invert_skew(m)
+    return invert_adjugate(m)
+
+
+def _is_skew(m: ExprMatrix) -> bool:
+    rows = m.rows
+    return not any((rows[i][j] + rows[j][i]).num
+                   for i in range(m.nrows) for j in range(i, m.nrows))
+
+
+def invert_adjugate(m: ExprMatrix) -> ExprMatrix:
     """Adjugate inverse; raises SingularMatrixError with the vanishing
     determinant if the matrix is not invertible over the scalar field."""
     if m.nrows != m.ncols:
@@ -373,6 +393,54 @@ def invert(m: ExprMatrix) -> ExprMatrix:
             row.append(cof / det)
         out.append(row)
     return ExprMatrix(m.ctx, out)
+
+
+def invert_skew(m: ExprMatrix) -> ExprMatrix:
+    """Inverse of a skew matrix W: entry (i, j) is
+    (-1)^(i+j+1+[j>i]) Pf(W without rows and columns i, j) / Pf(W).
+    Expanding Pf(W) along row i gives W C^T = Pf(W) I for C of entries
+    (-1)^(i+j+1+[i>j]) Pf(W without i, j).  Pfaffians expand along their
+    first row, memoised over index subsets.  Raises SingularMatrixError
+    with determinant 0 if Pf(W) is 0 (always, at odd size)."""
+    n = m.nrows
+    rows, ctx = m.rows, m.ctx
+    zero = ctx.zero()
+    if m.ncols != n or not _is_skew(m):
+        raise ValueError("not skew")
+    memo: dict = {(): ctx.one()}
+
+    def pf(idx: tuple) -> DiffExpr:
+        got = memo.get(idx)
+        if got is None:
+            got = zero
+            if len(idx) % 2 == 0:
+                row = rows[idx[0]]
+                for k in range(1, len(idx)):
+                    a = row[idx[k]]
+                    if a.num:
+                        t = a * pf(idx[1:k] + idx[k + 1:])
+                        got = got + t if k % 2 else got - t
+            memo[idx] = got
+        return got
+
+    try:
+        full = pf(tuple(range(n)))
+        if full.is_zero():
+            raise SingularMatrixError(full)
+        inv = ctx.one() / full
+        out = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                minor = pf(tuple(k for k in range(n) if k != i and k != j))
+                if minor.num:
+                    x = minor * inv
+                    # the sign (-1)^(i+j+1+[j>i]) is (-1)^(i+j) for
+                    # j > i, and entry (j, i) is the negative of (i, j)
+                    out[i][j], out[j][i] = (x, -x) if (i + j) % 2 == 0 \
+                        else (-x, x)
+    finally:
+        del pf
+    return ExprMatrix(ctx, out)
 
 
 def expr_rank(m: ExprMatrix) -> int:

@@ -9,22 +9,26 @@ two ChartContexts mix only when both declare the same coordinates.
 The representation is packed into plain ints.  Each indeterminate has an id
 from one process-wide intern table, a monomial is a tuple of (id, exponent)
 pairs sorted by id, and a value is an integer Laurent polynomial (the
-numerator, whose exponents may be negative) over an integer polynomial
-that no variable divides (the denominator): coprime, with no common
-integer factor, and the denominator's leading coefficient positive.  So
-n/(c*y^k) is stored as n*y^-k over the integer c: a monomial denominator
-costs the arithmetic nothing beyond the constant-denominator paths, and a
-polynomial has a constant denominator and no negative exponent.  Sums put
-two quotients over the lcm of their denominators and cancel against their
-gcd only; products cancel each numerator against the other denominator.
-A gcd runs only where a denominator has two or more terms (or a divisor's
-numerator does, once its monomial content is split off), and it comes
-from a primitive PRS over the integers, on polynomials only.  The
-canonical graded-lex order over the variables' keys is consulted only
-where it chooses an output or a representative.  A value prints and
-evaluates with its negative exponents multiplied back out, with a monic
-denominator and rational coefficients, and `Fraction` appears only where
-numbers enter or leave: parsing, `number()`, `constant_value()` and
+numerator, whose exponents may be negative) over a denominator no variable
+divides.  So n/(c*y^k) is stored as n*y^-k over the integer c: a monomial
+denominator costs the arithmetic nothing beyond the constant-denominator
+paths, and a polynomial has a constant denominator and no negative
+exponent.  A denominator of two or more terms is c * prod b_i^k_i over a
+base of interned, pairwise coprime primitive polynomials, none of which
+divides the numerator.  Over Z[x] that form is unique, so equality
+compares exponents.  Products add exponents; sums raise both sides to the
+larger exponents; then each numerator is divided by a base element only
+where that element could divide it, for as long as the division is exact.
+A gcd runs only where a new denominator is refined against the base, and
+in printing where a base element is not known irreducible; a modular
+certificate of coprimality comes first, and the primitive PRS gcd only
+where that fails.  A value's hash is its value at a fixed point modulo a
+prime, which no later refinement of the base changes.  The canonical
+graded-lex order over the variables' keys is consulted only where it
+chooses an output or a representative.  A value prints and evaluates in
+lowest terms with its negative exponents multiplied back out, with a
+monic denominator and rational coefficients, and `Fraction` appears only
+where numbers enter or leave: parsing, `number()`, `constant_value()` and
 `evaluate()`.
 """
 
@@ -90,12 +94,22 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _VAR_KEYS: list = []
 _VAR_IDS: dict = {}
 
+# Modular images.  _MOD is a prime; each variable id has a nonzero value
+# _AT[id] mod _MOD (the fixed point a base-form value hashes at) and a
+# line t -> _AT[id] + _DIR[id]*t through that point (the univariate image
+# the coprimality certificates compare).
+_MOD = (1 << 61) - 1
+_AT: list = []
+_DIR: list = []
+
 
 def _var_id(key: tuple) -> int:
     vid = _VAR_IDS.get(key)
     if vid is None:
         vid = _VAR_IDS[key] = len(_VAR_KEYS)
         _VAR_KEYS.append(key)
+        _AT.append(pow(7, vid + 11, _MOD))
+        _DIR.append(pow(5, vid + 3, _MOD))
     return vid
 
 
@@ -394,6 +408,16 @@ def _mcontent(p: dict) -> tuple:
     return tuple(sorted((v, e) for v, e in low.items() if e))
 
 
+def _negpart(p: dict) -> tuple:
+    """The monomial of p's negative exponents (least per variable)."""
+    low: dict = {}
+    for m in p:
+        for v, e in m:
+            if e < 0 and e < low.get(v, 0):
+                low[v] = e
+    return tuple(sorted(low.items()))
+
+
 def _mdiv(p: dict, m: tuple) -> dict:
     """p divided by the monomial m."""
     return _pmul(p, {tuple((v, -e) for v, e in m): 1})
@@ -402,7 +426,7 @@ def _mdiv(p: dict, m: tuple) -> dict:
 def _cleared(num: dict, den: dict) -> tuple[dict, dict]:
     """num/den with num's negative exponents multiplied out of both: the
     quotient of two polynomials, as it prints and evaluates."""
-    neg = tuple((v, e) for v, e in _mcontent(num) if e < 0) if num else ()
+    neg = _negpart(num)
     if not neg:
         return num, den
     return _mdiv(num, neg), _mdiv(den, neg)
@@ -675,30 +699,630 @@ def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
     return _finish(*_cancel(num, den))
 
 
-def _qmul(n1: dict, d1: dict, n2: dict, d2: dict) -> tuple[dict, dict]:
-    """(n1/d1) * (n2/d2) for coprime pairs: each numerator is cancelled
-    against the other denominator, so the product is coprime."""
-    if not _is_const(d2):
-        n1, d2 = _cancel(n1, d2)
-    if not _is_const(d1):
-        n2, d1 = _cancel(n2, d1)
-    return _finish(_pmul(n1, n2), _pmul(d1, d2))
+# ---------------------------------------------------------------------------
+# the denominator base (see the module docstring)
+#
+# Its elements are primitive, no variable divides them, their leading
+# coefficient in the canonical order is positive, they are pairwise
+# coprime, and none shares a factor with one of its partials (so each is
+# squarefree).  A new denominator is refined against them (factor refinement;
+# Bach, Driscoll and Shallit 1993): an element it shares a factor with is
+# retired and replaced by coprime factors, and a value over a retired
+# element is re-expressed when it is next used (_fresh).  The base only
+# grows over a process, like the variable intern table.
 
 
-def _qsum(n1: dict, d1: dict, n2: dict, d2: dict, combine
-          ) -> tuple[dict, dict]:
-    """(n1/d1) +- (n2/d2) for coprime pairs, as combine is _padd or
-    _psub: over the lcm of the denominators, then cancelled against
-    their gcd only (Henrici)."""
-    if d1 == d2:
-        return _reduce(combine(n1, n2), d1)
-    g = _pgcd(d1, d2)
-    if _is_const(g):
-        return _finish(combine(_pmul(n1, d2), _pmul(n2, d1)),
-                       _pmul(d1, d2))
-    d1, d2 = _pdivexact(d1, g), _pdivexact(d2, g)
-    num, g = _cancel(combine(_pmul(n1, d2), _pmul(n2, d1)), g)
-    return _finish(num, _pmul(_pmul(d1, d2), g))
+class _Elt:
+    """One element of the denominator base.  poly is fixed; split is None
+    while the element is live and its factors ((index, exp), ...) once it
+    is retired."""
+
+    __slots__ = ("poly", "vars", "degs", "line", "at", "root",
+                 "irreducible", "split", "pows", "diffs")
+
+    def __init__(self, poly: dict):
+        self.poly = poly
+        self.vars = frozenset(_pvars(poly))
+        self.degs = degs = _degs(poly)
+        self.line = _line(poly)
+        self.at = _peval(poly)
+        self.root = _root(poly, degs)
+        self.irreducible = _irreducible(poly, degs)
+        self.split = None
+        self.pows = {1: poly}
+        self.diffs: dict = {}
+
+    def power(self, k: int) -> dict:
+        p = self.pows.get(k)
+        if p is None:
+            p = self.pows[k] = _pmul(self.power(k - 1), self.poly)
+        return p
+
+
+_BASE: list = []
+_BASE_IDS: dict = {}   # frozenset(poly.items()) -> index
+_SPLITS = 0            # how many refinements retired an element
+
+
+class _Den:
+    """An interned denominator c * prod b_i^k_i over the base, fac the
+    sorted ((index, k), ...).  gen is the split count it was last known
+    current at; poly is its expansion, built when asked for."""
+
+    __slots__ = ("c", "fac", "gen", "poly")
+
+    def __init__(self, c: int, fac: tuple):
+        self.c = c
+        self.fac = fac
+        self.gen = _SPLITS
+        self.poly = None
+
+    def expanded(self) -> dict:
+        if self.poly is None:
+            p = {(): self.c}
+            for i, k in self.fac:
+                p = _pmul(p, _BASE[i].power(k))
+            self.poly = p
+        return self.poly
+
+
+_DENS: dict = {}
+
+
+def _den_of(c: int, fac: tuple) -> _Den:
+    d = _DENS.get((c, fac))
+    if d is None:
+        d = _DENS[(c, fac)] = _Den(c, fac)
+    return d
+
+
+# -- modular images ---------------------------------------------------------
+
+
+def _peval(p: dict, over=None) -> int:
+    """A Laurent polynomial at the fixed point mod _MOD; over = (variable
+    id, value) replaces one coordinate of the point."""
+    at = _AT
+    powers: dict = {}
+    total = 0
+    for m, c in p.items():
+        t = c
+        for ve in m:
+            x = powers.get(ve)
+            if x is None:
+                v, e = ve
+                x = over[1] if over is not None and v == over[0] else at[v]
+                x = powers[ve] = x if e == 1 else pow(x, e, _MOD)
+            t = t * x % _MOD
+        total += t
+    return total % _MOD
+
+
+def _umul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % _MOD
+    return out
+
+
+def _line(p: dict):
+    """The image of a Laurent polynomial p on the fixed line, its negative
+    exponents cleared: coefficients mod _MOD, lowest degree first.  None
+    when its degree falls short of the total degree, so that a factor of
+    p might lose degree too."""
+    low = dict(_negpart(p))
+    at, dr = _AT, _DIR
+    top = 0
+    out = [0]
+    for m, c in p.items():
+        t = [c % _MOD]
+        md = dict(m)
+        for v in low:
+            md[v] = md.get(v, 0) - low[v]
+        for v, e in md.items():
+            for _ in range(e):
+                t = _umul(t, [at[v], dr[v]])
+        top = max(top, len(t))
+        if len(t) > len(out):
+            out.extend([0] * (len(t) - len(out)))
+        for i, x in enumerate(t):
+            out[i] = (out[i] + x) % _MOD
+    if len(out) < top or not out[top - 1]:
+        return None
+    return out
+
+
+def _ugcd_degree(a: list, b: list) -> int:
+    """Degree of the gcd of two nonzero univariate polynomials mod _MOD."""
+    a, b = a[:], b[:]
+    while b:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            break
+        inv = pow(b[-1], -1, _MOD)
+        while len(a) >= len(b):
+            q = a[-1] * inv % _MOD
+            if q:
+                s = len(a) - len(b)
+                for i, y in enumerate(b):
+                    a[s + i] = (a[s + i] - q * y) % _MOD
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime(pvars, pline, qvars, qline) -> bool:
+    """True when two Laurent polynomials, of variable sets pvars and qvars
+    and line images pline and qline, provably share no non-constant
+    factor: they have no variable in common, or their images are coprime
+    mod _MOD with no loss of degree (a common factor h would give a
+    common factor of degree deg h).  False means not known."""
+    if pvars.isdisjoint(qvars):
+        return True
+    if pline is None or qline is None:
+        return False
+    return _ugcd_degree(pline, qline) == 0
+
+
+def _root(p: dict, degs: dict):
+    """(v, r) for a variable v of degree 1 in p = a*v + c: r is the value
+    of v where p vanishes, the other variables at the fixed point.  Every
+    multiple of p vanishes there, which rejects most trial divisions by
+    one evaluation.  None where p has no such variable."""
+    for v in sorted(degs, key=_VAR_KEYS.__getitem__):
+        if degs[v] == 1:
+            u = _puni(p, v)
+            a = _peval(u[1])
+            if a:
+                r = -_peval(u.get(0, {})) * pow(a, -1, _MOD) % _MOD
+                if r:
+                    return v, r
+    return None
+
+
+def _irreducible(p: dict, degs: dict) -> bool:
+    """Whether p, primitive and with no variable dividing it, is known
+    irreducible: of degree 1 in some variable v, p = a*v + c with a and c
+    coprime (a factor free of v divides both; one of degree 1 in v leaves
+    a cofactor free of v)."""
+    for v, d in degs.items():
+        if d == 1:
+            u = _puni(p, v)
+            a, c = u[1], u.get(0, {})
+            if len(a) == 1 or len(c) == 1 or _coprime(
+                    _pvars(a), _line(a), _pvars(c), _line(c)):
+                return True
+    return False
+
+
+# -- exact trial division ---------------------------------------------------
+
+
+def _trydiv(p: dict, elt: _Elt):
+    """p / elt.poly for a Laurent polynomial p when the division is exact,
+    else None."""
+    if len(p) < 2:
+        return None
+    if elt.root is not None and _peval(p, elt.root):
+        return None
+    neg = _negpart(p)
+    if neg:
+        p = _mdiv(p, neg)
+    if elt.root is None:
+        degs = elt.degs
+        top: dict = {}
+        for m in p:
+            for v, e in m:
+                if v in degs and e > top.get(v, -1):
+                    top[v] = e
+        if any(top.get(v, -1) < d for v, d in degs.items()):
+            return None
+    try:
+        q = _pdivexact(p, elt.poly)
+    except ExprError:
+        return None
+    return _pmul(q, {neg: 1}) if neg else q
+
+
+def _divide_out(p: dict, i: int, k: int):
+    """p divided by base element i up to k times while exact, and k less
+    the divisions made; k = -1 divides for as long as it is exact."""
+    elt = _BASE[i]
+    while k:
+        q = _trydiv(p, elt)
+        if q is None:
+            break
+        p, k = q, k - 1
+    return p, k
+
+
+# -- refinement ---------------------------------------------------------------
+
+
+def _normal(p: dict) -> tuple[int, dict]:
+    """(c, q) with p = c*q, q primitive with positive leading coefficient."""
+    c = gcd(*p.values())
+    if p[_plead(p)] < 0:
+        c = -c
+    return c, (p if c == 1 else {m: x // c for m, x in p.items()})
+
+
+def _live(i: int) -> tuple:
+    """Base element i as ((live index, exp), ...)."""
+    split = _BASE[i].split
+    if split is None:
+        return ((i, 1),)
+    out: dict = {}
+    for j, e in split:
+        for k, f in _live(j):
+            out[k] = out.get(k, 0) + e * f
+    return tuple(sorted(out.items()))
+
+
+def _intern(p: dict) -> int:
+    key = frozenset(p.items())
+    i = _BASE_IDS.get(key)
+    if i is None:
+        i = _BASE_IDS[key] = len(_BASE)
+        _BASE.append(_Elt(p))
+    return i
+
+
+def _exps_over(p: dict, ids) -> dict:
+    """p, a product of powers of the base elements ids, as {index: exp}."""
+    out = {}
+    for i in ids:
+        p, k = _divide_out(p, i, -1)
+        if k != -1:
+            out[i] = -1 - k
+    return out
+
+
+def _degs(p: dict) -> dict:
+    """Each variable of p to its largest exponent."""
+    degs: dict = {}
+    for m in p:
+        for v, e in m:
+            if e > degs.get(v, 0):
+                degs[v] = e
+    return degs
+
+
+def _common_factor(x: dict, c: dict) -> dict:
+    """gcd(x, c), up to sign, for x and c primitive: one of them when it
+    divides the other, 1 when neither does and one is irreducible, else
+    the primitive PRS."""
+    for a, b in ((x, c), (c, x)):
+        try:
+            _pdivexact(b, a)
+            return a
+        except ExprError:
+            pass
+    if _irreducible(x, _degs(x)) or _irreducible(c, _degs(c)):
+        return _P_ONE
+    return _pgcd(x, c)
+
+
+def _repeated_factor(q: dict):
+    """A non-constant factor q shares with its partial by one of its
+    variables v, or None when q is irreducible or certified to share none.
+    Such a factor is repeated in q or free of v, so an element with none
+    is squarefree and each of its factors involves all its variables."""
+    degs = _degs(q)
+    if _irreducible(q, degs):
+        return None
+    qvars, qline = set(degs), _line(q)
+    for v in sorted(degs):
+        d: dict = {}
+        for m, c in q.items():
+            for k, (w, e) in enumerate(m):
+                if w == v:
+                    d[m[:k] + ((w, e - 1),) + m[k + 1:] if e > 1
+                      else m[:k] + m[k + 1:]] = c * e
+                    break
+        if not _coprime(qvars, qline, _pvars(d), _line(d)):
+            g = _pgcd(q, d)
+            if not _is_const(g):
+                return _normal(g)[1]
+    return None
+
+
+def _coprime_base(polys) -> list:
+    """Pairwise coprime primitive polynomials, none sharing a factor with
+    its partials, of which each of polys is a product of powers: a pair
+    with a common factor g is replaced by g and the two cofactors, and a
+    polynomial with a _repeated_factor g by g and its cofactor, until
+    none is left."""
+    out: list = []
+    todo = list(polys)
+    while todo:
+        x = todo.pop()
+        if _is_const(x):
+            continue
+        xvars, xline = _pvars(x), _line(x)
+        for k, c in enumerate(out):
+            if _coprime(xvars, xline, _pvars(c), _line(c)):
+                continue
+            g = _common_factor(x, c)
+            if _is_const(g):
+                continue
+            g = _normal(g)[1]
+            del out[k]
+            todo += [g, _normal(_pdivexact(c, g))[1],
+                     _normal(_pdivexact(x, g))[1]]
+            break
+        else:
+            g = _repeated_factor(x)
+            if g is None:
+                out.append(x)
+            else:
+                todo += [g, _normal(_pdivexact(x, g))[1]]
+    return out
+
+
+def _refine(q: dict) -> tuple:
+    """The factors ((index, exp), ...) of q, a non-constant primitive
+    polynomial with positive leading coefficient that no variable
+    divides, over the base, after adding to the base what q brings."""
+    i = _BASE_IDS.get(frozenset(q.items()))
+    if i is not None:
+        return _live(i)
+    global _SPLITS
+    exps: dict = {}
+    shared = []
+    qvars, qline = _pvars(q), _line(q)
+    for i, elt in enumerate(_BASE):
+        if elt.split is not None or _coprime(qvars, qline, elt.vars,
+                                             elt.line):
+            continue
+        q, k = _divide_out(q, i, -1)
+        if k != -1:
+            exps[i] = -1 - k
+            qvars, qline = _pvars(q), _line(q)
+        if _is_const(q):
+            break
+        if not _coprime(qvars, qline, elt.vars, elt.line):
+            shared.append(i)
+    if not _is_const(q):
+        if not shared and _repeated_factor(q) is None:
+            j = _intern(q)
+            exps[j] = exps.get(j, 0) + 1
+        else:
+            ids = [_intern(c) for c in
+                   _coprime_base([q] + [_BASE[i].poly for i in shared])]
+            # an element comes back unchanged when it only was not
+            # certified coprime to q; the others split
+            split = [i for i in shared if i not in ids]
+            for i in split:
+                _BASE[i].split = tuple(sorted(
+                    _exps_over(_BASE[i].poly, ids).items()))
+            for j, e in _exps_over(q, ids).items():
+                exps[j] = exps.get(j, 0) + e
+            if split:
+                _SPLITS += 1
+    return tuple(sorted(exps.items()))
+
+
+# -- arithmetic over the base ---------------------------------------------------
+
+
+def _bfinish(num: dict, c: int, exps: dict) -> tuple:
+    """The canonical num / (c * prod b_i^exps[i]) for c > 0, no b_i with a
+    positive exponent dividing num: no common integer factor, and the
+    constant-denominator form when no exponent is left."""
+    fac = tuple(sorted((i, k) for i, k in exps.items() if k))
+    if not fac:
+        return _const_over(num, c)
+    g = gcd(c, *num.values())
+    if g != 1:
+        c //= g
+        num = {m: x // g for m, x in num.items()}
+    return num, _den_of(c, fac)
+
+
+def _fresh(e: "DiffExpr") -> None:
+    """Re-express e over the live base in place (the value is unchanged,
+    and so is its hash): a retired element becomes its factors, which may
+    divide e's numerator."""
+    d = e._den
+    if type(d) is dict or d.gen == _SPLITS:
+        return
+    exps: dict = {}
+    new = set()
+    for i, k in d.fac:
+        for j, f in _live(i):
+            exps[j] = exps.get(j, 0) + k * f
+            if j != i:
+                new.add(j)
+    if not new:
+        d.gen = _SPLITS
+        return
+    num = e.num
+    for j in sorted(new):
+        num, exps[j] = _divide_out(num, j, exps[j])
+    e.num, e._den = _bfinish(num, d.c, exps)
+
+
+def _parts(e: "DiffExpr") -> tuple:
+    """(numerator, integer c, base factors) of e, current."""
+    d = e._den
+    if type(d) is dict:
+        return e.num, d[()], ()
+    if d.gen != _SPLITS:
+        _fresh(e)
+        d = e._den
+        if type(d) is dict:
+            return e.num, d[()], ()
+    return e.num, d.c, d.fac
+
+
+def _bsum(a: "DiffExpr", b: "DiffExpr", combine) -> tuple:
+    """a +- b, as combine is _padd or _psub, over the largest exponent of
+    each element.  An element can divide the sum only where both sides
+    carry it to the same power, so only those are tried."""
+    n1, c1, f1 = _parts(a)
+    n2, c2, f2 = _parts(b)
+    c = c1 * c2 // gcd(c1, c2)
+    n1, n2 = _pscale(n1, c // c1), _pscale(n2, c // c2)
+    if f1 == f2:
+        exps = dict(f1)
+        tried = exps
+    else:
+        e2 = dict(f2)
+        exps = {}
+        tried = []
+        for i, k1 in f1:
+            k2 = e2.pop(i, 0)
+            if k1 < k2:
+                n1 = _pmul(n1, _BASE[i].power(k2 - k1))
+            elif k2 < k1:
+                n2 = _pmul(n2, _BASE[i].power(k1 - k2))
+            else:
+                tried.append(i)
+            exps[i] = max(k1, k2)
+        for i, k2 in e2.items():
+            n1 = _pmul(n1, _BASE[i].power(k2))
+            exps[i] = k2
+    num = combine(n1, n2)
+    if not num:
+        return {}, _P_ONE
+    for i in tried:
+        num, exps[i] = _divide_out(num, i, exps[i])
+    return _bfinish(num, c, exps)
+
+
+def _bmul(a: "DiffExpr", b: "DiffExpr") -> tuple:
+    """a * b: exponents add, after each numerator is divided by the
+    elements only the other side carries.  An irreducible element then
+    divides neither factor, so not their product; an element not known
+    irreducible may, and is tried on the product."""
+    n1, c1, f1 = _parts(a)
+    n2, c2, f2 = _parts(b)
+    e1, e2 = dict(f1), dict(f2)
+    exps = dict(e1)
+    for i, k in f2:
+        if i not in e1:
+            n1, k = _divide_out(n1, i, k)
+        exps[i] = exps.get(i, 0) + k
+    for i, k in f1:
+        if i not in e2:
+            n2, exps[i] = _divide_out(n2, i, k)
+    num = _pmul(n1, n2)
+    for i, k in exps.items():
+        if k and not _BASE[i].irreducible:
+            num, exps[i] = _divide_out(num, i, k)
+    return _bfinish(num, c1 * c2, exps)
+
+
+def _bdiv(a: "DiffExpr", b: "DiffExpr") -> tuple:
+    """a / b for a nonzero b: b's numerator, over its monomial content m,
+    is s times a primitive polynomial whose factors over the base join
+    the denominator, while b's own base factors join the numerator."""
+    while True:
+        _fresh(b)
+        m = _mcontent(b.num)
+        s, pp = _normal(_mdiv(b.num, m))
+        fac = () if _is_const(pp) else _refine(pp)
+        if type(b._den) is dict or b._den.gen == _SPLITS:
+            break
+    n1, c1, f1 = _parts(a)
+    _, c2, f2 = _parts(b)
+    e1 = dict(f1)
+    exps = dict(e1)
+    for i, k in f2:
+        exps[i] = exps.get(i, 0) - k
+    for i, k in fac:
+        if i not in e1:
+            n1, k = _divide_out(n1, i, k)
+        exps[i] = exps.get(i, 0) + k
+    num = _pmul(n1, {tuple((v, -e) for v, e in m): c2 if s > 0 else -c2})
+    for i, k in exps.items():
+        if k < 0:
+            num = _pmul(num, _BASE[i].power(-k))
+            exps[i] = 0
+    return _bfinish(num, c1 * abs(s), exps)
+
+
+def _bdiff(e: "DiffExpr", cpos: int) -> tuple:
+    """The partial of a base-form e by coordinate cpos: the elements S
+    whose partial is not 0 gain one power, and the numerator becomes
+    n' * prod_S b - n * sum_S k_b b' prod_{S - b}.  An irreducible b of S
+    cannot divide that (it divides neither n nor b'); every other element
+    is tried."""
+    n, c, fac = _parts(e)
+    try:
+        num = _pdiff(n, cpos)
+        moving = []
+        for i, k in fac:
+            elt = _BASE[i]
+            db = elt.diffs.get(cpos)
+            if db is None:
+                db = elt.diffs[cpos] = _pdiff(elt.poly, cpos)
+            if db:
+                moving.append((i, k, db))
+    except DerivativeOrderError:
+        raise _cap_error(n, *(_BASE[i].poly for i, _ in fac)) from None
+    exps = dict(fac)
+    tried = [i for i, _ in fac]
+    for i, _, _ in moving:
+        num = _pmul(num, _BASE[i].poly)
+    for i, k, db in moving:
+        term = _pscale(_pmul(n, db), k)
+        for j, _, _ in moving:
+            if j != i:
+                term = _pmul(term, _BASE[j].poly)
+        num = _psub(num, term)
+        exps[i] = k + 1
+        if _BASE[i].irreducible:
+            tried.remove(i)
+    if not num:
+        return {}, _P_ONE
+    for i in tried:
+        num, exps[i] = _divide_out(num, i, exps[i])
+    return _bfinish(num, c, exps)
+
+
+def _value_hash(e: "DiffExpr") -> int:
+    """A base-form e's value at the fixed point mod _MOD, which every form
+    of the value shares, so a later split leaves it unchanged.  Where the
+    denominator vanishes there, the lowest-terms form decides, and a
+    value with a pole at the point hashes to -1."""
+    n, c, fac = _parts(e)
+    at = c
+    for i, k in fac:
+        at = at * pow(_BASE[i].at, k, _MOD) % _MOD
+    if not at:
+        n, den = _lowest(e)
+        at = _peval(den)
+        if not at:
+            return -1
+    return _peval(n) * pow(at, -1, _MOD) % _MOD
+
+
+def _lowest(e: "DiffExpr") -> tuple[dict, dict]:
+    """e's numerator and expanded denominator in lowest terms.  The base
+    form is, unless an element not known irreducible shares a factor with
+    the numerator; only then does the PRS gcd run."""
+    _fresh(e)
+    d = e._den
+    num = e.num
+    if type(d) is dict:
+        return num, d
+    nvars = nline = None
+    for i, _ in d.fac:
+        elt = _BASE[i]
+        if elt.irreducible:
+            continue
+        if nline is None:
+            nvars, nline = _pvars(num), _line(num)
+        if not _coprime(nvars, nline, elt.vars, elt.line):
+            return _reduce(num, d.expanded())
+    return num, d.expanded()
 
 
 # ---------------------------------------------------------------------------
@@ -708,21 +1332,32 @@ def _qsum(n1: dict, d1: dict, n2: dict, d2: dict, combine
 class DiffExpr:
     """A canonical quotient of two integer polynomials.  Immutable.
 
-    num is a Laurent polynomial (exponents of either sign) and den a
-    polynomial no variable divides, so a monomial denominator lives in
-    num's negative exponents and den is a constant.  num and den are
-    coprime, share no integer factor, and den's leading coefficient in
-    the canonical order is positive.  It prints with its negative
-    exponents multiplied out and a monic denominator.
+    num is a Laurent polynomial (exponents of either sign), so a monomial
+    denominator lives in num's negative exponents.  The rest of the
+    denominator is a positive integer, kept as the dict {(): c}, or
+    c * prod b_i^k_i over the base (a _Den), no b_i dividing num.  Either
+    way num and the denominator share no integer factor.  den reads the
+    denominator as an expanded polynomial.  It prints in lowest terms,
+    with its negative exponents multiplied out and a monic denominator.
     """
 
-    __slots__ = ("ctx", "num", "den", "_hash")
+    __slots__ = ("ctx", "num", "_den", "_hash")
 
-    def __init__(self, ctx: ChartContext, num: dict, den: dict):
+    def __init__(self, ctx: ChartContext, num: dict, den):
         self.ctx = ctx
         self.num = num
-        self.den = den
+        self._den = den
         self._hash = None
+
+    @property
+    def den(self) -> dict:
+        """The denominator polynomial, no variable dividing it."""
+        d = self._den
+        if type(d) is dict:
+            return d
+        _fresh(self)
+        d = self._den
+        return d if type(d) is dict else d.expanded()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -741,17 +1376,18 @@ class DiffExpr:
     def _sum(self, o: "DiffExpr", combine) -> "DiffExpr":
         """self + o or self - o, as combine is _padd or _psub."""
         ctx = self.ctx
-        d1, d2 = self.den, o.den
+        d1, d2 = self._den, o._den
         if d1 is _P_ONE and d2 is _P_ONE:
             return DiffExpr(ctx, combine(self.num, o.num), _P_ONE)
-        if len(d1) == 1 and len(d2) == 1 and () in d1 and () in d2:
+        if type(d1) is dict and type(d2) is dict:
             a, b = d1[()], d2[()]
             g = gcd(a, b)
             num = combine(_pscale(self.num, b // g), _pscale(o.num, a // g))
             if not num:
                 return ctx._zero
             return DiffExpr(ctx, *_const_over(num, a // g * b, (d1, d2)))
-        return DiffExpr(ctx, *_qsum(self.num, d1, o.num, d2, combine))
+        num, den = _bsum(self, o, combine)
+        return DiffExpr(ctx, num, den) if num else ctx._zero
 
     def __add__(self, other):
         o = other
@@ -770,7 +1406,7 @@ class DiffExpr:
     def __neg__(self):
         if not self.num:
             return self
-        return DiffExpr(self.ctx, _pneg(self.num), self.den)
+        return DiffExpr(self.ctx, _pneg(self.num), self._den)
 
     def __sub__(self, other):
         o = other
@@ -801,13 +1437,13 @@ class DiffExpr:
             return self
         if self is ctx._one:
             return o
-        d1, d2 = self.den, o.den
+        d1, d2 = self._den, o._den
         if d1 is _P_ONE and d2 is _P_ONE:
             return DiffExpr(ctx, _pmul(self.num, o.num), _P_ONE)
-        if len(d1) == 1 and len(d2) == 1 and () in d1 and () in d2:
+        if type(d1) is dict and type(d2) is dict:
             return DiffExpr(ctx, *_const_over(_pmul(self.num, o.num),
                                               d1[()] * d2[()], (d1, d2)))
-        return DiffExpr(ctx, *_qmul(self.num, d1, o.num, d2))
+        return DiffExpr(ctx, *_bmul(self, o))
 
     __rmul__ = __mul__
 
@@ -819,10 +1455,13 @@ class DiffExpr:
             raise ZeroDivisionError("division by the zero expression")
         if not self.num:
             return self.ctx._zero
-        # 1/o = (o.den/m) / (o.num/m), m the monomial content of o.num
-        m = _mcontent(o.num)
-        return DiffExpr(self.ctx, *_qmul(self.num, self.den,
-                                         _mdiv(o.den, m), _mdiv(o.num, m)))
+        d1, d2 = self._den, o._den
+        if len(o.num) == 1 and type(d1) is dict and type(d2) is dict:
+            # 1/o = (o.den/m) / (o.num/m) for o's one term m
+            (m, c), = o.num.items()
+            return DiffExpr(self.ctx, *_const_over(
+                _pmul(self.num, _mdiv(d2, m)), d1[()] * c))
+        return DiffExpr(self.ctx, *_bdiv(self, o))
 
     def __rtruediv__(self, other):
         o = self._operand(other)
@@ -848,20 +1487,20 @@ class DiffExpr:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == _P_ONE and self.den == _P_ONE
+        return self.num == _P_ONE and self._den == _P_ONE
 
     def is_constant(self) -> bool:
-        num, den = self.num, self.den
-        return (len(den) == 1 and () in den
+        num = self.num
+        return (type(self._den) is dict
                 and (not num or (len(num) == 1 and () in num)))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ExprError(f"not a constant: {self}")
-        return Fraction(self.num.get((), 0), self.den[()])
+        return Fraction(self.num.get((), 0), self._den[()])
 
     def is_polynomial(self) -> bool:
-        return _is_const(self.den) and all(
+        return type(self._den) is dict and all(
             e > 0 for m in self.num for _, e in m)
 
     def free_of_funcs(self) -> bool:
@@ -871,8 +1510,8 @@ class DiffExpr:
     def coordinate_terms(self):
         """A polynomial in the coordinates alone as ([(exponent of each
         coordinate, integer coefficient), ...], integer denominator)."""
-        den = self.den
-        if not _is_const(den):
+        den = self._den
+        if type(den) is not dict:
             raise ExprError(f"not a coordinate polynomial: {self}")
         n = len(self.ctx.coords)
         terms = []
@@ -893,12 +1532,22 @@ class DiffExpr:
             return False  # expressions of another chart
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        d1, d2 = self._den, o._den
+        if type(d1) is dict or type(d2) is dict:
+            return d1 == d2 and self.num == o.num
+        # a base form is unique over the current base
+        _fresh(self)
+        _fresh(o)
+        return self._den is o._den and self.num == o.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()),
-                               frozenset(self.den.items())))
+            d = self._den
+            if type(d) is dict:
+                self._hash = hash((frozenset(self.num.items()),
+                                   frozenset(d.items())))
+            else:
+                self._hash = _value_hash(self)
         return self._hash
 
     def __bool__(self):
@@ -907,20 +1556,26 @@ class DiffExpr:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        num, den = _cleared(self.num, self.den)
-        if len(den) == 1 and () in den:
-            return _format_poly(self.ctx, num, den[()])
-        lc = den[_plead(den)]
-        head = _format_poly(self.ctx, num, lc)
-        if len(num) > 1:
-            head = f"({head})"
-        text = _format_poly(self.ctx, den, lc)
-        (m, _), *more = den.items()
-        if more or len(m) > 1 or m[0][1] > 1:
-            text = f"({text})"
-        return f"{head}/{text}"
+        return _quotient_text(self.ctx, *_lowest(self))
 
     __repr__ = __str__
+
+
+def _quotient_text(ctx: ChartContext, num: dict, den: dict) -> str:
+    """num/den, in lowest terms with den a polynomial no variable divides,
+    as it prints: num's negative exponents multiplied out, den monic."""
+    num, den = _cleared(num, den)
+    if len(den) == 1 and () in den:
+        return _format_poly(ctx, num, den[()])
+    lc = den[_plead(den)]
+    head = _format_poly(ctx, num, lc)
+    if len(num) > 1:
+        head = f"({head})"
+    text = _format_poly(ctx, den, lc)
+    (m, _), *more = den.items()
+    if more or len(m) > 1 or m[0][1] > 1:
+        text = f"({text})"
+    return f"{head}/{text}"
 
 
 def _format_poly(ctx: ChartContext, p: dict, scale: int) -> str:
@@ -1131,19 +1786,17 @@ def differentiate(e: DiffExpr, coord: str) -> DiffExpr:
     """
     ctx = e.ctx
     cpos = ctx.coord_pos(coord)
-    den = e.den
-    const_den = len(den) == 1 and () in den
+    den = e._den
+    if type(den) is not dict:
+        num, den = _bdiff(e, cpos)
+        return DiffExpr(ctx, num, den) if num else ctx._zero
     try:
         dn = _pdiff(e.num, cpos)
-        dd = None if const_den else _pdiff(den, cpos)
     except DerivativeOrderError:
-        raise _cap_error(e.num, den) from None
+        raise _cap_error(e.num) from None
     if den is _P_ONE:
         return DiffExpr(ctx, dn, _P_ONE)
-    if const_den:
-        return DiffExpr(ctx, *_const_over(dn, den[()], (den,)))
-    num = _psub(_pmul(dn, den), _pmul(e.num, dd))
-    return DiffExpr(ctx, *_reduce(num, _pmul(den, den)))
+    return DiffExpr(ctx, *_const_over(dn, den[()], (den,)))
 
 
 def evaluate(e: DiffExpr, coord_values: dict, func_polys: dict | None = None

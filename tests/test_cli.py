@@ -151,11 +151,30 @@ def test_check_deeply_nested_entry_exits_two(tmp_path):
     assert "nesting deeper than" in proc.stderr
 
 
-def _check_process(path, *args):
+def _check_process(path, *args, timeout=None):
     env = dict(os.environ, PYTHONPATH=str(Path(psalib.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "psalib.cli", "check",
                            str(path), *args], capture_output=True, text=True,
-                          env=env)
+                          env=env, timeout=timeout)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_rank6_rational_pairing_terminates():
+    """The pairing of w0 + d(alpha) on a flat 6-chart, with w0 = dx1^dx4 +
+    dx2^dx5 + dx3^dx6 and alpha = x2 x3 dx1 + x5 x6 dx2 + x1 x4 dx3 +
+    x3 x6 dx4 + x2 x4 dx5 + x1 x5 dx6: its Pfaffian has 18 terms of degree
+    3, and its determinant 140.  The check takes about 2.5 s on a 2-core
+    VM, a tenth of the timeout.  Its empty [star] fails three checks,
+    whose witnesses are pinned in the .out file."""
+    proc = _check_process(DATA / "rank6-exact-form.psa", timeout=25)
+    assert proc.returncode in (0, 1) and proc.stderr == ""
+    want = (DATA / "rank6-exact-form.out").read_text(encoding="utf-8")
+    assert proc.stdout == want
+    failing = [line.split()[1].rstrip(":") for line in want.splitlines()
+               if line.startswith("[FAIL]")]
+    assert failing == ["presym.def-i", "presym.def-ii", "presym.star-with-D"]
 
 
 def test_check_deeply_nested_entry_error_is_one_bounded_line(tmp_path):

@@ -2,6 +2,7 @@
 
 import gc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ from psalib.exactlinalg import (
     expr_rank,
     expr_solve,
     invert,
+    invert_adjugate,
+    invert_skew,
     kernel_basis,
     rank,
     rank_second_opinion,
@@ -25,6 +28,8 @@ from psalib.exactlinalg import (
 )
 from psalib.exprcore import ChartContext
 from psalib.lsa import FiniteAlgebra, RestrictedComplex
+from psalib.presym import PreSymStructure, check_presymplectic
+from psalib.psafile import load_path
 
 
 def sparse_rows(m):
@@ -499,3 +504,82 @@ def test_cofactor_inverse_matches_rational_inverse(rows):
     for i in range(3):
         for j in range(3):
             assert ei.rows[i][j].constant_value() == qi.rows[i][j]
+
+
+# -- the Pfaffian inverse of a skew matrix ------------------------------------
+
+
+_SKEW_POOL = ("0",) * 4 + ("1", "-2", "x", "y", "x*y", "x - y", "y^2 + 1",
+                           "1/(x + 1)")
+
+
+@st.composite
+def skew_matrices(draw):
+    """Skew matrices of size 1..6 over (x, y), entries from a small pool
+    with a rational one among them."""
+    c = sctx()
+    n = draw(st.integers(1, 6))
+    rows = [[c.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = c.expr(draw(st.sampled_from(_SKEW_POOL)))
+            rows[i][j], rows[j][i] = w, -w
+    return ExprMatrix(c, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_matrices())
+def test_pfaffian_inverse_matches_adjugate(m):
+    """Pf minors over Pf(W) against the adjugate over det W, entry by
+    entry; a singular skew matrix is singular by both routes."""
+    try:
+        want = invert_adjugate(m)
+    except SingularMatrixError as exc:
+        assert exc.determinant.is_zero()
+        with pytest.raises(SingularMatrixError) as got:
+            invert_skew(m)
+        assert got.value.determinant.is_zero()
+        return
+    assert invert_skew(m) == want
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def _skew_pairings():
+    """The skew pairing of every perfbench input that has one."""
+    out = []
+    for path in sorted(INPUTS.glob("*.psa")):
+        E = load_path(str(path)).structure
+        if E is not None and E._skew:
+            out.append(pytest.param(E.pairing, id=path.stem))
+    return out
+
+
+@pytest.mark.parametrize("pairing", _skew_pairings())
+def test_pfaffian_inverse_matches_adjugate_on_inputs(pairing):
+    assert invert_skew(pairing) == invert_adjugate(pairing)
+
+
+def test_singular_skew_pairing_keeps_its_witness():
+    """Pf(W) = 0 for this rank-4 pairing, so det W = 0, and the check
+    reports the determinant as the adjugate route did."""
+    c = sctx()
+    z, one, x = c.zero(), c.one(), c.expr("x")
+    cell = (z,) * 4
+    w = [[z, one, x, z], [-one, z, z, z], [-x, z, z, z], [z, z, z, z]]
+    E = PreSymStructure(c, ("e1", "e2", "e3", "e4"), [[z, z]] * 4,
+                        [[cell] * 4 for _ in range(4)], w)
+    assert E._skew
+    with pytest.raises(SingularMatrixError) as exc:
+        invert_skew(E.pairing)
+    assert exc.value.determinant.is_zero()
+    got = check_presymplectic(E).find("presym.pairing-nondegenerate")
+    assert got.witness == "pairing determinant vanishes: 0"
+
+
+def test_skew_inverse_rejects_a_matrix_that_is_not_skew():
+    c = sctx()
+    with pytest.raises(ValueError):
+        invert_skew(ExprMatrix(c, [[c.one(), c.zero()],
+                                   [c.zero(), c.one()]]))

@@ -5,12 +5,14 @@ The random-point evaluation oracle is the independent soundness check for
 and a canonical nonzero must evaluate to nonzero at some point.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psalib import exprcore
 from psalib.exprcore import (
     ChartContext,
     DerivativeOrderError,
@@ -19,9 +21,13 @@ from psalib.exprcore import (
     ExprSyntaxError,
     MAX_NESTING,
     _KIND_COORD,
+    _mcontent,
+    _mdiv,
     _mmul,
     _pdivexact,
     _pmul,
+    _quotient_text,
+    _reduce,
     _var_id,
     differentiate,
     evaluate,
@@ -375,6 +381,103 @@ def test_chain_of_canonical_operations_stays_reduced():
     t = c.expr("x") / (c.expr("2*y"))
     assert t == c.expr("x/(2*y)")
     assert (t * c.expr("2*y")) == c.expr("x")
+
+
+# ---------------------------------------------------------------------------
+# denominators of two or more terms: the coprime base (hypothesis)
+
+
+def _prs_reduced(n: DiffExpr, d: DiffExpr) -> tuple[dict, dict]:
+    """n/d for polynomials n and d, reduced by the primitive PRS gcd alone
+    (exprcore's reference): d's monomial content goes into n's negative
+    exponents, the integer denominators across."""
+    m = _mcontent(d.num)
+    num = _pmul(n.num, {tuple((v, -k) for v, k in m): d.den[()]})
+    return _reduce(num, _pmul(_mdiv(d.num, m), n.den))
+
+
+_multi = exprs(_CTX).filter(lambda d: len(d.num) > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(_CTX), _multi)
+def test_quotient_prints_as_the_prs_reduces_it(n, d):
+    e = n / d
+    assert str(e) == _quotient_text(_CTX, *_prs_reduced(n, d))
+    assert parse_expr(str(e), _CTX) == e
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(_CTX), _multi, exprs(_CTX), _multi, exprs(_CTX))
+def test_quotient_equality_is_cross_multiplication(n1, d1, n2, d2, k):
+    a, b = n1 / d1, n2 / d2
+    assert (a == b) == (n1 * d2 == n2 * d1)
+    assert (a == b) == (a - b).is_zero()
+    if k:
+        # the same value over another denominator
+        c = (n1 * k) / (d1 * k)
+        assert c == a and hash(c) == hash(a)
+
+
+_FRESH = (f"s{i}" for i in itertools.count())
+
+
+@settings(max_examples=30, deadline=None)
+@given(exprs(_CTX).filter(bool),
+       st.sampled_from(["x + y + 1", "x - y", "x*y + 1", "2*x + y - 3"]),
+       st.sampled_from(["x + 2*y + 2", "x^2 + y", "x*y - x + y"]))
+def test_a_split_of_the_base_keeps_hashes(n, g_text, h_text):
+    """A value keyed in a dict over the base element g*h is found by an
+    equal value built after a division by g splits that element.  A
+    fresh symbol s keeps g and h new to the base, and each involves
+    every variable of g*h, so g*h enters it whole."""
+    s = next(_FRESH)
+    c = ChartContext(coords=("x", "y"), funcs=(s,))
+    g, h = c.expr(f"{g_text} + {s}"), c.expr(f"{h_text} + 2*{s}")
+    v = n / (g * h)
+    table = {v: "v"}
+    splits = exprcore._SPLITS
+    w = n / g
+    assert exprcore._SPLITS > splits
+    after = w / h
+    assert after == v and v == after
+    assert hash(after) == hash(v) and table[after] == "v"
+    assert str(after) == str(v)
+
+
+def test_a_pole_at_the_hash_point_hashes_by_lowest_terms(monkeypatch):
+    """Where a base element vanishes at the fixed point, a value over it
+    hashes through its lowest terms, so equal values still agree."""
+    s = next(_FRESH)
+    c = ChartContext(coords=("x", "y"), funcs=(s,))
+    (i, _), = (1 / c.expr(f"x + y + {s}"))._den.fac
+    monkeypatch.setattr(exprcore._BASE[i], "at", 0)
+    v = c.expr(f"x/(x + y + {s})")
+    w = c.expr(f"(x*y + x)/((x + y + {s})*(y + 1))")
+    assert v == w and hash(v) == hash(w)
+
+
+def test_refinement_without_certificates(monkeypatch):
+    """With the coprimality certificate refused between any two
+    polynomials in a fresh symbol s, refinement asks the exact route
+    instead: elements that share no factor stay live, and one that
+    shares a factor splits."""
+    s = next(_FRESH)
+    c = ChartContext(coords=("x", "y"), funcs=(s,))
+    (((sid, _),),) = c.function(s).num
+    certify = exprcore._coprime
+    monkeypatch.setattr(exprcore, "_coprime", lambda pv, pl, qv, ql: (
+        not (sid in pv and sid in qv) and certify(pv, pl, qv, ql)))
+    a, b = c.expr(f"1/(x^2 + {s}^2 + 1)"), c.expr(f"1/(x + 3*{s} + 5)")
+    splits = exprcore._SPLITS
+    assert a * b == c.expr(f"1/((x^2 + {s}^2 + 1)*(x + 3*{s} + 5))")
+    assert exprcore._SPLITS == splits
+    v = c.expr(f"x/((x + y + {s})*(x - y + 2*{s} + 1))")
+    w = c.expr(f"1/(x + y + {s})")
+    assert exprcore._SPLITS == splits + 1
+    assert v / w == c.expr(f"x/(x - y + 2*{s} + 1)")
+    assert str(v) == (f"x/(x^2 + 3*x*{s} - y^2 + y*{s} + 2*{s}^2 + x + y"
+                      f" + {s})")
 
 
 def assert_canonical(e: DiffExpr) -> None:
