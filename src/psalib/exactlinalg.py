@@ -9,7 +9,7 @@ and `rank_second_opinion`, the rank that cross-checks Bareiss `rank`
 without sharing its code.  ExprMatrix holds DiffExpr entries; inversion
 is cofactor-based with subset-memoized Laplace determinants, sized for
 the small matrices that occur here.  `invert` takes a skew matrix W
-through its Pfaffian minors over Pf(W) (`invert_skew`), so the only new
+through its Pfaffian minors over Pf(W) (`_invert_skew`), so the only new
 denominator is Pf(W), of half the degree of det W = Pf(W)^2.
 
 `blocks` splits a sparse matrix ({column: entry} rows) into the connected
@@ -42,8 +42,6 @@ __all__ = [
     "narrow",
     "solve",
     "invert",
-    "invert_adjugate",
-    "invert_skew",
     "expr_rank",
     "expr_kernel_basis",
     "expr_solve",
@@ -356,12 +354,12 @@ def determinant(m: ExprMatrix) -> DiffExpr:
 
 def invert(m: ExprMatrix) -> ExprMatrix:
     """Inverse of a square matrix: a skew one by its Pfaffian minors
-    (`invert_skew`), any other by its adjugate (`invert_adjugate`).
+    (`_invert_skew`), any other by its adjugate (`_invert_adjugate`).
     Raises SingularMatrixError with the vanishing determinant if the
     matrix is not invertible over the scalar field."""
     if m.nrows == m.ncols and _is_skew(m):
-        return invert_skew(m)
-    return invert_adjugate(m)
+        return _invert_skew(m)
+    return _invert_adjugate(m)
 
 
 def _is_skew(m: ExprMatrix) -> bool:
@@ -370,7 +368,7 @@ def _is_skew(m: ExprMatrix) -> bool:
                    for i in range(m.nrows) for j in range(i, m.nrows))
 
 
-def invert_adjugate(m: ExprMatrix) -> ExprMatrix:
+def _invert_adjugate(m: ExprMatrix) -> ExprMatrix:
     """Adjugate inverse; raises SingularMatrixError with the vanishing
     determinant if the matrix is not invertible over the scalar field."""
     if m.nrows != m.ncols:
@@ -395,7 +393,7 @@ def invert_adjugate(m: ExprMatrix) -> ExprMatrix:
     return ExprMatrix(m.ctx, out)
 
 
-def invert_skew(m: ExprMatrix) -> ExprMatrix:
+def _invert_skew(m: ExprMatrix) -> ExprMatrix:
     """Inverse of a skew matrix W: entry (i, j) is
     (-1)^(i+j+1+[j>i]) Pf(W without rows and columns i, j) / Pf(W).
     Expanding Pf(W) along row i gives W C^T = Pf(W) I for C of entries
@@ -405,8 +403,6 @@ def invert_skew(m: ExprMatrix) -> ExprMatrix:
     n = m.nrows
     rows, ctx = m.rows, m.ctx
     zero = ctx.zero()
-    if m.ncols != n or not _is_skew(m):
-        raise ValueError("not skew")
     memo: dict = {(): ctx.one()}
 
     def pf(idx: tuple) -> DiffExpr:

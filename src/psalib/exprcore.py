@@ -409,13 +409,9 @@ def _mcontent(p: dict) -> tuple:
 
 
 def _negpart(p: dict) -> tuple:
-    """The monomial of p's negative exponents (least per variable)."""
-    low: dict = {}
-    for m in p:
-        for v, e in m:
-            if e < 0 and e < low.get(v, 0):
-                low[v] = e
-    return tuple(sorted(low.items()))
+    """The monomial of p's negative exponents: the negative part of its
+    content, () for p = 0."""
+    return tuple((v, e) for v, e in _mcontent(p) if e < 0) if p else ()
 
 
 def _mdiv(p: dict, m: tuple) -> dict:
@@ -717,13 +713,13 @@ class _Elt:
     while the element is live and its factors ((index, exp), ...) once it
     is retired."""
 
-    __slots__ = ("poly", "vars", "degs", "line", "at", "root",
-                 "irreducible", "split", "pows", "diffs")
+    __slots__ = ("poly", "vars", "line", "at", "root", "irreducible",
+                 "split", "pows", "diffs")
 
     def __init__(self, poly: dict):
         self.poly = poly
         self.vars = frozenset(_pvars(poly))
-        self.degs = degs = _degs(poly)
+        degs = _degs(poly)
         self.line = _line(poly)
         self.at = _peval(poly)
         self.root = _root(poly, degs)
@@ -745,9 +741,9 @@ _SPLITS = 0            # how many refinements retired an element
 
 
 class _Den:
-    """An interned denominator c * prod b_i^k_i over the base, fac the
-    sorted ((index, k), ...).  gen is the split count it was last known
-    current at; poly is its expansion, built when asked for."""
+    """A denominator c * prod b_i^k_i over the base, fac the sorted
+    ((index, k), ...).  gen is the split count it was last known current
+    at; poly is its expansion, built when asked for."""
 
     __slots__ = ("c", "fac", "gen", "poly")
 
@@ -764,16 +760,6 @@ class _Den:
                 p = _pmul(p, _BASE[i].power(k))
             self.poly = p
         return self.poly
-
-
-_DENS: dict = {}
-
-
-def _den_of(c: int, fac: tuple) -> _Den:
-    d = _DENS.get((c, fac))
-    if d is None:
-        d = _DENS[(c, fac)] = _Den(c, fac)
-    return d
 
 
 # -- modular images ---------------------------------------------------------
@@ -913,15 +899,6 @@ def _trydiv(p: dict, elt: _Elt):
     neg = _negpart(p)
     if neg:
         p = _mdiv(p, neg)
-    if elt.root is None:
-        degs = elt.degs
-        top: dict = {}
-        for m in p:
-            for v, e in m:
-                if v in degs and e > top.get(v, -1):
-                    top[v] = e
-        if any(top.get(v, -1) < d for v, d in degs.items()):
-            return None
     try:
         q = _pdivexact(p, elt.poly)
     except ExprError:
@@ -1099,13 +1076,20 @@ def _refine(q: dict) -> tuple:
             # certified coprime to q; the others split
             split = [i for i in shared if i not in ids]
             for i in split:
-                _BASE[i].split = tuple(sorted(
-                    _exps_over(_BASE[i].poly, ids).items()))
+                elt = _BASE[i]
+                elt.split = tuple(sorted(_exps_over(elt.poly, ids).items()))
+                # only live elements are raised to powers or differentiated
+                elt.pows, elt.diffs = {1: elt.poly}, {}
             for j, e in _exps_over(q, ids).items():
                 exps[j] = exps.get(j, 0) + e
             if split:
                 _SPLITS += 1
-    return tuple(sorted(exps.items()))
+    # an element q was divided by may have split since: its factors
+    out: dict = {}
+    for i, k in exps.items():
+        for j, f in _live(i):
+            out[j] = out.get(j, 0) + k * f
+    return tuple(sorted(out.items()))
 
 
 # -- arithmetic over the base ---------------------------------------------------
@@ -1122,7 +1106,7 @@ def _bfinish(num: dict, c: int, exps: dict) -> tuple:
     if g != 1:
         c //= g
         num = {m: x // g for m, x in num.items()}
-    return num, _den_of(c, fac)
+    return num, _Den(c, fac)
 
 
 def _fresh(e: "DiffExpr") -> None:
@@ -1538,7 +1522,10 @@ class DiffExpr:
         # a base form is unique over the current base
         _fresh(self)
         _fresh(o)
-        return self._den is o._den and self.num == o.num
+        d1, d2 = self._den, o._den
+        if type(d1) is dict or type(d2) is dict:
+            return d1 == d2 and self.num == o.num
+        return d1.fac == d2.fac and d1.c == d2.c and self.num == o.num
 
     def __hash__(self):
         if self._hash is None:
