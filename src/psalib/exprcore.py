@@ -7,8 +7,12 @@ equality and `is_zero` are exact decisions, never heuristics.  Values of
 two ChartContexts mix only when both declare the same coordinates.
 
 The representation is packed into plain ints.  Each indeterminate has an id
-from one process-wide intern table, a monomial is a tuple of (id, exponent)
-pairs sorted by id, and a value is an integer Laurent polynomial (the
+from one process-wide intern table, and a monomial is one int, the sum of
+e * 2^(16*id) over its variables: a signed 16-bit field per id, so the
+unit monomial is 0 and a product of monomials is one integer addition.
+Every exponent keeps |e| < EXPONENT_LIMIT = 2^14, so no field ever carries
+into the next; an operation whose result would leave that range raises
+ExprError.  A value is an integer Laurent polynomial (the
 numerator, whose exponents may be negative) over a denominator no variable
 divides.  So n/(c*y^k) is stored as n*y^-k over the integer c: a monomial
 denominator costs the arithmetic nothing beyond the constant-denominator
@@ -102,14 +106,38 @@ _MOD = (1 << 61) - 1
 _AT: list = []
 _DIR: list = []
 
+# Monomial fields (see the module docstring): variable id v owns bits
+# _W*v .. _W*v + _W - 1.  Over the interned ids, _BIAS holds
+# EXPONENT_LIMIT in each field, so a stored monomial plus _BIAS has every
+# field in [1, 2*EXPONENT_LIMIT) with no borrow between them: one
+# exponent reads as a shift and a mask, a field holds a negative exponent
+# exactly when its bit _W - 2 is clear, and it holds 0 exactly when _BIAS
+# xors it to 0.  _GUARD holds EXPONENT_LIMIT - 1 in each field; m + _GUARD
+# and _GUARD - m clear every bit of _HIGH exactly when each exponent of m
+# lies strictly between -EXPONENT_LIMIT and EXPONENT_LIMIT.
+_W = 16
+EXPONENT_LIMIT = 1 << (_W - 2)
+_FIELD = (1 << _W) - 1
+_SIGN = 1 << (_W - 1)
+_BIAS = 0
+_GUARD = 0
+_HIGH = -1
+_COORDS = 0  # the fields of the coordinates
+
 
 def _var_id(key: tuple) -> int:
+    global _BIAS, _GUARD, _HIGH, _COORDS
     vid = _VAR_IDS.get(key)
     if vid is None:
         vid = _VAR_IDS[key] = len(_VAR_KEYS)
         _VAR_KEYS.append(key)
         _AT.append(pow(7, vid + 11, _MOD))
         _DIR.append(pow(5, vid + 3, _MOD))
+        _BIAS += EXPONENT_LIMIT << _W * vid
+        _GUARD += EXPONENT_LIMIT - 1 << _W * vid
+        _HIGH &= ~(_SIGN - 1 << _W * vid)
+        if key[0] == _KIND_COORD:
+            _COORDS |= _FIELD << _W * vid
     return vid
 
 
@@ -167,7 +195,7 @@ class ChartContext:
             raise ExprError(f"unknown coordinate: {name!r}") from None
 
     def _atom(self, key: tuple) -> "DiffExpr":
-        return DiffExpr(self, {((_var_id(key), 1),): 1}, _P_ONE)
+        return DiffExpr(self, {1 << _W * _var_id(key): 1}, _P_ONE)
 
     def _check_func(self, name: str) -> None:
         if name not in self.funcs:
@@ -212,14 +240,14 @@ class ChartContext:
                 return value
             q = Fraction(value)
             if q.denominator != 1:
-                return DiffExpr(self, {(): q.numerator},
-                                {(): q.denominator})
+                return DiffExpr(self, {0: q.numerator},
+                                {0: q.denominator})
             value = q.numerator
         if not value:
             return self._zero
         if value == 1:
             return self._one
-        return DiffExpr(self, {(): value}, _P_ONE)
+        return DiffExpr(self, {0: value}, _P_ONE)
 
     def coordinate(self, name: str) -> "DiffExpr":
         return self._atom((_KIND_COORD, self.coord_pos(name)))
@@ -244,66 +272,62 @@ class ChartContext:
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer: dict {monomial: int}, monomial = ((var id, exp), ...)
-# sorted by id.  Hot paths compare and hash plain ints; the canonical
-# graded-lex order over the variables' keys is consulted only where it
-# picks an output or a representative (_plead, _pmainvar, printing).
+# polynomial layer: dict {monomial: int}, a monomial one packed int (see
+# _BIAS).  Hot paths add, compare and hash plain ints, reading exponents
+# back only where a variable matters; the canonical graded-lex order over
+# the variables' keys is consulted only where it picks an output or a
+# representative (_plead, _pmainvar, printing).
 
-_P_ONE = {(): 1}
+_P_ONE = {0: 1}
 
 
 def _is_const(p: dict) -> bool:
-    return len(p) == 1 and () in p
+    return len(p) == 1 and 0 in p
 
 
-def _mmul(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if m1[-1][0] < m2[0][0]:
-        return m1 + m2
-    if m2[-1][0] < m1[0][0]:
-        return m2 + m1
+def _exps(m: int) -> list:
+    """The (variable id, exponent) pairs of a monomial, by id.  A field
+    may hold any exponent in [-2^(_W-1), 2^(_W-1)), the range a quotient
+    of two monomials stays in."""
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            if e1 + e2:
-                out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+    v = 0
+    while m:
+        e = (m + _SIGN & _FIELD) - _SIGN
+        if e:
+            out.append((v, e))
+        m = m - e >> _W
+        v += 1
+    return out
+
+
+def _guard(p: dict) -> dict:
+    """p, once every exponent of its monomials lies strictly between
+    -EXPONENT_LIMIT and EXPONENT_LIMIT: past that, a field could carry
+    into the next."""
+    g, h = _GUARD, _HIGH
+    for m in p:
+        if (m + g | g - m) & h:
+            raise ExprError("exponent out of range: every exponent must "
+                            f"lie strictly between -{EXPONENT_LIMIT} and "
+                            f"{EXPONENT_LIMIT}")
+    return p
 
 
 def _graded_lex(p: dict):
     """Sort key of p's monomials in the canonical graded-lex order:
     higher total degree wins, then the earlier variable (by key) with the
     larger exponent."""
-    vids = sorted({v for m in p for v, _ in m}, key=_VAR_KEYS.__getitem__)
-    rank = {v: r for r, v in enumerate(vids)}
+    b = _BIAS
+    shifts = [_W * v for v in sorted(_pvars(p), key=_VAR_KEYS.__getitem__)]
 
     def key(m):
-        exps = [0] * len(vids)
-        for v, e in m:
-            exps[rank[v]] = e
+        exps = [(m + b >> s & _FIELD) - EXPONENT_LIMIT for s in shifts]
         return sum(exps), exps
 
     return key
 
 
-def _plead(p: dict) -> tuple:
+def _plead(p: dict) -> int:
     return max(p, key=_graded_lex(p))
 
 
@@ -356,21 +380,23 @@ def _pscale(p: dict, k: int) -> dict:
 
 
 def _pmul(p: dict, q: dict) -> dict:
-    if not p or not q:
-        return {}
     if len(q) == 1 and len(p) > 1:
         p, q = q, p
-    if len(p) == 1:
-        (m1, c1), = p.items()
-        if len(q) == 1:
-            (m2, c2), = q.items()
-            return {_mmul(m1, m2): c1 * c2}
-        if not m1:
-            return _pscale(q, c1)
     out: dict = {}
+    if len(p) == 1:
+        # one term: distinct monomials stay distinct, nothing cancels
+        for m1, c1 in p.items():
+            if not m1 and len(q) > 1:
+                return _pscale(q, c1)
+            for m2, c2 in q.items():
+                m = m1 + m2
+                if (m + _GUARD | _GUARD - m) & _HIGH:
+                    _guard({m: 1})
+                out[m] = c1 * c2
+        return out
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = _mmul(m1, m2)
+            m = m1 + m2
             s = out.get(m)
             if s is None:
                 out[m] = c1 * c2
@@ -380,7 +406,7 @@ def _pmul(p: dict, q: dict) -> dict:
                     out[m] = s
                 else:
                     del out[m]
-    return out
+    return _guard(out)
 
 
 def _pprimitive(p: dict) -> dict:
@@ -391,32 +417,44 @@ def _pprimitive(p: dict) -> dict:
     return {m: c // g for m, c in p.items()}
 
 
-def _pvars(p: dict) -> set:
-    return {v for m in p for v, _ in m}
+def _pvars(p) -> set:
+    """The ids of the variables in the monomials p."""
+    b = _BIAS
+    s = 0
+    for m in p:
+        s |= m + b ^ b
+    out = set()
+    while s:
+        v = ((s & -s).bit_length() - 1) // _W  # the lowest field left
+        out.add(v)
+        s &= -1 << _W * v + _W
+    return out
 
 
-def _mcontent(p: dict) -> tuple:
-    """The monomial content of a nonzero Laurent polynomial p: each
-    variable to its least exponent over p's monomials, 0 where one lacks
-    it.  p over its content is a polynomial that no variable divides."""
-    first, *rest = p
-    low = dict(first)
-    for m in rest:
-        md = dict(m)
-        for v in low.keys() | md.keys():
-            low[v] = min(low.get(v, 0), md.get(v, 0))
-    return tuple(sorted((v, e) for v, e in low.items() if e))
+def _mcontent(p, top: int = EXPONENT_LIMIT) -> int:
+    """The monomial content of the monomials p: each variable to its
+    least exponent over them (0 where one lacks it), or to top where that
+    is less.  A nonzero Laurent polynomial over its content is a
+    polynomial that no variable divides."""
+    b = _BIAS
+    out = 0
+    for v in _pvars(p):
+        s = _W * v
+        low = min(m + b >> s & _FIELD for m in p) - EXPONENT_LIMIT
+        out += min(low, top) << s
+    return out
 
 
-def _negpart(p: dict) -> tuple:
+def _negpart(p: dict) -> int:
     """The monomial of p's negative exponents: the negative part of its
-    content, () for p = 0."""
-    return tuple((v, e) for v, e in _mcontent(p) if e < 0) if p else ()
+    content, 0 for p = 0."""
+    b = _BIAS
+    return _mcontent([m for m in p if m + b & b != b], 0)
 
 
-def _mdiv(p: dict, m: tuple) -> dict:
+def _mdiv(p: dict, m: int) -> dict:
     """p divided by the monomial m."""
-    return _pmul(p, {tuple((v, -e) for v, e in m): 1})
+    return _pmul(p, {-m: 1})
 
 
 def _cleared(num: dict, den: dict) -> tuple[dict, dict]:
@@ -434,15 +472,11 @@ def _pmainvar(p: dict, q: dict) -> int:
 
 def _puni(p: dict, v: int) -> dict:
     """View p as univariate in v: {degree: coefficient polynomial}."""
+    b, s = _BIAS, _W * v
     out: dict = {}
     for m, c in p.items():
-        deg = 0
-        rest = m
-        for idx, (var, e) in enumerate(m):
-            if var == v:
-                deg = e
-                rest = m[:idx] + m[idx + 1:]
-                break
+        deg = (m + b >> s & _FIELD) - EXPONENT_LIMIT
+        rest = m - (deg << s)
         coeff = out.get(deg)
         if coeff is None:
             out[deg] = {rest: c}
@@ -452,31 +486,20 @@ def _puni(p: dict, v: int) -> dict:
 
 
 def _pfromuni(u: dict, v: int) -> dict:
+    s = _W * v
     out: dict = {}
     for deg, coeff in u.items():
-        vm = ((v, deg),) if deg else ()
+        vm = deg << s
         for m, c in coeff.items():
-            out[_mmul(vm, m)] = c
+            out[vm + m] = c
     return out
 
 
 def _monomial_gcd(p: dict, q: dict) -> dict:
     """gcd when at least one side is a single monomial; also the common
     monomial-content fast path.  The coefficient is 1."""
-    exps: dict = {}
-    first = True
-    for poly in ((q, p) if len(q) < len(p) else (p, q)):
-        for m in poly:
-            if first:
-                exps = dict(m)
-                first = False
-            else:
-                md = dict(m)
-                exps = {v: min(e, md[v]) for v, e in exps.items()
-                        if v in md}
-            if not exps:
-                return _P_ONE
-    return {tuple(sorted(exps.items())): 1}
+    m = _mcontent([*p, *q])
+    return {m: 1} if m else _P_ONE
 
 
 def _pdivexact(p: dict, d: dict) -> dict:
@@ -490,8 +513,9 @@ def _pdivexact(p: dict, d: dict) -> dict:
     if len(d) == 1:
         (dm, dc), = d.items()
         q = _mdiv(p, dm)
+        b = _BIAS
         if any(c % dc for c in q.values()) or any(
-                e < 0 for m in q for _, e in m):
+                m + b & b != b for m in q):
             raise ExprError("inexact polynomial division")
         return {m: c // dc for m, c in q.items()}
     v = max(_pvars(d), key=_VAR_KEYS.__getitem__)
@@ -593,43 +617,59 @@ def _pgcd(p: dict, q: dict) -> dict:
 
 def _pdiff(p: dict, cpos: int) -> dict:
     """Formal partial derivative of a polynomial by one coordinate."""
+    b = _BIAS
+    fields = 0
+    for m in p:
+        fields |= m + b ^ b
+    # the other coordinates' partials are 0
+    fields &= ~_COORDS | _FIELD << _W * _var_id((_KIND_COORD, cpos))
     out: dict = {}
-    for m, c in p.items():
-        for idx, (v, e) in enumerate(m):
-            dv = _var_derivative(v, cpos)
-            if dv is None:
-                continue
-            if e != 1:
-                base = m[:idx] + ((v, e - 1),) + m[idx + 1:]
-            else:
-                base = m[:idx] + m[idx + 1:]
-            mm = base if dv is _ONE_MARK else _mmul(base, ((dv, 1),))
-            s = out.get(mm)
-            out[mm] = c * e if s is None else s + c * e
-    return {m: c for m, c in out.items() if c}
+    while fields:  # each variable, last id first
+        v = (fields.bit_length() - 1) // _W
+        s = _W * v
+        fields &= (1 << s) - 1
+        step = _STEPS.get((v, cpos))
+        if step is None:
+            step = _STEPS[v, cpos] = _var_derivative(v, cpos)
+        for m, c in p.items():
+            e = (m + b >> s & _FIELD) - EXPONENT_LIMIT
+            if e:
+                m += step
+                if (m + _GUARD | _GUARD - m) & _HIGH:
+                    _guard({m: 1})
+                t = out.get(m)
+                out[m] = c * e if t is None else t + c * e
+    # one term's partials are distinct monomials, so none cancels
+    return out if len(p) == 1 else {m: c for m, c in out.items() if c}
 
 
-_ONE_MARK = object()  # derivative of a coordinate by itself
+_STEPS: dict = {}  # (variable id, coordinate position) -> _var_derivative
 
 
-def _var_derivative(v: int, cpos: int):
+def _var_derivative(v: int, cpos: int) -> int:
+    """What the partial by coordinate cpos adds to a monomial for each
+    power of variable v it takes: v's exponent drops by one, and v's
+    partial, a variable, comes in; 0 where that partial is 0."""
     key = _VAR_KEYS[v]
     kind = key[0]
+    one = 1 << _W * v
     if kind == _KIND_COORD:
-        return _ONE_MARK if key[1] == cpos else None
+        return -one if key[1] == cpos else 0
     if kind == _KIND_FUNC:
-        return _var_id((_KIND_D1, key[1], cpos))
-    if kind == _KIND_D1:
+        dv = _var_id((_KIND_D1, key[1], cpos))
+    elif kind == _KIND_D1:
         i, j = sorted((key[2], cpos))
-        return _var_id((_KIND_D2, key[1], i, j))
-    raise DerivativeOrderError  # worded by differentiate
+        dv = _var_id((_KIND_D2, key[1], i, j))
+    else:
+        raise DerivativeOrderError  # worded by differentiate
+    return (1 << _W * dv) - one
 
 
 def _cap_error(*polys) -> DerivativeOrderError:
     """The error for differentiating second-order partials.  It names the
     function symbol of the smallest such partial in canonical order, so
     the message does not depend on the order the terms were built in."""
-    key = min(_VAR_KEYS[v] for p in polys for m in p for v, _ in m
+    key = min(_VAR_KEYS[v] for p in polys for v in _pvars(p)
               if _VAR_KEYS[v][0] == _KIND_D2)
     return DerivativeOrderError(
         f"third derivative of {key[1]} exceeds the cap")
@@ -652,9 +692,9 @@ def _const_over(num: dict, d: int, dens=()) -> tuple[dict, dict]:
     if d == 1:
         return num, _P_ONE
     for den in dens:
-        if den[()] == d:
+        if den[0] == d:
             return num, den
-    return num, {(): d}
+    return num, {0: d}
 
 
 def _finish(num: dict, den: dict) -> tuple[dict, dict]:
@@ -664,7 +704,7 @@ def _finish(num: dict, den: dict) -> tuple[dict, dict]:
     if not num:
         return {}, _P_ONE
     if _is_const(den):
-        return _const_over(num, den[()])
+        return _const_over(num, den[0])
     lc = den[_plead(den)]
     c = gcd(*num.values(), *den.values())
     if lc < 0:
@@ -755,7 +795,7 @@ class _Den:
 
     def expanded(self) -> dict:
         if self.poly is None:
-            p = {(): self.c}
+            p = {0: self.c}
             for i, k in self.fac:
                 p = _pmul(p, _BASE[i].power(k))
             self.poly = p
@@ -768,20 +808,20 @@ class _Den:
 def _peval(p: dict, over=None) -> int:
     """A Laurent polynomial at the fixed point mod _MOD; over = (variable
     id, value) replaces one coordinate of the point."""
-    at = _AT
-    powers: dict = {}
-    total = 0
-    for m, c in p.items():
-        t = c
-        for ve in m:
-            x = powers.get(ve)
-            if x is None:
-                v, e = ve
-                x = over[1] if over is not None and v == over[0] else at[v]
-                x = powers[ve] = x if e == 1 else pow(x, e, _MOD)
-            t = t * x % _MOD
-        total += t
-    return total % _MOD
+    b = _BIAS
+    terms = dict(p)
+    for v in _pvars(p):
+        x = over[1] if over is not None and v == over[0] else _AT[v]
+        s = _W * v
+        powers = {1: x}
+        for m, t in terms.items():
+            e = (m + b >> s & _FIELD) - EXPONENT_LIMIT
+            if e:
+                y = powers.get(e)
+                if y is None:
+                    y = powers[e] = pow(x, e, _MOD)
+                terms[m] = t * y % _MOD
+    return sum(terms.values()) % _MOD
 
 
 def _umul(a: list, b: list) -> list:
@@ -798,16 +838,13 @@ def _line(p: dict):
     exponents cleared: coefficients mod _MOD, lowest degree first.  None
     when its degree falls short of the total degree, so that a factor of
     p might lose degree too."""
-    low = dict(_negpart(p))
+    low = _negpart(p)
     at, dr = _AT, _DIR
     top = 0
     out = [0]
     for m, c in p.items():
         t = [c % _MOD]
-        md = dict(m)
-        for v in low:
-            md[v] = md.get(v, 0) - low[v]
-        for v, e in md.items():
+        for v, e in _exps(m - low):
             for _ in range(e):
                 t = _umul(t, [at[v], dr[v]])
         top = max(top, len(t))
@@ -962,11 +999,13 @@ def _exps_over(p: dict, ids) -> dict:
 
 def _degs(p: dict) -> dict:
     """Each variable of p to its largest exponent."""
+    b = _BIAS
     degs: dict = {}
-    for m in p:
-        for v, e in m:
-            if e > degs.get(v, 0):
-                degs[v] = e
+    for v in _pvars(p):
+        s = _W * v
+        e = max(m + b >> s & _FIELD for m in p) - EXPONENT_LIMIT
+        if e > 0:
+            degs[v] = e
     return degs
 
 
@@ -994,14 +1033,14 @@ def _repeated_factor(q: dict):
     if _irreducible(q, degs):
         return None
     qvars, qline = set(degs), _line(q)
+    b = _BIAS
     for v in sorted(degs):
+        s = _W * v
         d: dict = {}
         for m, c in q.items():
-            for k, (w, e) in enumerate(m):
-                if w == v:
-                    d[m[:k] + ((w, e - 1),) + m[k + 1:] if e > 1
-                      else m[:k] + m[k + 1:]] = c * e
-                    break
+            e = (m + b >> s & _FIELD) - EXPONENT_LIMIT
+            if e:
+                d[m - (1 << s)] = c * e
         if not _coprime(qvars, qline, _pvars(d), _line(d)):
             g = _pgcd(q, d)
             if not _is_const(g):
@@ -1136,12 +1175,12 @@ def _parts(e: "DiffExpr") -> tuple:
     """(numerator, integer c, base factors) of e, current."""
     d = e._den
     if type(d) is dict:
-        return e.num, d[()], ()
+        return e.num, d[0], ()
     if d.gen != _SPLITS:
         _fresh(e)
         d = e._den
         if type(d) is dict:
-            return e.num, d[()], ()
+            return e.num, d[0], ()
     return e.num, d.c, d.fac
 
 
@@ -1224,7 +1263,7 @@ def _bdiv(a: "DiffExpr", b: "DiffExpr") -> tuple:
         if i not in e1:
             n1, k = _divide_out(n1, i, k)
         exps[i] = exps.get(i, 0) + k
-    num = _pmul(n1, {tuple((v, -e) for v, e in m): c2 if s > 0 else -c2})
+    num = _pmul(n1, {-m: c2 if s > 0 else -c2})
     for i, k in exps.items():
         if k < 0:
             num = _pmul(num, _BASE[i].power(-k))
@@ -1318,7 +1357,7 @@ class DiffExpr:
 
     num is a Laurent polynomial (exponents of either sign), so a monomial
     denominator lives in num's negative exponents.  The rest of the
-    denominator is a positive integer, kept as the dict {(): c}, or
+    denominator is a positive integer, kept as the dict {0: c}, or
     c * prod b_i^k_i over the base (a _Den), no b_i dividing num.  Either
     way num and the denominator share no integer factor.  den reads the
     denominator as an expanded polynomial.  It prints in lowest terms,
@@ -1364,7 +1403,7 @@ class DiffExpr:
         if d1 is _P_ONE and d2 is _P_ONE:
             return DiffExpr(ctx, combine(self.num, o.num), _P_ONE)
         if type(d1) is dict and type(d2) is dict:
-            a, b = d1[()], d2[()]
+            a, b = d1[0], d2[0]
             g = gcd(a, b)
             num = combine(_pscale(self.num, b // g), _pscale(o.num, a // g))
             if not num:
@@ -1426,7 +1465,7 @@ class DiffExpr:
             return DiffExpr(ctx, _pmul(self.num, o.num), _P_ONE)
         if type(d1) is dict and type(d2) is dict:
             return DiffExpr(ctx, *_const_over(_pmul(self.num, o.num),
-                                              d1[()] * d2[()], (d1, d2)))
+                                              d1[0] * d2[0], (d1, d2)))
         return DiffExpr(ctx, *_bmul(self, o))
 
     __rmul__ = __mul__
@@ -1444,7 +1483,7 @@ class DiffExpr:
             # 1/o = (o.den/m) / (o.num/m) for o's one term m
             (m, c), = o.num.items()
             return DiffExpr(self.ctx, *_const_over(
-                _pmul(self.num, _mdiv(d2, m)), d1[()] * c))
+                _pmul(self.num, _mdiv(d2, m)), d1[0] * c))
         return DiffExpr(self.ctx, *_bdiv(self, o))
 
     def __rtruediv__(self, other):
@@ -1476,16 +1515,17 @@ class DiffExpr:
     def is_constant(self) -> bool:
         num = self.num
         return (type(self._den) is dict
-                and (not num or (len(num) == 1 and () in num)))
+                and (not num or (len(num) == 1 and 0 in num)))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ExprError(f"not a constant: {self}")
-        return Fraction(self.num.get((), 0), self._den[()])
+        return Fraction(self.num.get(0, 0), self._den[0])
 
     def is_polynomial(self) -> bool:
+        b = _BIAS
         return type(self._den) is dict and all(
-            e > 0 for m in self.num for _, e in m)
+            m + b & b == b for m in self.num)
 
     def free_of_funcs(self) -> bool:
         return all(_VAR_KEYS[v][0] == _KIND_COORD for v in
@@ -1498,16 +1538,20 @@ class DiffExpr:
         if type(den) is not dict:
             raise ExprError(f"not a coordinate polynomial: {self}")
         n = len(self.ctx.coords)
+        coords = [(i, _W * v) for i in range(n)
+                  if (v := _VAR_IDS.get((_KIND_COORD, i))) is not None]
+        b = _BIAS
         terms = []
         for m, c in self.num.items():
             exp = [0] * n
-            for v, e in m:
-                key = _VAR_KEYS[v]
-                if key[0] != _KIND_COORD or e < 0:
-                    raise ExprError(f"not a coordinate polynomial: {self}")
-                exp[key[1]] = e
+            rest = m
+            for i, s in coords:
+                e = exp[i] = (m + b >> s & _FIELD) - EXPONENT_LIMIT
+                rest -= e << s
+            if rest or min(exp, default=0) < 0:
+                raise ExprError(f"not a coordinate polynomial: {self}")
             terms.append((tuple(exp), c))
-        return terms, den[()]
+        return terms, den[0]
 
     def __eq__(self, other):
         try:
@@ -1552,15 +1596,15 @@ def _quotient_text(ctx: ChartContext, num: dict, den: dict) -> str:
     """num/den, in lowest terms with den a polynomial no variable divides,
     as it prints: num's negative exponents multiplied out, den monic."""
     num, den = _cleared(num, den)
-    if len(den) == 1 and () in den:
-        return _format_poly(ctx, num, den[()])
+    if len(den) == 1 and 0 in den:
+        return _format_poly(ctx, num, den[0])
     lc = den[_plead(den)]
     head = _format_poly(ctx, num, lc)
     if len(num) > 1:
         head = f"({head})"
     text = _format_poly(ctx, den, lc)
     (m, _), *more = den.items()
-    if more or len(m) > 1 or m[0][1] > 1:
+    if more or m != 1 << _W * _exps(m)[0][0]:  # not one variable itself
         text = f"({text})"
     return f"{head}/{text}"
 
@@ -1577,7 +1621,7 @@ def _format_poly(ctx: ChartContext, p: dict, scale: int) -> str:
         a, s = a // g, scale // g
         coeff = str(a) if s == 1 else f"{a}/{s}"
         parts = [] if m and coeff == "1" else [coeff]
-        for v, e in sorted(m, key=lambda t: _VAR_KEYS[t[0]]):
+        for v, e in sorted(_exps(m), key=lambda t: _VAR_KEYS[t[0]]):
             text = ctx._var_text(v)
             parts.append(text if e == 1 else f"{text}^{e}")
         body = "*".join(parts)
@@ -1783,7 +1827,7 @@ def differentiate(e: DiffExpr, coord: str) -> DiffExpr:
         raise _cap_error(e.num) from None
     if den is _P_ONE:
         return DiffExpr(ctx, dn, _P_ONE)
-    return DiffExpr(ctx, *_const_over(dn, den[()], (den,)))
+    return DiffExpr(ctx, *_const_over(dn, den[0], (den,)))
 
 
 def evaluate(e: DiffExpr, coord_values: dict, func_polys: dict | None = None
@@ -1828,7 +1872,7 @@ def evaluate(e: DiffExpr, coord_values: dict, func_polys: dict | None = None
         total = Fraction(0)
         for m, c in p.items():
             term = Fraction(c)
-            for v, exp in m:
+            for v, exp in _exps(m):
                 term *= value_of(v) ** exp
             total += term
         return total

@@ -16,7 +16,7 @@ import psalib
 from psalib import cli, fixtures, lsa
 from psalib.cli import main
 from psalib.exactclass import FlatConnection
-from psalib.exprcore import ChartContext, ExprError
+from psalib.exprcore import EXPONENT_LIMIT, ChartContext, ExprError
 from psalib.psafile import Bundle, emit, load_path
 from psalib.report import CheckReport
 
@@ -205,6 +205,19 @@ def test_check_third_derivative_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: third derivative of f exceeds the cap\n"
     assert proc.stdout == ""
+
+
+def test_check_exponent_past_the_limit_exits_two(tmp_path):
+    p = tmp_path / "limit.psa"
+    p.write_text("[chart]\ncoords = x1, x2\n[frame]\nnames = d1, d2\n"
+                 f"[anchor]\nd1 = x1^{EXPONENT_LIMIT}, 0\nd2 = 0, 1\n"
+                 "[star]\n[pairing]\nd1 d2 = 1\n", encoding="utf-8")
+    proc = _check_process(p)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.stderr.startswith("error: [anchor] d1: ")
+    assert proc.stderr.count("\n") == 1
+    assert "exponent out of range" in proc.stderr
 
 
 @pytest.mark.parametrize("anchor, pairing", [("d2(g,x,x), 0", "1"),

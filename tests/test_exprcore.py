@@ -19,13 +19,22 @@ from psalib.exprcore import (
     DiffExpr,
     ExprError,
     ExprSyntaxError,
+    EXPONENT_LIMIT,
     MAX_NESTING,
     _KIND_COORD,
+    _KIND_D1,
+    _KIND_D2,
+    _KIND_FUNC,
+    _VAR_KEYS,
+    _W,
+    _exps,
     _mcontent,
     _mdiv,
-    _mmul,
+    _padd,
+    _pdiff,
     _pdivexact,
     _pmul,
+    _psub,
     _quotient_text,
     _reduce,
     _var_id,
@@ -213,7 +222,7 @@ _IDS = [_var_id((_KIND_COORD, i)) for i in range(3)]  # one chart's coordinates
 
 
 def _monomial(exps):
-    return tuple(sorted((v, e) for v, e in zip(_IDS, exps) if e))
+    return sum(e << _W * v for v, e in zip(_IDS, exps))
 
 
 _monomials = st.tuples(*[st.integers(0, 3)] * 3).map(_monomial)
@@ -227,12 +236,300 @@ def test_division_by_a_monomial_round_trips(p, m, c):
 
 
 def test_inexact_division_by_a_monomial_raises():
-    x, y = ((_IDS[0], 1),), ((_IDS[1], 1),)
+    x, y = _monomial((1, 0, 0)), _monomial((0, 1, 0))
     with pytest.raises(ExprError, match="inexact"):
         _pdivexact({x: 2}, {x: 3})  # a coefficient remainder
     with pytest.raises(ExprError, match="inexact"):
         _pdivexact({x: 1}, {y: 1})  # an exponent goes negative
-    assert _pdivexact({_mmul(x, y): 6, x: 3}, {x: 3}) == {y: 2, (): 1}
+    assert _pdivexact({x + y: 6, x: 3}, {x: 3}) == {y: 2, 0: 1}
+
+
+# ---------------------------------------------------------------------------
+# the exponent limit: every way a monomial can reach it (hypothesis)
+#
+# One step inside the limit the value is exact; at the limit the
+# operation raises ExprError, so no field of a packed monomial wraps.
+
+_LIMIT = EXPONENT_LIMIT
+_BASES = ["x", "1/x", "x/y", "y^2/x"]
+
+
+def _packed(e: DiffExpr) -> int:
+    """The one monomial of a monomial expression over 1."""
+    (m, c), = e.num.items()
+    assert c == 1 and e.den == {0: 1}
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, _LIMIT - 2), st.sampled_from(_BASES[:3]))
+def test_a_product_at_the_exponent_limit_raises(a, text):
+    c = ctx2()
+    base = c.expr(text)
+    m = _packed(base)
+    pa, pb = base ** a, base ** (_LIMIT - 1 - a)
+    assert _packed(pa * pb) == (_LIMIT - 1) * m
+    with pytest.raises(ExprError, match="exponent out of range"):
+        pa * (pb * base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.sampled_from(_BASES))
+def test_a_power_at_the_exponent_limit_raises(a, text):
+    c = ctx2()
+    base = c.expr(text)
+    top = max(abs(e) for _, e in _exps(_packed(base)))
+    n = (_LIMIT - 1) // (a * top)
+    assert _packed((base ** a) ** n) == a * n * _packed(base)
+    with pytest.raises(ExprError, match="exponent out of range"):
+        (base ** a) ** (n + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(_LIMIT, 4 * _LIMIT), st.sampled_from(_BASES[:3]))
+def test_a_parsed_power_at_the_exponent_limit_raises(k, text):
+    c = ctx2()
+    assert _packed(c.expr(f"({text})^{_LIMIT - 1}")) == \
+        (_LIMIT - 1) * _packed(c.expr(text))
+    with pytest.raises(ExprError, match="exponent out of range"):
+        c.expr(f"({text})^{k}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4))
+def test_partials_of_a_negative_power_at_the_exponent_limit_raise(steps):
+    c = ctx2()
+    k = _LIMIT - 1 - steps
+    e, coeff = c.expr(f"1/y^{k}"), 1
+    for i in range(steps):
+        coeff *= -(k + i)
+        e = differentiate(e, "y")
+    y = _packed(c.coordinate("y"))
+    assert e.num == {-(_LIMIT - 1) * y: coeff} and e.den == {0: 1}
+    with pytest.raises(ExprError, match="exponent out of range"):
+        differentiate(e, "y")
+    # a partial raises the power of a derivative atom too
+    fx = c.expr("d(f,x)")
+    e = c.expr("f") * fx ** (_LIMIT - 2)
+    assert differentiate(e, "x") == fx ** (_LIMIT - 1) + (_LIMIT - 2) * \
+        c.expr("f*d2(f,x,x)") * fx ** (_LIMIT - 3)
+    with pytest.raises(ExprError, match="exponent out of range"):
+        differentiate(e * fx, "x")
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against the tuple reference
+#
+# Before monomials were packed into ints, exprcore stored each as a tuple
+# of (variable id, exponent) pairs sorted by id, and _mmul merged two of
+# them.  That code is the reference here: the packed products, sums,
+# partials, contents and printing must agree with it.
+
+
+def _ref_mmul(m1: tuple, m2: tuple) -> tuple:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            if e1 + e2:
+                out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
+
+
+def _ref_pmul(p: dict, q: dict) -> dict:
+    if not p or not q:
+        return {}
+    if len(q) == 1 and len(p) > 1:
+        p, q = q, p
+    if len(p) == 1:
+        (m1, c1), = p.items()
+        if len(q) == 1:
+            (m2, c2), = q.items()
+            return {_ref_mmul(m1, m2): c1 * c2}
+        if not m1:
+            return {m: c * c1 for m, c in q.items()}
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = _ref_mmul(m1, m2)
+            s = out.get(m)
+            if s is None:
+                out[m] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
+
+
+def _ref_padd(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_pdiff(p: dict, cpos: int) -> dict:
+    """The partial by coordinate cpos, variable by variable."""
+    out: dict = {}
+    for m, c in p.items():
+        for idx, (v, e) in enumerate(m):
+            key = _VAR_KEYS[v]
+            if key[0] == _KIND_COORD:
+                if key[1] != cpos:
+                    continue
+                dv = None
+            elif key[0] == _KIND_FUNC:
+                dv = _var_id((_KIND_D1, key[1], cpos))
+            else:
+                dv = _var_id((_KIND_D2, key[1], *sorted((key[2], cpos))))
+            rest = m[:idx] + (((v, e - 1),) if e != 1 else ()) + m[idx + 1:]
+            mm = rest if dv is None else _ref_mmul(rest, ((dv, 1),))
+            out[mm] = out.get(mm, 0) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mcontent(p: dict) -> tuple:
+    first, *rest = p
+    low = dict(first)
+    for m in rest:
+        md = dict(m)
+        for v in low.keys() | md.keys():
+            low[v] = min(low.get(v, 0), md.get(v, 0))
+    return tuple(sorted((v, e) for v, e in low.items() if e))
+
+
+def _ref_terms(ctx, p: dict) -> str:
+    """A polynomial as the tuple code printed it, integer coefficients."""
+    vids = sorted({v for m in p for v, _ in m}, key=_VAR_KEYS.__getitem__)
+
+    def key(m):
+        exps = [dict(m).get(v, 0) for v in vids]
+        return sum(exps), exps
+
+    out = []
+    for m in sorted(p, key=key, reverse=True):
+        c = p[m]
+        parts = [] if m and abs(c) == 1 else [str(abs(c))]
+        for v, e in sorted(m, key=lambda t: _VAR_KEYS[t[0]]):
+            text = ctx._var_text(v)
+            parts.append(text if e == 1 else f"{text}^{e}")
+        body = "*".join(parts)
+        sign = "-" if c < 0 else ""
+        out.append(f"{sign}{body}" if not out else
+                   f" {sign or '+'} {body}")
+    return "".join(out) or "0"
+
+
+def _ref_str(ctx, p: dict) -> str:
+    """A Laurent polynomial over 1 as it prints: its negative exponents
+    multiplied out into a monomial denominator."""
+    if not p:
+        return "0"
+    inv = tuple((v, -e) for v, e in _ref_mcontent(p) if e < 0)
+    num = _ref_pmul(p, {inv: 1})
+    head = _ref_terms(ctx, num)
+    if not inv:
+        return head
+    den = _ref_terms(ctx, {inv: 1})
+    if len(inv) > 1 or inv[0][1] > 1:
+        den = f"({den})"
+    return f"({head})/{den}" if len(num) > 1 else f"{head}/{den}"
+
+
+def _pack(p: dict) -> dict:
+    return {sum(e << _W * v for v, e in m): c for m, c in p.items()}
+
+
+_RCTX = ChartContext(coords=("x", "y"), funcs=("f", "g"))
+_RVARS = [_var_id(k) for k in ((_KIND_COORD, 0), (_KIND_COORD, 1),
+                               (_KIND_FUNC, "f"), (_KIND_FUNC, "g"),
+                               (_KIND_D1, "f", 0), (_KIND_D1, "g", 1))]
+
+
+def laurent(variables, low=-3, high=3):
+    """Tuple-monomial Laurent polynomials in the given variable ids."""
+    monomials = st.lists(st.integers(low, high), min_size=len(variables),
+                         max_size=len(variables)).map(
+        lambda es: tuple(sorted((v, e) for v, e in zip(variables, es) if e)))
+    return st.dictionaries(monomials, _coeffs, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent(_RVARS), laurent(_RVARS), st.sampled_from([0, 1]))
+def test_packed_layer_matches_the_tuple_reference(p, q, cpos):
+    P, Q = _pack(p), _pack(q)
+    assert _pmul(P, Q) == _pack(_ref_pmul(p, q))
+    assert _padd(P, Q) == _pack(_ref_padd(p, q))
+    assert _psub(P, Q) == _pack(_ref_padd(p, q, -1))
+    assert _pdiff(P, cpos) == _pack(_ref_pdiff(p, cpos))
+    assert str(DiffExpr(_RCTX, P, {0: 1})) == _ref_str(_RCTX, p)
+    if p:
+        assert _mcontent(P) == next(iter(_pack({_ref_mcontent(p): 1})))
+
+
+_WIDE: list = []
+
+
+def _wide_chart():
+    """A 12-coordinate chart with eight fresh function symbols and their
+    first partials, interned once, and the ids of its last symbol, that
+    symbol's partials and two coordinates."""
+    if not _WIDE:
+        coords = tuple(f"x{i}" for i in range(12))
+        funcs = tuple(next(_FRESH) for _ in range(8))
+        ctx = ChartContext(coords=coords, funcs=funcs)
+        first = len(_VAR_KEYS)
+        for f in funcs:
+            ctx.function(f)
+            for c in coords:
+                ctx.partial(f, c)
+        top = [_var_id((_KIND_COORD, 10)), _var_id((_KIND_COORD, 11)),
+               _var_id((_KIND_FUNC, funcs[-1]))] + [
+            _var_id((_KIND_D1, funcs[-1], i)) for i in range(12)]
+        _WIDE.extend([ctx, len(_VAR_KEYS) - first, top])
+    return _WIDE
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wide_ids_in_one_process(data):
+    """Ids are process-wide, so a long session packs monomials of more and
+    more fields.  After more than 100 variables are interned, products,
+    partials and printing of monomials in the highest ids match the tuple
+    reference."""
+    ctx, interned, top = _wide_chart()
+    assert interned > 100
+    p = data.draw(laurent(top, -2, 2))
+    q = data.draw(laurent(top, -2, 2))
+    cpos = data.draw(st.integers(0, 11))
+    P, Q = _pack(p), _pack(q)
+    assert _pmul(P, Q) == _pack(_ref_pmul(p, q))
+    assert _pdiff(P, cpos) == _pack(_ref_pdiff(p, cpos))
+    assert str(DiffExpr(ctx, P, {0: 1})) == _ref_str(ctx, p)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +689,7 @@ def _prs_reduced(n: DiffExpr, d: DiffExpr) -> tuple[dict, dict]:
     (exprcore's reference): d's monomial content goes into n's negative
     exponents, the integer denominators across."""
     m = _mcontent(d.num)
-    num = _pmul(n.num, {tuple((v, -k) for v, k in m): d.den[()]})
+    num = _pmul(n.num, {-m: d.den[0]})
     return _reduce(num, _pmul(_mdiv(d.num, m), n.den))
 
 
@@ -480,7 +777,8 @@ def test_refinement_without_certificates(monkeypatch):
     shares a factor splits."""
     s = next(_FRESH)
     c = ChartContext(coords=("x", "y"), funcs=(s,))
-    (((sid, _),),) = c.function(s).num
+    (m,) = c.function(s).num
+    ((sid, _),) = _exps(m)
     certify = exprcore._coprime
     monkeypatch.setattr(exprcore, "_coprime", lambda pv, pl, qv, ql: (
         not (sid in pv and sid in qv) and certify(pv, pl, qv, ql)))
@@ -501,10 +799,10 @@ def assert_canonical(e: DiffExpr) -> None:
     positive leading coefficient (in the order printing uses) and no
     integer factor shared with num, whose exponents may be negative."""
     num, den = e.num, e.den
-    assert all(k > 0 for m in den for _, k in m)
-    assert not set.intersection(*({v for v, _ in m} for m in den))
+    assert all(k > 0 for m in den for _, k in _exps(m))
+    assert not set.intersection(*({v for v, _ in _exps(m)} for m in den))
     assert gcd(*num.values(), *den.values()) == 1
-    lead = str(DiffExpr(e.ctx, den, {(): 1}))
+    lead = str(DiffExpr(e.ctx, den, {0: 1}))
     assert not lead.startswith("-")
 
 
@@ -525,15 +823,15 @@ def test_monomial_denominators_live_in_the_numerator(ctx, text, printed):
     assert parse_expr(printed, ctx) == e
     assert_canonical(e)
     # the y^k of the denominator is a negative exponent of the numerator
-    yid = next(iter(ctx.coordinate("y").num))[0][0]
-    assert min(k for m in e.num for v, k in m if v == yid) < 0
+    ((yid, _),) = _exps(next(iter(ctx.coordinate("y").num)))
+    assert min(k for m in e.num for v, k in _exps(m) if v == yid) < 0
 
 
 def test_monomial_denominator_is_a_constant():
     c = ctx2()
     e = c.expr("1/(2*y)")
-    assert e.den == {(): 2} and len(e.num) == 1
-    assert c.expr("x/y").den == {(): 1}
+    assert e.den == {0: 2} and len(e.num) == 1
+    assert c.expr("x/y").den == {0: 1}
     assert c.expr("x/(y^2*(x + y))").den == c.expr("x + y").num
 
 

@@ -1014,7 +1014,7 @@ def test_vanishing_basis_products_are_one_shared_zero(monkeypatch):
     zero = ext.ctx.zero()
     assert len(ext._zero) == ext.rank
     assert all(x is zero for x in ext._zero)
-    assert zero.num == {} and zero.den == {(): 1}
+    assert zero.is_zero() and zero.constant_value() == 0
 
 
 # tracemalloc peak in bytes of check_presymplectic on a fresh structure,
@@ -1304,8 +1304,8 @@ def test_interned_constants_survive_every_suite(monkeypatch):
             name
     for ctx in made:
         assert ctx.zero() is ctx.number(0)
-        assert ctx.zero().num == {} and ctx.zero().den == {(): 1}
-        assert ctx.one().num == {(): 1} and ctx.one().den == {(): 1}
+        assert ctx.zero().is_zero() and ctx.zero().constant_value() == 0
+        assert ctx.one().is_one() and ctx.one().constant_value() == 1
 
 
 @pytest.mark.parametrize("name", fixtures.REGISTRY_NAMES)
