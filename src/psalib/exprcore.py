@@ -7,17 +7,17 @@ equality and `is_zero` are exact decisions, never heuristics.  Values of
 two ChartContexts mix only when both declare the same coordinates.
 
 The representation is packed into plain ints.  Each indeterminate has an id
-from one process-wide intern table, and a monomial is one int, the sum of
-e * 2^(16*id) over its variables: a signed 16-bit field per id, so the
+from one process-wide intern table.  A monomial is one int, the sum of
+e * 2^(16*id) over its variables: one signed 16-bit field per id, so the
 unit monomial is 0 and a product of monomials is one integer addition.
-Every exponent keeps |e| < EXPONENT_LIMIT = 2^14, so no field ever carries
-into the next; an operation whose result would leave that range raises
-ExprError.  A value is an integer Laurent polynomial (the
-numerator, whose exponents may be negative) over a denominator no variable
-divides.  So n/(c*y^k) is stored as n*y^-k over the integer c: a monomial
-denominator costs the arithmetic nothing beyond the constant-denominator
-paths, and a polynomial has a constant denominator and no negative
-exponent.  A denominator of two or more terms is c * prod b_i^k_i over a
+Every exponent keeps |e| < EXPONENT_LIMIT = 2^14, so a sum of two
+monomials never carries from one field into the next; a product, partial
+or power past that raises ExprError.  A value is an integer Laurent
+polynomial (the numerator, whose exponents may be negative) over a
+denominator no variable divides.  So n/(c*y^k) is stored as n*y^-k over
+the integer c: a monomial denominator costs the arithmetic nothing beyond
+the constant-denominator paths, and a polynomial has a constant
+denominator and no negative exponent.  A denominator of two or more terms is c * prod b_i^k_i over a
 base of interned, pairwise coprime primitive polynomials, none of which
 divides the numerator.  Over Z[x] that form is unique, so equality
 compares exponents.  Products add exponents; sums raise both sides to the
@@ -112,21 +112,20 @@ _DIR: list = []
 # field in [1, 2*EXPONENT_LIMIT) with no borrow between them: one
 # exponent reads as a shift and a mask, a field holds a negative exponent
 # exactly when its bit _W - 2 is clear, and it holds 0 exactly when _BIAS
-# xors it to 0.  _GUARD holds EXPONENT_LIMIT - 1 in each field; m + _GUARD
-# and _GUARD - m clear every bit of _HIGH exactly when each exponent of m
-# lies strictly between -EXPONENT_LIMIT and EXPONENT_LIMIT.
+# xors it to 0.  _HALF holds EXPONENT_LIMIT / 2 in each field, and m +
+# _HALF clears every bit of _NARROW exactly when each exponent e of m has
+# -EXPONENT_LIMIT / 2 <= e < EXPONENT_LIMIT / 2 (see _guard).
 _W = 16
 EXPONENT_LIMIT = 1 << (_W - 2)
 _FIELD = (1 << _W) - 1
 _SIGN = 1 << (_W - 1)
 _BIAS = 0
-_GUARD = 0
-_HIGH = -1
-_COORDS = 0  # the fields of the coordinates
+_HALF = 0
+_NARROW = -1
 
 
 def _var_id(key: tuple) -> int:
-    global _BIAS, _GUARD, _HIGH, _COORDS
+    global _BIAS, _HALF, _NARROW
     vid = _VAR_IDS.get(key)
     if vid is None:
         vid = _VAR_IDS[key] = len(_VAR_KEYS)
@@ -134,10 +133,8 @@ def _var_id(key: tuple) -> int:
         _AT.append(pow(7, vid + 11, _MOD))
         _DIR.append(pow(5, vid + 3, _MOD))
         _BIAS += EXPONENT_LIMIT << _W * vid
-        _GUARD += EXPONENT_LIMIT - 1 << _W * vid
-        _HIGH &= ~(_SIGN - 1 << _W * vid)
-        if key[0] == _KIND_COORD:
-            _COORDS |= _FIELD << _W * vid
+        _HALF += EXPONENT_LIMIT // 2 << _W * vid
+        _NARROW &= ~(EXPONENT_LIMIT - 1 << _W * vid)
     return vid
 
 
@@ -179,6 +176,7 @@ class ChartContext:
         self.coords = coords
         self.funcs = funcs
         self._coord_pos = {name: i for i, name in enumerate(coords)}
+        self._atoms: dict = {}  # variable key -> its expression
         # zero() and one() hand out these two objects; nothing may mutate
         # them, and their hashes are computed once here
         self._zero = DiffExpr(self, {}, _P_ONE)
@@ -195,7 +193,11 @@ class ChartContext:
             raise ExprError(f"unknown coordinate: {name!r}") from None
 
     def _atom(self, key: tuple) -> "DiffExpr":
-        return DiffExpr(self, {1 << _W * _var_id(key): 1}, _P_ONE)
+        e = self._atoms.get(key)
+        if e is None:
+            e = self._atoms[key] = DiffExpr(self, {1 << _W * _var_id(key): 1},
+                                            _P_ONE)
+        return e
 
     def _check_func(self, name: str) -> None:
         if name not in self.funcs:
@@ -276,7 +278,7 @@ class ChartContext:
 # _BIAS).  Hot paths add, compare and hash plain ints, reading exponents
 # back only where a variable matters; the canonical graded-lex order over
 # the variables' keys is consulted only where it picks an output or a
-# representative (_plead, _pmainvar, printing).
+# representative (_plead, the main variable of _pgcd, printing).
 
 _P_ONE = {0: 1}
 
@@ -286,37 +288,39 @@ def _is_const(p: dict) -> bool:
 
 
 def _exps(m: int) -> list:
-    """The (variable id, exponent) pairs of a monomial, by id.  A field
-    may hold any exponent in [-2^(_W-1), 2^(_W-1)), the range a quotient
-    of two monomials stays in."""
+    """The (variable id, exponent) pairs of a monomial, last id first.  A
+    field may hold any exponent in [-2^(_W-1), 2^(_W-1)), the range a sum
+    or difference of two monomials stays in."""
+    b = _BIAS << 1  # 2^(_W-1) in each field
+    m += b
+    fields = m ^ b
     out = []
-    v = 0
-    while m:
-        e = (m + _SIGN & _FIELD) - _SIGN
-        if e:
-            out.append((v, e))
-        m = m - e >> _W
-        v += 1
+    while fields:
+        s = (fields.bit_length() - 1) // _W * _W
+        out.append((s // _W, (m >> s & _FIELD) - _SIGN))
+        fields &= (1 << s) - 1
     return out
 
 
-def _guard(p: dict) -> dict:
-    """p, once every exponent of its monomials lies strictly between
-    -EXPONENT_LIMIT and EXPONENT_LIMIT: past that, a field could carry
-    into the next."""
-    g, h = _GUARD, _HIGH
-    for m in p:
-        if (m + g | g - m) & h:
-            raise ExprError("exponent out of range: every exponent must "
-                            f"lie strictly between -{EXPONENT_LIMIT} and "
-                            f"{EXPONENT_LIMIT}")
-    return p
+def _guard(m: int) -> int:
+    """m, once each of its exponents e has |e| < EXPONENT_LIMIT: past
+    that, a sum of two monomials could carry from one field into the next.
+    One add and one mask clear an m of exponents below half the limit, and
+    only the rest are decoded; _pmul makes that test inline."""
+    if m + _HALF & _NARROW and any(
+            abs(e) >= EXPONENT_LIMIT for _, e in _exps(m)):
+        raise ExprError("exponent out of range: every exponent must lie "
+                        f"strictly between -{EXPONENT_LIMIT} and "
+                        f"{EXPONENT_LIMIT}")
+    return m
 
 
 def _graded_lex(p: dict):
     """Sort key of p's monomials in the canonical graded-lex order:
     higher total degree wins, then the earlier variable (by key) with the
     larger exponent."""
+    if len(p) < 2:
+        return id  # one monomial needs no order
     b = _BIAS
     shifts = [_W * v for v in sorted(_pvars(p), key=_VAR_KEYS.__getitem__)]
 
@@ -369,10 +373,6 @@ def _psub(p: dict, q: dict) -> dict:
     return out
 
 
-def _pneg(p: dict) -> dict:
-    return {m: -c for m, c in p.items()}
-
-
 def _pscale(p: dict, k: int) -> dict:
     if k == 1:
         return p
@@ -390,8 +390,8 @@ def _pmul(p: dict, q: dict) -> dict:
                 return _pscale(q, c1)
             for m2, c2 in q.items():
                 m = m1 + m2
-                if (m + _GUARD | _GUARD - m) & _HIGH:
-                    _guard({m: 1})
+                if m + _HALF & _NARROW:
+                    _guard(m)
                 out[m] = c1 * c2
         return out
     for m1, c1 in p.items():
@@ -406,7 +406,10 @@ def _pmul(p: dict, q: dict) -> dict:
                     out[m] = s
                 else:
                     del out[m]
-    return _guard(out)
+    for m in out:
+        if m + _HALF & _NARROW:
+            _guard(m)
+    return out
 
 
 def _pprimitive(p: dict) -> dict:
@@ -425,9 +428,9 @@ def _pvars(p) -> set:
         s |= m + b ^ b
     out = set()
     while s:
-        v = ((s & -s).bit_length() - 1) // _W  # the lowest field left
+        v = (s.bit_length() - 1) // _W  # the last field left
         out.add(v)
-        s &= -1 << _W * v + _W
+        s &= (1 << _W * v) - 1
     return out
 
 
@@ -449,7 +452,8 @@ def _negpart(p: dict) -> int:
     """The monomial of p's negative exponents: the negative part of its
     content, 0 for p = 0."""
     b = _BIAS
-    return _mcontent([m for m in p if m + b & b != b], 0)
+    neg = [m for m in p if m + b & b != b]
+    return _mcontent(neg, 0) if neg else 0
 
 
 def _mdiv(p: dict, m: int) -> dict:
@@ -464,10 +468,6 @@ def _cleared(num: dict, den: dict) -> tuple[dict, dict]:
     if not neg:
         return num, den
     return _mdiv(num, neg), _mdiv(den, neg)
-
-
-def _pmainvar(p: dict, q: dict) -> int:
-    return max(_pvars(p) | _pvars(q), key=_VAR_KEYS.__getitem__)
 
 
 def _puni(p: dict, v: int) -> dict:
@@ -582,7 +582,7 @@ def _pgcd(p: dict, q: dict) -> dict:
         return _monomial_gcd(p, q)
     if p == q:
         return _pprimitive(p)
-    v = _pmainvar(p, q)
+    v = max(_pvars(p) | _pvars(q), key=_VAR_KEYS.__getitem__)
     # peel common monomial content cheaply first
     common = _monomial_gcd(p, q)
     if common is not _P_ONE:
@@ -621,8 +621,6 @@ def _pdiff(p: dict, cpos: int) -> dict:
     fields = 0
     for m in p:
         fields |= m + b ^ b
-    # the other coordinates' partials are 0
-    fields &= ~_COORDS | _FIELD << _W * _var_id((_KIND_COORD, cpos))
     out: dict = {}
     while fields:  # each variable, last id first
         v = (fields.bit_length() - 1) // _W
@@ -631,12 +629,12 @@ def _pdiff(p: dict, cpos: int) -> dict:
         step = _STEPS.get((v, cpos))
         if step is None:
             step = _STEPS[v, cpos] = _var_derivative(v, cpos)
+        if not step:
+            continue
         for m, c in p.items():
             e = (m + b >> s & _FIELD) - EXPONENT_LIMIT
             if e:
-                m += step
-                if (m + _GUARD | _GUARD - m) & _HIGH:
-                    _guard({m: 1})
+                m = _guard(m + step)
                 t = out.get(m)
                 out[m] = c * e if t is None else t + c * e
     # one term's partials are distinct monomials, so none cancels
@@ -808,20 +806,20 @@ class _Den:
 def _peval(p: dict, over=None) -> int:
     """A Laurent polynomial at the fixed point mod _MOD; over = (variable
     id, value) replaces one coordinate of the point."""
-    b = _BIAS
-    terms = dict(p)
-    for v in _pvars(p):
-        x = over[1] if over is not None and v == over[0] else _AT[v]
-        s = _W * v
-        powers = {1: x}
-        for m, t in terms.items():
-            e = (m + b >> s & _FIELD) - EXPONENT_LIMIT
-            if e:
-                y = powers.get(e)
-                if y is None:
-                    y = powers[e] = pow(x, e, _MOD)
-                terms[m] = t * y % _MOD
-    return sum(terms.values()) % _MOD
+    at = _AT
+    powers: dict = {}
+    total = 0
+    for m, c in p.items():
+        t = c
+        for ve in _exps(m):
+            x = powers.get(ve)
+            if x is None:
+                v, e = ve
+                x = over[1] if over is not None and v == over[0] else at[v]
+                x = powers[ve] = x if e == 1 else pow(x, e, _MOD)
+            t = t * x % _MOD
+        total += t
+    return total % _MOD
 
 
 def _umul(a: list, b: list) -> list:
@@ -1429,7 +1427,8 @@ class DiffExpr:
     def __neg__(self):
         if not self.num:
             return self
-        return DiffExpr(self.ctx, _pneg(self.num), self._den)
+        return DiffExpr(self.ctx, {m: -c for m, c in self.num.items()},
+                        self._den)
 
     def __sub__(self, other):
         o = other
@@ -1637,26 +1636,19 @@ def _format_poly(ctx: ChartContext, p: dict, scale: int) -> str:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),]))")
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprSyntaxError("unexpected character", text, pos)
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError("unexpected character", text, m.start())
+        val = m[kind]
+        tokens.append((kind, int(val) if kind == "int" else val,
+                       m.start(kind)))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -1680,13 +1672,9 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
     def next(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect_op(self, op: str):
         kind, val, pos = self.next()
@@ -1695,7 +1683,7 @@ class _Parser:
 
     def parse(self) -> DiffExpr:
         e = self.expr()
-        kind, _, pos = self.peek()
+        kind, _, pos = self.tokens[self.i]
         if kind != "end":
             raise ExprSyntaxError("trailing input", self.text, pos)
         return e
@@ -1703,9 +1691,9 @@ class _Parser:
     def expr(self) -> DiffExpr:
         e = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, _ = self.tokens[self.i]
             if kind == "op" and val in "+-":
-                self.next()
+                self.i += 1
                 t = self.term()
                 e = e + t if val == "+" else e - t
             else:
@@ -1714,9 +1702,9 @@ class _Parser:
     def term(self) -> DiffExpr:
         e = self.factor()
         while True:
-            kind, val, pos = self.peek()
+            kind, val, pos = self.tokens[self.i]
             if kind == "op" and val in "*/":
-                self.next()
+                self.i += 1
                 f = self.factor()
                 if val == "*":
                     e = e * f
@@ -1729,20 +1717,19 @@ class _Parser:
                 return e
 
     def factor(self) -> DiffExpr:
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[self.i]
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
                                   self.text, pos)
         if kind == "op" and val == "-":
-            self.next()
+            self.i += 1
             e = -self.factor()
         else:
             e = self.atom()
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "^":
-                self.next()
-                k, v, p2 = self.next()
+            if self.tokens[self.i][1] == "^":
+                self.i += 2
+                k, v, p2 = self.tokens[self.i - 1]
                 if k != "int":
                     raise ExprSyntaxError("exponent must be a natural number",
                                           self.text, p2)
@@ -1754,15 +1741,17 @@ class _Parser:
         kind, val, pos = self.next()
         if kind == "int":
             # rational := integer ('/' positive-integer)?  (greedy)
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
+            if self.tokens[self.i][1] == "/":
                 k3, v3, p3 = self.tokens[self.i + 1]
                 if k3 == "int":
                     if v3 == 0:
                         raise ExprSyntaxError("zero denominator", self.text,
                                               p3)
                     self.i += 2
-                    return self.ctx.number(Fraction(val, v3))
+                    g = gcd(val, v3)
+                    if g != v3:
+                        return DiffExpr(self.ctx, {0: val // g}, {0: v3 // g})
+                    val //= g
             return self.ctx.number(val)
         if kind == "name":
             if val in ("d", "d2"):
