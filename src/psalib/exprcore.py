@@ -1537,18 +1537,14 @@ class DiffExpr:
         if type(den) is not dict:
             raise ExprError(f"not a coordinate polynomial: {self}")
         n = len(self.ctx.coords)
-        coords = [(i, _W * v) for i in range(n)
-                  if (v := _VAR_IDS.get((_KIND_COORD, i))) is not None]
-        b = _BIAS
         terms = []
         for m, c in self.num.items():
             exp = [0] * n
-            rest = m
-            for i, s in coords:
-                e = exp[i] = (m + b >> s & _FIELD) - EXPONENT_LIMIT
-                rest -= e << s
-            if rest or min(exp, default=0) < 0:
-                raise ExprError(f"not a coordinate polynomial: {self}")
+            for v, e in _exps(m):
+                key = _VAR_KEYS[v]
+                if key[0] != _KIND_COORD or e < 0:
+                    raise ExprError(f"not a coordinate polynomial: {self}")
+                exp[key[1]] = e
             terms.append((tuple(exp), c))
         return terms, den[0]
 
