@@ -513,9 +513,7 @@ def _pdivexact(p: dict, d: dict) -> dict:
     if len(d) == 1:
         (dm, dc), = d.items()
         q = _mdiv(p, dm)
-        b = _BIAS
-        if any(c % dc for c in q.values()) or any(
-                m + b & b != b for m in q):
+        if any(c % dc for c in q.values()) or _negpart(q):
             raise ExprError("inexact polynomial division")
         return {m: c // dc for m, c in q.items()}
     v = max(_pvars(d), key=_VAR_KEYS.__getitem__)
@@ -1362,13 +1360,14 @@ class DiffExpr:
     with its negative exponents multiplied out and a monic denominator.
     """
 
-    __slots__ = ("ctx", "num", "_den", "_hash")
+    __slots__ = ("ctx", "num", "_den", "_hash", "_partials")
 
     def __init__(self, ctx: ChartContext, num: dict, den):
         self.ctx = ctx
         self.num = num
         self._den = den
         self._hash = None
+        self._partials = None  # coordinate position -> partial
 
     @property
     def den(self) -> dict:
@@ -1522,9 +1521,7 @@ class DiffExpr:
         return Fraction(self.num.get(0, 0), self._den[0])
 
     def is_polynomial(self) -> bool:
-        b = _BIAS
-        return type(self._den) is dict and all(
-            m + b & b == b for m in self.num)
+        return type(self._den) is dict and not _negpart(self.num)
 
     def free_of_funcs(self) -> bool:
         return all(_VAR_KEYS[v][0] == _KIND_COORD for v in
@@ -1798,10 +1795,21 @@ def differentiate(e: DiffExpr, coord: str) -> DiffExpr:
     """Partial derivative by a chart coordinate.
 
     Quotient rule on the canonical fraction; formal derivative symbols are
-    produced for function symbols, capped at second order.
+    produced for function symbols, capped at second order.  A value keeps
+    its partials, so asking for one again is a lookup.
     """
+    cpos = e.ctx.coord_pos(coord)
+    memo = e._partials
+    if memo is None:
+        memo = e._partials = {}
+    d = memo.get(cpos)
+    if d is None:
+        d = memo[cpos] = _partial(e, cpos)
+    return d
+
+
+def _partial(e: DiffExpr, cpos: int) -> DiffExpr:
     ctx = e.ctx
-    cpos = ctx.coord_pos(coord)
     den = e._den
     if type(den) is not dict:
         num, den = _bdiff(e, cpos)
@@ -1810,6 +1818,8 @@ def differentiate(e: DiffExpr, coord: str) -> DiffExpr:
         dn = _pdiff(e.num, cpos)
     except DerivativeOrderError:
         raise _cap_error(e.num) from None
+    if not dn:
+        return ctx._zero
     if den is _P_ONE:
         return DiffExpr(ctx, dn, _P_ONE)
     return DiffExpr(ctx, *_const_over(dn, den[0], (den,)))

@@ -556,6 +556,16 @@ def test_differentiate_function_symbols():
     assert differentiate(c.expr("f*g"), "x") == c.expr("d(f,x)*g + f*d(g,x)")
 
 
+def test_a_value_keeps_its_partials():
+    c = ctx2()
+    e = c.expr("x^2*f/(1 + y)")
+    d = differentiate(e, "x")
+    assert differentiate(e, "x") is d
+    assert differentiate(e, "y") is not d
+    assert d == differentiate(c.expr("x^2*f/(1 + y)"), "x")
+    assert d == c.expr("(2*x*f + x^2*d(f,x))/(1 + y)")
+
+
 def test_mixed_partials_commute():
     c = ctx2()
     e = c.expr("f*g + x*f^2")
