@@ -8,32 +8,31 @@ two ChartContexts mix only when both declare the same coordinates.
 
 The representation is packed into plain ints.  Each indeterminate has an id
 from one process-wide intern table.  A monomial is one int, the sum of
-e * 2^(16*id) over its variables: one signed 16-bit field per id, so the
-unit monomial is 0 and a product of monomials is one integer addition.
-Every exponent keeps |e| < EXPONENT_LIMIT = 2^14, so a sum of two
-monomials never carries from one field into the next; a product, partial
-or power past that raises ExprError.  A value is an integer Laurent
-polynomial (the numerator, whose exponents may be negative) over a
-denominator no variable divides.  So n/(c*y^k) is stored as n*y^-k over
-the integer c: a monomial denominator costs the arithmetic nothing beyond
-the constant-denominator paths, and a polynomial has a constant
-denominator and no negative exponent.  A denominator of two or more terms is c * prod b_i^k_i over a
-base of interned, pairwise coprime primitive polynomials, none of which
-divides the numerator.  Over Z[x] that form is unique, so equality
-compares exponents.  Products add exponents; sums raise both sides to the
-larger exponents; then each numerator is divided by a base element only
-where that element could divide it, for as long as the division is exact.
-A gcd runs only where a new denominator is refined against the base, and
-in printing where a base element is not known irreducible; a modular
-certificate of coprimality comes first, and the primitive PRS gcd only
-where that fails.  A value's hash is its value at a fixed point modulo a
-prime, which no later refinement of the base changes.  The canonical
-graded-lex order over the variables' keys is consulted only where it
-chooses an output or a representative.  A value prints and evaluates in
-lowest terms with its negative exponents multiplied back out, with a
-monic denominator and rational coefficients, and `Fraction` appears only
-where numbers enter or leave: parsing, `number()`, `constant_value()` and
-`evaluate()`.
+e*2^(16*id) over its variables: one signed 16-bit field per id, so the unit
+monomial is 0 and a product of monomials is one integer addition.  Every
+exponent keeps |e| < EXPONENT_LIMIT = 2^14, so a sum of two monomials never
+carries from one field into the next; a product, partial or power past that
+raises ExprError.  A value is an integer Laurent polynomial (the numerator,
+whose exponents may be negative) over a denominator no variable divides.
+So n/(c*y^k) is stored as n*y^-k over the integer c: a monomial denominator
+costs the arithmetic nothing beyond the constant-denominator paths, and a
+polynomial has a constant denominator and no negative exponent.  A
+denominator of two or more terms is c * prod b_i^k_i over a base of
+interned, pairwise coprime primitive polynomials, none of which divides the
+numerator.  Over Z[x] that form is unique, so equality compares exponents.
+Products add exponents; sums raise both sides to the larger exponents; then
+each numerator is divided by a base element only where that element could
+divide it, for as long as the division is exact.  A gcd runs only where a
+new denominator is refined against the base, and in printing where a base
+element is not known irreducible; a modular certificate of coprimality
+comes first, and the primitive PRS gcd only where that fails.  A value's
+hash is its value at a fixed point modulo a prime, which no later
+refinement of the base changes.  The canonical graded-lex order over the
+variables' keys is consulted only where it chooses an output or a
+representative.  A value prints and evaluates in lowest terms with its
+negative exponents multiplied back out, with a monic denominator and
+rational coefficients, and `Fraction` appears only where numbers enter or
+leave: parsing, `number()`, `constant_value()` and `evaluate()`.
 """
 
 from __future__ import annotations
@@ -176,7 +175,6 @@ class ChartContext:
         self.coords = coords
         self.funcs = funcs
         self._coord_pos = {name: i for i, name in enumerate(coords)}
-        self._atoms: dict = {}  # variable key -> its expression
         # zero() and one() hand out these two objects; nothing may mutate
         # them, and their hashes are computed once here
         self._zero = DiffExpr(self, {}, _P_ONE)
@@ -193,11 +191,7 @@ class ChartContext:
             raise ExprError(f"unknown coordinate: {name!r}") from None
 
     def _atom(self, key: tuple) -> "DiffExpr":
-        e = self._atoms.get(key)
-        if e is None:
-            e = self._atoms[key] = DiffExpr(self, {1 << _W * _var_id(key): 1},
-                                            _P_ONE)
-        return e
+        return DiffExpr(self, {1 << _W * _var_id(key): 1}, _P_ONE)
 
     def _check_func(self, name: str) -> None:
         if name not in self.funcs:
@@ -452,8 +446,7 @@ def _negpart(p: dict) -> int:
     """The monomial of p's negative exponents: the negative part of its
     content, 0 for p = 0."""
     b = _BIAS
-    neg = [m for m in p if m + b & b != b]
-    return _mcontent(neg, 0) if neg else 0
+    return _mcontent([m for m in p if m + b & b != b], 0)
 
 
 def _mdiv(p: dict, m: int) -> dict:
@@ -801,22 +794,32 @@ class _Den:
 # -- modular images ---------------------------------------------------------
 
 
+_VALS: dict = {}  # monomial -> its value at the fixed point mod _MOD
+
+
+def _mval(m: int) -> int:
+    if len(_VALS) > 1 << 16:  # a long session keeps at most 2^16
+        _VALS.clear()
+    x = 1
+    for v, e in _exps(m):
+        x = x * pow(_AT[v], e, _MOD) % _MOD
+    _VALS[m] = x
+    return x
+
+
 def _peval(p: dict, over=None) -> int:
     """A Laurent polynomial at the fixed point mod _MOD; over = (variable
-    id, value) replaces one coordinate of the point."""
-    at = _AT
-    powers: dict = {}
+    id, value) replaces one coordinate of the point.  A monomial's value
+    is not 0, so `or` calls _mval only for one not kept."""
+    if over is None:
+        return sum(c * (_VALS.get(m) or _mval(m)) for m, c in p.items()) % _MOD
+    v, r = over
+    s, b = _W * v, _BIAS
     total = 0
     for m, c in p.items():
-        t = c
-        for ve in _exps(m):
-            x = powers.get(ve)
-            if x is None:
-                v, e = ve
-                x = over[1] if over is not None and v == over[0] else at[v]
-                x = powers[ve] = x if e == 1 else pow(x, e, _MOD)
-            t = t * x % _MOD
-        total += t
+        e = (m + b >> s & _FIELD) - EXPONENT_LIMIT
+        m -= e << s
+        total += c * (_VALS.get(m) or _mval(m)) * pow(r, e, _MOD)
     return total % _MOD
 
 
@@ -1818,8 +1821,6 @@ def _partial(e: DiffExpr, cpos: int) -> DiffExpr:
         dn = _pdiff(e.num, cpos)
     except DerivativeOrderError:
         raise _cap_error(e.num) from None
-    if not dn:
-        return ctx._zero
     if den is _P_ONE:
         return DiffExpr(ctx, dn, _P_ONE)
     return DiffExpr(ctx, *_const_over(dn, den[0], (den,)))
