@@ -32,7 +32,7 @@ variables' keys is consulted only where it chooses an output or a
 representative.  A value prints and evaluates in lowest terms with its
 negative exponents multiplied back out, with a monic denominator and
 rational coefficients, and `Fraction` appears only where numbers enter or
-leave: parsing, `number()`, `constant_value()` and `evaluate()`.
+leave: `number()`, `constant_value()` and `evaluate()`.
 """
 
 from __future__ import annotations
